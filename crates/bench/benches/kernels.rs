@@ -11,7 +11,6 @@ use ano_core::demo::{self, DemoFlow};
 use ano_core::msg::DataRef;
 use ano_core::rx::RxEngine;
 use ano_crypto::aes::Aes;
-use ano_crypto::chacha;
 use ano_crypto::crc32c::crc32c;
 use ano_crypto::gcm;
 use ano_crypto::sha::{Digest, Sha256};
@@ -30,10 +29,6 @@ fn crypto_kernels(h: &mut Harness) {
         });
         g.bench(&format!("crc32c/{size}"), || crc32c(&data));
         g.bench(&format!("sha256/{size}"), || Sha256::digest(&data));
-        g.bench(&format!("chacha20poly1305-seal/{size}"), || {
-            let mut buf = data.clone();
-            chacha::seal(&[9; 32], &[1; 12], b"aad", &mut buf)
-        });
     }
     g.finish();
 }

@@ -8,7 +8,6 @@
 //!
 //! * [`gcm`] — AES-GCM with exportable mid-message state (the TLS offload);
 //! * [`crc32c`] — incremental + combinable CRC32C (the NVMe-TCP offload);
-//! * [`chacha`] — ChaCha20-Poly1305 (TLS 1.3's other cipher, §3.2);
 //! * [`sha`] / [`hmac`] — digest kernels for the Table 1 cipher suite;
 //! * [`aes`] — the block cipher underneath GCM.
 //!
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub mod aes;
-pub mod chacha;
 pub mod crc32c;
 pub mod gcm;
 pub mod ghash;

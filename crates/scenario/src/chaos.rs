@@ -1,23 +1,22 @@
-//! Device-fault chaos matrix: scripted NIC misbehavior × every offloaded
-//! workload, with degradation-policy expectations.
+//! The device-fault pattern catalogue: scripted NIC misbehavior
+//! ([`ano_core::fault::DeviceFaults`]) with the degradation policy and
+//! expectation each pattern is held to.
 //!
-//! The adversity matrix ([`crate::scenario::matrix`]) stresses the *link*;
-//! this module stresses the *device* ([`ano_core::fault::DeviceFaults`]):
-//! installs that fail or hang, resync mailbox messages that vanish or
-//! arrive late, contexts invalidated or corrupted behind the driver's
-//! back, and full NIC resets mid-transfer. Every chaos scenario runs
-//! differentially (offload-with-faults vs software-no-faults) and is held
-//! to the usual world invariants plus a *degradation expectation*:
+//! Link adversity stresses the *wire*; these stress the *device*: installs
+//! that fail or hang, resync mailbox messages that vanish or arrive late,
+//! contexts invalidated or corrupted behind the driver's back, and full
+//! NIC resets mid-transfer. A pattern becomes spec data through
+//! [`crate::scenario::Scenario::with_chaos`], which aims its plan at one
+//! flow's data receiver and records the [`Degradation`] the run must show:
 //!
-//! * **transient faults** ([`ChaosExpect::ReOffloaded`]) — the driver must
-//!   retry/resync its way back to hardware offload, and the application
-//!   must see a byte stream identical to the software run;
-//! * **persistent faults** ([`ChaosExpect::BreakerOpen`]) — the per-flow
+//! * **transient faults** ([`Degradation::ReOffloaded`]) — the driver must
+//!   retry/resync its way back to hardware offload;
+//! * **persistent faults** ([`Degradation::BreakerOpen`]) — the per-flow
 //!   circuit breaker must open with the expected reason and the flow must
-//!   finish in software, still byte-identical.
+//!   finish in software.
 //!
-//! Scenarios are named (`chaos/<workload>/<fault>`); [`chaos_builtin`]
-//! replays one by name, mirroring the adversity matrix's replay workflow.
+//! Either way the application sees a byte stream identical to the
+//! fault-free software twin.
 
 use ano_core::fault::{DeviceFaults, DeviceOp, FaultAction, ScheduledFault};
 use ano_sim::link::Match;
@@ -25,22 +24,19 @@ use ano_sim::time::{SimDuration, SimTime};
 use ano_stack::prelude::DegradeConfig;
 use ano_tcp::segment::FlowId;
 
-use crate::invariant::Violation;
-use crate::runner::{run_scenario, run_scenario_faulted, DiffOutcome};
-use crate::scenario::{Scenario, Workload};
-
-/// What the degradation policy must have done by the end of the run.
+/// What the degradation policy must have done, by the end of the run, to
+/// every flow whose data receiver's NIC was faulted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosExpect {
-    /// The fault was transient: the flow must end re-offloaded (engine
-    /// installed, packets offloaded, breaker closed).
+pub enum Degradation {
+    /// The fault was transient: the flow must end re-offloaded (packets
+    /// offloaded, breaker closed).
     ReOffloaded,
     /// The fault was persistent: the breaker must be open with this
     /// reason and the engine gone for good.
     BreakerOpen(&'static str),
 }
 
-/// One scripted device-fault pattern, applied to the data receiver's NIC.
+/// One scripted device-fault pattern.
 #[derive(Clone, Debug)]
 pub enum DeviceChaos {
     /// The first `n` rx-install attempts fail; the retry ladder recovers.
@@ -96,16 +92,8 @@ impl DeviceChaos {
         }
     }
 
-    /// Whether the plan targets a specific rx flow (and so must be
-    /// installed after connect, when the flow label exists).
-    pub fn needs_flow(&self) -> bool {
-        !matches!(
-            self,
-            DeviceChaos::FailInstalls { .. } | DeviceChaos::FailAllInstalls | DeviceChaos::ResetAt(_)
-        )
-    }
-
-    /// The concrete fault schedule for the receiver's rx flow.
+    /// The concrete fault schedule, with flow-targeted one-shots aimed at
+    /// rx flow `flow`.
     pub fn plan(&self, flow: FlowId) -> DeviceFaults {
         match self {
             DeviceChaos::FailInstalls { n } => DeviceFaults::fail_first(DeviceOp::InstallRx, *n),
@@ -128,18 +116,14 @@ impl DeviceChaos {
             DeviceChaos::CorruptRxAt(t) => {
                 DeviceFaults::none().at(*t, ScheduledFault::CorruptRx(flow))
             }
-            DeviceChaos::ResyncStorm { at } => {
-                let mut f = DeviceFaults::none();
-                for t in at {
-                    f = f.at(*t, ScheduledFault::InvalidateRx(flow));
-                }
-                f
-            }
+            DeviceChaos::ResyncStorm { at } => at.iter().fold(DeviceFaults::none(), |f, t| {
+                f.at(*t, ScheduledFault::InvalidateRx(flow))
+            }),
         }
     }
 
     /// Degradation-policy knobs for this pattern. Persistent-fault
-    /// scenarios tighten the ladder/threshold so the breaker opens while
+    /// patterns tighten the ladder/threshold so the breaker opens while
     /// the stream is still flowing; `DropResyncReq` arms the request
     /// re-emission timer the pattern exists to exercise.
     pub fn degrade(&self) -> DegradeConfig {
@@ -163,173 +147,11 @@ impl DeviceChaos {
     }
 
     /// The degradation expectation this pattern is held to.
-    pub fn expect(&self) -> ChaosExpect {
+    pub fn expect(&self) -> Degradation {
         match self {
-            DeviceChaos::FailAllInstalls => ChaosExpect::BreakerOpen("install_failures"),
-            DeviceChaos::ResyncStorm { .. } => ChaosExpect::BreakerOpen("resync_storm"),
-            _ => ChaosExpect::ReOffloaded,
+            DeviceChaos::FailAllInstalls => Degradation::BreakerOpen("install_failures"),
+            DeviceChaos::ResyncStorm { .. } => Degradation::BreakerOpen("resync_storm"),
+            _ => Degradation::ReOffloaded,
         }
-    }
-}
-
-/// One chaos scenario: a clean-link scenario skeleton plus the device
-/// faults injected into it.
-#[derive(Clone, Debug)]
-pub struct ChaosScenario {
-    /// The workload / budgets / expectation flags (no link impairments:
-    /// chaos isolates device faults from link adversity).
-    pub scenario: Scenario,
-    /// The device-fault pattern.
-    pub chaos: DeviceChaos,
-}
-
-/// The chaos workloads. Larger than the adversity-matrix workloads on
-/// purpose: with the default link and cost model the payload stream is
-/// active roughly t≈30µs–1ms (NVMe) / t≈160µs–1ms (TLS), and the
-/// scheduled fault times below (300–750µs) must land while it flows.
-/// NVMe reads stay well under the target's 256 KiB `max_data_pdu` so
-/// C2HData boundaries — the §4.3 resume points — recur every few packets;
-/// a single huge read would leave a reinstalled engine with no boundary
-/// to resume at before the stream ends.
-fn chaos_workloads() -> Vec<(&'static str, Workload)> {
-    let reads: Vec<(u64, u32)> = (0..48).map(|i| (i << 16, 32_768)).collect();
-    vec![
-        ("tls", Workload::Tls { bytes: 1_000_000 }),
-        ("nvme", Workload::Nvme { reads: reads.clone() }),
-        ("nvme-tls", Workload::NvmeTls { reads }),
-    ]
-}
-
-/// The eight device-fault patterns, mid-stream times pre-chosen for the
-/// chaos workloads.
-fn chaos_patterns() -> Vec<DeviceChaos> {
-    let us = SimTime::from_micros;
-    vec![
-        DeviceChaos::FailInstalls { n: 2 },
-        DeviceChaos::FailAllInstalls,
-        DeviceChaos::DropResyncReq { invalidate_at: us(300) },
-        DeviceChaos::DelayResyncResps {
-            invalidate_at: us(300),
-            extra: SimDuration::from_micros(100),
-        },
-        DeviceChaos::ResetAt(us(300)),
-        DeviceChaos::InvalidateRxAt(us(300)),
-        DeviceChaos::CorruptRxAt(us(300)),
-        DeviceChaos::ResyncStorm {
-            at: vec![us(300), us(450), us(600), us(750)],
-        },
-    ]
-}
-
-/// The full chaos matrix: every fault pattern × {TLS, NVMe, NVMe-TLS}.
-/// Names are `chaos/<workload>/<fault>`.
-pub fn chaos_matrix() -> Vec<ChaosScenario> {
-    let mut out = Vec::new();
-    for (wl_name, wl) in chaos_workloads() {
-        for chaos in chaos_patterns() {
-            let mut sc = Scenario::new(
-                &format!("chaos/{wl_name}/{}", chaos.label()),
-                wl.clone(),
-            );
-            // A flow demoted to software for good never returns to
-            // `Offloading` — that is the expected outcome, not a failure.
-            if matches!(chaos.expect(), ChaosExpect::BreakerOpen(_)) {
-                sc.expect_reconverge = false;
-            }
-            out.push(ChaosScenario { scenario: sc, chaos });
-        }
-    }
-    out
-}
-
-/// Finds a chaos scenario by name — the replay entry point:
-/// `run_chaos(&chaos_builtin("chaos/tls/reset").unwrap())`.
-pub fn chaos_builtin(name: &str) -> Option<ChaosScenario> {
-    chaos_matrix().into_iter().find(|c| c.scenario.name == name)
-}
-
-/// Runs one chaos scenario differentially — offload-with-faults vs
-/// software-without — and checks the degradation expectation on top of
-/// the usual invariants and byte-identity.
-pub fn run_chaos(cs: &ChaosScenario) -> DiffOutcome {
-    let sc = &cs.scenario;
-    let offload = run_scenario_faulted(sc, true, Some(&cs.chaos));
-    let software = run_scenario(sc, false);
-
-    let mut violations = Vec::new();
-    violations.extend(offload.violations.iter().cloned());
-    violations.extend(software.violations.iter().cloned());
-
-    if offload.stream() != software.stream() {
-        let (a, b) = (offload.stream(), software.stream());
-        let at = a
-            .iter()
-            .zip(&b)
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()));
-        violations.push(Violation {
-            invariant: "differential-stream",
-            at: offload.end,
-            detail: format!(
-                "offload-under-faults delivered {} bytes, software {}; first divergence at \
-                 offset {at}",
-                a.len(),
-                b.len()
-            ),
-        });
-    }
-
-    if offload.faults_injected == 0 {
-        violations.push(Violation {
-            invariant: "chaos-injection",
-            at: offload.end,
-            detail: "fault plan injected nothing — the scenario tested a healthy device"
-                .to_string(),
-        });
-    }
-
-    match cs.chaos.expect() {
-        ChaosExpect::ReOffloaded => {
-            if let Some(reason) = offload.breaker {
-                violations.push(Violation {
-                    invariant: "chaos-degradation",
-                    at: offload.end,
-                    detail: format!("transient fault opened the breaker ({reason})"),
-                });
-            }
-            if offload.rx_offloaded_pkts == 0 {
-                violations.push(Violation {
-                    invariant: "chaos-degradation",
-                    at: offload.end,
-                    detail: "flow never (re-)offloaded a packet after the fault".to_string(),
-                });
-            }
-        }
-        ChaosExpect::BreakerOpen(reason) => {
-            if offload.breaker != Some(reason) {
-                violations.push(Violation {
-                    invariant: "chaos-degradation",
-                    at: offload.end,
-                    detail: format!(
-                        "expected breaker open ({reason}), got {:?}",
-                        offload.breaker
-                    ),
-                });
-            }
-            if offload.rx_state.is_some() {
-                violations.push(Violation {
-                    invariant: "chaos-degradation",
-                    at: offload.end,
-                    detail: "rx engine still installed with the breaker open".to_string(),
-                });
-            }
-        }
-    }
-
-    DiffOutcome {
-        name: sc.name.clone(),
-        offload,
-        software,
-        violations,
     }
 }

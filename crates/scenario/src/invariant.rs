@@ -5,7 +5,7 @@ use ano_sim::time::{SimDuration, SimTime};
 use ano_trace::ResyncPhase;
 
 use crate::apps::Delivered;
-use crate::scenario::{Scenario, Workload};
+use crate::scenario::Workload;
 
 /// One invariant violation (collected, not panicked, so a single run can
 /// report everything that went wrong).
@@ -33,9 +33,8 @@ impl std::fmt::Display for Violation {
 /// with a full fresh budget at repair, so recovery gets the same grace a
 /// cold start does.
 ///
-/// Shared by the two-host [`Checkers`] and the fleet netchaos runner
-/// (`crate::netchaos`), which derives its windows from the world's
-/// `NetPlan` via `NetPlan::outage_windows`.
+/// One per flow; the windows come from
+/// [`crate::scenario::Scenario::outage_windows`].
 pub(crate) struct ProgressWatchdog {
     budget: SimDuration,
     /// Declared `[from, to]` outage windows. Deliberately explicit, never
@@ -47,11 +46,16 @@ pub(crate) struct ProgressWatchdog {
 }
 
 impl ProgressWatchdog {
-    pub(crate) fn new(budget: SimDuration, outages: Vec<(SimTime, SimTime)>) -> ProgressWatchdog {
+    /// A watchdog armed at `start` (the flow's connect time).
+    pub(crate) fn new(
+        budget: SimDuration,
+        outages: Vec<(SimTime, SimTime)>,
+        start: SimTime,
+    ) -> ProgressWatchdog {
         ProgressWatchdog {
             budget,
             outages,
-            last_at: SimTime::ZERO,
+            last_at: start,
             last_bytes: 0,
         }
     }
@@ -91,221 +95,187 @@ impl ProgressWatchdog {
     }
 }
 
-/// Step-by-step invariant state for one run.
-pub(crate) struct Checkers {
+/// Step-by-step invariant state for one flow of one run.
+pub(crate) struct FlowChecker {
+    /// `conn N (c<->s)` — prefixes every violation this flow raises.
+    who: String,
     expected: Vec<u8>,
+    /// The reads an NVMe flow issued, by request id.
+    reads: Vec<(u64, u32)>,
     /// Chunks / completions already verified (only new ones are checked
     /// each step, keeping the step loop linear in delivered bytes).
     checked_chunks: usize,
+    checked_plain: usize,
     checked_completions: usize,
     progress: ProgressWatchdog,
-    /// Whether the watchdog applies (disabled for unrecoverable scenarios,
-    /// which stall by design once the damage is done).
-    watchdog: bool,
-    pub(crate) violations: Vec<Violation>,
 }
 
-impl Checkers {
-    pub(crate) fn new(sc: &Scenario) -> Checkers {
-        Checkers {
-            expected: sc.workload.expected(),
+impl FlowChecker {
+    pub(crate) fn new(
+        who: String,
+        workload: &Workload,
+        wave: usize,
+        progress: ProgressWatchdog,
+    ) -> FlowChecker {
+        FlowChecker {
+            who,
+            expected: workload.expected(wave),
+            reads: workload.reads().unwrap_or_default().to_vec(),
             checked_chunks: 0,
+            checked_plain: 0,
             checked_completions: 0,
-            progress: ProgressWatchdog::new(sc.progress_budget, sc.declared_partitions.clone()),
-            watchdog: sc.expect_complete,
-            violations: Vec::new(),
+            progress,
         }
     }
 
+    /// What the flow must deliver.
     pub(crate) fn expected(&self) -> &[u8] {
         &self.expected
     }
 
-    /// Runs the per-step checks after the world advanced to `now`.
-    pub(crate) fn step(&mut self, now: SimTime, sc: &Scenario, delivered: &Delivered) {
-        self.check_stream_integrity(now, sc, delivered);
-        self.check_forward_progress(now, delivered);
+    pub(crate) fn into_expected(self) -> Vec<u8> {
+        self.expected
+    }
+
+    fn flag(&self, out: &mut Vec<Violation>, invariant: &'static str, at: SimTime, detail: String) {
+        out.push(Violation {
+            invariant,
+            at,
+            detail: format!("{}: {detail}", self.who),
+        });
+    }
+
+    /// Runs the per-step checks after the world advanced to `now`; returns
+    /// whether the flow has delivered every expected byte. `watchdog`
+    /// arms the forward-progress check (off for unrecoverable scenarios,
+    /// which stall by design once the damage is done).
+    pub(crate) fn step(
+        &mut self,
+        now: SimTime,
+        delivered: &Delivered,
+        watchdog: bool,
+        out: &mut Vec<Violation>,
+    ) -> bool {
+        self.check_stream_integrity(now, delivered, out);
+        let target = self.expected.len() as u64;
+        let bytes = delivered.bytes();
+        if let Some(detail) = self.progress.observe(now, bytes, target) {
+            if watchdog {
+                self.flag(out, "forward-progress", now, detail);
+            }
+        }
+        bytes >= target
     }
 
     /// Every newly delivered chunk must carry exactly the transmitted bytes
     /// at the offset it claims — under any impairment, corruption included:
-    /// damaged records may *vanish* (auth reject) but never mutate.
-    fn check_stream_integrity(&mut self, now: SimTime, sc: &Scenario, delivered: &Delivered) {
-        for (off, bytes) in &delivered.chunks[self.checked_chunks..] {
-            let start = *off as usize;
-            let end = start + bytes.len();
+    /// damaged records may *vanish* (auth reject) but never mutate. Every
+    /// completed read buffer must match the device pattern.
+    fn check_stream_integrity(&mut self, now: SimTime, delivered: &Delivered, out: &mut Vec<Violation>) {
+        for &(off, len) in &delivered.chunks[self.checked_chunks..] {
+            let bytes = &delivered.plain[self.checked_plain..self.checked_plain + len];
+            self.checked_plain += len;
+            let start = off as usize;
+            let end = start + len;
             if end > self.expected.len() {
-                self.violations.push(Violation {
-                    invariant: "stream-integrity",
-                    at: now,
-                    detail: format!(
-                        "chunk [{start}, {end}) extends past the {}-byte transmitted stream",
-                        self.expected.len()
-                    ),
-                });
+                let detail = format!(
+                    "chunk [{start}, {end}) extends past the {}-byte transmitted stream",
+                    self.expected.len()
+                );
+                self.flag(out, "stream-integrity", now, detail);
             } else if bytes != &self.expected[start..end] {
                 let bad = bytes
                     .iter()
                     .zip(&self.expected[start..end])
                     .position(|(a, b)| a != b)
                     .unwrap_or(0);
-                self.violations.push(Violation {
-                    invariant: "stream-integrity",
-                    at: now,
-                    detail: format!(
-                        "delivered bytes diverge from transmitted stream at offset {}",
-                        start + bad
-                    ),
-                });
+                let detail = format!(
+                    "delivered bytes diverge from transmitted stream at offset {}",
+                    start + bad
+                );
+                self.flag(out, "stream-integrity", now, detail);
             }
         }
         self.checked_chunks = delivered.chunks.len();
 
-        if let Workload::Nvme { reads } | Workload::NvmeTls { reads } = &sc.workload {
-            for (id, ok, buf) in &delivered.completions[self.checked_completions..] {
-                let Some(&(dev_off, len)) = reads.get(*id as usize) else {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("completion for unknown request id {id}"),
-                    });
-                    continue;
-                };
-                if !ok {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id} completed with digest failure"),
-                    });
-                    continue;
+        for (id, ok, buf) in &delivered.completions[self.checked_completions..] {
+            let detail = match self.reads.get(*id as usize) {
+                None => format!("completion for unknown request id {id}"),
+                Some(_) if !ok => format!("read {id} completed with digest failure"),
+                Some(&(_, len)) if buf.len() != len as usize => {
+                    format!("read {id}: {} bytes placed, expected {len}", buf.len())
                 }
-                if buf.len() != len as usize {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id}: {} bytes placed, expected {len}", buf.len()),
-                    });
-                    continue;
+                Some(&(dev_off, _)) => {
+                    let wrong = buf
+                        .iter()
+                        .enumerate()
+                        .position(|(j, &v)| v != ano_nvme::block::pattern_byte(dev_off + j as u64));
+                    match wrong {
+                        Some(j) => format!("read {id}: wrong device byte at buffer offset {j}"),
+                        None => continue,
+                    }
                 }
-                if let Some(j) = buf
-                    .iter()
-                    .enumerate()
-                    .find(|&(j, &v)| v != ano_nvme::block::pattern_byte(dev_off + j as u64))
-                    .map(|(j, _)| j)
-                {
-                    self.violations.push(Violation {
-                        invariant: "stream-integrity",
-                        at: now,
-                        detail: format!("read {id}: wrong device byte at buffer offset {j}"),
-                    });
-                }
-            }
-            self.checked_completions = delivered.completions.len();
+            };
+            self.flag(out, "stream-integrity", now, detail);
         }
+        self.checked_completions = delivered.completions.len();
     }
 
-    /// Watchdog: some byte must land within every `progress_budget` window
-    /// until the transfer completes (suspended inside declared outages).
-    fn check_forward_progress(&mut self, now: SimTime, delivered: &Delivered) {
-        let target = self.expected.len() as u64;
-        let stalled = self.progress.observe(now, delivered.bytes(), target);
-        if self.watchdog {
-            if let Some(detail) = stalled {
-                self.violations.push(Violation {
-                    invariant: "forward-progress",
-                    at: now,
-                    detail,
-                });
-            }
-        }
-    }
-
-    /// End-of-run checks: completion, auth accounting, reconvergence.
+    /// End-of-run per-flow checks: completion, ladder legality,
+    /// reconvergence.
     ///
     /// `resync` is the receiver engine's ordered `(from, to)` transition
-    /// list from the trace. When present it carries strictly more
+    /// list from the trace (`None` when the trace ring wrapped and the
+    /// list cannot be trusted). When present it carries strictly more
     /// information than the final [`RxStateKind`]: the engine must not only
     /// *end* in `Offloading`, it must have gotten there through legal §4.3
     /// edges — in particular, every return to hardware offload must pass
     /// through software confirmation (`Tracking → Confirmed → Offloading`).
+    /// `reconverge` asks for the end-in-`Offloading` check (the caller
+    /// clears it for software arms and breaker-open flows).
     pub(crate) fn finish(
-        &mut self,
+        &self,
         now: SimTime,
-        sc: &Scenario,
-        offload: bool,
-        complete: bool,
-        alerts: u64,
-        link_corrupted: u64,
+        expect_complete: bool,
+        reconverge: bool,
         rx_state: Option<RxStateKind>,
-        resync: &[(ResyncPhase, ResyncPhase)],
+        resync: Option<&[(ResyncPhase, ResyncPhase)]>,
+        out: &mut Vec<Violation>,
     ) {
-        if sc.expect_complete && !complete {
-            self.violations.push(Violation {
-                invariant: "completion",
-                at: now,
-                detail: format!(
-                    "transfer incomplete at sim budget ({} of {} bytes)",
-                    self.progress.bytes(),
-                    self.expected.len()
-                ),
-            });
+        if expect_complete && self.progress.bytes() < self.expected.len() as u64 {
+            let detail = format!(
+                "transfer incomplete at sim budget ({} of {} bytes)",
+                self.progress.bytes(),
+                self.expected.len()
+            );
+            self.flag(out, "completion", now, detail);
         }
-
-        // Auth integrity: alerts appear exactly when the link corrupted
-        // something. A corrupted record that produced no alert was either
-        // dropped silently (masking) or — worse — authenticated.
-        let corrupting = link_corrupted > 0;
-        if !corrupting && alerts > 0 {
-            self.violations.push(Violation {
-                invariant: "auth-integrity",
-                at: now,
-                detail: format!("{alerts} TLS alerts on an uncorrupted link"),
-            });
+        for detail in check_resync_transitions(resync.unwrap_or_default()) {
+            self.flag(out, "resync-transition", now, detail);
         }
-        if corrupting && alerts == 0 && matches!(sc.workload, Workload::Tls { .. }) {
-            self.violations.push(Violation {
-                invariant: "auth-integrity",
-                at: now,
-                detail: format!(
-                    "link corrupted {link_corrupted} frame(s) but TLS raised no alert"
-                ),
-            });
+        if !reconverge {
+            return;
         }
-
-        for detail in check_resync_transitions(resync) {
-            self.violations.push(Violation {
-                invariant: "resync-transition",
-                at: now,
-                detail,
-            });
-        }
-
-        if offload && sc.expect_reconverge {
-            if let Some((_, last)) = resync.last() {
-                if *last != ResyncPhase::Offloading {
-                    self.violations.push(Violation {
-                        invariant: "resync-reconvergence",
-                        at: now,
-                        detail: format!(
-                            "rx engine's last transition ended in {last:?}, expected Offloading \
-                             (ladder: {})",
-                            render_ladder(resync)
-                        ),
-                    });
-                }
-            } else {
-                // No transitions recorded: either the engine never left
-                // Offloading (fine) or the run was untraced — fall back to
-                // the final-state snapshot.
-                match rx_state {
-                    Some(RxStateKind::Offloading) | None => {}
-                    Some(other) => self.violations.push(Violation {
-                        invariant: "resync-reconvergence",
-                        at: now,
-                        detail: format!("rx engine ended in {other:?}, expected Offloading"),
-                    }),
-                }
+        match resync.and_then(|r| r.last()) {
+            Some((_, ResyncPhase::Offloading)) => {}
+            Some((_, last)) => {
+                let detail = format!(
+                    "rx engine's last transition ended in {last:?}, expected Offloading \
+                     (ladder: {})",
+                    render_ladder(resync.unwrap_or_default())
+                );
+                self.flag(out, "resync-reconvergence", now, detail);
             }
+            // No transitions recorded: either the engine never left
+            // Offloading (fine) or the ring wrapped — fall back to the
+            // final-state snapshot.
+            None => match rx_state {
+                Some(RxStateKind::Offloading) | None => {}
+                Some(other) => {
+                    let detail = format!("rx engine ended in {other:?}, expected Offloading");
+                    self.flag(out, "resync-reconvergence", now, detail);
+                }
+            },
         }
     }
 }
@@ -495,7 +465,7 @@ mod tests {
 
     #[test]
     fn watchdog_fires_on_undeclared_stall_and_rearms() {
-        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![]);
+        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![], SimTime::ZERO);
         assert!(wd.observe(SimTime::from_millis(1), 10, 1000).is_none());
         assert!(wd.observe(SimTime::from_millis(12), 10, 1000).is_some());
         // Re-armed: quiet for another full window, then fires again.
@@ -506,7 +476,7 @@ mod tests {
     #[test]
     fn watchdog_suspends_inside_declared_outage_then_rearms_at_repair() {
         let dark = (SimTime::from_millis(5), SimTime::from_millis(100));
-        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![dark]);
+        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![dark], SimTime::ZERO);
         assert!(wd.observe(SimTime::from_millis(1), 10, 1000).is_none());
         // Silent far past the budget, but inside the declared window.
         for ms in [20, 50, 99] {
@@ -520,7 +490,7 @@ mod tests {
 
     #[test]
     fn watchdog_stands_down_once_the_target_is_reached() {
-        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![]);
+        let mut wd = ProgressWatchdog::new(SimDuration::from_millis(10), vec![], SimTime::ZERO);
         assert!(wd.observe(SimTime::from_millis(1), 1000, 1000).is_none());
         assert!(wd.observe(SimTime::from_secs(5), 1000, 1000).is_none());
     }

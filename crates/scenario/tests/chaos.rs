@@ -1,30 +1,8 @@
 //! The device-fault chaos suite: smoke tests covering each expectation
-//! class, and the full `chaos_matrix()` sweep (run by `scripts/ci.sh` as
+//! class, and the full 24-entry `chaos/` sweep (run by `scripts/ci.sh` as
 //! its own tier; `--include-ignored` locally for the full matrix).
 
-use ano_scenario::chaos::{chaos_builtin, chaos_matrix, run_chaos, ChaosExpect};
-use ano_scenario::scenario;
-
-/// The adversity matrix must not grow implicitly when chaos scenarios are
-/// added — device faults live in their own matrix.
-#[test]
-fn adversity_matrix_unchanged() {
-    assert_eq!(scenario::matrix().len(), 16, "8 schedules x 2 workloads");
-}
-
-#[test]
-fn chaos_matrix_shape_and_replay() {
-    let m = chaos_matrix();
-    assert_eq!(m.len(), 24, "8 fault patterns x 3 workloads");
-    for cs in &m {
-        assert_eq!(
-            chaos_builtin(&cs.scenario.name).map(|c| c.scenario.name),
-            Some(cs.scenario.name.clone()),
-            "replay-by-name resolves every chaos scenario"
-        );
-    }
-    assert!(chaos_builtin("chaos/tls/no-such-fault").is_none());
-}
+use ano_scenario::{all, builtin, run_differential, Degradation};
 
 /// Transient smoke: a mid-transfer device reset on each workload class.
 /// The flow must re-offload via resync and deliver software-identical
@@ -32,9 +10,9 @@ fn chaos_matrix_shape_and_replay() {
 #[test]
 fn smoke_reset_reoffloads() {
     for name in ["chaos/tls/reset", "chaos/nvme/reset", "chaos/nvme-tls/reset"] {
-        let cs = chaos_builtin(name).expect("built-in");
-        assert_eq!(cs.chaos.expect(), ChaosExpect::ReOffloaded);
-        let d = run_chaos(&cs);
+        let sc = builtin(name).expect("built-in");
+        assert_eq!(sc.expect_degrade, Some(Degradation::ReOffloaded));
+        let d = run_differential(&sc);
         d.assert_clean();
         assert!(d.offload.complete, "{name}: completes under reset");
     }
@@ -44,10 +22,10 @@ fn smoke_reset_reoffloads() {
 /// open and the transfer complete in software.
 #[test]
 fn smoke_install_failure_breaker() {
-    let cs = chaos_builtin("chaos/tls/fail-all-installs").expect("built-in");
-    let d = run_chaos(&cs);
+    let sc = builtin("chaos/tls/fail-all-installs").expect("built-in");
+    let d = run_differential(&sc);
     d.assert_clean();
-    assert_eq!(d.offload.breaker, Some("install_failures"));
+    assert_eq!(d.offload.breakers(), ["install_failures"]);
     assert!(d.offload.complete);
 }
 
@@ -58,15 +36,15 @@ fn smoke_install_failure_breaker() {
 #[test]
 #[ignore = "full chaos matrix; run via scripts/ci.sh or --include-ignored"]
 fn chaos_matrix_holds() {
-    for cs in &chaos_matrix() {
-        let d = run_chaos(cs);
+    for sc in all().iter().filter(|s| s.name.starts_with("chaos/")) {
+        let d = run_differential(sc);
         d.assert_clean();
-        assert!(d.offload.complete, "{}: completes", cs.scenario.name);
+        assert!(d.offload.complete, "{}: completes", sc.name);
         assert_eq!(
             d.offload.stream(),
-            cs.scenario.workload.expected(),
+            sc.expected(),
             "{}: delivered stream equals transmitted stream",
-            cs.scenario.name
+            sc.name
         );
     }
 }

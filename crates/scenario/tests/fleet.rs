@@ -1,71 +1,23 @@
 //! Fleet-tier tests: the §6.5 context-cache sensitivity curve, the PR-5
 //! cache-thrash breaker, a short-lived-connection churn storm over the
 //! §4.4 install ladder, and a golden trace pinning a small fleet's
-//! eviction→resync→re-offload choreography.
-//!
-//! # Regenerating committed data after an intentional behavior change
-//!
-//! ```text
-//! BLESS=1 cargo test -q -p ano-scenario --test fleet
-//! git diff crates/scenario/tests/expected/ crates/scenario/tests/golden/
-//! ```
+//! eviction→resync→re-offload choreography. Every shape is a registry
+//! entry (`fleet/*`); committed data regenerates with `BLESS=1` (see
+//! `common/mod.rs`).
 //!
 //! The curve file (`tests/expected/fleet_sensitivity.txt`) is exact
 //! integers — any drift in cache accounting, breaker policy, or scheduling
 //! shows up as a diff, which *is* the review artifact.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::PathBuf;
-use std::rc::Rc;
+mod common;
 
-use ano_core::fault::{DeviceFaults, DeviceOp, FaultAction, ScheduledFault};
 use ano_core::rx::RxStateKind;
-use ano_scenario::fleet::{self, FleetScenario};
-use ano_sim::link::Match;
-use ano_sim::time::{SimDuration, SimTime};
-use ano_stack::prelude::{ConnSpec, TlsSpec};
-use ano_tcp::segment::FlowId;
+use ano_scenario::runner::render_curve;
+use ano_scenario::{builtin, run, run_differential, sensitivity_curve, Arm};
 use ano_trace::event::Category;
 use ano_trace::export;
 
-fn expected_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/expected")
-        .join(name)
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// The sensitivity experiment: 4 clients against one server whose NIC
-/// holds 8 rx contexts, swept across the capacity cliff. The thrash
-/// breaker is armed the way a production driver would run it, so flow
-/// counts past capacity degrade to software instead of thrashing forever.
-/// (Scaled from the paper's 20 K-flow cache so the sweep runs in seconds;
-/// the `--include-ignored` fleet-scale test covers thousands of flows.)
-fn curve_base() -> FleetScenario {
-    FleetScenario {
-        name: "fleet/sensitivity".into(),
-        seed: 11,
-        clients: 4,
-        servers: 1,
-        flows: 0, // per-point
-        bytes_per_flow: 96 * 1024,
-        server_cache: 8,
-        server_cores: 4,
-        client_cores: 4,
-        thrash_breaker: Some(3),
-        link_rate_bps: 100_000_000_000,
-        sim_budget: SimDuration::from_millis(100),
-        impair: Vec::new(),
-        scripts: Vec::new(),
-    }
-}
+use common::check_committed;
 
 const CURVE_FLOWS: &[usize] = &[2, 4, 8, 16, 32];
 
@@ -77,31 +29,11 @@ const CURVE_FLOWS: &[usize] = &[2, 4, 8, 16, 32];
 /// sweep is run twice to pin in-process determinism.
 #[test]
 fn sensitivity_curve_crosses_cache_capacity() {
-    let base = curve_base();
-    let points = fleet::sensitivity_curve(&base, CURVE_FLOWS);
-    let again = fleet::sensitivity_curve(&base, CURVE_FLOWS);
+    let base = builtin("fleet/sensitivity").expect("built-in");
+    let points = sensitivity_curve(&base, CURVE_FLOWS, 96 * 1024);
+    let again = sensitivity_curve(&base, CURVE_FLOWS, 96 * 1024);
     assert_eq!(points, again, "sensitivity sweep is not deterministic");
-
-    let got = fleet::render_curve(&points);
-    let path = expected_path("fleet_sensitivity.txt");
-    if std::env::var("BLESS").is_ok() {
-        fs::create_dir_all(path.parent().unwrap()).expect("mkdir expected/");
-        fs::write(&path, &got).expect("write expected curve");
-        eprintln!("blessed {} ({} points)", path.display(), points.len());
-    } else {
-        let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing committed curve {} ({e}); run `BLESS=1 cargo test -p \
-                 ano-scenario --test fleet` to create it",
-                path.display()
-            )
-        });
-        assert_eq!(
-            got, want,
-            "sensitivity curve drifted from the committed data; if the change \
-             is intentional, re-bless with BLESS=1 and review the diff"
-        );
-    }
+    check_committed("expected/fleet_sensitivity.txt", &render_curve(&points));
 
     // Shape assertions — the committed file pins the exact numbers, these
     // pin the *physics* so a bad bless cannot hide a broken curve.
@@ -146,72 +78,30 @@ fn sensitivity_curve_crosses_cache_capacity() {
 /// (streams byte-exact, software twin identical).
 #[test]
 fn thrash_breaker_trips_with_cache_thrash_reason() {
-    let sc = FleetScenario {
-        name: "fleet/thrash-trip".into(),
-        seed: 5,
-        clients: 2,
-        servers: 1,
-        flows: 8,
-        bytes_per_flow: 256 * 1024,
-        server_cache: 2,
-        thrash_breaker: Some(4),
-        ..FleetScenario::default()
-    };
-    let (on, _off) = fleet::run_fleet_differential(&sc, 50.0);
-    assert!(on.breakers > 0, "8 flows over a 2-entry cache must trip the breaker");
+    let d = run_differential(&builtin("fleet/thrash-trip").expect("built-in"));
+    d.assert_clean();
+    let reasons = d.offload.breakers();
+    assert!(!reasons.is_empty(), "8 flows over a 2-entry cache must trip the breaker");
     assert!(
-        on.breaker_reasons.iter().all(|r| *r == "cache_thrash"),
-        "wrong breaker reason(s): {:?}",
-        on.breaker_reasons
+        reasons.iter().all(|r| *r == "cache_thrash"),
+        "wrong breaker reason(s): {reasons:?}"
     );
-    assert!(on.degraded_pkts > 0, "open breakers must meter degraded packets");
+    assert!(d.offload.degraded_pkts() > 0, "open breakers must meter degraded packets");
 }
 
 /// PR-5 thrash breaker, under-threshold side: ample cache and a high
 /// threshold, plus a mid-run rx-context invalidation. The flow must walk
-/// the §4.3 ladder back to `Offloading` — re-offload, not breaker.
+/// the §4.3 ladder back to `Offloading` — re-offload, not breaker (the
+/// spec's `ReOffloaded` expectation, checked inside `assert_clean`
+/// together with the injection oracle).
 #[test]
 fn under_threshold_invalidation_reoffloads() {
-    let sc = FleetScenario {
-        name: "fleet/under-threshold".into(),
-        seed: 5,
-        clients: 2,
-        servers: 1,
-        flows: 4,
-        bytes_per_flow: 128 * 1024,
-        server_cache: 1024,
-        thrash_breaker: Some(100_000),
-        link_rate_bps: 10_000_000_000,
-        ..FleetScenario::default()
-    };
-    // Flow ids are 2*conn for the client→server direction; conn ids count
-    // from 0, so the first connection's server-side rx flow is FlowId(0).
-    let plan = DeviceFaults::none().at(
-        SimTime::ZERO + SimDuration::from_micros(100),
-        ScheduledFault::InvalidateRx(FlowId(0)),
-    );
-
-    let mut fleet = fleet::build_fleet(&sc);
-    let server = fleet.server(0);
-    fleet.world_mut().set_device_faults(server, plan);
-    let streams = Rc::new(RefCell::new(BTreeMap::new()));
-    let (conns, expected) = fleet::connect_flows(&mut fleet, &sc, true, &streams);
-    fleet.start();
-    let outcome = fleet::drive(&mut fleet, &sc, true, conns, expected, &streams);
-
-    assert!(outcome.complete, "invalidation must not stall the transfer");
-    outcome.assert_streams();
-    assert_eq!(outcome.breakers, 0, "under-threshold fault must not open a breaker");
-    assert!(
-        fleet.device_faults_injected(server) > 0,
-        "the scheduled invalidation must actually fire"
-    );
-    let (victim, _, _) = outcome.conns[0];
-    assert_eq!(
-        fleet.rx_engine_state(server, victim),
-        Some(RxStateKind::Offloading),
-        "the invalidated flow must re-offload, not degrade"
-    );
+    let out = run(&builtin("fleet/under-threshold").expect("built-in"), Arm::Offload);
+    out.assert_clean();
+    assert!(out.complete, "invalidation must not stall the transfer");
+    assert!(out.breakers().is_empty(), "under-threshold fault must not open a breaker");
+    assert!(!out.flows[0].resync.is_empty(), "the invalidated flow must walk the ladder");
+    assert_eq!(out.flows[0].rx_state, Some(RxStateKind::Offloading));
 }
 
 /// Short-lived-connection churn storm: waves of connect→stream→verify→
@@ -222,37 +112,16 @@ fn under_threshold_invalidation_reoffloads() {
 /// the identical waves (same expected patterns) with no device to fault.
 #[test]
 fn churn_storm_exercises_install_ladder() {
-    let sc = FleetScenario {
-        name: "fleet/churn".into(),
-        seed: 23,
-        clients: 3,
-        servers: 1,
-        flows: 6,
-        bytes_per_flow: 16 * 1024,
-        server_cache: 1024,
-        ..FleetScenario::default()
-    };
-    let plan = DeviceFaults::none().with(
-        DeviceOp::InstallRx,
-        Match::Cycle {
-            pattern: vec![true, false, false],
-            until: u64::MAX,
-        },
-        FaultAction::Fail,
-    );
-
-    let on = fleet::run_churn(&sc, 4, true, Some(&plan));
-    assert_eq!(on.rounds, 4, "every wave must complete");
-    assert_eq!(on.total_conns, 24);
+    let d = run_differential(&builtin("fleet/churn").expect("built-in"));
+    d.assert_clean();
+    assert!(d.offload.complete && d.software.complete, "every wave must complete");
+    assert_eq!(d.offload.flows.len(), 24, "4 waves x 6 connections");
+    assert_eq!(d.software.flows.len(), 24, "software twin must cycle the same waves");
     assert!(
-        on.faults_injected > 0,
+        d.offload.server(0).faults_injected > 0,
         "the install-fault plan must exercise the ladder"
     );
-    assert_eq!(on.breakers, 0, "recoverable install faults must not open breakers");
-
-    let off = fleet::run_churn(&sc, 4, false, None);
-    assert_eq!(off.rounds, 4, "software twin must cycle the same waves");
-    assert_eq!(off.total_conns, on.total_conns);
+    assert!(d.offload.breakers().is_empty(), "recoverable install faults must not open breakers");
 }
 
 /// Golden trace for a small fleet: 3 clients × 2 servers, a 4-entry cache
@@ -262,94 +131,13 @@ fn churn_storm_exercises_install_ladder() {
 /// the full eviction→resync→re-offload ladder.
 #[test]
 fn golden_fleet_eviction_resync_ladder() {
-    let sc = FleetScenario {
-        name: "fleet/golden-ladder".into(),
-        seed: 3,
-        clients: 3,
-        servers: 2,
-        flows: 8,
-        bytes_per_flow: 64 * 1024,
-        server_cache: 4,
-        link_rate_bps: 10_000_000_000,
-        ..FleetScenario::default()
-    };
-    let mut fleet = fleet::build_fleet(&sc);
-    fleet.tracer().set_enabled(true);
-    let server0 = fleet.server(0);
-    // Invalidate mid-stream (conn 0 has delivered ~2 records by 100 µs and
-    // has ~2 more in flight), so the reinstall lands in `Searching` and the
-    // golden pins the full re-derivation ladder, not a fresh install.
-    fleet.world_mut().set_device_faults(
-        server0,
-        DeviceFaults::none().at(
-            SimTime::ZERO + SimDuration::from_micros(100),
-            ScheduledFault::InvalidateRx(FlowId(0)),
-        ),
-    );
+    let out = run(&builtin("fleet/golden-ladder").expect("built-in"), Arm::Offload);
+    out.assert_clean();
+    assert!(out.complete, "golden fleet must finish");
+    assert_eq!(out.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
 
-    // Uneven placement: flows 0..6 on server 0 (over its 4-entry cache),
-    // flows 6..8 on server 1 (warm). Clients round-robin.
-    let server_spec = TlsSpec {
-        rx_offload: true,
-        ..TlsSpec::default()
-    };
-    let streams = Rc::new(RefCell::new(BTreeMap::new()));
-    let mut conns = Vec::new();
-    let mut expected = BTreeMap::new();
-    let mut per_client: Vec<Vec<(ano_stack::prelude::ConnId, Vec<u8>)>> =
-        vec![Vec::new(); sc.clients];
-    for k in 0..sc.flows {
-        let (ci, sj) = (k % sc.clients, usize::from(k >= 6));
-        let conn = fleet.connect(
-            ci,
-            sj,
-            ConnSpec::Tls(TlsSpec::default()),
-            ConnSpec::Tls(server_spec),
-        );
-        let data = sc.flow_pattern(k);
-        expected.insert(conn, data.clone());
-        per_client[ci].push((conn, data));
-        conns.push((conn, ci, fleet.server(sj)));
-    }
-    for (ci, cs) in per_client.into_iter().enumerate() {
-        let host = fleet.client(ci);
-        fleet
-            .world_mut()
-            .set_app(host, Box::new(fleet::FleetSender::new(cs)));
-    }
-    for sj in 0..sc.servers {
-        let host = fleet.server(sj);
-        fleet
-            .world_mut()
-            .set_app(host, Box::new(fleet::FleetRecorder::new(Rc::clone(&streams))));
-    }
-
-    fleet.start();
-    let outcome = fleet::drive(&mut fleet, &sc, true, conns, expected, &streams);
-    assert!(outcome.complete, "golden fleet must finish");
-    outcome.assert_streams();
-    assert_eq!(outcome.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-
-    let got = export::canonical(&outcome.trace, &[Category::Resync, Category::Device]);
-    assert!(!got.is_empty(), "golden fleet produced no Resync/Device events");
-    let path = golden_path("fleet_ladder.golden");
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test fleet` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "fleet golden trace mismatch; if the behavior change is intentional, \
-         re-bless with BLESS=1 and review the diff"
-    );
+    let got = export::canonical(&out.trace, &[Category::Resync, Category::Device]);
+    let want = check_committed("golden/fleet_ladder.golden", &got);
     // The golden must meaningfully cover the ladder.
     assert!(want.contains("device.ctx-evict"), "golden must pin evictions");
     assert!(
@@ -365,31 +153,15 @@ fn golden_fleet_eviction_resync_ladder() {
 #[test]
 #[ignore = "fleet-scale: thousands of flows; run via scripts/ci.sh fleet tier"]
 fn fleet_scale_thousands_of_flows() {
-    let sc = FleetScenario {
-        name: "fleet/scale".into(),
-        seed: 42,
-        clients: 8,
-        servers: 2,
-        flows: 2048,
-        bytes_per_flow: 24 * 1024,
-        server_cache: 256,
-        server_cores: 8,
-        client_cores: 8,
-        thrash_breaker: Some(2),
-        link_rate_bps: 100_000_000_000,
-        sim_budget: SimDuration::from_millis(500),
-        impair: Vec::new(),
-        scripts: Vec::new(),
-    };
-    let on = fleet::run_fleet(&sc, true, None, false);
+    let sc = builtin("fleet/scale").expect("built-in");
+    let on = run(&sc, Arm::Offload);
+    on.assert_clean();
     assert!(on.complete, "fleet-scale run incomplete at {:?}", on.end);
-    on.assert_streams();
+    let (hits, misses) = on.server_cache();
     assert!(
-        on.cache_misses >= sc.flows as u64,
-        "1024 flows per 256-entry cache churn every context ({} hits / {} misses)",
-        on.cache_hits,
-        on.cache_misses
+        misses >= sc.flows.len() as u64,
+        "1024 flows per 256-entry cache churn every context ({hits} hits / {misses} misses)"
     );
-    assert!(on.breakers > 0, "thrash at this scale must trip breakers");
-    assert!(on.degraded_pkts > 0, "tripped flows must serve degraded packets");
+    assert!(!on.breakers().is_empty(), "thrash at this scale must trip breakers");
+    assert!(on.degraded_pkts() > 0, "tripped flows must serve degraded packets");
 }

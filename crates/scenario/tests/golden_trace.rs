@@ -9,108 +9,34 @@
 //! of resuming offload without software confirmation, which rewrites the
 //! `resync.transition` lines these goldens pin down.
 //!
-//! # Regenerating after an intentional behavior change
-//!
-//! ```text
-//! BLESS=1 cargo test -p ano-scenario --test golden_trace
-//! git diff crates/scenario/tests/golden/   # review the new ladders!
-//! ```
-//!
-//! Never bless blindly: the diff *is* the review artifact. A legitimate
-//! change shifts timestamps or adds/removes recovery events; an illegal
-//! ladder (e.g. `Tracking->Offloading`) means the resync machine broke and
-//! the ordered-transition invariant should have caught it first.
+//! Regenerate after an intentional behavior change with `BLESS=1` (see
+//! `common/mod.rs`) and review the new ladders.
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
-use ano_scenario::invariant::check_resync_transitions;
-use ano_scenario::netchaos::{netchaos_builtin, run_netchaos};
-use ano_scenario::scenario::{self, tls_workload};
-use ano_scenario::{chaos_builtin, run_scenario, run_scenario_faulted, Scenario, Workload};
+use ano_scenario::registry::tls_workload;
+use ano_scenario::{builtin, run, Arm, Scenario, Workload};
 use ano_sim::link::Script;
 use ano_trace::event::Category;
 use ano_trace::export;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.golden"))
+use common::check_committed;
+
+/// Runs `sc` offloaded, renders the canonical trace over `categories`, and
+/// compares it to the committed golden (or rewrites it under `BLESS=1`).
+/// Returns the committed text.
+fn check_golden(file: &str, sc: &Scenario, categories: &[Category]) -> String {
+    let out = run(sc, Arm::Offload);
+    out.assert_clean();
+    assert_eq!(out.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
+    let got = export::canonical(&out.trace, categories);
+    check_committed(&format!("golden/{file}.golden"), &got)
 }
 
-/// Runs `sc` offloaded, renders the canonical trace, and compares it to the
-/// committed golden (or rewrites the golden under `BLESS=1`).
-fn check_golden(file: &str, sc: &Scenario) {
-    let run = run_scenario(sc, true);
-    run.assert_clean();
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = run.canonical_trace();
-    assert!(!got.is_empty(), "golden scenario produced no Tcp/Resync events");
-
-    let path = golden_path(file);
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test golden_trace` to create it",
-            path.display()
-        )
-    });
-    if got != want {
-        let first = want
-            .lines()
-            .zip(got.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| want.lines().count().min(got.lines().count()));
-        panic!(
-            "golden trace mismatch for '{}' at line {}:\n  golden: {}\n  got:    {}\n\
-             ({} golden lines, {} actual). If the behavior change is intentional, \
-             re-bless with BLESS=1 and review the diff.",
-            sc.name,
-            first + 1,
-            want.lines().nth(first).unwrap_or("<eof>"),
-            got.lines().nth(first).unwrap_or("<eof>"),
-            want.lines().count(),
-            got.lines().count(),
-        );
-    }
-}
-
-/// Chaos variant of [`check_golden`]: runs a device-fault scenario from the
-/// chaos matrix and renders the canonical trace with the `Device` category
-/// included, so the golden pins the degradation choreography (faults,
-/// install retries, breaker trips, resets) alongside the resync ladder.
-fn check_chaos_golden(file: &str, name: &str) {
-    let cs = chaos_builtin(name).expect("built-in chaos scenario");
-    let run = run_scenario_faulted(&cs.scenario, true, Some(&cs.chaos));
-    run.assert_clean();
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&run.trace, &[Category::Tcp, Category::Resync, Category::Device]);
-    assert!(!got.is_empty(), "chaos golden produced no Tcp/Resync/Device events");
-
-    let path = golden_path(file);
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test golden_trace` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "chaos golden trace mismatch for '{name}'. If the behavior change is \
-         intentional, re-bless with BLESS=1 and review the diff."
-    );
-}
+/// The categories of the device-fault goldens: the degradation
+/// choreography (faults, install retries, breaker trips, resets) alongside
+/// the recovery and resync ladders.
+const CHAOS_CATEGORIES: &[Category] = &[Category::Tcp, Category::Resync, Category::Device];
 
 /// The reset→quiesce→resync→re-offload ladder: a mid-transfer device reset
 /// wipes the rx context; the flow must quiesce to `Searching`, walk the §4.3
@@ -118,9 +44,8 @@ fn check_chaos_golden(file: &str, name: &str) {
 /// pins both the `device.reset` line and the full reconvergence chain.
 #[test]
 fn golden_chaos_reset_ladder() {
-    check_chaos_golden("chaos_tls_reset", "chaos/tls/reset");
-
-    let text = fs::read_to_string(golden_path("chaos_tls_reset")).expect("golden exists");
+    let sc = builtin("chaos/tls/reset").expect("built-in");
+    let text = check_golden("chaos_tls_reset", &sc, CHAOS_CATEGORIES);
     assert!(text.contains("device.reset"), "golden must pin the reset event");
     assert!(
         text.contains("Confirmed->Offloading"),
@@ -134,9 +59,8 @@ fn golden_chaos_reset_ladder() {
 /// its backoff timestamps.
 #[test]
 fn golden_chaos_breaker_ladder() {
-    check_chaos_golden("chaos_tls_breaker", "chaos/tls/fail-all-installs");
-
-    let text = fs::read_to_string(golden_path("chaos_tls_breaker")).expect("golden exists");
+    let sc = builtin("chaos/tls/fail-all-installs").expect("built-in");
+    let text = check_golden("chaos_tls_breaker", &sc, CHAOS_CATEGORIES);
     assert!(text.contains("device.install-fail"), "golden must pin the install failures");
     assert!(text.contains("device.install-retry"), "golden must pin the backoff ladder");
     assert!(
@@ -155,13 +79,13 @@ fn pr1_alternating() -> Scenario {
     for i in [2usize, 3, 5, 7, 9, 11, 13, 14] {
         pattern[i] = true;
     }
-    Scenario::new("golden/pr1-alternating", Workload::Tls { bytes: 10_137 })
+    Scenario::two_host("golden/pr1-alternating", Workload::tls(10_137))
         .data_script(Script::drop_cycle(pattern, u64::MAX))
 }
 
 #[test]
 fn golden_pr1_alternating_drop() {
-    check_golden("pr1_alternating", &pr1_alternating());
+    check_golden("pr1_alternating", &pr1_alternating(), export::GOLDEN_CATEGORIES);
 }
 
 /// A TLS resync episode: the built-in alternating-drop schedule overtakes
@@ -171,12 +95,10 @@ fn golden_pr1_alternating_drop() {
 /// as fallbacks and stays in `Offloading`, which is itself paper behavior.)
 #[test]
 fn golden_tls_alternating_resync() {
-    let sc = scenario::builtin("tls/alternating").expect("built-in");
-    check_golden("tls_alternating", &sc);
-
+    let sc = builtin("tls/alternating").expect("built-in");
     // The golden meaningfully covers the confirmation path: mutating the
     // resync machine to skip software confirmation must change this file.
-    let text = fs::read_to_string(golden_path("tls_alternating")).expect("golden exists");
+    let text = check_golden("tls_alternating", &sc, export::GOLDEN_CATEGORIES);
     assert!(
         text.contains("Tracking->Confirmed"),
         "golden must pin the software-confirmation edge"
@@ -195,41 +117,11 @@ fn golden_tls_alternating_resync() {
 /// repair drives on every surviving flow.
 #[test]
 fn golden_netchaos_partition_ladder() {
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let on = run_netchaos(&sc, true);
-    assert_eq!(on.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&on.trace, export::GOLDEN_CATEGORIES);
-    assert!(!got.is_empty(), "netchaos golden produced no Tcp/Resync/Net events");
-
-    // Legal-edge validation across the repair: every flow's recorded
-    // ladder must chain through §4.3 edges only — the golden diff shows
-    // *what* changed; this shows it stayed legal.
-    for (conn, ladder) in &on.resync {
-        let problems = check_resync_transitions(ladder);
-        assert!(problems.is_empty(), "conn {conn:?}: {problems:?}");
-    }
-
-    let path = golden_path("netchaos_server_dark");
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-    } else {
-        let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-                 --test golden_trace` to create it",
-                path.display()
-            )
-        });
-        assert_eq!(
-            got, want,
-            "netchaos golden trace mismatch for '{}'. If the behavior change is \
-             intentional, re-bless with BLESS=1 and review the diff.",
-            sc.name
-        );
-    }
-
-    let text = fs::read_to_string(golden_path("netchaos_server_dark")).expect("golden exists");
+    // `assert_clean` inside covers the legal-edge validation across the
+    // repair: the golden diff shows *what* changed; that shows every
+    // flow's ladder stayed legal.
+    let sc = builtin("netchaos/tls/server-dark").expect("built-in");
+    let text = check_golden("netchaos_server_dark", &sc, export::GOLDEN_CATEGORIES);
     assert!(text.contains("link.partition"), "golden must pin the partition events");
     assert!(text.contains("link.repair"), "golden must pin the repair events");
     assert!(text.contains("tcp.rto"), "golden must pin the RTO backoff while dark");
@@ -253,8 +145,8 @@ fn golden_netchaos_partition_ladder() {
 /// an in-process double run cannot.
 #[test]
 fn identical_seeds_produce_identical_traces() {
-    let sc = scenario::builtin("tls/partition").expect("built-in");
-    let (a, b) = (run_scenario(&sc, true), run_scenario(&sc, true));
+    let sc = builtin("tls/partition").expect("built-in");
+    let (a, b) = (run(&sc, Arm::Offload), run(&sc, Arm::Offload));
     assert_eq!(a.canonical_trace(), b.canonical_trace(), "canonical trace diverged");
     assert!(!a.canonical_trace().is_empty());
     assert_eq!(a.trace.len(), b.trace.len(), "full record streams diverged");
@@ -268,8 +160,8 @@ fn identical_seeds_produce_identical_traces() {
 /// inputs).
 #[test]
 fn different_schedules_produce_different_traces() {
-    let clean = run_scenario(&scenario::builtin("tls/clean").expect("built-in"), true);
-    let lossy = run_scenario(&scenario::builtin("tls/alternating").expect("built-in"), true);
+    let clean = run(&builtin("tls/clean").expect("built-in"), Arm::Offload);
+    let lossy = run(&builtin("tls/alternating").expect("built-in"), Arm::Offload);
     assert_ne!(clean.canonical_trace(), lossy.canonical_trace());
 }
 
@@ -277,11 +169,11 @@ fn different_schedules_produce_different_traces() {
 /// (no engine is installed) — the trace reflects which variant ran.
 #[test]
 fn software_runs_trace_no_resync() {
-    let sc = Scenario::new("golden/sw", tls_workload()).data_script(Script::drop_nth(3));
-    let run = run_scenario(&sc, false);
-    run.assert_clean();
+    let sc = Scenario::two_host("golden/sw", tls_workload()).data_script(Script::drop_nth(3));
+    let out = run(&sc, Arm::Software);
+    out.assert_clean();
     assert!(
-        !run.canonical_trace().contains("resync.transition"),
+        !out.canonical_trace().contains("resync.transition"),
         "software-only run has no rx engine to resync"
     );
 }

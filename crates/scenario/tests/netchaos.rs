@@ -1,84 +1,40 @@
 //! Fleet network-chaos differential matrix: scheduled partition/repair
 //! plans over fleet subsets, asymmetric holds, and mid-run impairment
-//! sweeps — every scenario vs a fault-free software twin, byte-identical
-//! streams required, with partition-aware breaker suppression and the
-//! repair-driven §4.3 re-offload ladder checked per flow.
+//! sweeps — every scenario vs its software twin on the same network,
+//! byte-identical streams required, with the partitioned/lost split,
+//! breaker suppression on untouched pairs and the repair-driven §4.3
+//! re-offload ladder checked per flow (all inside `assert_clean`).
 
-use ano_scenario::netchaos::{
-    dark_pairs, netchaos_builtin, netchaos_matrix, run_netchaos_differential, ChaosWorkload,
-};
-use ano_scenario::{run_differential, scenario};
+use ano_scenario::{all, builtin, run_differential};
 use ano_stack::world::NetOp;
-
-#[test]
-fn netchaos_scenarios_resolve_by_name() {
-    let m = netchaos_matrix();
-    assert!(
-        m.len() >= 12,
-        "matrix must cover >= 4 patterns x 2 workloads + shape variants, got {}",
-        m.len()
-    );
-    for sc in &m {
-        assert_eq!(
-            netchaos_builtin(&sc.name).map(|s| s.name),
-            Some(sc.name.clone()),
-            "replay-by-name resolves every netchaos scenario"
-        );
-    }
-    assert!(netchaos_builtin("netchaos/tls/no-such-pattern").is_none());
-}
-
-/// Both workloads appear in the matrix, and every pure partition pattern
-/// declares the pairs it darkens.
-#[test]
-fn netchaos_matrix_covers_both_workloads() {
-    let m = netchaos_matrix();
-    assert!(m.iter().any(|s| s.workload == ChaosWorkload::Tls));
-    assert!(m.iter().any(|s| s.workload == ChaosWorkload::Nvme));
-    for sc in &m {
-        if sc.expect_lossless {
-            assert!(
-                !dark_pairs(&sc.plan).is_empty(),
-                "{}: lossless patterns are partition/hold patterns",
-                sc.name
-            );
-        }
-    }
-}
 
 /// Smoke: one server rack goes dark mid-transfer and heals. Affected
 /// flows must quiesce, survive, re-install and re-offload; unaffected
 /// flows must never notice.
 #[test]
 fn smoke_server_dark_reoffloads() {
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let (on, _off) = run_netchaos_differential(&sc);
+    let d = run_differential(&builtin("netchaos/tls/server-dark").expect("built-in"));
+    d.assert_clean();
     // The dark flows actually walked the ladder: at least one resync
     // transition was recorded fleet-wide.
     assert!(
-        on.resync.values().any(|l| !l.is_empty()),
+        d.offload.flows.iter().any(|f| !f.resync.is_empty()),
         "a partition that hit live flows must force resync"
     );
     // And frames were genuinely swallowed while dark.
-    let swallowed: u64 = on.link_partitioned.values().sum();
+    let swallowed: u64 = d.offload.links.values().map(|l| l.partitioned).sum();
     assert!(swallowed > 0, "dark links swallowed nothing");
 }
 
-/// Smoke: the NVMe arm of the same pattern (data flows target→initiator;
-/// the offloads under chaos live on the client NICs).
+/// Smokes: the NVMe arm of a cut (data flows target→initiator; the
+/// offloads under chaos live on the client NICs), and the asymmetric hold
+/// — one direction parks deliveries in order and flushes on release;
+/// nothing is lost, nothing is partitioned-counted.
 #[test]
-fn smoke_nvme_client_cut() {
-    let sc = netchaos_builtin("netchaos/nvme/client-cut").expect("built-in");
-    run_netchaos_differential(&sc);
-}
-
-/// Smoke: asymmetric hold — one direction parks deliveries in order and
-/// flushes on release; nothing is lost, nothing is partitioned-counted
-/// beyond the held pair.
-#[test]
-fn smoke_ack_hold() {
-    let sc = netchaos_builtin("netchaos/tls/ack-hold").expect("built-in");
-    run_netchaos_differential(&sc);
+fn smoke_nvme_client_cut_and_ack_hold() {
+    for name in ["netchaos/nvme/client-cut", "netchaos/tls/ack-hold"] {
+        run_differential(&builtin(name).expect("built-in")).assert_clean();
+    }
 }
 
 /// The two-host declared-outage extra: same blackhole shape that trips
@@ -86,17 +42,9 @@ fn smoke_ack_hold() {
 /// still completes and reconverges after repair.
 #[test]
 fn declared_partition_suspends_watchdog() {
-    let sc = scenario::builtin("tls/declared-partition").expect("built-in");
-    let d = run_differential(&sc);
+    let d = run_differential(&builtin("tls/declared-partition").expect("built-in"));
     d.assert_clean();
     assert!(d.offload.complete && d.software.complete);
-    assert!(
-        !d.offload
-            .violations
-            .iter()
-            .any(|v| v.invariant == "forward-progress"),
-        "declared outage must not trip the watchdog"
-    );
 }
 
 /// The full matrix: every pattern × workload × shape, differentially.
@@ -105,56 +53,44 @@ fn declared_partition_suspends_watchdog() {
 #[test]
 #[ignore = "heavy: full netchaos matrix; CI runs it in the netchaos tier"]
 fn netchaos_matrix_differential() {
-    for sc in netchaos_matrix() {
+    for sc in all().iter().filter(|s| s.name.starts_with("netchaos/")) {
         println!("== {}", sc.name);
-        run_netchaos_differential(&sc);
+        run_differential(sc).assert_clean();
     }
 }
 
 /// Scale: a rack partitioned in the middle of connection churn. Every
-/// wave connects a fresh flow population, gets its server rack cut and
-/// repaired mid-flight, and must still deliver byte-identical streams in
-/// both arms before teardown — the install ladder, partition quiesce and
+/// wave connects a fresh, doubled flow population, gets its server rack
+/// cut and repaired mid-flight, and must still deliver byte-identical
+/// streams in both arms — the install ladder, partition quiesce and
 /// repair re-install machinery cycling together.
 #[test]
 #[ignore = "heavy: churn under partition; CI runs it in the netchaos tier"]
 fn rack_partition_mid_churn_stays_byte_identical() {
-    use ano_scenario::fleet::FleetScenario;
-    use ano_sim::time::SimDuration;
-
-    let base = FleetScenario {
-        name: "netchaos/churn".into(),
-        clients: 3,
-        servers: 2,
-        flows: 12,
-        bytes_per_flow: 96_000,
-        link_rate_bps: 10_000_000_000,
-        sim_budget: SimDuration::from_millis(200),
-        ..FleetScenario::default()
-    };
+    let base = builtin("netchaos/tls/server-dark").expect("built-in");
     for round in 0..3u64 {
-        let mut sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
+        let mut sc = base.clone();
         sc.name = format!("netchaos/churn/wave{round}");
-        sc.fleet = base.clone();
-        sc.fleet.seed = base.seed.wrapping_add(round);
-        run_netchaos_differential(&sc);
+        sc.seed += round;
+        run_differential(&sc.tls_flows(12, 96_000)).assert_clean();
     }
 }
 
 /// Imperative chaos: `apply_net_op` mid-run (no plan) severs and heals a
-/// pair; the partitioned counter moves, the lost counter does not, and
-/// the link ends Normal.
+/// pair; the link mode follows, and only on the named pair.
 #[test]
 fn apply_net_op_is_the_imperative_spelling() {
-    use ano_scenario::fleet::build_fleet;
-    use ano_scenario::netchaos::netchaos_builtin;
     use ano_sim::link::LinkMode;
+    use ano_stack::prelude::{Fleet, FleetSpec};
 
-    let sc = netchaos_builtin("netchaos/tls/server-dark").expect("built-in");
-    let mut fleet = build_fleet(&sc.fleet);
-    fleet.world_mut().apply_net_op(NetOp::Partition(vec![0], vec![3]));
-    assert_eq!(fleet.world().link_mode_between(0, 3), LinkMode::Partitioned);
-    assert_eq!(fleet.world().link_mode_between(1, 3), LinkMode::Normal);
-    fleet.world_mut().apply_net_op(NetOp::Repair(vec![0], vec![3]));
-    assert_eq!(fleet.world().link_mode_between(0, 3), LinkMode::Normal);
+    let mut fleet = Fleet::build(FleetSpec {
+        clients: 3,
+        servers: 2,
+        ..FleetSpec::default()
+    });
+    fleet.apply_net_op(NetOp::Partition(vec![0], vec![3]));
+    assert_eq!(fleet.link_mode_between(0, 3), LinkMode::Partitioned);
+    assert_eq!(fleet.link_mode_between(1, 3), LinkMode::Normal);
+    fleet.apply_net_op(NetOp::Repair(vec![0], vec![3]));
+    assert_eq!(fleet.link_mode_between(0, 3), LinkMode::Normal);
 }

@@ -1,40 +1,22 @@
 //! RSS steering tier: multi-queue runs vs the single-queue software twin,
 //! induced imbalance and the oRSS rebalancer, and the context-survival vs
 //! cache-thrash split between affinity migration and queue re-steering.
+//! Every shape is a registry entry (`rss/*`).
 
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
-use ano_core::rss::RssSteering;
-use ano_scenario::rss::{run_rss, run_rss_differential, RssScenario};
-use ano_sim::time::SimDuration;
-use ano_stack::prelude::RebalanceConfig;
+use ano_scenario::{builtin, run, run_differential, Arm, Outcome};
 use ano_trace::event::Category;
 use ano_trace::export;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.golden"))
-}
+use common::check_committed;
 
-/// The steering scenario every test in this tier riffs on: 4 clients,
-/// 16 TLS flows into one 4-core/4-queue server.
-fn base() -> RssScenario {
-    RssScenario::default()
-}
-
-/// The imbalance-induction variant: an all-zeros indirection table pins
-/// every flow to queue 0 (and so core 0), and the fast rebalancer is on.
-fn induced(steer_queues: bool) -> RssScenario {
-    let mut sc = base();
-    sc.name = format!("rss/induced/steer={steer_queues}");
-    sc.induce_table = Some(vec![0; sc.rss_buckets]);
-    sc.rebalance = Some(RebalanceConfig {
-        steer_queues,
-        ..RssScenario::fast_rebalance()
-    });
-    sc
+/// The distinct cores the server's connections ended on.
+fn cores_used(out: &Outcome) -> usize {
+    let mut cores: Vec<usize> = out.flows.iter().map(|f| f.core).collect();
+    cores.sort_unstable();
+    cores.dedup();
+    cores.len()
 }
 
 /// An iperf-style 4-queue/4-core run is byte-identical, per flow, to its
@@ -42,7 +24,10 @@ fn induced(steer_queues: bool) -> RssScenario {
 /// and actually spreads the population over multiple queues and cores.
 #[test]
 fn multi_queue_run_matches_single_queue_software_twin() {
-    let (on, off) = run_rss_differential(&base());
+    let sc = builtin("rss/base").expect("built-in");
+    let d = run_differential(&sc);
+    d.assert_clean();
+    let (on, off) = (d.offload.server(0), d.software.server(0));
 
     let live_queues = on.queue_rx_pkts.iter().filter(|&&p| p > 0).count();
     assert!(
@@ -50,21 +35,8 @@ fn multi_queue_run_matches_single_queue_software_twin() {
         "16 hashed flows must land on more than one queue (got {:?})",
         on.queue_rx_pkts
     );
-    let mut cores: Vec<usize> = on.placements.iter().map(|&(_, _, c)| c).collect();
-    cores.sort_unstable();
-    cores.dedup();
-    assert!(cores.len() > 1, "flows must run on more than one core");
-    // Every placement agrees with an independent Toeplitz computation
-    // over the same key seed and table (the NIC default, 0x5253_5321).
-    let steering = RssSteering::new(base().server_queues, base().rss_buckets, 0x5253_5321);
-    for &(_conn, queue, _core) in &on.placements {
-        assert!((queue as usize) < base().server_queues as usize);
-    }
-    assert_eq!(
-        steering.table().len(),
-        base().rss_buckets,
-        "default table covers every bucket"
-    );
+    assert!(cores_used(&d.offload) > 1, "flows must run on more than one core");
+    assert!(d.offload.flows.iter().all(|f| f.rx_queue < sc.rx_queues));
     // The single-queue twin keeps everything on queue 0 by construction.
     assert_eq!(off.queue_rx_pkts.len(), 1);
     assert!(on.migrations == 0 && off.migrations == 0, "no rebalancer configured");
@@ -74,13 +46,14 @@ fn multi_queue_run_matches_single_queue_software_twin() {
 /// spread stays far from the everything-on-one-core extreme.
 #[test]
 fn hashed_flows_spread_cpu_load() {
-    let on = run_rss(&base(), true, false);
-    assert!(on.complete);
-    let spread = on.busy_spread();
-    let cores = on.core_cycles.len() as f64;
+    let out = run(&builtin("rss/base").expect("built-in"), Arm::Offload);
+    out.assert_clean();
+    let server = out.server(0);
+    let cores = server.core_cycles.len() as f64;
     assert!(
-        spread < cores * 0.75,
-        "busy-core spread {spread:.2} too close to single-core ({cores} cores)"
+        server.busy_spread() < cores * 0.75,
+        "busy-core spread {:.2} too close to single-core ({cores} cores)",
+        server.busy_spread()
     );
 }
 
@@ -90,8 +63,9 @@ fn hashed_flows_spread_cpu_load() {
 /// software twin.
 #[test]
 fn induced_imbalance_triggers_rebalancing() {
-    let sc = induced(false);
-    let (on, off) = run_rss_differential(&sc);
+    let d = run_differential(&builtin("rss/induced-affinity").expect("built-in"));
+    d.assert_clean();
+    let on = d.offload.server(0);
 
     assert!(
         on.queue_imbalance > 3.0,
@@ -103,16 +77,13 @@ fn induced_imbalance_triggers_rebalancing() {
         "hot core must trigger flow migrations (imbalance {:.2})",
         on.queue_imbalance
     );
-    let mut cores: Vec<usize> = on.placements.iter().map(|&(_, _, c)| c).collect();
-    cores.sort_unstable();
-    cores.dedup();
     assert!(
-        cores.len() > 1,
+        cores_used(&d.offload) > 1,
         "rebalancer must spread the population off the hot core"
     );
-    // Twin equality (checked inside run_rss_differential) is the headline;
-    // also pin that the static twin saw no rebalancing machinery at all.
-    assert_eq!(off.migrations, 0);
+    // Twin equality (checked by the differential) is the headline; also
+    // pin that the static twin saw no rebalancing machinery at all.
+    assert_eq!(d.software.server(0).migrations, 0);
 }
 
 /// The paper-physics split the rebalancer trades on: affinity migration
@@ -121,39 +92,32 @@ fn induced_imbalance_triggers_rebalancing() {
 /// remaps cross queues, each crossing evicting an rx context).
 #[test]
 fn migration_survives_context_while_steering_thrashes_it() {
-    let affinity = run_rss(&induced(false), true, false);
-    let steer = run_rss(&induced(true), true, false);
-
-    assert!(affinity.complete && steer.complete);
-    affinity.assert_streams();
-    steer.assert_streams();
-    assert!(affinity.migrations > 0, "affinity arm must migrate");
-    assert!(steer.migrations > 0, "steering arm must migrate");
+    let affinity = run(&builtin("rss/induced-affinity").expect("built-in"), Arm::Offload);
+    let steer = run(&builtin("rss/induced-steer").expect("built-in"), Arm::Offload);
+    affinity.assert_clean();
+    steer.assert_clean();
+    let (a, s) = (affinity.server(0), steer.server(0));
+    assert!(a.migrations > 0, "affinity arm must migrate");
+    assert!(s.migrations > 0, "steering arm must migrate");
 
     // Affinity-only: the context survives every migration. The flow count
     // bounds cold misses: one per installed rx engine, nothing more.
-    assert_eq!(
-        affinity.queue_crossings, 0,
-        "affinity migration must not cross queues"
-    );
+    assert_eq!(a.nic.queue_crossings, 0, "affinity migration must not cross queues");
     assert!(
-        affinity.cache_misses <= affinity.expected.len() as u64,
+        a.nic.cache_misses <= affinity.flows.len() as u64,
         "affinity arm paid more than cold-start misses: {} > {}",
-        affinity.cache_misses,
-        affinity.expected.len()
+        a.nic.cache_misses,
+        affinity.flows.len()
     );
 
     // Re-steering: every remapped flow crosses queues and pays an evict +
     // refill. Strictly more misses than the affinity arm's cold start.
+    assert!(s.nic.queue_crossings > 0, "steering arm must cross queues");
     assert!(
-        steer.queue_crossings > 0,
-        "steering arm must cross queues"
-    );
-    assert!(
-        steer.cache_misses > affinity.cache_misses,
+        s.nic.cache_misses > a.nic.cache_misses,
         "queue crossings must thrash the context cache ({} vs {})",
-        steer.cache_misses,
-        affinity.cache_misses
+        s.nic.cache_misses,
+        a.nic.cache_misses
     );
 }
 
@@ -162,38 +126,13 @@ fn migration_survives_context_while_steering_thrashes_it() {
 /// moves, and — because this variant re-steers queues — the
 /// `device.ctx-evict` records of each crossing, after which the flow keeps
 /// offloading on the new queue.
-///
-/// Regenerate after an intentional behavior change with
-/// `BLESS=1 cargo test -p ano-scenario --test rss golden` and review the
-/// diff — the ladder is the review artifact.
 #[test]
 fn golden_rss_migrate_ladder() {
-    let mut sc = induced(true);
-    sc.name = "rss/golden/migrate".into();
-    let run = run_rss(&sc, true, true);
-    assert!(run.complete, "golden scenario must complete");
-    assert_eq!(run.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
-    let got = export::canonical(&run.trace, &[Category::Device]);
-    assert!(!got.is_empty(), "golden scenario produced no Device events");
-
-    let path = golden_path("rss_migrate");
-    if std::env::var("BLESS").is_ok() {
-        fs::write(&path, &got).expect("write golden");
-        eprintln!("blessed {} ({} lines)", path.display(), got.lines().count());
-        return;
-    }
-    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run `BLESS=1 cargo test -p ano-scenario \
-             --test rss` to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "rss golden trace mismatch. If the behavior change is intentional, \
-         re-bless with BLESS=1 and review the steer→migrate ladder."
-    );
+    let out = run(&builtin("rss/induced-steer").expect("built-in"), Arm::Offload);
+    out.assert_clean();
+    assert_eq!(out.trace_dropped, 0, "trace ring wrapped; golden would be truncated");
+    let got = export::canonical(&out.trace, &[Category::Device]);
+    let want = check_committed("golden/rss_migrate.golden", &got);
 
     // The golden meaningfully pins the ladder, not just any device noise.
     assert!(want.contains("nic.queue"), "golden must pin the initial steering");
@@ -210,24 +149,13 @@ fn golden_rss_migrate_ladder() {
 #[test]
 #[ignore = "scale run: slow; exercised by the ci.sh rss tier"]
 fn rss_scale_16_queues_512_flows() {
-    let mut sc = base();
-    sc.name = "rss/scale".into();
-    sc.clients = 8;
-    sc.flows = 512;
-    sc.bytes_per_flow = 2 * 1024;
-    sc.server_cores = 8;
-    sc.server_queues = 16;
-    sc.rss_buckets = 256;
-    sc.server_cache = 4096;
-    sc.sim_budget = SimDuration::from_millis(400);
-    let (on, _off) = run_rss_differential(&sc);
-
-    let total: u64 = on.queue_rx_pkts.iter().sum();
-    let fair = total as f64 / on.queue_rx_pkts.len() as f64;
-    let max = on.queue_rx_pkts.iter().copied().max().unwrap_or(0) as f64;
+    let d = run_differential(&builtin("rss/scale").expect("built-in"));
+    d.assert_clean();
+    let pkts = &d.offload.server(0).queue_rx_pkts;
+    let fair = pkts.iter().sum::<u64>() as f64 / pkts.len() as f64;
+    let max = pkts.iter().copied().max().unwrap_or(0) as f64;
     assert!(
         max <= 2.0 * fair,
-        "queue packet load {max} exceeds 2x fair share {fair:.0} ({:?})",
-        on.queue_rx_pkts
+        "queue packet load {max} exceeds 2x fair share {fair:.0} ({pkts:?})"
     );
 }

@@ -1,49 +1,130 @@
-//! The adversarial scenario suite: the differential offload-vs-software
-//! matrix, the corruption/auth and watchdog extras, and property tests over
-//! randomly generated drop schedules.
+//! The adversarial scenario suite: the registry-wide shape tests, the
+//! differential offload-vs-software matrix, the corruption/auth and
+//! watchdog extras, and property tests over randomly generated drop
+//! schedules.
 
 use ano_scenario::gen::{drop_indices_of, script_gen, window_script_gen, windows_of};
-use ano_scenario::scenario::{self, tls_workload};
-use ano_scenario::{run_differential, run_scenario, Scenario, Workload};
+use ano_scenario::registry::tls_workload;
+use ano_scenario::{all, builtin, run, run_differential, Arm, Offload, Scenario, Workload};
 use ano_sim::link::Script;
 use ano_sim::time::SimTime;
 use ano_testkit::Gen;
 
-/// The core acceptance test: every built-in scenario (8 adversity schedules
-/// × {TLS, NVMe}) runs offloaded and software-only, delivers byte-identical
-/// streams, completes in both variants within bounded divergence, and
-/// violates no world invariant along the way.
+/// The eight link-adversity schedules of the `tls/` and `nvme/` matrices.
+const SCHEDULES: [&str; 8] = [
+    "clean", "drop-third", "early-burst", "alternating", "delay-spike", "dup-burst", "partition",
+    "ack-burst",
+];
+
+/// Replay-by-name is the debugging entry point documented in DESIGN.md:
+/// every registry name is unique and round-trips through `builtin`, and
+/// each family keeps the shape its tier expects.
+#[test]
+fn registry_names_are_unique_and_round_trip() {
+    let every = all();
+    let mut names: Vec<&str> = every.iter().map(|s| s.name.as_str()).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), every.len(), "duplicate scenario name in the registry");
+    for sc in &every {
+        assert_eq!(builtin(&sc.name).map(|s| s.name), Some(sc.name.clone()));
+    }
+    for missing in ["no/such-scenario", "chaos/tls/no-such-fault", "netchaos/tls/no-such-pattern"] {
+        assert!(builtin(missing).is_none(), "{missing}");
+    }
+
+    let count = |prefix: &str| every.iter().filter(|s| s.name.starts_with(prefix)).count();
+    for wl in ["tls", "nvme"] {
+        for schedule in SCHEDULES {
+            assert!(builtin(&format!("{wl}/{schedule}")).is_some(), "{wl}/{schedule}");
+        }
+    }
+    assert_eq!(count("tls/") + count("nvme/"), 16 + 3, "8 schedules x 2 workloads + extras");
+    assert_eq!(count("chaos/"), 24, "8 fault patterns x 3 workloads");
+    assert_eq!((count("netchaos/tls/"), count("netchaos/nvme/")), (8, 6));
+    // Every pure partition/hold plan is lossless by construction and
+    // declares the pairs it darkens; only the impairment sweep is neither.
+    for sc in every.iter().filter(|s| s.name.starts_with("netchaos/")) {
+        assert_ne!(sc.lossless(), sc.dark_pairs().is_empty(), "{}", sc.name);
+    }
+}
+
+/// The single twin rule, over the whole registry: no offload flag, no
+/// device faults, one rx queue, no steering — and the same network.
+#[test]
+fn every_twin_is_software_on_the_same_network() {
+    for sc in all() {
+        let twin = sc.twin();
+        assert_eq!(twin.offload, Offload::NONE, "{}", sc.name);
+        assert!(twin.faults.is_empty(), "{}", sc.name);
+        assert_eq!(twin.rx_queues, 1, "{}", sc.name);
+        assert!(twin.rebalance.is_none() && twin.rss_table.is_none(), "{}", sc.name);
+        assert_eq!(twin.links, sc.links, "{}", sc.name);
+        assert_eq!(twin.net_plan.steps().len(), sc.net_plan.steps().len(), "{}", sc.name);
+        assert_eq!(twin.flows.len(), sc.flows.len(), "{}", sc.name);
+    }
+}
+
+/// The core acceptance test: every link-adversity scenario (8 schedules
+/// × {TLS, NVMe}) runs offloaded and software-only, delivers
+/// byte-identical streams, completes on both arms within bounded
+/// divergence, and violates no invariant along the way.
 #[test]
 fn differential_matrix_is_invisible() {
-    let matrix = scenario::matrix();
-    assert_eq!(matrix.len(), 16, "8 schedules x 2 workloads");
-    for sc in &matrix {
-        let d = run_differential(sc);
-        d.assert_clean();
-        assert!(d.offload.complete, "{}: offload run completes", sc.name);
-        assert_eq!(
-            d.offload.stream(),
-            sc.workload.expected(),
-            "{}: delivered stream equals transmitted stream",
-            sc.name
-        );
+    for wl in ["tls", "nvme"] {
+        for schedule in SCHEDULES {
+            let sc = builtin(&format!("{wl}/{schedule}")).expect("built-in");
+            let d = run_differential(&sc);
+            d.assert_clean();
+            assert!(d.offload.complete, "{}: offload run completes", sc.name);
+            assert_eq!(
+                d.offload.stream(),
+                sc.expected(),
+                "{}: delivered stream equals transmitted stream",
+                sc.name
+            );
+        }
     }
+}
+
+/// The composition the five sibling matrices could not express (ROADMAP
+/// 3f): a partition pulse on one client↔server pair, a server NIC reset
+/// while that pair is still recovering, 4-queue RSS and an armed
+/// rebalancer — on the same 8 flows, as one spec literal held to the full
+/// differential contract (byte-identical streams, legal ladders,
+/// `partitioned` never `lost`, every flow re-offloaded, no breaker).
+#[test]
+fn composed_partition_reset_rss_holds_the_full_contract() {
+    let sc = builtin("composed/partition+reset+rss").expect("built-in");
+    let d = run_differential(&sc);
+    d.assert_clean();
+    let on = &d.offload;
+    assert!(on.complete && on.breakers().is_empty());
+    assert_eq!(on.server(0).faults_injected, 1, "the reset fired");
+    // No flow escaped: the partition quiesced client 0's engines and the
+    // reset wiped client 1's mid-stream, so every ladder was walked.
+    assert!(on.flows.iter().all(|f| !f.resync.is_empty()), "chaos must force resync");
+    assert!(on.server(0).migrations > 0, "the rebalancer kept working under chaos");
+    let swallowed = |c: u16| on.links[&(c, 2)].partitioned + on.links[&(2, c)].partitioned;
+    assert!(swallowed(0) > 0 && swallowed(1) == 0, "only the cut pair goes dark");
+    assert!(on.server(0).queue_rx_pkts.iter().filter(|&&p| p > 0).count() > 1);
 }
 
 /// On a clean link the offloaded receiver stays fully offloaded — the
 /// harness itself must not perturb the data path.
 #[test]
 fn clean_scenario_stays_offloaded() {
-    let sc = scenario::builtin("tls/clean").expect("built-in");
-    let run = run_scenario(&sc, true);
-    run.assert_clean();
-    assert!(run.complete);
+    let sc = builtin("tls/clean").expect("built-in");
+    let out = run(&sc, Arm::Offload);
+    out.assert_clean();
+    assert!(out.complete);
     assert_eq!(
-        run.rx_state,
+        out.flows[0].rx_state,
         Some(ano_core::rx::RxStateKind::Offloading),
         "no impairment: engine never leaves Offloading"
     );
-    assert_eq!(run.alerts, 0);
+    assert!(out.flows[0].resync.is_empty());
+    assert_eq!(out.flows[0].alerts, 0);
 }
 
 /// A record corrupted in flight must surface as an authentication failure
@@ -52,16 +133,15 @@ fn clean_scenario_stays_offloaded() {
 /// bytes (checked by the stream-integrity invariant).
 #[test]
 fn corrupted_record_rejected_never_delivered() {
-    let sc = scenario::builtin("tls/corrupt-record").expect("built-in");
-    for offload in [true, false] {
-        let run = run_scenario(&sc, offload);
-        run.assert_clean();
-        assert!(run.link_corrupted >= 1, "the link corrupted a frame");
-        assert!(run.alerts >= 1, "TLS refused to authenticate it");
-        let expected = sc.workload.expected();
-        let delivered: u64 = run.delivered.bytes();
+    let sc = builtin("tls/corrupt-record").expect("built-in");
+    for arm in [Arm::Offload, Arm::Software] {
+        let out = run(&sc, arm);
+        out.assert_clean();
+        let corrupted: u64 = out.links.values().map(|l| l.corrupted).sum();
+        assert!(corrupted >= 1, "the link corrupted a frame");
+        assert!(out.flows[0].alerts >= 1, "TLS refused to authenticate it");
         assert!(
-            delivered < expected.len() as u64,
+            out.flows[0].delivered.bytes() < sc.expected().len() as u64,
             "the damaged record's plaintext is missing, not replaced"
         );
     }
@@ -71,28 +151,16 @@ fn corrupted_record_rejected_never_delivered() {
 /// forward-progress watchdog and the completion check must both fire.
 #[test]
 fn blackhole_trips_forward_progress_watchdog() {
-    let sc = scenario::builtin("tls/blackhole").expect("built-in");
-    let run = run_scenario(&sc, true);
-    assert!(!run.complete);
-    assert!(
-        run.violations.iter().any(|v| v.invariant == "forward-progress"),
-        "watchdog fired: {:?}",
-        run.violations
-    );
-    assert!(
-        run.violations.iter().any(|v| v.invariant == "completion"),
-        "completion check fired"
-    );
-}
-
-/// Replay-by-name is the debugging entry point documented in
-/// EXPERIMENTS.md; names must resolve across the whole built-in set.
-#[test]
-fn builtin_scenarios_resolve_by_name() {
-    assert!(scenario::builtin("nvme/partition").is_some());
-    assert!(scenario::builtin("tls/ack-burst").is_some());
-    assert!(scenario::builtin("tls/corrupt-record").is_some());
-    assert!(scenario::builtin("no/such-scenario").is_none());
+    let sc = builtin("tls/blackhole").expect("built-in");
+    let out = run(&sc, Arm::Offload);
+    assert!(!out.complete);
+    for invariant in ["forward-progress", "completion"] {
+        assert!(
+            out.violations.iter().any(|v| v.invariant == invariant),
+            "{invariant} fired: {:?}",
+            out.violations
+        );
+    }
 }
 
 /// Any small random drop schedule is recoverable: the offloaded receiver
@@ -105,9 +173,9 @@ fn random_drop_schedules_always_deliver() {
         &cfg,
         &(script_gen(40, 4),),
         |(script,)| {
-            let sc = Scenario::new("prop/drops", Workload::Tls { bytes: 24_000 })
+            let sc = Scenario::two_host("prop/drops", Workload::tls(24_000))
                 .data_script(script.clone());
-            run_scenario(&sc, true).assert_clean();
+            run(&sc, Arm::Offload).assert_clean();
         },
     );
 }
@@ -195,15 +263,17 @@ fn drop_cycle_script_matches_bool_schedule() {
     }
 }
 
-/// A fully scripted TLS scenario equals the same run with scripts expressed
-/// through `Workload`-agnostic builders — guards the builder surface used
-/// by EXPERIMENTS.md examples.
+/// The script builders aim at flow 0's payload direction and its reverse:
+/// client → server for TLS, server → client for NVMe read data.
 #[test]
 fn scenario_builders_compose() {
-    let sc = Scenario::new("compose", tls_workload())
+    let sc = Scenario::two_host("compose", tls_workload())
         .data_script(Script::drop_nth(2))
         .ack_script(Script::drop_nth(5));
-    assert!(!sc.data_impair.script.is_empty());
-    assert!(!sc.ack_impair.script.is_empty());
+    let pairs: Vec<(u16, u16)> = sc.links.iter().map(|(p, _)| *p).collect();
+    assert_eq!(pairs, [(0, 1), (1, 0)]);
+    assert!(sc.links.iter().all(|(_, imp)| !imp.script.is_empty()));
     assert!(sc.expect_complete && sc.expect_reconverge);
+    let nvme = builtin("nvme/drop-third").expect("built-in");
+    assert_eq!(nvme.links[0].0, (1, 0), "read data flows target -> initiator");
 }

@@ -18,10 +18,12 @@ echo "== guard: no registry dependencies in any manifest =="
 # A registry dependency is `name = "1"` or `name = { version = "1", ... }`
 # without a `path = ...`. Allowed forms: `path = ...` deps and
 # `name.workspace = true` / `workspace = true` members whose workspace
-# entry is itself a path dep (checked via the root manifest below).
+# entry is itself a path dep (checked via the root manifest below). The
+# standalone benchmark package is scanned too: it builds offline in the
+# bench pipeline, so a registry dependency there must fail here first.
 bad=$(grep -rn --include=Cargo.toml -E \
     '^[[:space:]]*[A-Za-z0-9_-]+[[:space:]]*=[[:space:]]*("[^"]*"|\{[^}]*version[^}]*\})' \
-    Cargo.toml crates/*/Cargo.toml \
+    Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml \
   | grep -vE 'path[[:space:]]*=' \
   | grep -vE '^[^:]*:[0-9]+:[[:space:]]*(name|version|edition|license|description|rust-version|repository|documentation|readme|harness|resolver|members|default|std|lto)\b' \
   || true)
@@ -76,60 +78,37 @@ CARGO_NET_OFFLINE=true cargo build --release
 echo "== tier-1: offline tests (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo test -q --workspace
 
-echo "== adversarial scenario matrix: differential offload-vs-software =="
-# 8 scripted adversity schedules x {TLS, NVMe} x {offload, software}, fixed
-# seeds (no wall-clock or RNG input), plus the regression port and the
-# watchdog/corruption extras. Bounded: the whole suite runs in seconds; the
-# timeout is a hard backstop against a wedged scheduler looping forever.
-CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-scenario
+# The scenario crate's default tests — the registry-wide shape tests, the
+# 16-entry link-adversity differential matrix, every family's smokes and all
+# seven golden traces (BLESS=1 regenerates; see crates/scenario/tests/common)
+# — already ran inside `--workspace` above. The tiers below add only what is
+# #[ignore]d there: the scale runs, selected by name through the one
+# registry (`ano_scenario::builtin`). Each timeout is a hard backstop
+# against a wedged scheduler or install ladder, not a budget.
 
 echo "== device-fault chaos matrix: degradation under install/mailbox/reset faults =="
-# 8 device-fault patterns x {TLS, NVMe, NVMe-TLS}, each offloaded-with-faults
-# vs software-without, asserting byte-identical streams plus the expected
-# degradation (re-offload after transient faults, breaker-open with the right
-# reason after persistent ones). The full matrix is #[ignore]d in the default
-# test run (it takes ~90s); this tier is its home. The timeout is a hard
-# backstop: a fault that wedges the install ladder or the resync machine must
-# fail CI, not hang it.
+# The 24 `chaos/*` entries: 8 device-fault patterns x {TLS, NVMe, NVMe-TLS},
+# each offloaded-with-faults vs its fault-free software twin, asserting
+# byte-identical streams plus the declared degradation (re-offload after
+# transient faults, breaker-open with the right reason after persistent ones).
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test chaos -- --include-ignored
 
 echo "== fleet: N×M topology, context-cache sensitivity, churn storm =="
-# Fleet-scale tier (see DESIGN.md "Fleet topology"): many hosts and flows
-# through one server NIC's bounded context cache. Runs the §6.5 sensitivity
-# curve against its committed expected data, the cache-thrash breaker pair,
-# the churn-storm install ladder, the fleet golden trace, and the
-# #[ignore]d thousands-of-flows run (~90s) that only this tier executes.
-# The timeout is a hard backstop against a wedged scheduler, not a budget.
+# `fleet/scale`: 2048 flows over 8x2 hosts through 256-entry server caches
+# (~90s), on top of the default `fleet/*` tests (the §6.5 sensitivity curve
+# against its committed data, the thrash-breaker pair, the churn storm).
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test fleet -- --include-ignored
 
 echo "== netchaos: fleet partition/repair plans, holds, impairment sweeps =="
-# Network-chaos tier (see DESIGN.md "Network chaos and partitions"):
-# scheduled partition/repair plans over fleet subsets × {TLS, NVMe} ×
-# fleet shapes, each vs a fault-free software twin (byte-identical
-# streams, partitioned/lost split, breaker suppression on unaffected
-# pairs, §4.3 re-offload after every repair), plus the #[ignore]d full
-# matrix and the rack-partition-mid-churn scale run that only this tier
-# executes. The timeout is a hard backstop against a scheduler wedged by
-# a partition that never heals, not a budget.
+# The 14 `netchaos/*` entries (partition/repair plans over fleet subsets x
+# {TLS, NVMe} x fleet shapes, each vs its software twin on the same network)
+# and the rack-partition-mid-churn scale run.
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test netchaos -- --include-ignored
 
 echo "== rss: multi-queue steering, per-core stacks, flow rebalancing =="
-# Multi-queue RSS tier (see DESIGN.md "Multi-queue and RSS"): Toeplitz
-# hash properties (determinism, distribution, exact indirection remaps)
-# with shrinking, the multi-queue-vs-single-queue differential, induced
-# imbalance driving the oRSS rebalancer, the context-survival vs
-# cache-thrash split, the steer→migrate golden ladder, and the #[ignore]d
-# 16-queue/512-flow scale run that only this tier executes. The timeout is
-# a hard backstop against a wedged scheduler, not a budget.
-CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-core --test rss_prop
+# `rss/scale`: 512 flows over 16 queues vs the single-queue twin (the
+# Toeplitz hash properties in ano-core's rss_prop ran with the workspace).
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --include-ignored
-
-echo "== golden traces: canonical event logs vs committed .golden files =="
-# Behavioral regression net on top of the differential matrix: the exact
-# TCP-recovery + resync event sequence of known scenarios must match the
-# committed golden files byte for byte. Regenerate intentionally with
-# BLESS=1 (see crates/scenario/tests/golden_trace.rs) and review the diff.
-CARGO_NET_OFFLINE=true timeout 600 cargo test -q -p ano-scenario --test golden_trace
 
 echo "== trace determinism: same seed, same bytes, across processes =="
 # The golden workflow only works if traces are process-independent. Run the
@@ -148,6 +127,12 @@ if [ "$h1" != "$h2" ]; then
     exit 1
 fi
 echo "ok: identical trace hash across two processes ($h1)"
+
+echo "== benchmark package: builds and passes against the changed crates =="
+# benchmark/ is a standalone package outside the workspace, so nothing above
+# compiles it: an API change in crates/* that breaks it must fail here, not
+# in the bench pipeline. Its tests run the --quick smoke of every workload.
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== bench: simulator speed vs committed baseline =="
 # The perf trajectory every PR defends: wall ns per simulated packet on the
