@@ -89,14 +89,14 @@ fn iperf_once() -> IperfSpeed {
 
     let t0 = w.now();
     let bytes0 = w.delivered_bytes(1, conn);
-    let pkts0 = w.link_stats(true).offered + w.link_stats(false).offered;
+    let pkts0 = w.link_stats_between(0, 1).offered + w.link_stats_between(1, 0).offered;
     let events0 = w.events_dispatched();
     let wall = Instant::now();
     w.run_until(t0 + WINDOW);
     let wall_ns = wall.elapsed().as_nanos() as f64;
     let sim_elapsed = w.now().since(t0);
     let bytes = (w.delivered_bytes(1, conn) - bytes0) as f64;
-    let pkts = (w.link_stats(true).offered + w.link_stats(false).offered - pkts0) as f64;
+    let pkts = (w.link_stats_between(0, 1).offered + w.link_stats_between(1, 0).offered - pkts0) as f64;
     let events = (w.events_dispatched() - events0) as f64;
 
     IperfSpeed {

@@ -16,10 +16,12 @@
 //!   validates a candidate header during speculative search, and the header
 //!   always yields the message's total length ([`L5Flow::parse_at`]).
 
+use std::collections::VecDeque;
+
 use ano_sim::payload::Payload;
 use ano_tcp::segment::SkbFlags;
 
-use crate::msg::{DataRef, EngineEvent, MsgHeader, SearchWindow};
+use crate::msg::{DataRef, EngineEvent, FrameIndex, MsgHeader, SearchWindow};
 
 /// Per-flow, per-direction protocol handler executed "in the NIC".
 pub trait L5Flow: std::fmt::Debug {
@@ -127,6 +129,151 @@ pub trait L5TxSource {
     fn stream_bytes(&self, from: u64, to: u64) -> Payload;
 }
 
+/// The transmit-side message log every L5P keeps to answer
+/// `l5o_get_tx_msgstate` (§4.2): one [`TxMsgRef`] per message handed to the
+/// layer below, held until the whole message is acknowledged. Each push is
+/// mirrored into the stream's [`FrameIndex`] so modeled-mode engines and the
+/// peer's parser see the same framing.
+#[derive(Debug, Default)]
+pub struct TxMsgLog {
+    frames: FrameIndex,
+    msgs: VecDeque<TxMsgRef>,
+    /// Stream offset one past the last logged message.
+    end: u64,
+    /// Messages logged so far (the next message's index).
+    count: u64,
+}
+
+impl TxMsgLog {
+    /// An empty log mirroring into `frames`.
+    pub fn with_frames(frames: FrameIndex) -> TxMsgLog {
+        TxMsgLog {
+            frames,
+            msgs: VecDeque::new(),
+            end: 0,
+            count: 0,
+        }
+    }
+
+    /// The mirrored frame index.
+    pub fn frames(&self) -> FrameIndex {
+        self.frames.clone()
+    }
+
+    /// Stream offset one past the last logged message.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Messages logged so far (the next message's index).
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Logs a message of `total_len` bytes at the current stream end
+    /// (`meta` as in [`FrameIndex::push_full`]); returns its index.
+    pub fn push(&mut self, total_len: u32, meta: Option<Vec<u8>>) -> u64 {
+        let msg_index = self.count;
+        self.frames.push_full(self.end, total_len, meta);
+        self.msgs.push_back(TxMsgRef {
+            msg_start: self.end,
+            msg_index,
+        });
+        self.end += total_len as u64;
+        self.count += 1;
+        msg_index
+    }
+
+    /// `l5o_get_tx_msgstate`: the logged message containing `stream_off`.
+    pub fn msg_at(&self, stream_off: u64) -> Option<TxMsgRef> {
+        if stream_off >= self.end {
+            return None;
+        }
+        let i = self.msgs.partition_point(|m| m.msg_start <= stream_off);
+        self.msgs.get(i.checked_sub(1)?).copied()
+    }
+
+    /// Releases every message that ends at or below the cumulative ack
+    /// (§4.2: "the L5P releases its reference when the entire message is
+    /// acknowledged").
+    pub fn release_below(&mut self, acked: u64) {
+        while !self.msgs.is_empty() {
+            let next_start = self.msgs.get(1).map_or(self.end, |m| m.msg_start);
+            if next_start > acked {
+                break;
+            }
+            self.msgs.pop_front();
+        }
+        self.frames.prune_below(acked);
+    }
+}
+
+/// Message starts remembered for resync confirmation.
+const RESYNC_HISTORY: usize = 4096;
+
+/// The software half of the §4.3 resync handshake, kept by every receive-side
+/// L5P parser: it remembers where recent messages started, queues the NIC's
+/// `l5o_resync_rx_req` guesses until the in-order stream has passed them, and
+/// produces the `l5o_resync_rx_resp` answers.
+#[derive(Debug, Default)]
+pub struct ResyncResponder {
+    /// Recent message starts, oldest first; the index of `starts[i]` is
+    /// `seen - starts.len() + i`.
+    starts: VecDeque<u64>,
+    /// Message starts noted so far.
+    seen: u64,
+    /// Stream offset the parser has consumed up to (as of the last flush).
+    pos: u64,
+    pending: Vec<u64>,
+    responses: Vec<(u64, bool, u64)>,
+}
+
+impl ResyncResponder {
+    /// Notes that the next message starts at stream offset `off`.
+    pub fn note_start(&mut self, off: u64) {
+        if self.starts.len() >= RESYNC_HISTORY {
+            self.starts.pop_front();
+        }
+        self.starts.push_back(off);
+        self.seen += 1;
+    }
+
+    /// Registers a NIC resync request (`l5o_resync_rx_req`): is `tcpsn` a
+    /// message boundary? Answered at once if the stream is already past it.
+    pub fn request(&mut self, tcpsn: u64) {
+        self.pending.push(tcpsn);
+        self.flush(self.pos);
+    }
+
+    /// Answers every pending request the stream, now consumed up to `pos`,
+    /// has passed.
+    pub fn flush(&mut self, pos: u64) {
+        self.pos = pos;
+        let ResyncResponder {
+            starts,
+            seen,
+            pending,
+            responses,
+            ..
+        } = self;
+        pending.retain(|&tcpsn| {
+            if tcpsn >= pos {
+                return true; // stream has not reached it yet
+            }
+            responses.push(match starts.binary_search(&tcpsn) {
+                Ok(i) => (tcpsn, true, *seen - (starts.len() - i) as u64),
+                Err(_) => (tcpsn, false, 0),
+            });
+            false
+        });
+    }
+
+    /// Drains the ready answers: `(tcpsn, is-a-boundary, msg_index)`.
+    pub fn take(&mut self) -> std::vec::Drain<'_, (u64, bool, u64)> {
+        self.responses.drain(..)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +309,66 @@ mod tests {
                 SearchWindow::Modeled(_) => None,
             }
         }
+    }
+
+    #[test]
+    fn tx_msg_log_lookup_and_release() {
+        let mut log = TxMsgLog::default();
+        assert_eq!(log.push(100, None), 0);
+        assert_eq!(log.push(50, None), 1);
+        assert_eq!((log.end(), log.count(), log.frames().len()), (150, 2, 2));
+        let at = |log: &TxMsgLog, off| log.msg_at(off).map(|m| (m.msg_start, m.msg_index));
+        assert_eq!(at(&log, 0), Some((0, 0)), "at a message start");
+        assert_eq!(at(&log, 99), Some((0, 0)), "inside the first message");
+        assert_eq!(at(&log, 120), Some((100, 1)), "inside the second");
+        assert_eq!(at(&log, 150), None, "past the stream end");
+
+        log.release_below(99);
+        assert_eq!(at(&log, 10), Some((0, 0)), "partially acked message is kept");
+        log.release_below(100);
+        assert_eq!(at(&log, 10), None, "fully acked message released");
+        assert_eq!(at(&log, 100), Some((100, 1)), "unacked message kept");
+        assert_eq!(log.frames().len(), 1, "frame index pruned alongside");
+        log.release_below(150);
+        assert_eq!(at(&log, 120), None, "last message released once fully acked");
+        assert_eq!(log.push(10, None), 2, "indices keep counting after a full release");
+        assert_eq!(at(&log, 155), Some((150, 2)));
+    }
+
+    #[test]
+    fn resync_responder_answers_once_the_stream_passes() {
+        let mut r = ResyncResponder::default();
+        let drain = |r: &mut ResyncResponder| r.take().collect::<Vec<_>>();
+        r.note_start(0);
+        r.flush(40);
+        r.request(0); // already passed: answered at once
+        assert_eq!(drain(&mut r), vec![(0, true, 0)]);
+
+        r.request(40); // exactly at `pos`: not passed yet
+        r.request(43); // beyond `pos`, and not a boundary
+        assert!(drain(&mut r).is_empty(), "stream has not reached them");
+        r.note_start(40);
+        r.flush(41);
+        assert_eq!(drain(&mut r), vec![(40, true, 1)]);
+        r.flush(90);
+        assert_eq!(drain(&mut r), vec![(43, false, 0)], "non-boundary guess refused");
+        assert!(drain(&mut r).is_empty(), "each request is answered once");
+    }
+
+    #[test]
+    fn resync_responder_history_is_bounded() {
+        let mut r = ResyncResponder::default();
+        for i in 0..RESYNC_HISTORY as u64 + 1 {
+            r.note_start(i * 10);
+        }
+        r.flush(u64::MAX);
+        r.request(0); // fell out of the 4096-entry history
+        r.request(10);
+        r.request(RESYNC_HISTORY as u64 * 10);
+        assert_eq!(
+            r.take().collect::<Vec<_>>(),
+            vec![(0, false, 0), (10, true, 1), (40_960, true, 4096)]
+        );
     }
 
     #[test]

@@ -186,14 +186,13 @@ impl TxEngine {
 mod tests {
     use super::*;
     use crate::demo::{self, DemoFlow};
-    use crate::flow::TxMsgRef;
+    use crate::flow::{TxMsgLog, TxMsgRef};
     use ano_sim::payload::Payload;
 
     /// A toy L5P transmit source over a fixed "skipped" stream.
     struct Source {
         stream: Vec<u8>,
-        /// (start, index) per message.
-        msgs: Vec<(u64, u64)>,
+        msgs: TxMsgLog,
     }
 
     impl Source {
@@ -202,9 +201,9 @@ mod tests {
         /// L5P passes down when skipping the operation).
         fn new(bodies: &[Vec<u8>]) -> Source {
             let mut stream = Vec::new();
-            let mut msgs = Vec::new();
-            for (i, b) in bodies.iter().enumerate() {
-                msgs.push((stream.len() as u64, i as u64));
+            let mut msgs = TxMsgLog::default();
+            for b in bodies {
+                msgs.push(b.len() as u32 + 5, None);
                 stream.push(demo::MAGIC0);
                 stream.extend_from_slice(&(b.len() as u16).to_be_bytes());
                 stream.push(demo::MAGIC1);
@@ -224,15 +223,7 @@ mod tests {
 
     impl L5TxSource for Source {
         fn msg_at(&self, off: u64) -> Option<TxMsgRef> {
-            let i = self.msgs.partition_point(|&(s, _)| s <= off);
-            if i == 0 {
-                return None;
-            }
-            let (msg_start, msg_index) = self.msgs[i - 1];
-            Some(TxMsgRef {
-                msg_start,
-                msg_index,
-            })
+            self.msgs.msg_at(off)
         }
 
         fn stream_bytes(&self, from: u64, to: u64) -> Payload {
@@ -338,26 +329,18 @@ mod tests {
 
     #[test]
     fn modeled_mode_counts_replay_too() {
-        let fi = crate::msg::FrameIndex::new();
-        fi.push(0, 1005);
-        struct ModeledSrc(Vec<(u64, u64)>);
+        struct ModeledSrc(TxMsgLog);
         impl L5TxSource for ModeledSrc {
             fn msg_at(&self, off: u64) -> Option<TxMsgRef> {
-                let i = self.0.partition_point(|&(s, _)| s <= off);
-                if i == 0 {
-                    return None;
-                }
-                Some(TxMsgRef {
-                    msg_start: self.0[i - 1].0,
-                    msg_index: self.0[i - 1].1,
-                })
+                self.0.msg_at(off)
             }
             fn stream_bytes(&self, f: u64, t: u64) -> Payload {
                 Payload::synthetic((t - f) as usize)
             }
         }
-        let src = ModeledSrc(vec![(0, 0)]);
-        let mut e = TxEngine::new(Box::new(DemoFlow::tx_modeled(fi)), 0, 0);
+        let mut src = ModeledSrc(TxMsgLog::default());
+        src.0.push(1005, None);
+        let mut e = TxEngine::new(Box::new(DemoFlow::tx_modeled(src.0.frames())), 0, 0);
         for i in 0..10 {
             let v = e.on_packet(i * 100, &mut DataRef::Modeled(100), &src);
             assert!(v.offloaded);

@@ -4,10 +4,9 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
-use ano_core::flow::TxMsgRef;
+use ano_core::flow::{TxMsgLog, TxMsgRef};
 use ano_core::msg::FrameIndex;
 use ano_crypto::crc32c::crc32c;
 use ano_sim::cost::CostModel;
@@ -84,9 +83,8 @@ pub struct NvmeTcpHost {
     parser: PduParser,
     next_cid: u16,
     inflight: BTreeMap<u16, Inflight>,
-    tx_off: u64,
-    tx_frames: FrameIndex,
-    tx_msgs: VecDeque<TxMsgRef>,
+    /// One entry per command capsule.
+    tx_log: TxMsgLog,
     completions: Vec<Completion>,
     /// Working-set hint for the copy cost model (Fig. 10's LLC cliff).
     pub working_set: u64,
@@ -124,9 +122,7 @@ impl NvmeTcpHost {
             parser,
             next_cid: 0,
             inflight: BTreeMap::new(),
-            tx_off: 0,
-            tx_frames,
-            tx_msgs: VecDeque::new(),
+            tx_log: TxMsgLog::with_frames(tx_frames),
             completions: Vec::new(),
             working_set: 0,
             stats: NvmeHostStats::default(),
@@ -148,7 +144,7 @@ impl NvmeTcpHost {
     /// The host's transmit frame index (for a modeled-mode NIC tx engine
     /// or the peer's modeled-mode parser).
     pub fn tx_frames(&self) -> FrameIndex {
-        self.tx_frames.clone()
+        self.tx_log.frames()
     }
 
     /// Counters.
@@ -275,38 +271,18 @@ impl NvmeTcpHost {
     }
 
     fn push_tx_frame(&mut self, cid: u16, op: IoOpcode, offset: u64, len: u32, inline: u32, total: u32) {
-        let idx = self.tx_frames.push_full(
-            self.tx_off,
-            total,
-            Some(meta_cmd_pdu(cid, op as u8, offset, len, inline)),
-        );
-        self.tx_msgs.push_back(TxMsgRef {
-            msg_start: self.tx_off,
-            msg_index: idx,
-        });
-        self.tx_off += total as u64;
+        self.tx_log
+            .push(total, Some(meta_cmd_pdu(cid, op as u8, offset, len, inline)));
     }
 
     /// `l5o_get_tx_msgstate` for the host's capsule stream.
     pub fn record_at(&self, off: u64) -> Option<TxMsgRef> {
-        if off >= self.tx_off {
-            return None;
-        }
-        let i = self.tx_msgs.partition_point(|r| r.msg_start <= off);
-        if i == 0 {
-            None
-        } else {
-            Some(self.tx_msgs[i - 1])
-        }
+        self.tx_log.msg_at(off)
     }
 
     /// Releases acknowledged capsule state.
     pub fn release_below(&mut self, acked: u64) {
-        // ano-lint: allow(transitive-panic): index 1 guarded by the len > 1 loop condition
-        while self.tx_msgs.len() > 1 && self.tx_msgs[1].msg_start <= acked {
-            self.tx_msgs.pop_front();
-        }
-        self.tx_frames.prune_below(acked);
+        self.tx_log.release_below(acked);
     }
 
     /// Consumes in-order response-stream chunks; returns CPU cycles.
@@ -555,18 +531,5 @@ mod tests {
         let b2 = wire2.as_real().unwrap();
         assert_ne!(&b2[b2.len() - 4..], &[0, 0, 0, 0], "real digest");
         assert!(cycles2 > cycles);
-    }
-
-    #[test]
-    fn tx_record_map_answers_recovery() {
-        let c = cost();
-        let mut h = host(false, false);
-        let (w1, _) = h.submit_read(1, 0, 100, &c);
-        let (w2, _) = h.submit_read(2, 0, 100, &c);
-        let m = h.record_at(w1.len() as u64 + 3).expect("second capsule");
-        assert_eq!(m.msg_start, w1.len() as u64);
-        assert_eq!(m.msg_index, 1);
-        h.release_below(w1.len() as u64 + w2.len() as u64);
-        assert!(h.record_at(3).is_none());
     }
 }

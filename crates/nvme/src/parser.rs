@@ -5,6 +5,7 @@
 //! PDUs, preserving per-packet offload flags so the caller can decide
 //! whether to skip the copy and CRC work (§5.1's software fallback rules).
 
+use ano_core::flow::ResyncResponder;
 use ano_sim::payload::Payload;
 use ano_tcp::segment::SkbFlags;
 
@@ -109,11 +110,8 @@ pub struct PduParser {
     cur: Option<CurPdu>,
     /// Stream-framing errors (garbage headers).
     pub errors: u64,
-    /// Recent PDU starts for resync confirmation: (offset, index).
-    starts: std::collections::VecDeque<(u64, u64)>,
-    next_index: u64,
-    pending_resync: Vec<u64>,
-    responses: Vec<(u64, bool, u64)>,
+    /// `l5o_resync_rx_req`/`resp` bookkeeping over the PDU stream.
+    resync: ResyncResponder,
 }
 
 impl std::fmt::Debug for PduParser {
@@ -136,10 +134,7 @@ impl PduParser {
             hdr_start: 0,
             cur: None,
             errors: 0,
-            starts: std::collections::VecDeque::new(),
-            next_index: 0,
-            pending_resync: Vec::new(),
-            responses: Vec::new(),
+            resync: ResyncResponder::default(),
         }
     }
 
@@ -148,32 +143,10 @@ impl PduParser {
         self.pos
     }
 
-    /// Registers a NIC resync request (`l5o_resync_rx_req`) against this
-    /// protocol layer's stream.
-    pub fn on_resync_request(&mut self, tcpsn: u64) {
-        self.pending_resync.push(tcpsn);
-        self.flush_resyncs();
-    }
-
-    /// Drains ready resync answers: (tcpsn, is-a-boundary, msg_index).
-    pub fn take_resync_responses(&mut self) -> Vec<(u64, bool, u64)> {
-        std::mem::take(&mut self.responses)
-    }
-
-    fn flush_resyncs(&mut self) {
-        // ano-lint: allow(hot-alloc): capacity-0; fills only while resyncs are pending
-        let mut still = Vec::new();
-        for tcpsn in std::mem::take(&mut self.pending_resync) {
-            if tcpsn >= self.pos {
-                still.push(tcpsn);
-                continue;
-            }
-            match self.starts.iter().find(|&&(o, _)| o == tcpsn) {
-                Some(&(_, idx)) => self.responses.push((tcpsn, true, idx)),
-                None => self.responses.push((tcpsn, false, 0)),
-            }
-        }
-        self.pending_resync = still;
+    /// The resync responder over this protocol layer's stream (the driver
+    /// registers `l5o_resync_rx_req`s and drains the answers here).
+    pub fn resync_mut(&mut self) -> &mut ResyncResponder {
+        &mut self.resync
     }
 
     /// Consumes one in-order chunk, returning completed PDUs.
@@ -219,7 +192,7 @@ impl PduParser {
                 }
             }
         }
-        self.flush_resyncs();
+        self.resync.flush(self.pos);
         out
     }
 
@@ -293,11 +266,7 @@ impl PduParser {
         };
         match parsed {
             Some(cur) => {
-                if self.starts.len() >= 4096 {
-                    self.starts.pop_front();
-                }
-                self.starts.push_back((start, self.next_index));
-                self.next_index += 1;
+                self.resync.note_start(start);
                 self.cur = Some(cur);
                 true
             }
@@ -453,12 +422,12 @@ mod tests {
         .concat();
         let second_start = (stream.len() / 2) as u64;
         let mut p = PduParser::new(NvmeMode::Functional);
-        p.on_resync_request(second_start);
-        p.on_resync_request(5); // not a boundary
+        p.resync_mut().request(second_start);
+        p.resync_mut().request(5); // not a boundary
         for c in chunkify(&stream, 16, SkbFlags::default()) {
             p.on_chunk(c);
         }
-        let mut r = p.take_resync_responses();
+        let mut r: Vec<_> = p.resync_mut().take().collect();
         r.sort();
         assert_eq!(r, vec![(5, false, 0), (second_start, true, 1)]);
     }

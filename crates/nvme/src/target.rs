@@ -7,9 +7,7 @@
 //! target skips software verification of inline write data when the NIC's
 //! `crc_ok` bits cover it.
 
-use std::collections::VecDeque;
-
-use ano_core::flow::TxMsgRef;
+use ano_core::flow::{TxMsgLog, TxMsgRef};
 use ano_core::msg::FrameIndex;
 use ano_crypto::crc32c::crc32c;
 use ano_sim::cost::CostModel;
@@ -95,9 +93,8 @@ pub struct NvmeTcpTarget {
     cfg: NvmeTargetConfig,
     device: BlockDevice,
     parser: PduParser,
-    tx_off: u64,
-    tx_frames: FrameIndex,
-    tx_msgs: VecDeque<TxMsgRef>,
+    /// One entry per emitted PDU.
+    tx_log: TxMsgLog,
     stats: NvmeTargetStats,
 }
 
@@ -125,9 +122,7 @@ impl NvmeTcpTarget {
             cfg,
             device,
             parser,
-            tx_off: 0,
-            tx_frames,
-            tx_msgs: VecDeque::new(),
+            tx_log: TxMsgLog::with_frames(tx_frames),
             stats: NvmeTargetStats::default(),
         }
     }
@@ -135,7 +130,7 @@ impl NvmeTcpTarget {
     /// The target's transmit frame index (for modeled-mode NIC engines and
     /// the host's parser).
     pub fn tx_frames(&self) -> FrameIndex {
-        self.tx_frames.clone()
+        self.tx_log.frames()
     }
 
     /// Counters.
@@ -285,34 +280,17 @@ impl NvmeTcpTarget {
     }
 
     fn push_tx_frame(&mut self, total: u32, meta: Vec<u8>) {
-        let idx = self.tx_frames.push_full(self.tx_off, total, Some(meta));
-        self.tx_msgs.push_back(TxMsgRef {
-            msg_start: self.tx_off,
-            msg_index: idx,
-        });
-        self.tx_off += total as u64;
+        self.tx_log.push(total, Some(meta));
     }
 
     /// `l5o_get_tx_msgstate` for the target's reply stream.
     pub fn record_at(&self, off: u64) -> Option<TxMsgRef> {
-        if off >= self.tx_off {
-            return None;
-        }
-        let i = self.tx_msgs.partition_point(|r| r.msg_start <= off);
-        if i == 0 {
-            None
-        } else {
-            Some(self.tx_msgs[i - 1])
-        }
+        self.tx_log.msg_at(off)
     }
 
     /// Releases acknowledged reply state.
     pub fn release_below(&mut self, acked: u64) {
-        // ano-lint: allow(transitive-panic): index 1 guarded by the len > 1 loop condition
-        while self.tx_msgs.len() > 1 && self.tx_msgs[1].msg_start <= acked {
-            self.tx_msgs.pop_front();
-        }
-        self.tx_frames.prune_below(acked);
+        self.tx_log.release_below(acked);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The device-fault chaos suite: smoke tests covering each expectation
 //! class, and the full 24-entry `chaos/` sweep (run by `scripts/ci.sh` as
-//! its own tier; `--include-ignored` locally for the full matrix).
+//! its own tier; `--ignored` locally for the full matrix).
 
 use ano_scenario::{all, builtin, run_differential, Degradation};
 
@@ -34,7 +34,7 @@ fn smoke_install_failure_breaker() {
 /// the smoke tests, so it runs ignored by default; `scripts/ci.sh` runs
 /// it as a dedicated tier with a timeout backstop.
 #[test]
-#[ignore = "full chaos matrix; run via scripts/ci.sh or --include-ignored"]
+#[ignore = "full chaos matrix; run via scripts/ci.sh or --ignored"]
 fn chaos_matrix_holds() {
     for sc in all().iter().filter(|s| s.name.starts_with("chaos/")) {
         let d = run_differential(sc);

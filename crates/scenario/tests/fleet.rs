@@ -146,7 +146,7 @@ fn golden_fleet_eviction_resync_ladder() {
     );
 }
 
-/// Fleet scale (the CI tier's `--include-ignored` backstop): thousands of
+/// Fleet scale (the CI tier's `--ignored` backstop): thousands of
 /// concurrent flows across 8×2 hosts, server caches far below the flow
 /// count, thrash breakers armed. Everything must complete byte-exact with
 /// the fallback machinery absorbing the cache storm.

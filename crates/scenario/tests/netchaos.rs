@@ -48,7 +48,7 @@ fn declared_partition_suspends_watchdog() {
 }
 
 /// The full matrix: every pattern × workload × shape, differentially.
-/// Heavier than the smokes — run with `--include-ignored` (CI netchaos
+/// Heavier than the smokes — run with `--ignored` (CI netchaos
 /// tier).
 #[test]
 #[ignore = "heavy: full netchaos matrix; CI runs it in the netchaos tier"]

@@ -1,4 +1,12 @@
 //! Event dispatch: the world's packet, timer, resync and application paths.
+//!
+//! The L5P work of every path is a pipeline over the connection's layer
+//! stack (`Proto`), written once for all six [`crate::world::ConnSpec`]
+//! shapes: receive (`proto_rx`: TLS decrypts, then NVMe parses or the
+//! application reads), transmit (`send_l5`: NVMe capsule or
+//! application bytes → TLS records → TCP), release on ACK
+//! (`release_proto`) and the §4.3 resync mailbox (`poll_resyncs`,
+//! `mailbox_deliver_at`).
 
 use ano_core::fault::{DeviceOp, FaultAction, ScheduledFault};
 use ano_core::flow::{L5TxSource, TxMsgRef};
@@ -11,7 +19,7 @@ use ano_tls::ktls::PlainChunk;
 use ano_tls::record::OVERHEAD as TLS_OVERHEAD;
 
 use crate::app::{Action, AppEvent, HostApi};
-use crate::world::{ConnId, Event, HostState, Proto, World};
+use crate::world::{ConnId, ConnState, Event, HostState, NvmeLayer, Proto, World};
 
 /// Send-queue low watermark: a `Writable` notification fires when a
 /// connection that sent data drains below this.
@@ -33,7 +41,8 @@ pub(crate) enum AppCall {
 }
 
 /// Transmit-side recovery adapter: `l5o_get_tx_msgstate` resolves through
-/// the L5P's record map, byte replay through TCP's retransmit buffer.
+/// the outermost L5P layer's message log (the one framing the TCP stream),
+/// byte replay through TCP's retransmit buffer.
 struct TxAdapter<'a> {
     proto: &'a Proto,
     tcp: &'a ano_tcp::sender::TcpSender,
@@ -41,13 +50,10 @@ struct TxAdapter<'a> {
 
 impl L5TxSource for TxAdapter<'_> {
     fn msg_at(&self, off: u64) -> Option<TxMsgRef> {
-        match self.proto {
-            Proto::Raw => None,
-            Proto::Tls { tx, .. } => tx.record_at(off),
-            Proto::NvmeHost { host } => host.record_at(off),
-            Proto::NvmeTarget { target, .. } => target.record_at(off),
-            Proto::NvmeTlsHost { tls_tx, .. } => tls_tx.record_at(off),
-            Proto::NvmeTlsTarget { tls_tx, .. } => tls_tx.record_at(off),
+        match (&self.proto.tls, &self.proto.nvme) {
+            (Some(tls), _) => tls.tx.record_at(off),
+            (None, Some(nvme)) => nvme.record_at(off),
+            (None, None) => None,
         }
     }
 
@@ -55,7 +61,6 @@ impl L5TxSource for TxAdapter<'_> {
         self.tcp.stream_range(from, to)
     }
 }
-
 
 impl World {
     /// Kicks off every host's application. Safe to call again after
@@ -337,7 +342,6 @@ impl World {
         } = &mut *self;
         let now = sched.now();
         let cost = &cfg.cost;
-        let resync_delay = cfg.resync_delay;
         let degrade = &cfg.degrade;
         // ano-lint: allow(hot-alloc): capacity-0 resync mailbox; fills only when the NIC requests resync
         let mut resync_reqs: Vec<(u8, u64)> = Vec::new();
@@ -383,9 +387,7 @@ impl World {
             }
 
             // 1. NIC receive processing (offload engines).
-            let rxp = {
-                host.nic.rx_process(c.in_flow, seq64, &mut payload)
-            };
+            let rxp = host.nic.rx_process(c.in_flow, seq64, &mut payload);
             for ev in rxp.events {
                 let EngineEvent::ResyncRequest { layer, tcpsn } = ev;
                 resync_reqs.push((layer, tcpsn));
@@ -417,10 +419,8 @@ impl World {
                 }
                 cyc
             };
-            let mut done = host.cpu.run(c.core, now, cycles);
-            {
-                c.tcp.on_packet_wnd(seq, ack, wnd, &sack, payload, rxp.flags, now);
-            }
+            host.cpu.run(c.core, now, cycles);
+            c.tcp.on_packet_wnd(seq, ack, wnd, &sack, payload, rxp.flags, now);
 
             // 3. Release transmit-side L5P state below the cumulative ack.
             let acked = c.tcp.sender().snd_una();
@@ -444,7 +444,7 @@ impl World {
                     &mut plains_pool,
                 );
                 c.tcp.recycle_ready(chunks);
-                done = host.cpu.run(c.core, now, proto_cycles);
+                let done = host.cpu.run(c.core, now, proto_cycles);
                 // The window reopens when the CPU actually finishes the
                 // protocol work for these bytes.
                 sched.schedule(
@@ -458,7 +458,6 @@ impl World {
             } else {
                 // Still poll resync responses (requests may have matured).
                 poll_resyncs(&mut c.proto, &mut resync_resps);
-                let _ = done;
             }
 
             // 5. Writable notification.
@@ -476,58 +475,12 @@ impl World {
             resync_reqs.clear();
         }
         for (layer, tcpsn) in resync_reqs {
-            // The NIC→driver request crosses the device mailbox, which the
-            // fault script can lose or slow down.
-            // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
-            let extra = match self.hosts[h].faults.on_op(DeviceOp::ResyncReq, now) {
-                Some(FaultAction::Fail | FaultAction::Drop) => {
-                    self.tracer
-                        .scoped(in_flow)
-                        .record(|| ano_trace::Event::DeviceFault { kind: "resync_req" });
-                    continue;
-                }
-                Some(FaultAction::Delay(d)) => d,
-                None => ano_sim::time::SimDuration::from_nanos(0),
-            };
-            self.sched.schedule(
-                now + resync_delay + extra,
-                Event::ResyncReq {
-                    host: h as u16,
-                    conn,
-                    layer,
-                    tcpsn,
-                },
-            );
+            if let Some(at) = self.mailbox_deliver_at(h, DeviceOp::ResyncReq, in_flow) {
+                let host = h as u16;
+                self.sched.schedule(at, Event::ResyncReq { host, conn, layer, tcpsn });
+            }
         }
-        // Responses carry the epoch they were issued under so answers that
-        // race a reset are discarded rather than resurrecting dead contexts.
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
-        let epoch = self.hosts[h].nic.epoch();
-        for (layer, tcpsn, ok, idx) in resync_resps {
-            // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
-            let extra = match self.hosts[h].faults.on_op(DeviceOp::ResyncResp, now) {
-                Some(FaultAction::Fail | FaultAction::Drop) => {
-                    self.tracer
-                        .scoped(in_flow)
-                        .record(|| ano_trace::Event::DeviceFault { kind: "resync_resp" });
-                    continue;
-                }
-                Some(FaultAction::Delay(d)) => d,
-                None => ano_sim::time::SimDuration::from_nanos(0),
-            };
-            self.sched.schedule(
-                now + resync_delay + extra,
-                Event::ResyncResp {
-                    host: h as u16,
-                    conn,
-                    layer,
-                    tcpsn,
-                    ok,
-                    idx,
-                    epoch,
-                },
-            );
-        }
+        self.send_resync_resps(h, conn, in_flow, resync_resps);
         for (token, ready) in target_replies {
             self.sched.schedule(
                 ready,
@@ -541,12 +494,48 @@ impl World {
         // Restore the pool before draining calls: `run_app_calls` recycles
         // each delivered plaintext buffer back into it.
         self.plains_pool = plains_pool;
-        {
-            self.run_app_calls(h, &mut app_calls);
-        }
+        self.run_app_calls(h, &mut app_calls);
         self.app_calls = app_calls;
-        {
-            self.pump_conn(h, conn);
+        self.pump_conn(h, conn);
+    }
+
+    /// One crossing of the driver↔NIC resync mailbox on host `h`, which the
+    /// host's fault script can lose or slow down: the delivery time, or
+    /// `None` (traced as a device fault) when the message is lost.
+    fn mailbox_deliver_at(&mut self, h: usize, op: DeviceOp, in_flow: u64) -> Option<SimTime> {
+        let now = self.sched.now();
+        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
+        let extra = match self.hosts[h].faults.on_op(op, now) {
+            Some(FaultAction::Fail | FaultAction::Drop) => {
+                self.tracer
+                    .scoped(in_flow)
+                    .record(|| ano_trace::Event::DeviceFault { kind: op.label() });
+                return None;
+            }
+            Some(FaultAction::Delay(d)) => d,
+            None => ano_sim::time::SimDuration::from_nanos(0),
+        };
+        Some(now + self.cfg.resync_delay + extra)
+    }
+
+    /// Sends the L5P's resync answers back to the NIC. Responses carry the
+    /// epoch they were issued under so answers that race a reset are
+    /// discarded rather than resurrecting dead contexts.
+    fn send_resync_resps(
+        &mut self,
+        h: usize,
+        conn: ConnId,
+        in_flow: u64,
+        resps: Vec<(u8, u64, bool, u64)>,
+    ) {
+        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
+        let epoch = self.hosts[h].nic.epoch();
+        for (layer, tcpsn, ok, idx) in resps {
+            if let Some(at) = self.mailbox_deliver_at(h, DeviceOp::ResyncResp, in_flow) {
+                let host = h as u16;
+                let ev = Event::ResyncResp { host, conn, layer, tcpsn, ok, idx, epoch };
+                self.sched.schedule(at, ev);
+            }
         }
     }
 
@@ -601,50 +590,14 @@ impl World {
                 return;
             };
             host.cpu.run(c.core, now, resync_cpu);
-            match (&mut c.proto, layer) {
-                (Proto::Tls { rx, .. }, 0) => rx.on_resync_request(tcpsn),
-                (Proto::NvmeHost { host: nh }, 0) => nh.parser_mut().on_resync_request(tcpsn),
-                (Proto::NvmeTarget { target, .. }, 0) => {
-                    target.parser_mut().on_resync_request(tcpsn)
-                }
-                (Proto::NvmeTlsHost { tls_rx, .. }, 0) => tls_rx.on_resync_request(tcpsn),
-                (Proto::NvmeTlsHost { host: nh, .. }, 1) => {
-                    nh.parser_mut().on_resync_request(tcpsn)
-                }
-                (Proto::NvmeTlsTarget { tls_rx, .. }, 0) => tls_rx.on_resync_request(tcpsn),
-                (Proto::NvmeTlsTarget { target, .. }, 1) => {
-                    target.parser_mut().on_resync_request(tcpsn)
-                }
-                _ => {}
+            // A request for a layer this endpoint does not run is ignored.
+            if let Some(responder) = c.proto.responders().nth(layer as usize) {
+                responder.request(tcpsn);
             }
             poll_resyncs(&mut c.proto, &mut resps);
             c.in_flow.0
         };
-        let epoch = self.hosts[h].nic.epoch();
-        for (layer, tcpsn, ok, idx) in resps {
-            let extra = match self.hosts[h].faults.on_op(DeviceOp::ResyncResp, now) {
-                Some(FaultAction::Fail | FaultAction::Drop) => {
-                    self.tracer
-                        .scoped(in_flow)
-                        .record(|| ano_trace::Event::DeviceFault { kind: "resync_resp" });
-                    continue;
-                }
-                Some(FaultAction::Delay(d)) => d,
-                None => ano_sim::time::SimDuration::from_nanos(0),
-            };
-            self.sched.schedule(
-                now + self.cfg.resync_delay + extra,
-                Event::ResyncResp {
-                    host: h as u16,
-                    conn,
-                    layer,
-                    tcpsn,
-                    ok,
-                    idx,
-                    epoch,
-                },
-            );
-        }
+        self.send_resync_resps(h, conn, in_flow, resps);
     }
 
     /// Materializes one scheduled device fault ([`ScheduledFault`]).
@@ -689,53 +642,14 @@ impl World {
         }
     }
 
+    /// A target's device I/O finished: emit the reply PDUs.
     fn handle_target_reply(&mut self, h: usize, conn: ConnId, token: u64) {
-        let now = self.sched.now();
-        let World { cfg, hosts, .. } = &mut *self;
-        let cost = &cfg.cost;
-        {
-            let host = &mut hosts[h];
-            let Some(c) = host.conns.get_mut(&conn) else {
-                return;
+        self.send_l5(h, conn, |c, cost| {
+            let Some(NvmeLayer::Target { target, pending, .. }) = &mut c.proto.nvme else {
+                return None;
             };
-            let (wire, cycles): (Vec<Payload>, u64) = match &mut c.proto {
-                Proto::NvmeTarget {
-                    target, pending, ..
-                } => {
-                    let Some(reply) = pending.remove(&token) else {
-                        return;
-                    };
-                    target.emit(reply, cost)
-                }
-                Proto::NvmeTlsTarget {
-                    target,
-                    pending,
-                    tls_tx,
-                    inner,
-                    ..
-                } => {
-                    let Some(reply) = pending.remove(&token) else {
-                        return;
-                    };
-                    let (capsules, mut cyc) = target.emit(reply, cost);
-                    // Wrap the capsule stream in TLS records.
-                    let mut records = Vec::new();
-                    for cap in capsules {
-                        inner.borrow_mut().push_capsule(&cap);
-                        let (recs, c2) = tls_tx.send(&cap, cost);
-                        cyc += c2;
-                        records.extend(recs);
-                    }
-                    (records, cyc)
-                }
-                _ => return,
-            };
-            host.cpu.run(c.core, now, cycles);
-            for w in wire {
-                c.tcp.send(w);
-            }
-        }
-        self.pump_conn(h, conn);
+            Some(target.emit(pending.remove(&token)?, cost))
+        });
     }
 
     // ------------------------------------------------------------------
@@ -987,35 +901,16 @@ impl World {
 
     /// Application bytes into a Raw or TLS connection.
     fn proto_send(&mut self, h: usize, conn: ConnId, data: Payload) {
-        let now = self.sched.now();
-        let World { cfg, hosts, .. } = &mut *self;
-        let cost = &cfg.cost;
-        {
-            // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
-            let host = &mut hosts[h];
-            let Some(c) = host.conns.get_mut(&conn) else {
-                return;
-            };
-            let mut cycles = cost.syscall;
-            match &mut c.proto {
-                Proto::Raw => {
-                    cycles += ano_sim::cost::CostModel::bytes_cycles(cost.stack_cpb, data.len());
-                    c.tcp.send(data);
-                }
-                Proto::Tls { tx, .. } => {
-                    let (wire, cyc) = tx.send(&data, cost);
-                    cycles += cyc;
-                    for w in wire {
-                        c.tcp.send(w);
-                    }
-                }
-                // ano-lint: allow(transitive-panic): dispatch contract: Send is only routed to Raw/Tls connections
-                _ => panic!("Send is only valid on Raw/Tls connections"),
-            }
-            host.cpu.run(c.core, now, cycles);
+        self.send_l5(h, conn, |c, cost| {
+            // ano-lint: allow(transitive-panic): dispatch contract: Send is only routed to Raw/Tls connections
+            assert!(c.proto.nvme.is_none(), "Send is only valid on Raw/Tls connections");
             c.blocked = true; // notify (once) when the queue drains
-        }
-        self.pump_conn(h, conn);
+            let mut cycles = cost.syscall;
+            if c.proto.tls.is_none() {
+                cycles += ano_sim::cost::CostModel::bytes_cycles(cost.stack_cpb, data.len());
+            }
+            Some(([data], cycles))
+        });
     }
 
     /// NVMe submission on an initiator connection.
@@ -1028,51 +923,59 @@ impl World {
         len: u32,
         write_data: Option<Payload>,
     ) {
+        self.send_l5(h, conn, |c, cost| {
+            let Some(NvmeLayer::Host(nh)) = &mut c.proto.nvme else {
+                // ano-lint: allow(transitive-panic): dispatch contract: NVMe ops are only routed to initiator connections
+                panic!("NVMe I/O is only valid on initiator connections");
+            };
+            let (capsule, cycles) = match &write_data {
+                None => nh.submit_read(id, offset, len, cost),
+                Some(d) => nh.submit_write(id, offset, d, cost),
+            };
+            Some(([capsule], cycles))
+        });
+    }
+
+    /// The one transmit path. `produce` turns the request into L5 messages
+    /// — NVMe capsules, or application bytes on a connection without an
+    /// NVMe layer — and the CPU cycles spent making them (`None`: nothing
+    /// to send). Each message goes down the layer stack: logged for the
+    /// nested engine's recovery (NVMe-TLS), framed into TLS records when
+    /// the TLS layer is present, queued on TCP. The connection's core is
+    /// charged and the transmit queue pumped.
+    fn send_l5<I: IntoIterator<Item = Payload>>(
+        &mut self,
+        h: usize,
+        conn: ConnId,
+        produce: impl FnOnce(&mut ConnState, &ano_sim::cost::CostModel) -> Option<(I, u64)>,
+    ) {
         let now = self.sched.now();
         let World { cfg, hosts, .. } = &mut *self;
         let cost = &cfg.cost;
-        {
-            // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
-            let host = &mut hosts[h];
-            let Some(c) = host.conns.get_mut(&conn) else {
-                return;
-            };
-            let (wire, cycles): (Vec<Payload>, u64) = match &mut c.proto {
-                Proto::NvmeHost { host: nh } => match &write_data {
-                    None => {
-                        let (w, cyc) = nh.submit_read(id, offset, len, cost);
-                        // ano-lint: allow(hot-alloc): single-capsule wrapper vec per NVMe submit, inventoried for arena round 2 (ROADMAP item 1)
-                        (vec![w], cyc)
+        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
+        let host = &mut hosts[h];
+        let Some(c) = host.conns.get_mut(&conn) else {
+            return;
+        };
+        let Some((msgs, mut cycles)) = produce(c, cost) else {
+            return;
+        };
+        for msg in msgs {
+            if let Some(inner) = &c.proto.inner {
+                inner.borrow_mut().push_capsule(&msg);
+            }
+            match &mut c.proto.tls {
+                Some(tls) => {
+                    let (records, cyc) = tls.tx.send(&msg, cost);
+                    cycles += cyc;
+                    for record in records {
+                        c.tcp.send(record);
                     }
-                    Some(d) => {
-                        let (w, cyc) = nh.submit_write(id, offset, d, cost);
-                        // ano-lint: allow(hot-alloc): single-capsule wrapper vec per NVMe submit, inventoried for arena round 2 (ROADMAP item 1)
-                        (vec![w], cyc)
-                    }
-                },
-                Proto::NvmeTlsHost {
-                    host: nh,
-                    tls_tx,
-                    inner,
-                    ..
-                } => {
-                    let (capsule, mut cyc) = match &write_data {
-                        None => nh.submit_read(id, offset, len, cost),
-                        Some(d) => nh.submit_write(id, offset, d, cost),
-                    };
-                    inner.borrow_mut().push_capsule(&capsule);
-                    let (recs, c2) = tls_tx.send(&capsule, cost);
-                    cyc += c2;
-                    (recs, cyc)
                 }
-                // ano-lint: allow(transitive-panic): dispatch contract: NVMe ops are only routed to initiator connections
-                _ => panic!("NVMe I/O is only valid on initiator connections"),
-            };
-            host.cpu.run(c.core, now, cycles);
-            for w in wire {
-                c.tcp.send(w);
+                None => c.tcp.send(msg),
             }
         }
+        host.cpu.run(c.core, now, cycles);
         self.pump_conn(h, conn);
     }
 }
@@ -1098,109 +1001,44 @@ fn corrupt_copy(payload: &Payload) -> Option<Payload> {
 
 /// Per-packet receive cost of the stack for this connection's protocol.
 fn per_pkt_rx_cost(proto: &Proto, cost: &ano_sim::cost::CostModel) -> u64 {
-    match proto {
-        Proto::NvmeHost { .. } | Proto::NvmeTlsHost { .. } => cost.per_pkt_nvme_rx,
+    match proto.nvme {
+        Some(NvmeLayer::Host(_)) => cost.per_pkt_nvme_rx,
         _ => cost.per_pkt_rx,
     }
 }
 
-/// Releases transmit-side L5P state below the cumulative ack.
+/// Releases transmit-side L5P state below the cumulative ack. Layers under
+/// TLS count plaintext-stream bytes: the ack less the record overhead.
 fn release_proto(proto: &mut Proto, acked: u64) {
-    match proto {
-        Proto::Raw => {}
-        Proto::Tls { tx, .. } => tx.release_below(acked),
-        Proto::NvmeHost { host } => host.release_below(acked),
-        Proto::NvmeTarget { target, .. } => target.release_below(acked),
-        Proto::NvmeTlsHost {
-            tls_tx,
-            host,
-            inner,
-            ..
-        } => {
-            tls_tx.release_below(acked);
-            let plain_acked =
-                acked.saturating_sub(TLS_OVERHEAD as u64 * tls_tx.stats().records);
-            host.release_below(plain_acked);
-            inner.borrow_mut().prune(plain_acked);
-        }
-        Proto::NvmeTlsTarget {
-            tls_tx,
-            target,
-            inner,
-            ..
-        } => {
-            tls_tx.release_below(acked);
-            let plain_acked =
-                acked.saturating_sub(TLS_OVERHEAD as u64 * tls_tx.stats().records);
-            target.release_below(plain_acked);
-            inner.borrow_mut().prune(plain_acked);
-        }
+    let mut acked = acked;
+    if let Some(tls) = &mut proto.tls {
+        tls.tx.release_below(acked);
+        acked = acked.saturating_sub(TLS_OVERHEAD as u64 * tls.tx.stats().records);
+    }
+    if let Some(nvme) = &mut proto.nvme {
+        nvme.release_below(acked);
+    }
+    if let Some(inner) = &proto.inner {
+        inner.borrow_mut().prune(acked);
     }
 }
 
 /// Drains pending resync responses from all layers of a proto:
 /// `(layer, tcpsn, ok, msg_index)`.
 fn poll_resyncs(proto: &mut Proto, out: &mut Vec<(u8, u64, bool, u64)>) {
-    match proto {
-        Proto::Raw => {}
-        Proto::Tls { rx, .. } => {
-            out.extend(rx.take_resync_responses().into_iter().map(|(t, ok, i)| (0, t, ok, i)));
-        }
-        Proto::NvmeHost { host } => {
-            out.extend(
-                host.parser_mut()
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (0, t, ok, i)),
-            );
-        }
-        Proto::NvmeTarget { target, .. } => {
-            out.extend(
-                target
-                    .parser_mut()
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (0, t, ok, i)),
-            );
-        }
-        Proto::NvmeTlsHost { tls_rx, host, .. } => {
-            out.extend(
-                tls_rx
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (0, t, ok, i)),
-            );
-            out.extend(
-                host.parser_mut()
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (1, t, ok, i)),
-            );
-        }
-        Proto::NvmeTlsTarget { tls_rx, target, .. } => {
-            out.extend(
-                tls_rx
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (0, t, ok, i)),
-            );
-            out.extend(
-                target
-                    .parser_mut()
-                    .take_resync_responses()
-                    .into_iter()
-                    .map(|(t, ok, i)| (1, t, ok, i)),
-            );
-        }
+    for (layer, responder) in proto.responders().enumerate() {
+        out.extend(responder.take().map(|(t, ok, i)| (layer as u8, t, ok, i)));
     }
 }
 
-/// Delivers in-order chunks into the connection's protocol layers.
-/// Drains `chunks`, appends deferred notifications to `calls` (plaintext
-/// buffers come from — and return to — `pool`), and returns the CPU cycles
-/// spent.
+/// Delivers in-order chunks up the connection's layer stack: TLS (when
+/// present) turns wire chunks into plaintext chunks, which the NVMe layer
+/// (when present) parses into completions or pending replies and which
+/// otherwise go to the application. Drains `chunks`, appends deferred
+/// notifications to `calls` (plaintext buffers come from — and return to —
+/// `pool`), and returns the CPU cycles spent.
 fn proto_rx(
-    c: &mut crate::world::ConnState,
+    c: &mut ConnState,
     chunks: &mut Vec<RxChunk>,
     cost: &ano_sim::cost::CostModel,
     now: SimTime,
@@ -1211,113 +1049,128 @@ fn proto_rx(
     pool: &mut Vec<Vec<PlainChunk>>,
 ) -> u64 {
     let mut cycles = 0u64;
-    match &mut c.proto {
-        Proto::Raw => {
-            let mut plains = pool.pop().unwrap_or_default();
-            plains.extend(chunks.drain(..).map(|ch| PlainChunk {
-                plain_off: ch.offset,
-                payload: ch.payload,
-                flags: ch.flags,
-            }));
+    let mut plains = pool.pop().unwrap_or_default();
+    match &mut c.proto.tls {
+        Some(tls) => cycles += tls.rx.on_chunks_into(chunks.drain(..), cost, &mut plains),
+        None => plains.extend(chunks.drain(..).map(|ch| PlainChunk {
+            plain_off: ch.offset,
+            payload: ch.payload,
+            flags: ch.flags,
+        })),
+    }
+    match &mut c.proto.nvme {
+        None => {
             let bytes: u64 = plains.iter().map(|p| p.payload.len() as u64).sum();
-            cycles += ano_sim::cost::CostModel::bytes_cycles(cost.stack_cpb, bytes as usize);
+            if c.proto.tls.is_none() {
+                cycles += ano_sim::cost::CostModel::bytes_cycles(cost.stack_cpb, bytes as usize);
+            }
             c.delivered += bytes;
-            calls.push(AppCall::Data { conn, plains });
-        }
-        Proto::Tls { rx, .. } => {
-            let mut plains = pool.pop().unwrap_or_default();
-            cycles += rx.on_chunks_into(chunks.drain(..), cost, &mut plains);
-            let bytes: u64 = plains.iter().map(|p| p.payload.len() as u64).sum();
-            c.delivered += bytes;
-            if !plains.is_empty() {
-                calls.push(AppCall::Data { conn, plains });
-            } else {
+            if plains.is_empty() {
                 pool.push(plains);
+            } else {
+                calls.push(AppCall::Data { conn, plains });
             }
         }
-        Proto::NvmeHost { host } => {
-            let stream = chunks.drain(..).map(|ch| StreamChunk {
-                offset: ch.offset,
-                payload: ch.payload,
-                flags: ch.flags,
-            });
-            cycles += host.on_chunks(stream, cost);
-            let completions = host.take_completions();
-            let bytes: u64 = completions
-                .iter()
-                .map(|x| x.placed_bytes + x.copied_bytes)
-                .sum();
-            c.delivered += bytes;
-            if !completions.is_empty() {
-                calls.push(AppCall::NvmeDone { conn, completions });
-            }
-        }
-        Proto::NvmeTarget {
-            target,
-            pending,
-            next_token,
-        } => {
-            let stream = chunks.drain(..).map(|ch| StreamChunk {
-                offset: ch.offset,
-                payload: ch.payload,
-                flags: ch.flags,
-            });
-            let (replies, cyc) = target.on_chunks(stream, now, cost);
-            cycles += cyc;
-            for r in replies {
-                let token = *next_token;
-                *next_token += 1;
-                pending.insert(token, r.reply);
-                target_replies.push((token, r.ready));
-            }
-        }
-        Proto::NvmeTlsHost {
-            tls_rx, host, ..
-        } => {
-            let mut plains = pool.pop().unwrap_or_default();
-            cycles += tls_rx.on_chunks_into(chunks.drain(..), cost, &mut plains);
+        Some(nvme) => {
             let stream = plains.drain(..).map(|p| StreamChunk {
                 offset: p.plain_off,
                 payload: p.payload,
                 flags: p.flags,
             });
-            cycles += host.on_chunks(stream, cost);
-            pool.push(plains);
-            let completions = host.take_completions();
-            let bytes: u64 = completions
-                .iter()
-                .map(|x| x.placed_bytes + x.copied_bytes)
-                .sum();
-            c.delivered += bytes;
-            if !completions.is_empty() {
-                calls.push(AppCall::NvmeDone { conn, completions });
+            match nvme {
+                NvmeLayer::Host(host) => {
+                    cycles += host.on_chunks(stream, cost);
+                    let completions = host.take_completions();
+                    c.delivered += completions
+                        .iter()
+                        .map(|x| x.placed_bytes + x.copied_bytes)
+                        .sum::<u64>();
+                    if !completions.is_empty() {
+                        calls.push(AppCall::NvmeDone { conn, completions });
+                    }
+                }
+                NvmeLayer::Target {
+                    target,
+                    pending,
+                    next_token,
+                } => {
+                    let (replies, cyc) = target.on_chunks(stream, now, cost);
+                    cycles += cyc;
+                    for r in replies {
+                        pending.insert(*next_token, r.reply);
+                        target_replies.push((*next_token, r.ready));
+                        *next_token += 1;
+                    }
+                }
             }
-        }
-        Proto::NvmeTlsTarget {
-            tls_rx,
-            target,
-            pending,
-            next_token,
-            ..
-        } => {
-            let mut plains = pool.pop().unwrap_or_default();
-            cycles += tls_rx.on_chunks_into(chunks.drain(..), cost, &mut plains);
-            let stream = plains.drain(..).map(|p| StreamChunk {
-                offset: p.plain_off,
-                payload: p.payload,
-                flags: p.flags,
-            });
-            let (replies, cyc) = target.on_chunks(stream, now, cost);
-            cycles += cyc;
             pool.push(plains);
-            for r in replies {
-                let token = *next_token;
-                *next_token += 1;
-                pending.insert(token, r.reply);
-                target_replies.push((token, r.ready));
-            }
         }
     }
     poll_resyncs(&mut c.proto, resync_resps);
     cycles
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::HostApp;
+    use crate::world::{ConnSpec, NvmeHostSpec, NvmeTargetSpec, TlsSpec, WorldConfig};
+    use ano_nvme::pdu::{CH_LEN, DATA_EXT_LEN, DDGST_LEN, SQE_LEN};
+
+    /// Two NVMe reads on one connection, one TLS send on another.
+    struct Traffic {
+        nvme: ConnId,
+        tls: ConnId,
+    }
+
+    impl HostApp for Traffic {
+        fn on_event(&mut self, api: &mut HostApi, event: AppEvent<'_>) {
+            if let AppEvent::Start = event {
+                api.nvme_read(self.nvme, 0, 0, 4096);
+                api.nvme_read(self.nvme, 1, 4096, 4096);
+                api.send(self.tls, Payload::synthetic(10_000));
+            }
+        }
+    }
+
+    /// Delivers one `ResyncReq` and returns the `ResyncResp` it produced, as
+    /// `(layer, tcpsn, ok, idx)`.
+    fn ask(w: &mut World, h: usize, conn: ConnId, layer: u8, tcpsn: u64) -> Option<(u8, u64, bool, u64)> {
+        assert!(w.is_idle());
+        w.handle_resync_req(h, conn, layer, tcpsn);
+        match w.sched.pop() {
+            Some((_, Event::ResyncResp { layer, tcpsn, ok, idx, .. })) => Some((layer, tcpsn, ok, idx)),
+            Some(_) => panic!("only a resync response may be scheduled"),
+            None => None,
+        }
+    }
+
+    #[test]
+    fn resync_requests_reach_the_kth_present_layer() {
+        let mut w = World::new(WorldConfig::default());
+        let nvme = w.connect(
+            ConnSpec::NvmeTlsHost(NvmeHostSpec::default(), TlsSpec::default()),
+            ConnSpec::NvmeTlsTarget(NvmeTargetSpec::default(), TlsSpec::default()),
+        );
+        let tls = w.connect(ConnSpec::Tls(TlsSpec::default()), ConnSpec::Tls(TlsSpec::default()));
+        w.set_app(0, Box::new(Traffic { nvme, tls }));
+        w.start();
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.nvme_host_stats(0, nvme).expect("initiator").completions, 2);
+        assert_eq!(w.delivered_bytes(1, tls), 10_000);
+
+        // Layer 1 of an NVMe-TLS connection is the NVMe parser, on both
+        // roles: it confirms the second PDU's start in *plaintext-stream*
+        // offsets (no TLS record starts there), with the PDU's index.
+        let second_cmd = (CH_LEN + SQE_LEN) as u64;
+        assert_eq!(ask(&mut w, 1, nvme, 1, second_cmd), Some((1, second_cmd, true, 1)));
+        let second_reply = (CH_LEN + DATA_EXT_LEN + 4096 + DDGST_LEN) as u64;
+        assert_eq!(ask(&mut w, 0, nvme, 1, second_reply), Some((1, second_reply, true, 1)));
+        // Layer 0 is TLS, which refuses the same offsets.
+        assert_eq!(ask(&mut w, 1, nvme, 0, second_cmd), Some((0, second_cmd, false, 0)));
+
+        // A plain TLS connection has no layer 1: the request is ignored.
+        assert_eq!(ask(&mut w, 1, tls, 1, 0), None);
+        assert_eq!(ask(&mut w, 1, tls, 0, 0), Some((0, 0, true, 0)));
+    }
 }

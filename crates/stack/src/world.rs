@@ -9,8 +9,12 @@
 //! the two-host client↔server façade every scenario and golden-trace test
 //! runs through — host 0, host 1, `links` ids 0 (`0→1`) and 1 (`1→0`),
 //! byte-identical event ordering. Connections are created with a
-//! [`ConnSpec`] per endpoint; autonomous offload engines are installed on
-//! the owning host's NIC according to the spec. Applications
+//! [`ConnSpec`] per endpoint. A spec names a *stack of layers* over TCP —
+//! TLS and/or one end of an NVMe-TCP queue — and `build_endpoint` builds
+//! each present layer once into the endpoint's `Proto`, then derives the
+//! NIC engine factories by one nesting rule: the outermost offloaded layer
+//! owns the engine, an NVMe engine nests inside an offloaded TLS direction
+//! (§5.3), and a software TLS direction means no engine. Applications
 //! ([`crate::app::HostApp`]) drive traffic and receive events.
 //!
 //! Timing model: every packet charges the paper-calibrated per-packet stack
@@ -26,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use ano_core::fault::DeviceFaults;
-use ano_core::flow::{L5Flow, L5TxSource, TxMsgRef};
+use ano_core::flow::{L5Flow, L5TxSource, ResyncResponder, TxMsgLog, TxMsgRef};
 use ano_core::msg::FrameIndex;
 use ano_core::nic::{Nic, NicConfig};
 use ano_core::rss::FourTuple;
@@ -149,6 +153,28 @@ pub enum ConnSpec {
     NvmeTlsHost(NvmeHostSpec, TlsSpec),
     /// NVMe-TCP controller inside TLS.
     NvmeTlsTarget(NvmeTargetSpec, TlsSpec),
+}
+
+/// The NVMe half of a [`ConnSpec`]: which end of the queue this endpoint is.
+#[derive(Clone, Copy)]
+enum NvmeRole<'a> {
+    Host(&'a NvmeHostSpec),
+    Target(&'a NvmeTargetSpec),
+}
+
+impl ConnSpec {
+    /// The layers this endpoint stacks on TCP: TLS (outer) and/or NVMe
+    /// (inner). The six variants are the public spelling of this product.
+    fn layers(&self) -> (Option<TlsSpec>, Option<NvmeRole<'_>>) {
+        match self {
+            ConnSpec::Raw => (None, None),
+            ConnSpec::Tls(t) => (Some(*t), None),
+            ConnSpec::NvmeHost(n) => (None, Some(NvmeRole::Host(n))),
+            ConnSpec::NvmeTarget(n) => (None, Some(NvmeRole::Target(n))),
+            ConnSpec::NvmeTlsHost(n, t) => (Some(*t), Some(NvmeRole::Host(n))),
+            ConnSpec::NvmeTlsTarget(n, t) => (Some(*t), Some(NvmeRole::Target(n))),
+        }
+    }
 }
 
 /// Offload degradation policy: how the driver reacts when the device
@@ -547,42 +573,26 @@ impl RetainBuf {
 /// offsets (the inner engine's recovery upcalls resolve here).
 #[derive(Debug, Default)]
 pub(crate) struct InnerTxShared {
-    msgs: VecDeque<TxMsgRef>,
-    end: u64,
+    log: TxMsgLog,
     retain: RetainBuf,
 }
 
 impl InnerTxShared {
     pub(crate) fn push_capsule(&mut self, payload: &Payload) {
-        let idx = self.msgs.back().map(|m| m.msg_index + 1).unwrap_or(0);
-        self.msgs.push_back(TxMsgRef {
-            msg_start: self.end,
-            msg_index: idx,
-        });
-        self.end += payload.len() as u64;
+        self.log.push(payload.len() as u32, None);
         // ano-lint: allow(hot-alloc): Bytes-backed payload clone is an Arc refcount bump, not a heap copy
         self.retain.push(payload.clone());
     }
 
     pub(crate) fn prune(&mut self, below: u64) {
-        while self.msgs.len() > 1 && self.msgs[1].msg_start <= below {
-            self.msgs.pop_front();
-        }
+        self.log.release_below(below);
         self.retain.prune(below);
     }
 }
 
 impl L5TxSource for InnerTxShared {
     fn msg_at(&self, off: u64) -> Option<TxMsgRef> {
-        if off >= self.end {
-            return None;
-        }
-        let i = self.msgs.partition_point(|m| m.msg_start <= off);
-        if i == 0 {
-            None
-        } else {
-            Some(self.msgs[i - 1])
-        }
+        self.log.msg_at(off)
     }
 
     fn stream_bytes(&self, from: u64, to: u64) -> Payload {
@@ -592,35 +602,67 @@ impl L5TxSource for InnerTxShared {
     }
 }
 
-/// Protocol glue per connection endpoint.
-pub(crate) enum Proto {
-    Raw,
-    Tls {
-        tx: KtlsTx,
-        rx: KtlsRx,
-    },
-    NvmeHost {
-        host: NvmeTcpHost,
-    },
-    NvmeTarget {
+/// The kTLS layer of an endpoint.
+pub(crate) struct TlsLayer {
+    pub(crate) tx: KtlsTx,
+    pub(crate) rx: KtlsRx,
+}
+
+/// The NVMe-TCP layer of an endpoint: one end of the queue.
+pub(crate) enum NvmeLayer {
+    Host(NvmeTcpHost),
+    Target {
         target: NvmeTcpTarget,
+        /// Replies waiting for their device I/O (`Event::TargetReply`).
         pending: BTreeMap<u64, Reply>,
         next_token: u64,
     },
-    NvmeTlsHost {
-        tls_tx: KtlsTx,
-        tls_rx: KtlsRx,
-        host: NvmeTcpHost,
-        inner: Rc<RefCell<InnerTxShared>>,
-    },
-    NvmeTlsTarget {
-        tls_tx: KtlsTx,
-        tls_rx: KtlsRx,
-        target: NvmeTcpTarget,
-        pending: BTreeMap<u64, Reply>,
-        next_token: u64,
-        inner: Rc<RefCell<InnerTxShared>>,
-    },
+}
+
+impl NvmeLayer {
+    pub(crate) fn parser_mut(&mut self) -> &mut PduParser {
+        match self {
+            NvmeLayer::Host(host) => host.parser_mut(),
+            NvmeLayer::Target { target, .. } => target.parser_mut(),
+        }
+    }
+
+    pub(crate) fn record_at(&self, off: u64) -> Option<TxMsgRef> {
+        match self {
+            NvmeLayer::Host(host) => host.record_at(off),
+            NvmeLayer::Target { target, .. } => target.record_at(off),
+        }
+    }
+
+    pub(crate) fn release_below(&mut self, acked: u64) {
+        match self {
+            NvmeLayer::Host(host) => host.release_below(acked),
+            NvmeLayer::Target { target, .. } => target.release_below(acked),
+        }
+    }
+}
+
+/// The L5P layer stack of one connection endpoint, outermost first: TLS
+/// over TCP, NVMe over TLS or over TCP. Plain TCP has neither; NVMe-TLS
+/// (§5.3) is both, plus the plaintext-stream tx state its nested engine
+/// recovers from. [`crate::runtime`] runs rx, tx, release and resync as
+/// pipelines over whichever layers are present.
+pub(crate) struct Proto {
+    pub(crate) tls: Option<TlsLayer>,
+    pub(crate) nvme: Option<NvmeLayer>,
+    /// `Some` exactly when both layers are.
+    pub(crate) inner: Option<Rc<RefCell<InnerTxShared>>>,
+}
+
+impl Proto {
+    /// The software resync responders in NIC layer order: an engine's
+    /// layer `k` request is answered by the `k`-th *present* layer (TLS is
+    /// 0; NVMe is 1 under TLS, else 0).
+    pub(crate) fn responders(&mut self) -> impl Iterator<Item = &mut ResyncResponder> {
+        let tls = self.tls.as_mut().map(|t| t.rx.resync_mut());
+        let nvme = self.nvme.as_mut().map(|n| n.parser_mut().resync_mut());
+        tls.into_iter().chain(nvme)
+    }
 }
 
 /// One endpoint of a connection.
@@ -920,23 +962,6 @@ impl World {
         self.apps[host] = Some(app);
     }
 
-    /// Replaces the façade link's impairments mid-run (loss/reorder
-    /// sweeps). `true` is the `0→1` direction; topology worlds address
-    /// links by pair via [`World::set_impairments_between`].
-    pub fn set_impairments(&mut self, dir0to1: bool, imp: Impairments) {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.set_impairments_between(src, dst, imp);
-    }
-
-    /// Installs a scripted per-packet schedule on one façade link
-    /// direction, keeping that direction's probabilistic knobs (scenario
-    /// harness hook; scripting only `dir0to1 = false` gives asymmetric
-    /// ACK-path adversity for a 0→1 data flow).
-    pub fn set_script(&mut self, dir0to1: bool, script: ano_sim::link::Script) {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.set_script_between(src, dst, script);
-    }
-
     /// Replaces the `src → dst` link's impairments (per-pair partitions
     /// and sweeps in topology worlds).
     ///
@@ -991,83 +1016,55 @@ impl World {
         self.next_conn += 1;
         let flow0 = FlowId(id.0 as u64 * 2);
         let flow1 = FlowId(id.0 as u64 * 2 + 1);
-
-        let sess01 = TlsSession::from_seed(self.cfg.seed ^ flow0.0.wrapping_mul(0x9E37_79B9));
-        let sess10 = TlsSession::from_seed(self.cfg.seed ^ flow1.0.wrapping_mul(0x9E37_79B9));
-        // Frame indexes per direction: TLS records in TCP-stream offsets,
-        // NVMe capsules in their own (plaintext) stream offsets.
-        let tls_f01 = FrameIndex::new();
-        let tls_f10 = FrameIndex::new();
-        let nvme_f01 = FrameIndex::new();
-        let nvme_f10 = FrameIndex::new();
-
-        let mut b0 = self.build_endpoint(&spec0, &sess01, &sess10, &tls_f01, &tls_f10, &nvme_f01, &nvme_f10);
-        let mut b1 = self.build_endpoint(&spec1, &sess10, &sess01, &tls_f10, &tls_f01, &nvme_f10, &nvme_f01);
-        // L5P receive layers are labeled with the flow they consume; the
-        // NIC scopes engine handles itself at install time.
-        attach_proto_tracer(&mut b0.proto, &self.tracer, flow1);
-        attach_proto_tracer(&mut b1.proto, &self.tracer, flow0);
-
-        // Receive-side placement. Single-queue hosts keep the historical
-        // round-robin core assignment (byte-identical to every pre-RSS
-        // trace); multi-queue hosts steer the incoming flow through the
-        // NIC's RSS hash and land the connection on the steered queue's
-        // IRQ core. The outgoing flow's tx completions are pinned to a
-        // queue of the same core.
-        let (core0, tuple0) = Self::place_conn(&mut self.hosts[a as usize], id, flow1, b, a);
-        let (core1, tuple1) = Self::place_conn(&mut self.hosts[b as usize], id, flow0, a, b);
-        Self::pin_tx_queue(&mut self.hosts[a as usize], flow0, core0);
-        Self::pin_tx_queue(&mut self.hosts[b as usize], flow1, core1);
-        let mut tcp0 = TcpEndpoint::new(flow0, self.cfg.tcp.clone());
-        tcp0.set_tracer(self.tracer.scoped(flow0.0));
-        let mut tcp1 = TcpEndpoint::new(flow1, self.cfg.tcp.clone());
-        tcp1.set_tracer(self.tracer.scoped(flow1.0));
-        self.hosts[a as usize].conns.insert(
-            id,
-            ConnState {
-                tcp: tcp0,
-                out_flow: flow0,
-                in_flow: flow1,
-                peer: b,
-                link_out: link_ab,
-                proto: b0.proto,
-                core: core0,
-                armed_rto: None,
-                rto_event: None,
-                rto_gen: 0,
-                delivered: 0,
-                blocked: false,
-                rx_factory: b0.rx_factory,
-                tx_factory: b0.tx_factory,
-                health: OffloadHealth::default(),
-                rx_installed_once: false,
-                pkts_in_window: 0,
-                rx_tuple: tuple0,
-            },
-        );
-        self.hosts[b as usize].conns.insert(
-            id,
-            ConnState {
-                tcp: tcp1,
-                out_flow: flow1,
-                in_flow: flow0,
-                peer: a,
-                link_out: link_ba,
-                proto: b1.proto,
-                core: core1,
-                armed_rto: None,
-                rto_event: None,
-                rto_gen: 0,
-                delivered: 0,
-                blocked: false,
-                rx_factory: b1.rx_factory,
-                tx_factory: b1.tx_factory,
-                health: OffloadHealth::default(),
-                rx_installed_once: false,
-                pkts_in_window: 0,
-                rx_tuple: tuple1,
-            },
-        );
+        let dirs = [flow0, flow1].map(|f| StreamDir {
+            sess: TlsSession::from_seed(self.cfg.seed ^ f.0.wrapping_mul(0x9E37_79B9)),
+            tls_frames: FrameIndex::new(),
+            nvme_frames: FrameIndex::new(),
+        });
+        let ends = [
+            (a, b, flow0, flow1, link_ab, &spec0, &dirs[0], &dirs[1]),
+            (b, a, flow1, flow0, link_ba, &spec1, &dirs[1], &dirs[0]),
+        ];
+        for (h, peer, out_flow, in_flow, link_out, spec, dir_out, dir_in) in ends {
+            let mut built = self.build_endpoint(spec, dir_out, dir_in);
+            // L5P receive layers are labeled with the flow they consume; the
+            // NIC scopes engine handles itself at install time.
+            attach_proto_tracer(&mut built.proto, &self.tracer, in_flow);
+            // Receive-side placement. Single-queue hosts keep the historical
+            // round-robin core assignment (byte-identical to every pre-RSS
+            // trace); multi-queue hosts steer the incoming flow through the
+            // NIC's RSS hash and land the connection on the steered queue's
+            // IRQ core. The outgoing flow's tx completions are pinned to a
+            // queue of the same core.
+            let host = &mut self.hosts[h as usize];
+            let (core, rx_tuple) = Self::place_conn(host, id, in_flow, peer, h);
+            Self::pin_tx_queue(host, out_flow, core);
+            let mut tcp = TcpEndpoint::new(out_flow, self.cfg.tcp.clone());
+            tcp.set_tracer(self.tracer.scoped(out_flow.0));
+            host.conns.insert(
+                id,
+                ConnState {
+                    tcp,
+                    out_flow,
+                    in_flow,
+                    peer,
+                    link_out,
+                    proto: built.proto,
+                    core,
+                    armed_rto: None,
+                    rto_event: None,
+                    rto_gen: 0,
+                    delivered: 0,
+                    blocked: false,
+                    rx_factory: built.rx_factory,
+                    tx_factory: built.tx_factory,
+                    health: OffloadHealth::default(),
+                    rx_installed_once: false,
+                    pkts_in_window: 0,
+                    rx_tuple,
+                },
+            );
+        }
         self.conn_hosts.insert(id, (a, b));
         // Offloads go through the degradation policy: the host's fault
         // script may fail or delay the install, starting a retry ladder.
@@ -1492,56 +1489,34 @@ impl World {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_endpoint(
-        &mut self,
-        spec: &ConnSpec,
-        sess_out: &TlsSession,
-        sess_in: &TlsSession,
-        tls_f_out: &FrameIndex,
-        tls_f_in: &FrameIndex,
-        nvme_f_out: &FrameIndex,
-        nvme_f_in: &FrameIndex,
-    ) -> BuiltEndpoint {
+    /// Builds one endpoint's layer stack and engine factories; `out` and
+    /// `inn` are the directions it sends and receives on.
+    fn build_endpoint(&self, spec: &ConnSpec, out: &StreamDir, inn: &StreamDir) -> BuiltEndpoint {
         let mode = self.cfg.mode;
         let modeled = mode == DataMode::Modeled;
-        let nm = |f: &FrameIndex| nmode(modeled, f);
-        match spec {
-            ConnSpec::Raw => BuiltEndpoint {
-                proto: Proto::Raw,
-                tx_factory: None,
-                rx_factory: None,
-            },
-            ConnSpec::Tls(t) => {
-                let tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, fi) = (sess_out.clone(), tls_f_out.clone());
-                    Rc::new(move || {
-                        TxEngine::new(Box::new(TlsTxFlow::new(sess.clone(), fmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, fi) = (sess_in.clone(), tls_f_in.clone());
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(Box::new(TlsRxFlow::new(sess.clone(), fmode(modeled, &fi))), at)
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::Tls { tx, rx },
-                    tx_factory,
-                    rx_factory,
-                }
-            }
-            ConnSpec::NvmeHost(n) => {
+        let (tls_spec, nvme_spec) = spec.layers();
+
+        let tls = tls_spec.map(|t| TlsLayer {
+            tx: KtlsTx::with_frames(
+                out.sess.clone(),
+                KtlsTxConfig {
+                    offload: t.tx_offload,
+                    zerocopy: t.zerocopy,
+                    mode,
+                },
+                out.tls_frames.clone(),
+            ),
+            rx: KtlsRx::new(inn.sess.clone(), mode, modeled.then(|| inn.tls_frames.clone())),
+        });
+
+        // The NVMe layer, and what its own NIC engines would be given its
+        // flags: a tx engine when it leaves digests for the NIC to fill, an
+        // rx engine (over this RR map, with or without data placement) when
+        // it relies on the NIC's `crc_ok`/`placed` bits.
+        let parser = || PduParser::new(nmode(modeled, &inn.nvme_frames));
+        let (nvme, nvme_tx, nvme_rx) = match nvme_spec {
+            None => (None, false, None),
+            Some(NvmeRole::Host(n)) => {
                 let rr = RrMap::new();
                 let host = NvmeTcpHost::with_frames(
                     NvmeHostConfig {
@@ -1550,35 +1525,13 @@ impl World {
                         crc_offload: n.crc_offload,
                     },
                     rr.clone(),
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
+                    parser(),
+                    out.nvme_frames.clone(),
                 );
-                let tx_factory = n.crc_tx_offload.then(|| {
-                    let fi = nvme_f_out.clone();
-                    Rc::new(move || {
-                        TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = (n.copy_offload || n.crc_offload).then(|| {
-                    let (fi, rr, copy) = (nvme_f_in.clone(), rr.clone(), n.copy_offload);
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(
-                            Box::new(NvmeRxFlow::new(nmode(modeled, &fi), rr.clone(), copy)),
-                            at,
-                        )
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeHost { host },
-                    tx_factory,
-                    rx_factory,
-                }
+                let rx = (n.copy_offload || n.crc_offload).then_some((rr, n.copy_offload));
+                (Some(NvmeLayer::Host(host)), n.crc_tx_offload, rx)
             }
-            ConnSpec::NvmeTarget(t) => {
-                let device = BlockDevice::new(BlockDeviceConfig {
-                    mode,
-                    ..t.device
-                });
+            Some(NvmeRole::Target(t)) => {
                 let target = NvmeTcpTarget::with_frames(
                     NvmeTargetConfig {
                         mode,
@@ -1586,167 +1539,70 @@ impl World {
                         crc_rx_offload: t.crc_rx_offload,
                         max_data_pdu: t.max_data_pdu,
                     },
-                    device,
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
+                    BlockDevice::new(BlockDeviceConfig { mode, ..t.device }),
+                    parser(),
+                    out.nvme_frames.clone(),
                 );
-                let tx_factory = t.crc_tx_offload.then(|| {
-                    let fi = nvme_f_out.clone();
-                    Rc::new(move || {
-                        TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.crc_rx_offload.then(|| {
-                    let fi = nvme_f_in.clone();
-                    Rc::new(move |at: Option<u64>| {
-                        mk_rx(
-                            Box::new(NvmeRxFlow::new(nmode(modeled, &fi), RrMap::new(), false)),
-                            at,
-                        )
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTarget {
-                        target,
-                        pending: BTreeMap::new(),
-                        next_token: 0,
-                    },
-                    tx_factory,
-                    rx_factory,
-                }
+                let layer = NvmeLayer::Target {
+                    target,
+                    pending: BTreeMap::new(),
+                    next_token: 0,
+                };
+                let rx = t.crc_rx_offload.then(|| (RrMap::new(), false));
+                (Some(layer), t.crc_tx_offload, rx)
             }
-            ConnSpec::NvmeTlsHost(n, t) => {
-                let rr = RrMap::new();
-                let tls_tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let tls_rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let host = NvmeTcpHost::with_frames(
-                    NvmeHostConfig {
-                        mode,
-                        copy_offload: n.copy_offload,
-                        crc_offload: n.crc_offload,
-                    },
-                    rr.clone(),
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
-                );
-                let inner: Rc<RefCell<InnerTxShared>> = Rc::new(RefCell::new(InnerTxShared::default()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_out.clone(), tls_f_out.clone(), nvme_f_out.clone());
-                    let (inner, crc_tx) = (Rc::clone(&inner), n.crc_tx_offload);
+        };
+        let inner = (tls.is_some() && nvme.is_some())
+            .then(|| Rc::new(RefCell::new(InnerTxShared::default())));
+
+        let nvme_tx = nvme_tx.then(|| {
+            let fi = out.nvme_frames.clone();
+            move || TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
+        });
+        let nvme_rx = nvme_rx.map(|(rr, copy)| {
+            let fi = inn.nvme_frames.clone();
+            move || NvmeRxFlow::new(nmode(modeled, &fi), rr.clone(), copy)
+        });
+
+        // Engine nesting: the outermost *offloaded* layer owns the NIC
+        // engine. Under an offloaded TLS direction the NVMe engine nests
+        // inside it (§5.3); under a software TLS direction there is no
+        // engine at all — the NIC cannot see plaintext.
+        let (tx_factory, rx_factory) = match tls_spec {
+            None => (
+                nvme_tx.map(|mk| Rc::new(mk) as TxFactory),
+                nvme_rx.map(|mk| {
+                    Rc::new(move |at: Option<u64>| mk_rx(Box::new(mk()), at)) as RxFactory
+                }),
+            ),
+            Some(t) => (
+                t.tx_offload.then(|| {
+                    let (sess, fi, inner) = (out.sess.clone(), out.tls_frames.clone(), inner.clone());
                     Rc::new(move || {
-                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_tx {
-                            flow = flow.with_inner(
-                                TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &nfi))), 0, 0),
-                                Rc::clone(&inner) as Rc<RefCell<dyn L5TxSource>>,
-                            );
+                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &fi));
+                        if let (Some(mk), Some(inner)) = (&nvme_tx, &inner) {
+                            flow = flow
+                                .with_inner(mk(), Rc::clone(inner) as Rc<RefCell<dyn L5TxSource>>);
                         }
                         TxEngine::new(Box::new(flow), 0, 0)
                     }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_in.clone(), tls_f_in.clone(), nvme_f_in.clone());
-                    let (rr, copy, crc) = (rr.clone(), n.copy_offload, n.crc_offload);
+                }),
+                t.rx_offload.then(|| {
+                    let (sess, fi) = (inn.sess.clone(), inn.tls_frames.clone());
                     Rc::new(move |at: Option<u64>| {
-                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if copy || crc {
-                            flow = flow.with_inner(RxEngine::new(
-                                Box::new(NvmeRxFlow::new(nmode(modeled, &nfi), rr.clone(), copy)),
-                                0,
-                                0,
-                            ));
+                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &fi));
+                        if let Some(mk) = &nvme_rx {
+                            flow = flow.with_inner(RxEngine::new(Box::new(mk()), 0, 0));
                         }
                         mk_rx(Box::new(flow), at)
                     }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTlsHost {
-                        tls_tx,
-                        tls_rx,
-                        host,
-                        inner,
-                    },
-                    tx_factory,
-                    rx_factory,
-                }
-            }
-            ConnSpec::NvmeTlsTarget(tg, t) => {
-                let device = BlockDevice::new(BlockDeviceConfig {
-                    mode,
-                    ..tg.device
-                });
-                let tls_tx = KtlsTx::with_frames(
-                    sess_out.clone(),
-                    KtlsTxConfig {
-                        offload: t.tx_offload,
-                        zerocopy: t.zerocopy,
-                        mode,
-                    },
-                    tls_f_out.clone(),
-                );
-                let tls_rx = KtlsRx::new(sess_in.clone(), mode, modeled.then(|| tls_f_in.clone()));
-                let target = NvmeTcpTarget::with_frames(
-                    NvmeTargetConfig {
-                        mode,
-                        crc_tx_offload: tg.crc_tx_offload,
-                        crc_rx_offload: tg.crc_rx_offload,
-                        max_data_pdu: tg.max_data_pdu,
-                    },
-                    device,
-                    PduParser::new(nm(nvme_f_in)),
-                    nvme_f_out.clone(),
-                );
-                let inner: Rc<RefCell<InnerTxShared>> = Rc::new(RefCell::new(InnerTxShared::default()));
-                let tx_factory = t.tx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_out.clone(), tls_f_out.clone(), nvme_f_out.clone());
-                    let (inner, crc_tx) = (Rc::clone(&inner), tg.crc_tx_offload);
-                    Rc::new(move || {
-                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_tx {
-                            flow = flow.with_inner(
-                                TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &nfi))), 0, 0),
-                                Rc::clone(&inner) as Rc<RefCell<dyn L5TxSource>>,
-                            );
-                        }
-                        TxEngine::new(Box::new(flow), 0, 0)
-                    }) as TxFactory
-                });
-                let rx_factory = t.rx_offload.then(|| {
-                    let (sess, tfi, nfi) = (sess_in.clone(), tls_f_in.clone(), nvme_f_in.clone());
-                    let crc_rx = tg.crc_rx_offload;
-                    Rc::new(move |at: Option<u64>| {
-                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &tfi));
-                        if crc_rx {
-                            flow = flow.with_inner(RxEngine::new(
-                                Box::new(NvmeRxFlow::new(nmode(modeled, &nfi), RrMap::new(), false)),
-                                0,
-                                0,
-                            ));
-                        }
-                        mk_rx(Box::new(flow), at)
-                    }) as RxFactory
-                });
-                BuiltEndpoint {
-                    proto: Proto::NvmeTlsTarget {
-                        tls_tx,
-                        tls_rx,
-                        target,
-                        pending: BTreeMap::new(),
-                        next_token: 0,
-                        inner,
-                    },
-                    tx_factory,
-                    rx_factory,
-                }
-            }
+                }),
+            ),
+        };
+        BuiltEndpoint {
+            proto: Proto { tls, nvme, inner },
+            tx_factory,
+            rx_factory,
         }
     }
 
@@ -1869,20 +1725,14 @@ impl World {
 
     /// kTLS receive stats (record classification, Fig. 17b/18b).
     pub fn ktls_rx_stats(&self, host: usize, conn: ConnId) -> Option<ano_tls::ktls::KtlsRxStats> {
-        match &self.hosts[host].conns.get(&conn)?.proto {
-            Proto::Tls { rx, .. } => Some(rx.stats()),
-            Proto::NvmeTlsHost { tls_rx, .. } | Proto::NvmeTlsTarget { tls_rx, .. } => {
-                Some(tls_rx.stats())
-            }
-            _ => None,
-        }
+        let tls = self.hosts[host].conns.get(&conn)?.proto.tls.as_ref()?;
+        Some(tls.rx.stats())
     }
 
     /// NVMe host stats for an initiator connection.
     pub fn nvme_host_stats(&self, host: usize, conn: ConnId) -> Option<ano_nvme::host::NvmeHostStats> {
-        match &self.hosts[host].conns.get(&conn)?.proto {
-            Proto::NvmeHost { host: h } => Some(h.stats()),
-            Proto::NvmeTlsHost { host: h, .. } => Some(h.stats()),
+        match &self.hosts[host].conns.get(&conn)?.proto.nvme {
+            Some(NvmeLayer::Host(h)) => Some(h.stats()),
             _ => None,
         }
     }
@@ -1890,12 +1740,6 @@ impl World {
     /// TCP transmit stats.
     pub fn tcp_tx_stats(&self, host: usize, conn: ConnId) -> Option<ano_tcp::sender::SenderStats> {
         self.hosts[host].conns.get(&conn).map(|c| c.tcp.tx_stats())
-    }
-
-    /// Façade link statistics (`true`: host0 → host1).
-    pub fn link_stats(&self, dir0to1: bool) -> ano_sim::link::LinkStats {
-        let (src, dst) = if dir0to1 { (0, 1) } else { (1, 0) };
-        self.link_stats_between(src, dst)
     }
 
     /// Statistics of the `src → dst` link.
@@ -1936,13 +1780,20 @@ impl World {
     /// (drives Fig. 10's LLC cliff).
     pub fn set_nvme_working_set(&mut self, host: usize, conn: ConnId, ws: u64) {
         if let Some(c) = self.hosts[host].conns.get_mut(&conn) {
-            match &mut c.proto {
-                Proto::NvmeHost { host: h } => h.working_set = ws,
-                Proto::NvmeTlsHost { host: h, .. } => h.working_set = ws,
-                _ => {}
+            if let Some(NvmeLayer::Host(h)) = &mut c.proto.nvme {
+                h.working_set = ws;
             }
         }
     }
+}
+
+/// What the two endpoints of one direction of a connection share: the TLS
+/// session keys and the modeled-mode frame indexes — TLS records in
+/// TCP-stream offsets, NVMe capsules in their own (plaintext) stream offsets.
+struct StreamDir {
+    sess: TlsSession,
+    tls_frames: FrameIndex,
+    nvme_frames: FrameIndex,
 }
 
 struct BuiltEndpoint {
@@ -1958,29 +1809,28 @@ struct BuiltEndpoint {
 /// (`in_flow` is the flow whose bytes they consume). Transmit layers trace
 /// through the TCP sender and tx engine, which are scoped elsewhere.
 fn attach_proto_tracer(proto: &mut Proto, tracer: &ano_trace::Tracer, in_flow: FlowId) {
-    match proto {
-        Proto::Raw | Proto::NvmeTarget { .. } => {}
-        Proto::Tls { rx, .. } => rx.set_tracer(tracer.scoped(in_flow.0)),
-        Proto::NvmeHost { host } => host.set_tracer(tracer.scoped(in_flow.0)),
-        Proto::NvmeTlsHost { tls_rx, host, .. } => {
-            tls_rx.set_tracer(tracer.scoped(in_flow.0));
-            host.set_tracer(tracer.scoped(in_flow.0));
-        }
-        Proto::NvmeTlsTarget { tls_rx, .. } => tls_rx.set_tracer(tracer.scoped(in_flow.0)),
+    if let Some(tls) = &mut proto.tls {
+        tls.rx.set_tracer(tracer.scoped(in_flow.0));
+    }
+    if let Some(NvmeLayer::Host(host)) = &mut proto.nvme {
+        host.set_tracer(tracer.scoped(in_flow.0));
     }
 }
 
+/// Endpoints pair when both run TLS or neither does, and their NVMe roles
+/// are complementary (or absent on both).
 fn check_pairing(a: &ConnSpec, b: &ConnSpec) {
-    let ok = matches!(
-        (a, b),
-        (ConnSpec::Raw, ConnSpec::Raw)
-            | (ConnSpec::Tls(_), ConnSpec::Tls(_))
-            | (ConnSpec::NvmeHost(_), ConnSpec::NvmeTarget(_))
-            | (ConnSpec::NvmeTarget(_), ConnSpec::NvmeHost(_))
-            | (ConnSpec::NvmeTlsHost(..), ConnSpec::NvmeTlsTarget(..))
-            | (ConnSpec::NvmeTlsTarget(..), ConnSpec::NvmeTlsHost(..))
+    let ((tls_a, nvme_a), (tls_b, nvme_b)) = (a.layers(), b.layers());
+    let roles_ok = matches!(
+        (nvme_a, nvme_b),
+        (None, None)
+            | (Some(NvmeRole::Host(_)), Some(NvmeRole::Target(_)))
+            | (Some(NvmeRole::Target(_)), Some(NvmeRole::Host(_)))
     );
-    assert!(ok, "incompatible connection specs");
+    assert!(
+        tls_a.is_some() == tls_b.is_some() && roles_ok,
+        "incompatible connection specs"
+    );
 }
 
 #[cfg(test)]

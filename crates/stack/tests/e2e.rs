@@ -250,8 +250,15 @@ fn nvme_read_without_offload_copies_in_software() {
     assert!(b.iter().enumerate().all(|(j, &v)| v == pattern_byte(j as u64)));
 }
 
-#[test]
-fn nvme_write_roundtrip() {
+/// Writes 400 000 bytes (a few hundred packets) over the given NVMe spec
+/// pair, reads them back, and checks the bytes; on a clean link
+/// (`loss_0to1 == 0`) also that the target's rx engine — the inner one
+/// under TLS — offloaded packets.
+fn nvme_write_roundtrip(seed: u64, host: ConnSpec, target: ConnSpec, loss_0to1: f64) {
+    const WRITE_LEN: u32 = 400_000;
+    fn write_data() -> Vec<u8> {
+        (0..WRITE_LEN).map(|i| (i % 97) as u8).collect()
+    }
     struct Writer {
         conn: ConnId,
         done: Rc<RefCell<Vec<ano_nvme::host::Completion>>>,
@@ -261,29 +268,24 @@ fn nvme_write_roundtrip() {
         fn on_event(&mut self, api: &mut HostApi, event: AppEvent<'_>) {
             match event {
                 AppEvent::Start => {
-                    let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-                    api.nvme_write(self.conn, 1, 8192, Payload::real(data));
+                    api.nvme_write(self.conn, 1, 8192, Payload::real(write_data()));
                 }
                 AppEvent::NvmeDone { completion, .. } => {
                     self.done.borrow_mut().push(completion.clone());
                     if !self.read_after {
                         self.read_after = true;
-                        api.nvme_read(self.conn, 2, 8192, 10_000);
+                        api.nvme_read(self.conn, 2, 8192, WRITE_LEN);
                     }
                 }
                 _ => {}
             }
         }
     }
-    let mut w = World::new(functional_cfg(16));
-    let conn = w.connect(
-        ConnSpec::NvmeHost(NvmeHostSpec::offloaded()),
-        ConnSpec::NvmeTarget(NvmeTargetSpec {
-            crc_tx_offload: true,
-            crc_rx_offload: true,
-            ..Default::default()
-        }),
-    );
+    let mut w = World::new(WorldConfig {
+        impair_0to1: Impairments::loss(loss_0to1),
+        ..functional_cfg(seed)
+    });
+    let conn = w.connect(host, target);
     let done = Rc::new(RefCell::new(Vec::new()));
     w.set_app(
         0,
@@ -294,13 +296,59 @@ fn nvme_write_roundtrip() {
         }),
     );
     w.start();
-    w.run_until(SimTime::from_secs(5));
+    w.run_until(SimTime::from_secs(30));
     let comps = done.borrow();
     assert_eq!(comps.len(), 2, "write then read-back completed");
     assert!(comps.iter().all(|c| c.ok));
-    let expect: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
     let read_back = comps[1].buffer.as_ref().expect("read buffer").borrow();
-    assert_eq!(&read_back[..], &expect[..], "written bytes read back via the wire");
+    assert_eq!(&read_back[..], &write_data()[..], "written bytes read back via the wire");
+    if loss_0to1 > 0.0 {
+        assert!(w.link_stats_between(0, 1).lost > 0, "the link did drop packets");
+    } else {
+        let rx = w.rx_engine_stats(1, conn).expect("target rx engine");
+        assert!(rx.pkts_offloaded > 0, "target rx engine offloaded the write data");
+        let tx = w.tx_engine_stats(0, conn).expect("host tx engine");
+        assert!(tx.pkts_offloaded > 0, "host tx engine carried the write data");
+    }
+}
+
+fn offloaded_target() -> NvmeTargetSpec {
+    NvmeTargetSpec {
+        crc_tx_offload: true,
+        crc_rx_offload: true,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn nvme_write_roundtrip_plain() {
+    nvme_write_roundtrip(
+        16,
+        ConnSpec::NvmeHost(NvmeHostSpec::offloaded()),
+        ConnSpec::NvmeTarget(offloaded_target()),
+        0.0,
+    );
+}
+
+#[test]
+fn nvme_write_roundtrip_over_tls() {
+    nvme_write_roundtrip(
+        16,
+        ConnSpec::NvmeTlsHost(NvmeHostSpec::offloaded(), TlsSpec::offloaded()),
+        ConnSpec::NvmeTlsTarget(offloaded_target(), TlsSpec::offloaded()),
+        0.0,
+    );
+}
+
+#[test]
+fn nvme_write_roundtrip_over_tls_with_loss() {
+    // 1 % loss on the host → target direction, the one the write data takes.
+    nvme_write_roundtrip(
+        16,
+        ConnSpec::NvmeTlsHost(NvmeHostSpec::offloaded(), TlsSpec::offloaded()),
+        ConnSpec::NvmeTlsTarget(offloaded_target(), TlsSpec::offloaded()),
+        0.01,
+    );
 }
 
 #[test]

@@ -14,9 +14,7 @@
 //!
 //! All CPU work is returned as cycle counts priced by the [`CostModel`].
 
-use std::collections::VecDeque;
-
-use ano_core::flow::TxMsgRef;
+use ano_core::flow::{ResyncResponder, TxMsgLog, TxMsgRef};
 use ano_core::msg::FrameIndex;
 use ano_crypto::gcm::{Direction, GcmStream};
 use ano_sim::cost::CostModel;
@@ -53,10 +51,8 @@ pub struct KtlsTxStats {
 pub struct KtlsTx {
     session: TlsSession,
     cfg: KtlsTxConfig,
-    frames: FrameIndex,
-    stream_off: u64,
-    next_seq: u64,
-    records: VecDeque<TxMsgRef>,
+    /// One entry per record; a record's log index is its TLS sequence number.
+    log: TxMsgLog,
     stats: KtlsTxStats,
 }
 
@@ -72,17 +68,14 @@ impl KtlsTx {
         KtlsTx {
             session,
             cfg,
-            frames,
-            stream_off: 0,
-            next_seq: 0,
-            records: VecDeque::new(),
+            log: TxMsgLog::with_frames(frames),
             stats: KtlsTxStats::default(),
         }
     }
 
     /// The shared frame index (hand to modeled-mode NIC engines).
     pub fn frames(&self) -> FrameIndex {
-        self.frames.clone()
+        self.log.frames()
     }
 
     /// Counters.
@@ -92,7 +85,7 @@ impl KtlsTx {
 
     /// Current TCP-stream offset (bytes handed down so far).
     pub fn stream_off(&self) -> u64 {
-        self.stream_off
+        self.log.end()
     }
 
     /// Frames `app` into records; returns the wire chunks for TCP and the
@@ -131,7 +124,7 @@ impl KtlsTx {
                     // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
                     let plain = chunk.as_real().expect("functional mode requires real bytes");
                     cycles += cost.record_alloc + cost.encrypt_cycles(take);
-                    Payload::real(self.session.seal_record(self.next_seq, plain))
+                    Payload::real(self.session.seal_record(self.log.count(), plain))
                 }
                 (DataMode::Modeled, offload) => {
                     if offload {
@@ -144,14 +137,7 @@ impl KtlsTx {
                     Payload::synthetic(take + HEADER_LEN + TAG_LEN)
                 }
             };
-            let total = wire.len() as u32;
-            self.frames.push(self.stream_off, total);
-            self.records.push_back(TxMsgRef {
-                msg_start: self.stream_off,
-                msg_index: self.next_seq,
-            });
-            self.stream_off += total as u64;
-            self.next_seq += 1;
+            self.log.push(wire.len() as u32, None);
             self.stats.records += 1;
             out.push(wire);
             off += take;
@@ -161,33 +147,13 @@ impl KtlsTx {
 
     /// `l5o_get_tx_msgstate`: the record containing stream offset `off`.
     pub fn record_at(&self, off: u64) -> Option<TxMsgRef> {
-        if off >= self.stream_off {
-            return None;
-        }
-        let i = self.records.partition_point(|r| r.msg_start <= off);
-        if i == 0 {
-            None
-        } else {
-            Some(self.records[i - 1])
-        }
+        self.log.msg_at(off)
     }
 
     /// Releases record references below the cumulative ack (§4.2: "the L5P
     /// releases its reference when the entire message is acknowledged").
     pub fn release_below(&mut self, acked: u64) {
-        while !self.records.is_empty() {
-            let next_start = self
-                .records
-                .get(1)
-                .map(|r| r.msg_start)
-                .unwrap_or(self.stream_off);
-            if next_start <= acked {
-                self.records.pop_front();
-            } else {
-                break;
-            }
-        }
-        self.frames.prune_below(acked);
+        self.log.release_below(acked);
     }
 }
 
@@ -253,12 +219,8 @@ pub struct KtlsRx {
     cur: Option<(u32, u64)>,
     /// Collected body+tag byte runs of the current record.
     parts: Vec<(Payload, SkbFlags)>,
-    /// Recent record starts for resync confirmation: (offset, index).
-    starts: VecDeque<(u64, u64)>,
-    /// Outstanding `l5o_resync_rx_req` offsets from the NIC.
-    pending: Vec<u64>,
-    /// Ready `l5o_resync_rx_resp` answers: (tcpsn, ok, msg_index).
-    responses: Vec<(u64, bool, u64)>,
+    /// `l5o_resync_rx_req`/`resp` bookkeeping over the record stream.
+    resync: ResyncResponder,
     stats: KtlsRxStats,
     tracer: ano_trace::Tracer,
 }
@@ -283,9 +245,7 @@ impl KtlsRx {
             hdr_start: 0,
             cur: None,
             parts: Vec::new(),
-            starts: VecDeque::new(),
-            pending: Vec::new(),
-            responses: Vec::new(),
+            resync: ResyncResponder::default(),
             stats: KtlsRxStats::default(),
             tracer: ano_trace::Tracer::default(),
         }
@@ -302,32 +262,10 @@ impl KtlsRx {
         self.stats
     }
 
-    /// Registers a NIC resync request (`l5o_resync_rx_req`).
-    pub fn on_resync_request(&mut self, tcpsn: u64) {
-        self.pending.push(tcpsn);
-        self.flush_resyncs();
-    }
-
-    /// Drains ready resync answers for the driver.
-    pub fn take_resync_responses(&mut self) -> Vec<(u64, bool, u64)> {
-        std::mem::take(&mut self.responses)
-    }
-
-    fn flush_resyncs(&mut self) {
-        // ano-lint: allow(hot-alloc): capacity-0; fills only while resync responses are pending
-        let mut still = Vec::new();
-        for tcpsn in std::mem::take(&mut self.pending) {
-            if tcpsn >= self.pos {
-                still.push(tcpsn); // stream has not reached it yet
-                continue;
-            }
-            let hit = self.starts.iter().find(|&&(o, _)| o == tcpsn);
-            match hit {
-                Some(&(_, idx)) => self.responses.push((tcpsn, true, idx)),
-                None => self.responses.push((tcpsn, false, 0)),
-            }
-        }
-        self.pending = still;
+    /// The resync responder over this layer's wire stream (the driver
+    /// registers `l5o_resync_rx_req`s and drains the answers here).
+    pub fn resync_mut(&mut self) -> &mut ResyncResponder {
+        &mut self.resync
     }
 
     /// Consumes in-order chunks from TCP; returns plaintext chunks and the
@@ -392,7 +330,7 @@ impl KtlsRx {
                             self.hdr_buf.clear();
                             match total {
                                 Some(total) => {
-                                    self.starts_mark(start);
+                                    self.resync.note_start(start);
                                     self.begin_record(total, start);
                                 }
                                 None => {
@@ -420,17 +358,9 @@ impl KtlsRx {
                     }
                 }
             }
-            self.flush_resyncs();
+            self.resync.flush(self.pos);
         }
         cycles
-    }
-
-    fn starts_mark(&mut self, off: u64) {
-        // Bounded history of record starts for resync confirmation.
-        if self.starts.len() >= 4096 {
-            self.starts.pop_front();
-        }
-        self.starts.push_back((off, self.next_seq));
     }
 
     fn begin_record(&mut self, total: u32, start: u64) {
@@ -826,38 +756,18 @@ mod tests {
 
         let mut rx = KtlsRx::new(s, DataMode::Functional, None);
         // NIC asks about a boundary before software reaches it.
-        rx.on_resync_request(rec1_start);
-        rx.on_resync_request(rec1_start + 3); // not a boundary
-        assert!(rx.take_resync_responses().is_empty(), "not reached yet");
+        rx.resync_mut().request(rec1_start);
+        rx.resync_mut().request(rec1_start + 3); // not a boundary
+        assert_eq!(rx.resync_mut().take().count(), 0, "not reached yet");
 
         let mut off = 0u64;
         for ch in stream.chunks(1448) {
             rx.on_chunks([chunk(off, ch.to_vec(), false)], &c);
             off += ch.len() as u64;
         }
-        let mut resp = rx.take_resync_responses();
+        let mut resp: Vec<_> = rx.resync_mut().take().collect();
         resp.sort();
         assert_eq!(resp, vec![(rec1_start, true, 1), (rec1_start + 3, false, 0)]);
-    }
-
-    #[test]
-    fn release_below_trims_record_map() {
-        let s = sessions();
-        let mut tx = KtlsTx::new(
-            s,
-            KtlsTxConfig {
-                offload: true,
-                zerocopy: true,
-                mode: DataMode::Modeled,
-            },
-        );
-        let (_, _) = tx.send(&Payload::synthetic(50_000), &cost());
-        assert!(tx.record_at(0).is_some());
-        let second = tx.record_at(20_000).expect("second record");
-        tx.release_below(second.msg_start);
-        assert!(tx.record_at(0).is_none(), "first record released");
-        assert!(tx.record_at(second.msg_start + 1).is_some());
-        assert!(tx.record_at(tx.stream_off()).is_none());
     }
 
     #[test]

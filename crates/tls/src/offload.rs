@@ -414,19 +414,12 @@ mod tests {
     /// A transmit source over a pre-built plaintext-record stream.
     struct Src {
         stream: Vec<u8>,
-        starts: Vec<u64>,
+        records: ano_core::flow::TxMsgLog,
     }
 
     impl L5TxSource for Src {
         fn msg_at(&self, off: u64) -> Option<ano_core::flow::TxMsgRef> {
-            let i = self.starts.partition_point(|&s| s <= off);
-            if i == 0 {
-                return None;
-            }
-            Some(ano_core::flow::TxMsgRef {
-                msg_start: self.starts[i - 1],
-                msg_index: (i - 1) as u64,
-            })
+            self.records.msg_at(off)
         }
         fn stream_bytes(&self, f: u64, t: u64) -> Payload {
             Payload::real(self.stream[f as usize..t as usize].to_vec())
@@ -436,14 +429,14 @@ mod tests {
     /// Builds the "skipped" transmit stream: header + plaintext + zero ICV.
     fn skipped_stream(records: &[Vec<u8>]) -> Src {
         let mut stream = Vec::new();
-        let mut starts = Vec::new();
+        let mut log = ano_core::flow::TxMsgLog::default();
         for r in records {
-            starts.push(stream.len() as u64);
+            log.push((r.len() + OVERHEAD) as u32, None);
             stream.extend_from_slice(&RecordHeader::for_plaintext(r.len()).encode());
             stream.extend_from_slice(r);
             stream.extend_from_slice(&[0u8; TAG_LEN]);
         }
-        Src { stream, starts }
+        Src { stream, records: log }
     }
 
     #[test]

@@ -91,24 +91,25 @@ echo "== device-fault chaos matrix: degradation under install/mailbox/reset faul
 # each offloaded-with-faults vs its fault-free software twin, asserting
 # byte-identical streams plus the declared degradation (re-offload after
 # transient faults, breaker-open with the right reason after persistent ones).
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test chaos -- --include-ignored
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test chaos -- --ignored
 
 echo "== fleet: N×M topology, context-cache sensitivity, churn storm =="
 # `fleet/scale`: 2048 flows over 8x2 hosts through 256-entry server caches
-# (~90s), on top of the default `fleet/*` tests (the §6.5 sensitivity curve
-# against its committed data, the thrash-breaker pair, the churn storm).
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test fleet -- --include-ignored
+# (~90s). The default `fleet/*` tests (the §6.5 sensitivity curve against
+# its committed data, the thrash-breaker pair, the churn storm) ran above.
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test fleet -- --ignored
 
 echo "== netchaos: fleet partition/repair plans, holds, impairment sweeps =="
-# The 14 `netchaos/*` entries (partition/repair plans over fleet subsets x
-# {TLS, NVMe} x fleet shapes, each vs its software twin on the same network)
-# and the rack-partition-mid-churn scale run.
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test netchaos -- --include-ignored
+# The #[ignore]d netchaos runs: the full 14-entry `netchaos/*` matrix
+# (partition/repair plans over fleet subsets x {TLS, NVMe} x fleet shapes,
+# each vs its software twin on the same network) and the
+# rack-partition-mid-churn scale run.
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test netchaos -- --ignored
 
 echo "== rss: multi-queue steering, per-core stacks, flow rebalancing =="
 # `rss/scale`: 512 flows over 16 queues vs the single-queue twin (the
 # Toeplitz hash properties in ano-core's rss_prop ran with the workspace).
-CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --include-ignored
+CARGO_NET_OFFLINE=true timeout 900 cargo test -q -p ano-scenario --test rss -- --ignored
 
 echo "== trace determinism: same seed, same bytes, across processes =="
 # The golden workflow only works if traces are process-independent. Run the
