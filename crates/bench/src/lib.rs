@@ -3,13 +3,10 @@
 //! * [`runners`] — reusable experiment engines over `ano-stack` worlds;
 //! * [`figures`] — one function per paper table/figure, printing the same
 //!   rows/series the paper reports (driven by the `figures` binary);
-//! * [`data`] — embedded datasets behind the motivation figures;
-//! * [`micro`] — the in-repo micro-benchmark harness (hermetic criterion
-//!   stand-in) driving the `[[bench]]` targets in `benches/`.
+//! * [`data`] — embedded datasets behind the motivation figures.
 
 #![forbid(unsafe_code)]
 
 pub mod data;
 pub mod figures;
-pub mod micro;
 pub mod runners;

@@ -4,7 +4,6 @@
 use ano_apps::fio::Fio;
 use ano_apps::httpd::{Backing, Client, Server};
 use ano_apps::iperf::{IperfSender, IperfSink};
-use ano_core::fault::DeviceFaults;
 use ano_core::nic::NicConfig;
 use ano_sim::link::Impairments;
 use ano_sim::payload::DataMode;
@@ -69,12 +68,6 @@ pub struct IperfCfg {
     pub window: SimDuration,
     /// Seed.
     pub seed: u64,
-    /// Enable the world tracer (the `trace_overhead` bench measures the
-    /// cost of flipping this; figures leave it off).
-    pub trace: bool,
-    /// Device-fault plan installed on the receiver before connecting (the
-    /// `fault_overhead` bench measures its cost; figures leave it empty).
-    pub faults: DeviceFaults,
 }
 
 impl Default for IperfCfg {
@@ -89,8 +82,6 @@ impl Default for IperfCfg {
             warmup: SimDuration::from_millis(60),
             window: SimDuration::from_millis(100),
             seed: 42,
-            trace: false,
-            faults: DeviceFaults::none(),
         }
     }
 }
@@ -127,8 +118,6 @@ pub fn run_iperf(cfg: &IperfCfg) -> IperfResult {
         tcp: dc_tcp(),
         ..Default::default()
     });
-    w.tracer().set_enabled(cfg.trace);
-    w.set_device_faults(1, cfg.faults.clone());
     let conns: Vec<ConnId> = (0..cfg.conns)
         .map(|_| w.connect(cfg.variant.spec(), cfg.variant.spec()))
         .collect();
@@ -557,7 +546,7 @@ fn layer_cycles(w: &World) -> (u64, u64) {
 }
 
 /// Datacenter-tuned TCP (back-to-back links; Linux-like fast loss
-/// recovery is approximated with a 1 ms minimum RTO).
+/// recovery is approximated with a 4 ms minimum RTO).
 pub fn dc_tcp() -> TcpConfig {
     TcpConfig {
         min_rto: ano_sim::time::SimDuration::from_millis(4),

@@ -20,9 +20,9 @@
 //!   runtime turns into simulation events when the plan is installed.
 //!
 //! With no rules and no scheduled faults (the default), every query is a
-//! counter bump plus an empty-slice scan — the fault layer costs nothing
-//! on the hot path when unused, which `ano-bench`'s `fault_overhead`
-//! harness checks.
+//! counter bump plus an empty-slice scan — the fault layer is inert when
+//! unused, which `empty_fault_plan_is_inert` in `ano-stack`'s
+//! `tests/faults.rs` checks.
 
 use ano_sim::link::Match;
 use ano_sim::time::{SimDuration, SimTime};

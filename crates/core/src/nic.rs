@@ -142,6 +142,18 @@ pub struct RxProcess {
     pub cache_miss: bool,
 }
 
+impl RxProcess {
+    /// What a packet no offload engine looked at gets: default flags.
+    fn pass_through() -> RxProcess {
+        RxProcess {
+            flags: SkbFlags::default(),
+            // ano-lint: allow(hot-alloc): capacity-0 events placeholder
+            events: Vec::new(),
+            cache_miss: false,
+        }
+    }
+}
+
 /// Result of NIC transmit processing for one packet.
 #[derive(Debug)]
 pub struct TxProcess {
@@ -153,11 +165,32 @@ pub struct TxProcess {
     pub cache_miss: bool,
 }
 
+/// Everything the NIC holds for one flow — the paper's §4 per-flow HW
+/// context plus the flow's filter-table (steering) entries. The engines
+/// come and go with offload install, teardown and device reset; the
+/// steering fields are a property of the *flow*, not of its offload
+/// context, and live until [`Nic::destroy`].
+#[derive(Default)]
+struct FlowCtx {
+    rx: Option<RxEngine>,
+    tx: Option<TxEngine>,
+    /// The flow's hash bucket, computed once at [`Nic::steer_rx`] so the
+    /// per-packet path is a table lookup, not a 96-bit hash. `None` for
+    /// unsteered flows.
+    rx_bucket: Option<usize>,
+    /// The rx queue the flow most recently landed on (crossing detection;
+    /// 0 until steered — a single-queue NIC has only queue 0).
+    rx_queue: u16,
+    /// Transmit-queue pinning (XPS-style: the driver points a flow's tx
+    /// completions at the queue of the core that runs it).
+    tx_queue: u16,
+}
+
 /// One NIC with autonomous-offload engines.
 pub struct Nic {
     cfg: NicConfig,
-    rx: BTreeMap<FlowId, RxEngine>,
-    tx: BTreeMap<FlowId, TxEngine>,
+    /// The one per-flow table, iterated in flow-id order.
+    flows: BTreeMap<FlowId, FlowCtx>,
     cache: LruSet<(FlowId, Dir)>,
     counters: NicCounters,
     tracer: ano_trace::Tracer,
@@ -165,16 +198,6 @@ pub struct Nic {
     /// a single-queue NIC (steering to queue 0 is trivially correct) but
     /// only consulted when `cfg.rx_queues > 1`.
     steering: RssSteering,
-    /// Each steered flow's hash bucket, computed once at [`Nic::steer_rx`]
-    /// so the per-packet path is a table lookup, not a 96-bit hash.
-    rx_bucket: BTreeMap<FlowId, usize>,
-    /// The rx queue each steered flow most recently landed on (crossing
-    /// detection). Survives engine teardown — steering is a filter-table
-    /// property of the *flow*, not of its offload context.
-    rx_queue: BTreeMap<FlowId, u16>,
-    /// Transmit-queue pinning (XPS-style: the driver points a flow's tx
-    /// completions at the queue of the core that runs it).
-    tx_queue: BTreeMap<FlowId, u16>,
     /// Per-queue received-packet counters (queue-imbalance accounting).
     queue_rx_pkts: Vec<u64>,
     /// Per-queue transmitted-packet counters.
@@ -192,8 +215,8 @@ pub struct Nic {
 impl std::fmt::Debug for Nic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Nic")
-            .field("rx_flows", &self.rx.len())
-            .field("tx_flows", &self.tx.len())
+            .field("rx_flows", &self.flows.values().filter(|c| c.rx.is_some()).count())
+            .field("tx_flows", &self.flows.values().filter(|c| c.tx.is_some()).count())
             .field("counters", &self.counters)
             .finish()
     }
@@ -214,15 +237,11 @@ impl Nic {
         }
         Nic {
             cfg,
-            rx: BTreeMap::new(),
-            tx: BTreeMap::new(),
+            flows: BTreeMap::new(),
             cache: LruSet::new(cfg.ctx_cache_capacity),
             counters: NicCounters::default(),
             tracer: ano_trace::Tracer::default(),
             steering: RssSteering::new(cfg.rx_queues, cfg.rss_buckets, cfg.rss_key_seed),
-            rx_bucket: BTreeMap::new(),
-            rx_queue: BTreeMap::new(),
-            tx_queue: BTreeMap::new(),
             queue_rx_pkts: vec![0; cfg.rx_queues as usize],
             queue_tx_pkts: vec![0; cfg.rx_queues as usize],
             epoch: 0,
@@ -254,27 +273,25 @@ impl Nic {
     /// Registers a receive offload for `flow` (`l5o_create`, rx half).
     pub fn install_rx(&mut self, flow: FlowId, mut engine: RxEngine) {
         engine.set_tracer(self.tracer.scoped(flow.0));
-        engine.set_queue(self.rx_queue_of(flow));
-        self.rx.insert(flow, engine);
+        let ctx = self.flows.entry(flow).or_default();
+        engine.set_queue(ctx.rx_queue);
+        ctx.rx = Some(engine);
     }
 
     /// Registers a transmit offload for `flow` (`l5o_create`, tx half).
     pub fn install_tx(&mut self, flow: FlowId, mut engine: TxEngine) {
         engine.set_tracer(self.tracer.scoped(flow.0));
-        engine.set_queue(self.tx_queue.get(&flow).copied().unwrap_or(0));
-        self.tx.insert(flow, engine);
+        let ctx = self.flows.entry(flow).or_default();
+        engine.set_queue(ctx.tx_queue);
+        ctx.tx = Some(engine);
     }
 
     /// Tears down a flow's offloads (`l5o_destroy`). Orderly teardown
     /// writes resident contexts back over PCIe.
     pub fn destroy(&mut self, flow: FlowId) {
-        self.rx.remove(&flow);
-        self.tx.remove(&flow);
+        self.flows.remove(&flow);
         self.writeback_remove(flow, Dir::Rx);
         self.writeback_remove(flow, Dir::Tx);
-        self.rx_bucket.remove(&flow);
-        self.rx_queue.remove(&flow);
-        self.tx_queue.remove(&flow);
     }
 
     /// Removes a cache entry, charging the write-back if it was resident.
@@ -290,21 +307,17 @@ impl Nic {
     /// flow's trace shows it leaving offload. Returns whether an engine
     /// was present.
     pub fn uninstall_rx(&mut self, flow: FlowId) -> bool {
-        let present = match self.rx.get_mut(&flow) {
-            Some(e) => {
-                e.quiesce();
-                true
-            }
-            None => false,
-        };
-        self.rx.remove(&flow);
+        let mut engine = self.flows.get_mut(&flow).and_then(|c| c.rx.take());
+        if let Some(e) = engine.as_mut() {
+            e.quiesce();
+        }
         self.writeback_remove(flow, Dir::Rx);
-        present
+        engine.is_some()
     }
 
     /// Uninstalls a flow's transmit offload (breaker opening, tx half).
     pub fn uninstall_tx(&mut self, flow: FlowId) -> bool {
-        let present = self.tx.remove(&flow).is_some();
+        let present = self.flows.get_mut(&flow).and_then(|c| c.tx.take()).is_some();
         self.writeback_remove(flow, Dir::Tx);
         present
     }
@@ -315,11 +328,10 @@ impl Nic {
     /// answers for the dead context are discarded. Returns whether a
     /// context existed.
     pub fn invalidate_rx(&mut self, flow: FlowId) -> bool {
-        let Some(e) = self.rx.get_mut(&flow) else {
+        let Some(mut e) = self.flows.get_mut(&flow).and_then(|c| c.rx.take()) else {
             return false;
         };
         e.quiesce();
-        self.rx.remove(&flow);
         self.cache.remove(&(flow, Dir::Rx));
         self.epoch += 1;
         self.tracer
@@ -334,7 +346,7 @@ impl Nic {
     /// processes payload with a bad cursor). Returns whether a context
     /// existed.
     pub fn corrupt_rx(&mut self, flow: FlowId) -> bool {
-        let Some(e) = self.rx.get_mut(&flow) else {
+        let Some(e) = self.rx_engine_mut(flow) else {
             return false;
         };
         e.corrupt_context();
@@ -351,12 +363,14 @@ impl Nic {
     /// chain-legal across the reinstall that follows. Returns how many
     /// engine contexts were wiped.
     pub fn reset(&mut self) -> u64 {
-        for e in self.rx.values_mut() {
-            e.quiesce();
+        let mut wiped = 0;
+        for ctx in self.flows.values_mut() {
+            if let Some(mut e) = ctx.rx.take() {
+                e.quiesce();
+                wiped += 1;
+            }
+            wiped += u64::from(ctx.tx.take().is_some());
         }
-        let wiped = (self.rx.len() + self.tx.len()) as u64;
-        self.rx.clear();
-        self.tx.clear();
         self.cache.wipe();
         self.epoch += 1;
         self.tracer.record(|| ano_trace::Event::DeviceReset { wiped });
@@ -366,12 +380,12 @@ impl Nic {
 
     /// True if `flow` has a receive offload installed.
     pub fn has_rx(&self, flow: FlowId) -> bool {
-        self.rx.contains_key(&flow)
+        self.rx_engine(flow).is_some()
     }
 
     /// True if `flow` has a transmit offload installed.
     pub fn has_tx(&self, flow: FlowId) -> bool {
-        self.tx.contains_key(&flow)
+        self.flows.get(&flow).is_some_and(|c| c.tx.is_some())
     }
 
     /// Aggregate counters.
@@ -381,17 +395,21 @@ impl Nic {
 
     /// Per-flow receive-engine stats.
     pub fn rx_stats(&self, flow: FlowId) -> Option<RxStats> {
-        self.rx.get(&flow).map(|e| e.stats())
+        self.rx_engine(flow).map(|e| e.stats())
     }
 
     /// Per-flow transmit-engine stats.
     pub fn tx_stats(&self, flow: FlowId) -> Option<TxStats> {
-        self.tx.get(&flow).map(|e| e.stats())
+        self.flows.get(&flow).and_then(|c| c.tx.as_ref()).map(|e| e.stats())
     }
 
     /// Immutable access to a flow's receive engine.
     pub fn rx_engine(&self, flow: FlowId) -> Option<&RxEngine> {
-        self.rx.get(&flow)
+        self.flows.get(&flow).and_then(|c| c.rx.as_ref())
+    }
+
+    fn rx_engine_mut(&mut self, flow: FlowId) -> Option<&mut RxEngine> {
+        self.flows.get_mut(&flow).and_then(|c| c.rx.as_mut())
     }
 
     /// Number of receive queues.
@@ -407,9 +425,10 @@ impl Nic {
     pub fn steer_rx(&mut self, flow: FlowId, tuple: FourTuple) -> u16 {
         let bucket = self.steering.bucket_of(&tuple);
         let q = self.steering.queue_of_bucket(bucket);
-        self.rx_bucket.insert(flow, bucket);
-        self.rx_queue.insert(flow, q);
-        if let Some(e) = self.rx.get_mut(&flow) {
+        let ctx = self.flows.entry(flow).or_default();
+        ctx.rx_bucket = Some(bucket);
+        ctx.rx_queue = q;
+        if let Some(e) = ctx.rx.as_mut() {
             e.set_queue(q);
         }
         if self.multi_queue() {
@@ -425,8 +444,9 @@ impl Nic {
     /// Out-of-range queues are ignored, as in [`RssSteering::set_bucket`].
     pub fn steer_tx(&mut self, flow: FlowId, queue: u16) {
         if queue < self.cfg.rx_queues {
-            self.tx_queue.insert(flow, queue);
-            if let Some(e) = self.tx.get_mut(&flow) {
+            let ctx = self.flows.entry(flow).or_default();
+            ctx.tx_queue = queue;
+            if let Some(e) = ctx.tx.as_mut() {
                 e.set_queue(queue);
             }
         }
@@ -435,12 +455,12 @@ impl Nic {
     /// The rx queue a steered flow most recently landed on (0 for
     /// unsteered flows — a single-queue NIC has only queue 0).
     pub fn rx_queue_of(&self, flow: FlowId) -> u16 {
-        self.rx_queue.get(&flow).copied().unwrap_or(0)
+        self.flows.get(&flow).map_or(0, |c| c.rx_queue)
     }
 
     /// The indirection bucket a steered flow hashes into.
     pub fn rx_bucket_of(&self, flow: FlowId) -> Option<usize> {
-        self.rx_bucket.get(&flow).copied()
+        self.flows.get(&flow).and_then(|c| c.rx_bucket)
     }
 
     /// The current RSS indirection table (bucket → queue).
@@ -484,42 +504,6 @@ impl Nic {
         max as f64 * n as f64 / total as f64
     }
 
-    /// Per-packet rx steering: charge the packet to the flow's current
-    /// queue and detect queue crossings after an indirection-table
-    /// reprogram. A crossing moves the flow's context into another
-    /// queue's working set, modeled as an eviction (write-back + traced
-    /// `device.ctx-evict`) so the next [`Nic::touch_cache`] pays a miss —
-    /// the thrash physics that couples the rebalancer to the PR-5
-    /// cache-thrash breaker. No-op unless `rx_queues > 1`.
-    fn note_rx_queue(&mut self, flow: FlowId) {
-        if !self.multi_queue() {
-            return;
-        }
-        let Some(&bucket) = self.rx_bucket.get(&flow) else {
-            return;
-        };
-        let q = self.steering.queue_of_bucket(bucket);
-        // ano-lint: allow(transitive-panic): queue id is produced by the RSS table and bounded by its length
-        self.queue_rx_pkts[q as usize] += 1;
-        let prev = self.rx_queue.insert(flow, q);
-        if prev.is_some() && prev != Some(q) {
-            self.counters.queue_crossings += 1;
-            self.tracer.count("nic.queue_crossings", 1);
-            if let Some(e) = self.rx.get_mut(&flow) {
-                e.set_queue(q);
-            }
-            if self.cache.remove(&(flow, Dir::Rx)) {
-                self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
-                self.tracer
-                    .scoped(flow.0)
-                    .record(|| ano_trace::Event::CtxEvict { dir: "rx" });
-            }
-            self.tracer
-                .scoped(flow.0)
-                .record(|| ano_trace::Event::NicQueue { queue: q });
-        }
-    }
-
     fn touch_cache(&mut self, flow: FlowId, dir: Dir) -> bool {
         let (outcome, evicted) = self.cache.touch_evict(&(flow, dir));
         let miss = outcome == CacheOutcome::Miss;
@@ -552,24 +536,44 @@ impl Nic {
         // Zero-length segments (pure ACKs) carry no stream bytes; their
         // sequence number is not meaningful to the offload cursor.
         if payload.is_empty() {
-            return RxProcess {
-                flags: SkbFlags::default(),
-                // ano-lint: allow(hot-alloc): capacity-0 events placeholder
-                events: Vec::new(),
-                cache_miss: false,
-            };
+            return RxProcess::pass_through();
         }
+        let multi_queue = self.multi_queue();
+        let Some(ctx) = self.flows.get_mut(&flow) else {
+            return RxProcess::pass_through();
+        };
         // Queue steering happens in hardware before any offload engine
         // sees the packet — software (pass-through) flows land on queues
-        // too, which is what routes them to per-core stacks.
-        self.note_rx_queue(flow);
-        let Some(engine) = self.rx.get_mut(&flow) else {
-            return RxProcess {
-                flags: SkbFlags::default(),
-                // ano-lint: allow(hot-alloc): capacity-0 events placeholder
-                events: Vec::new(),
-                cache_miss: false,
-            };
+        // too, which is what routes them to per-core stacks. Charge the
+        // packet to the flow's current queue and detect a crossing after
+        // an indirection-table reprogram: it moves the flow's context into
+        // another queue's working set, modeled as an eviction (write-back +
+        // traced `device.ctx-evict`) so the `touch_cache` below pays a miss
+        // — the thrash physics that couples the rebalancer to the PR-5
+        // cache-thrash breaker.
+        if let (true, Some(bucket)) = (multi_queue, ctx.rx_bucket) {
+            let q = self.steering.queue_of_bucket(bucket);
+            // ano-lint: allow(transitive-panic): queue id is produced by the RSS table and bounded by its length
+            self.queue_rx_pkts[q as usize] += 1;
+            if std::mem::replace(&mut ctx.rx_queue, q) != q {
+                self.counters.queue_crossings += 1;
+                self.tracer.count("nic.queue_crossings", 1);
+                if let Some(e) = ctx.rx.as_mut() {
+                    e.set_queue(q);
+                }
+                if self.cache.remove(&(flow, Dir::Rx)) {
+                    self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
+                    self.tracer
+                        .scoped(flow.0)
+                        .record(|| ano_trace::Event::CtxEvict { dir: "rx" });
+                }
+                self.tracer
+                    .scoped(flow.0)
+                    .record(|| ano_trace::Event::NicQueue { queue: q });
+            }
+        }
+        let Some(engine) = ctx.rx.as_mut() else {
+            return RxProcess::pass_through();
         };
         let flags = with_dataref(payload, |d| engine.on_packet(seq, d));
         let events = engine.take_events();
@@ -602,7 +606,7 @@ impl Nic {
                 .record(|| ano_trace::Event::StaleResyncResp { tcpsn });
             return;
         }
-        if let Some(e) = self.rx.get_mut(&flow) {
+        if let Some(e) = self.rx_engine_mut(flow) {
             e.on_resync_response(layer, tcpsn, ok, msg_index);
         }
     }
@@ -617,12 +621,14 @@ impl Nic {
         payload: &mut Payload,
         src: &dyn L5TxSource,
     ) -> TxProcess {
-        if self.multi_queue() && !payload.is_empty() {
-            let q = self.tx_queue.get(&flow).copied().unwrap_or(0);
+        let multi_queue = self.multi_queue();
+        let ctx = self.flows.get_mut(&flow);
+        if multi_queue && !payload.is_empty() {
+            let q = ctx.as_ref().map_or(0, |c| c.tx_queue);
             // ano-lint: allow(transitive-panic): queue id is produced by the RSS table and bounded by its length
             self.queue_tx_pkts[q as usize] += 1;
         }
-        let Some(engine) = self.tx.get_mut(&flow) else {
+        let Some(engine) = ctx.and_then(|c| c.tx.as_mut()) else {
             return TxProcess {
                 offloaded: false,
                 replay_bytes: 0,

@@ -8,7 +8,6 @@
 //!
 //! * [`gcm`] — AES-GCM with exportable mid-message state (the TLS offload);
 //! * [`crc32c`] — incremental + combinable CRC32C (the NVMe-TCP offload);
-//! * [`sha`] / [`hmac`] — digest kernels for the Table 1 cipher suite;
 //! * [`aes`] — the block cipher underneath GCM.
 //!
 //! These run for real in functional-mode simulations and tests; the
@@ -35,8 +34,6 @@ pub mod crc32c;
 pub mod gcm;
 pub mod ghash;
 pub mod hex;
-pub mod hmac;
-pub mod sha;
 
 /// Authentication failure: a tag or digest did not verify.
 ///

@@ -40,7 +40,8 @@ use crate::suppress::{self, Suppressions};
 
 /// Crates whose code can affect traces, golden files, or scheduling.
 /// `crypto`, `accel`, and `testkit` are pure functions of their inputs;
-/// `bench` wraps wall-clock measurement by design; `lint` is this tool.
+/// `bench` reads the wall clock only to report how long the figures
+/// took (stderr); `lint` is this tool.
 const DETERMINISM_CRATES: &[&str] = &[
     "sim", "tcp", "core", "tls", "nvme", "stack", "trace", "scenario", "apps",
 ];
@@ -461,7 +462,7 @@ mod tests {
         assert!(s.determinism && s.observability && s.hot_path && !s.crate_root);
         let s = scope_for("crypto", "crates/crypto/src/aes.rs", false);
         assert!(!s.determinism && s.observability);
-        let s = scope_for("bench", "crates/bench/src/micro.rs", false);
+        let s = scope_for("bench", "crates/bench/src/runners.rs", false);
         assert!(!s.determinism && !s.observability);
         let s = scope_for("tcp", "crates/tcp/src/lib.rs", true);
         assert!(s.determinism && s.crate_root && !s.hot_path);

@@ -15,16 +15,9 @@ use crate::pdu::{
     DDGST_LEN,
 };
 
-/// One in-order run of stream bytes with its packet's offload flags.
-#[derive(Clone, Debug)]
-pub struct StreamChunk {
-    /// Stream offset of the first byte.
-    pub offset: u64,
-    /// The bytes.
-    pub payload: Payload,
-    /// SKB flags of the packet these bytes arrived in.
-    pub flags: SkbFlags,
-}
+/// One in-order run of stream bytes with its packet's offload flags: TCP's
+/// chunk as is, or kTLS's plaintext chunk under NVMe-TLS.
+pub use ano_tcp::segment::RxChunk as StreamChunk;
 
 /// A fully reassembled PDU.
 #[derive(Clone, Debug)]

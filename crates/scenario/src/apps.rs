@@ -95,7 +95,7 @@ impl HostApp for FlowApp {
                 for c in chunks {
                     let bytes = c.payload.as_real().unwrap_or_default();
                     d.plain.extend_from_slice(bytes);
-                    d.chunks.push((c.plain_off, bytes.len()));
+                    d.chunks.push((c.offset, bytes.len()));
                 }
             }
             AppEvent::NvmeDone { conn, completion } => {

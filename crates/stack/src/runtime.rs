@@ -11,7 +11,6 @@
 use ano_core::fault::{DeviceOp, FaultAction, ScheduledFault};
 use ano_core::flow::{L5TxSource, TxMsgRef};
 use ano_core::msg::EngineEvent;
-use ano_nvme::parser::StreamChunk;
 use ano_sim::payload::Payload;
 use ano_sim::time::SimTime;
 use ano_tcp::segment::{RxChunk, WIRE_HEADER_BYTES};
@@ -1052,11 +1051,7 @@ fn proto_rx(
     let mut plains = pool.pop().unwrap_or_default();
     match &mut c.proto.tls {
         Some(tls) => cycles += tls.rx.on_chunks_into(chunks.drain(..), cost, &mut plains),
-        None => plains.extend(chunks.drain(..).map(|ch| PlainChunk {
-            plain_off: ch.offset,
-            payload: ch.payload,
-            flags: ch.flags,
-        })),
+        None => plains.append(chunks),
     }
     match &mut c.proto.nvme {
         None => {
@@ -1072,11 +1067,7 @@ fn proto_rx(
             }
         }
         Some(nvme) => {
-            let stream = plains.drain(..).map(|p| StreamChunk {
-                offset: p.plain_off,
-                payload: p.payload,
-                flags: p.flags,
-            });
+            let stream = plains.drain(..);
             match nvme {
                 NvmeLayer::Host(host) => {
                     cycles += host.on_chunks(stream, cost);

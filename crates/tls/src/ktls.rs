@@ -157,18 +157,10 @@ impl KtlsTx {
     }
 }
 
-/// One in-order run of plaintext handed up by kTLS, with the offload flags
-/// of the packet it came from (so a layered NVMe-TCP consumer can keep its
-/// own per-packet bookkeeping).
-#[derive(Clone, Debug)]
-pub struct PlainChunk {
-    /// Offset in the plaintext byte stream.
-    pub plain_off: u64,
-    /// The bytes.
-    pub payload: Payload,
-    /// SKB flags inherited from the wire packet.
-    pub flags: SkbFlags,
-}
+/// One in-order run of plaintext handed up by kTLS: `offset` counts
+/// plaintext bytes, and the flags are those of the wire packet it came from
+/// (so a layered NVMe-TCP consumer can keep its own per-packet bookkeeping).
+pub use ano_tcp::segment::RxChunk as PlainChunk;
 
 /// Record classification counters (Fig. 17b / Fig. 18b).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -474,7 +466,7 @@ impl KtlsRx {
                 None => Payload::synthetic(take),
             };
             out.push(PlainChunk {
-                plain_off: self.plain_pos + off as u64,
+                offset: self.plain_pos + off as u64,
                 payload,
                 flags: *flags,
             });
@@ -659,7 +651,7 @@ mod tests {
         let mut delivered = 0u64;
         for p in &plains {
             let b = p.payload.to_vec();
-            let start = p.plain_off as usize;
+            let start = p.offset as usize;
             assert_eq!(
                 b.as_slice(),
                 &app[start..start + b.len()],

@@ -19,7 +19,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dtls;
 pub mod ktls;
 pub mod offload;
 pub mod record;

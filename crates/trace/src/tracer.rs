@@ -9,8 +9,9 @@
 //!
 //! Tracing is off by default. The disabled path is a single `Cell` load and
 //! branch — event construction happens inside a closure that is never
-//! called when disabled, which is what keeps the disabled overhead within
-//! the ≤2% budget checked by `ano-bench`'s `trace_overhead` harness.
+//! called when disabled (pinned by the
+//! `disabled_records_nothing_and_skips_closure` test below); what enabling
+//! costs is the repo benchmark's `trace.overhead_pct`.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

@@ -14,6 +14,25 @@ cd "$(dirname "$0")/.."
 # (one setting so cargo never recompiles with mismatched flags mid-run).
 export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 
+# check_snapshot <committed file> <fresh output> <what it is>: the fresh
+# output of a deterministic command must equal its committed snapshot, so a
+# change shows up in review as a diff of that file. BLESS=1 regenerates the
+# snapshot instead. Removes the fresh output either way.
+check_snapshot() {
+    if [ "${BLESS:-0}" = "1" ]; then
+        cp "$2" "$1"
+        echo "blessed: $1 regenerated"
+    fi
+    if ! diff -u "$1" "$2"; then
+        rm -f "$2"
+        echo "$3 drifted from $1" >&2
+        echo "(intentional? BLESS=1 scripts/ci.sh and review the diff)" >&2
+        exit 1
+    fi
+    rm -f "$2"
+    echo "ok: $3 matches $1"
+}
+
 echo "== guard: no registry dependencies in any manifest =="
 # A registry dependency is `name = "1"` or `name = { version = "1", ... }`
 # without a `path = ...`. Allowed forms: `path = ...` deps and
@@ -59,18 +78,7 @@ echo "== static analysis: hot-path allocation inventory vs ALLOC_baseline.txt ==
 # BLESS=1 scripts/ci.sh (or the cargo command below) and review the diff.
 alloc_tmp="${TMPDIR:-/tmp}/ano-alloc-report.$$"
 CARGO_NET_OFFLINE=true timeout 120 cargo run -q -p ano-lint -- --alloc-report > "$alloc_tmp"
-if [ "${BLESS:-0}" = "1" ]; then
-    cp "$alloc_tmp" ALLOC_baseline.txt
-    echo "blessed: ALLOC_baseline.txt regenerated"
-fi
-if ! diff -u ALLOC_baseline.txt "$alloc_tmp"; then
-    rm -f "$alloc_tmp"
-    echo "hot-path allocation inventory drifted from ALLOC_baseline.txt" >&2
-    echo "(intentional? BLESS=1 scripts/ci.sh and review the diff)" >&2
-    exit 1
-fi
-rm -f "$alloc_tmp"
-echo "ok: allocation inventory matches baseline"
+check_snapshot ALLOC_baseline.txt "$alloc_tmp" "hot-path allocation inventory"
 
 echo "== tier-1: offline release build (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo build --release
@@ -135,12 +143,15 @@ echo "== benchmark package: builds and passes against the changed crates =="
 # in the bench pipeline. Its tests run the --quick smoke of every workload.
 CARGO_NET_OFFLINE=true timeout 900 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== bench: simulator speed vs committed baseline =="
-# The perf trajectory every PR defends: wall ns per simulated packet on the
-# default iperf TLS-offload-zc path, checked against BENCH_baseline.json.
-# Offline and bounded (fixed simulated windows, self-calibrating kernel
-# batches, hard timeout inside the wrapper); fails on a >15% ns/packet
-# regression. Intentional changes: BLESS=1 scripts/bench.sh, commit the diff.
-sh scripts/bench.sh
+echo "== figures: paper tables and figures vs committed quick-mode output =="
+# Every experiment runner end to end (~25 s). The simulation is seeded and
+# the figures print only simulated quantities, so stdout is byte-stable: a
+# diff means a paper number moved. Intentional changes:
+# BLESS=1 scripts/ci.sh, review and commit the diff. Simulator *speed* has
+# no committed absolute: it is judged by running benchmark/run.sh on the
+# parent and on the change and comparing them with benchmark/compare.sh.
+fig_tmp="${TMPDIR:-/tmp}/ano-figures-quick.$$"
+CARGO_NET_OFFLINE=true timeout 900 cargo run --release -q -p ano-bench --bin figures -- --quick > "$fig_tmp"
+check_snapshot crates/bench/tests/expected/figures_quick.txt "$fig_tmp" "figures --quick output"
 
 echo "tier-1 green (offline)"
