@@ -235,29 +235,22 @@ fn sizes_for(quick: bool) -> &'static [usize] {
     }
 }
 
-/// Fig. 12 — nginx C1 with the NVMe-TCP offload.
-pub fn fig12(quick: bool) -> String {
-    let mut out = header("Fig 12", "nginx C1 (storage-bound) with NVMe-TCP offload");
+/// The nginx-C1-shaped table Fig. 12, 14 and 15 share: per size, Gbit/s
+/// at 1 and 8 cores, baseline vs offload, then busy cores at 8. `cfg`
+/// builds the run for `(size, cores, offload)`.
+fn c1_table(out: &mut String, first: &str, quick: bool, cfg: impl Fn(usize, usize, bool) -> RrCfg) {
     writeln!(
         out,
         "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>7} {:>7}",
-        "file", "1c base", "1c off", "8c base", "8c off", "bc base", "bc off"
+        first, "1c base", "1c off", "8c base", "8c off", "bc base", "bc off"
     )
     .unwrap();
     for &size in sizes_for(quick) {
         let mut row = Vec::new();
         let mut busy = Vec::new();
         for cores in [1usize, 8] {
-            for nv in [NvmeVariant::Baseline, NvmeVariant::Offload] {
-                let r = run_rr(&RrCfg {
-                    front: Variant::Http,
-                    storage: Some((nv, false)),
-                    conns: if quick { 32 } else { 128 },
-                    response: size,
-                    cores: [cores, 12],
-                    window: quick_window(quick),
-                    ..Default::default()
-                });
+            for offload in [false, true] {
+                let r = run_rr(&cfg(size, cores, offload));
                 row.push(r.gbps);
                 if cores == 8 {
                     busy.push(r.busy_cores);
@@ -277,6 +270,30 @@ pub fn fig12(quick: bool) -> String {
         )
         .unwrap();
     }
+}
+
+/// The storage and front end of an NVMe-TLS run: software TLS over plain
+/// NVMe-TCP, or both offloaded.
+fn nvme_tls(offload: bool) -> (Variant, Option<(NvmeVariant, bool)>) {
+    if offload {
+        (Variant::TlsOffloadZc, Some((NvmeVariant::Offload, true)))
+    } else {
+        (Variant::TlsSw, Some((NvmeVariant::Baseline, true)))
+    }
+}
+
+/// Fig. 12 — nginx C1 with the NVMe-TCP offload.
+pub fn fig12(quick: bool) -> String {
+    let mut out = header("Fig 12", "nginx C1 (storage-bound) with NVMe-TCP offload");
+    c1_table(&mut out, "file", quick, |size, cores, offload| RrCfg {
+        front: Variant::Http,
+        storage: Some((if offload { NvmeVariant::Offload } else { NvmeVariant::Baseline }, false)),
+        conns: if quick { 32 } else { 128 },
+        response: size,
+        cores: [cores, 12],
+        window: quick_window(quick),
+        ..Default::default()
+    });
     writeln!(out, "(paper: 1-core gains 4%-44% with size; 8-core drive-bound ~21.4 Gbps, CPU saved up to 27%)").unwrap();
     out
 }
@@ -316,48 +333,18 @@ pub fn fig13(quick: bool) -> String {
 /// Fig. 14 — nginx C1 with the combined NVMe-TLS offload.
 pub fn fig14(quick: bool) -> String {
     let mut out = header("Fig 14", "nginx C1 with the combined NVMe-TLS offload");
-    writeln!(
-        out,
-        "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>7} {:>7}",
-        "file", "1c base", "1c off", "8c base", "8c off", "bc base", "bc off"
-    )
-    .unwrap();
-    for &size in sizes_for(quick) {
-        let mut row = Vec::new();
-        let mut busy = Vec::new();
-        for cores in [1usize, 8] {
-            for (nv, front) in [
-                (NvmeVariant::Baseline, Variant::TlsSw),
-                (NvmeVariant::Offload, Variant::TlsOffloadZc),
-            ] {
-                let r = run_rr(&RrCfg {
-                    front,
-                    storage: Some((nv, true)),
-                    conns: if quick { 32 } else { 128 },
-                    response: size,
-                    cores: [cores, 12],
-                    window: quick_window(quick),
-                    ..Default::default()
-                });
-                row.push(r.gbps);
-                if cores == 8 {
-                    busy.push(r.busy_cores);
-                }
-            }
+    c1_table(&mut out, "file", quick, |size, cores, offload| {
+        let (front, storage) = nvme_tls(offload);
+        RrCfg {
+            front,
+            storage,
+            conns: if quick { 32 } else { 128 },
+            response: size,
+            cores: [cores, 12],
+            window: quick_window(quick),
+            ..Default::default()
         }
-        writeln!(
-            out,
-            "{:>6}Ki | {:>9.2} {:>9.2} | {:>9.2} {:>9.2} | {:>7.2} {:>7.2}",
-            size / 1024,
-            row[0],
-            row[1],
-            row[2],
-            row[3],
-            busy[0],
-            busy[1]
-        )
-        .unwrap();
-    }
+    });
     writeln!(out, "(paper: 1-core up to 2.8x; 8-core drive-bound with up to 41% CPU saved)").unwrap();
     out
 }
@@ -365,49 +352,19 @@ pub fn fig14(quick: bool) -> String {
 /// Fig. 15 — Redis-on-Flash with the combined NVMe-TLS offload.
 pub fn fig15(quick: bool) -> String {
     let mut out = header("Fig 15", "Redis-on-Flash (OffloadDB) with NVMe-TLS offload");
-    writeln!(
-        out,
-        "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>7} {:>7}",
-        "value", "1c base", "1c off", "8c base", "8c off", "bc base", "bc off"
-    )
-    .unwrap();
-    for &size in sizes_for(quick) {
-        let mut row = Vec::new();
-        let mut busy = Vec::new();
-        for cores in [1usize, 8] {
-            for (nv, front) in [
-                (NvmeVariant::Baseline, Variant::TlsSw),
-                (NvmeVariant::Offload, Variant::TlsOffloadZc),
-            ] {
-                let r = run_rr(&RrCfg {
-                    front,
-                    storage: Some((nv, true)),
-                    conns: 8 * cores, // 8 connections per instance, instance per core
-                    request: 64,
-                    response: size,
-                    cores: [cores, 12],
-                    window: quick_window(quick),
-                    ..Default::default()
-                });
-                row.push(r.gbps);
-                if cores == 8 {
-                    busy.push(r.busy_cores);
-                }
-            }
+    c1_table(&mut out, "value", quick, |size, cores, offload| {
+        let (front, storage) = nvme_tls(offload);
+        RrCfg {
+            front,
+            storage,
+            conns: 8 * cores, // 8 connections per instance, instance per core
+            request: 64,
+            response: size,
+            cores: [cores, 12],
+            window: quick_window(quick),
+            ..Default::default()
         }
-        writeln!(
-            out,
-            "{:>6}Ki | {:>9.2} {:>9.2} | {:>9.2} {:>9.2} | {:>7.2} {:>7.2}",
-            size / 1024,
-            row[0],
-            row[1],
-            row[2],
-            row[3],
-            busy[0],
-            busy[1]
-        )
-        .unwrap();
-    }
+    });
     writeln!(out, "(paper: 1-core up to 2.3x; 8-core 12-26% higher, up to 48% CPU saved)").unwrap();
     out
 }

@@ -12,8 +12,8 @@
 
 use ano_tcp::segment::SkbFlags;
 
-use crate::flow::{scan_window, L5Flow};
-use crate::msg::{DataRef, FrameIndex, MsgHeader, SearchWindow};
+use crate::flow::L5Flow;
+use crate::msg::{DataRef, FlowMode, FrameIndex, MsgHeader};
 
 /// First magic byte of the demo header.
 pub const MAGIC0: u8 = 0xA5;
@@ -70,14 +70,6 @@ pub fn decode_msg(wire: &[u8], key: u8) -> Option<Vec<u8>> {
     Some(body.iter().map(|b| b ^ key).collect())
 }
 
-#[derive(Debug)]
-enum Mode {
-    /// Real bytes, real transform.
-    Functional { key: u8 },
-    /// Synthetic payloads; framing from the index.
-    Modeled { frames: FrameIndex },
-}
-
 /// Direction of the demo op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Dir {
@@ -88,7 +80,9 @@ enum Dir {
 /// Demo [`L5Flow`] implementation.
 #[derive(Debug)]
 pub struct DemoFlow {
-    mode: Mode,
+    mode: FlowMode,
+    /// The XOR key of the functional transform.
+    key: u8,
     dir: Dir,
     cur_total: u32,
     sum: u8,
@@ -97,9 +91,10 @@ pub struct DemoFlow {
 }
 
 impl DemoFlow {
-    fn new(mode: Mode, dir: Dir) -> DemoFlow {
+    fn new(mode: FlowMode, key: u8, dir: Dir) -> DemoFlow {
         DemoFlow {
             mode,
+            key,
             dir,
             cur_total: 0,
             sum: 0,
@@ -110,32 +105,22 @@ impl DemoFlow {
 
     /// Receive-side functional-mode flow ("decrypt" with `key`, verify sums).
     pub fn rx_functional(key: u8) -> DemoFlow {
-        DemoFlow::new(Mode::Functional { key }, Dir::Rx)
+        DemoFlow::new(FlowMode::Functional, key, Dir::Rx)
     }
 
     /// Transmit-side functional-mode flow ("encrypt", fill sums).
     pub fn tx_functional(key: u8) -> DemoFlow {
-        DemoFlow::new(Mode::Functional { key }, Dir::Tx)
+        DemoFlow::new(FlowMode::Functional, key, Dir::Tx)
     }
 
     /// Receive-side modeled-mode flow over a shared frame index.
     pub fn rx_modeled(frames: FrameIndex) -> DemoFlow {
-        DemoFlow::new(Mode::Modeled { frames }, Dir::Rx)
+        DemoFlow::new(FlowMode::Modeled(frames), DEFAULT_KEY, Dir::Rx)
     }
 
     /// Transmit-side modeled-mode flow over a shared frame index.
     pub fn tx_modeled(frames: FrameIndex) -> DemoFlow {
-        DemoFlow::new(Mode::Modeled { frames }, Dir::Tx)
-    }
-
-    fn parse_hdr_bytes(hdr: &[u8]) -> Option<MsgHeader> {
-        if hdr.len() != HDR_LEN || hdr[0] != MAGIC0 || hdr[3] != MAGIC1 {
-            return None;
-        }
-        let body_len = u16::from_be_bytes([hdr[1], hdr[2]]) as u32;
-        Some(MsgHeader {
-            total_len: HDR_LEN as u32 + body_len + 1,
-        })
+        DemoFlow::new(FlowMode::Modeled(frames), DEFAULT_KEY, Dir::Tx)
     }
 }
 
@@ -144,36 +129,29 @@ impl L5Flow for DemoFlow {
         HDR_LEN
     }
 
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        match (&self.mode, hdr) {
-            (Mode::Functional { .. }, Some(h)) => Self::parse_hdr_bytes(h),
-            (Mode::Modeled { frames }, _) => frames.at(stream_off).map(|(h, _)| h),
-            _ => None,
+    fn mode(&self) -> &FlowMode {
+        &self.mode
+    }
+
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        if hdr.len() != HDR_LEN || hdr[0] != MAGIC0 || hdr[3] != MAGIC1 {
+            return None;
         }
+        let body_len = u16::from_be_bytes([hdr[1], hdr[2]]) as u32;
+        Some(MsgHeader {
+            total_len: HDR_LEN as u32 + body_len + 1,
+        })
     }
 
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_at(stream_off, hdr)
-    }
-
-    fn begin_msg(&mut self, _msg_index: u64, stream_off: u64, hdr: Option<&[u8]>) {
-        self.cur_total = match (&self.mode, hdr) {
-            (Mode::Functional { .. }, Some(h)) => {
-                Self::parse_hdr_bytes(h).map(|m| m.total_len).unwrap_or(0)
-            }
-            (Mode::Modeled { frames }, _) => {
-                frames.at(stream_off).map(|(m, _)| m.total_len).unwrap_or(0)
-            }
-            _ => 0,
-        };
+    fn begin_msg(&mut self, _msg_index: u64, _stream_off: u64, _hdr: Option<&[u8]>, msg: MsgHeader) {
+        self.cur_total = msg.total_len;
         self.sum = 0;
         self.trailer = None;
     }
 
     fn process(&mut self, msg_off: u32, mut data: DataRef<'_>) {
-        let (key, bytes) = match (&self.mode, &mut data) {
-            (Mode::Functional { key }, DataRef::Real(b)) => (*key, b),
-            _ => return, // modeled: nothing to transform
+        let DataRef::Real(bytes) = &mut data else {
+            return; // modeled: nothing to transform
         };
         let trailer_off = self.cur_total - 1;
         for (i, b) in bytes.iter_mut().enumerate() {
@@ -182,10 +160,10 @@ impl L5Flow for DemoFlow {
                 match self.dir {
                     Dir::Rx => {
                         self.sum ^= *b;
-                        *b ^= key;
+                        *b ^= self.key;
                     }
                     Dir::Tx => {
-                        *b ^= key;
+                        *b ^= self.key;
                         self.sum ^= *b;
                     }
                 }
@@ -200,7 +178,7 @@ impl L5Flow for DemoFlow {
 
     fn end_msg(&mut self) -> bool {
         let ok = match (&self.mode, self.dir) {
-            (Mode::Functional { .. }, Dir::Rx) => self.trailer == Some(self.sum),
+            (FlowMode::Functional, Dir::Rx) => self.trailer == Some(self.sum),
             _ => true,
         };
         self.ok &= ok;
@@ -219,22 +197,12 @@ impl L5Flow for DemoFlow {
             ..Default::default()
         }
     }
-
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-        match (&self.mode, window) {
-            (Mode::Functional { .. }, SearchWindow::Real(b)) => scan_window(self, window_off, b),
-            (Mode::Modeled { frames }, w) => frames
-                .next_at_or_after(window_off)
-                .filter(|&(off, _, _)| off + HDR_LEN as u64 <= window_off + w.len() as u64)
-                .map(|(off, h, _)| (off, h)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::SearchWindow;
 
     #[test]
     fn encode_decode_roundtrip() {
@@ -259,9 +227,10 @@ mod tests {
     #[test]
     fn header_parse() {
         let wire = encode_msg(&[0u8; 300]);
-        let h = DemoFlow::parse_hdr_bytes(&wire[..HDR_LEN]).expect("valid header");
+        let f = DemoFlow::rx_functional(DEFAULT_KEY);
+        let h = f.parse(&wire[..HDR_LEN]).expect("valid header");
         assert_eq!(h.total_len as usize, wire.len());
-        assert!(DemoFlow::parse_hdr_bytes(&[0xA5, 0, 0, 0]).is_none());
+        assert!(f.parse(&[0xA5, 0, 0, 0]).is_none());
     }
 
     #[test]
@@ -320,7 +289,8 @@ mod tests {
         let mut op = DemoFlow::rx_functional(9);
         let mut wire = encode_msg_keyed(b"abandoned half-way", 9);
         let hdr: Vec<u8> = wire[..HDR_LEN].to_vec();
-        op.begin_msg(0, 0, Some(&hdr));
+        let msg = op.parse(&hdr).expect("valid header");
+        op.begin_msg(0, 0, Some(&hdr), msg);
         let split = HDR_LEN + 5;
         op.process(HDR_LEN as u32, DataRef::Real(&mut wire[HDR_LEN..split]));
         assert_ne!(op.sum, 0, "partial state accumulated");

@@ -12,16 +12,19 @@
 //!   with arbitrary byte ranges in order; all state lives inside the impl
 //!   and must be reconstructible at a message boundary from the message
 //!   *count* alone ([`L5Flow::resync_to`]);
-//! * **plaintext magic pattern + length field** — [`L5Flow::probe_at`]
-//!   validates a candidate header during speculative search, and the header
-//!   always yields the message's total length ([`L5Flow::parse_at`]).
+//! * **plaintext magic pattern + length field** — [`L5Flow::parse`]
+//!   validates header bytes and yields the message's total length.
+//!
+//! The modeled shortcut is written once, here: [`L5Flow::parse_at`] and
+//! [`L5Flow::search`] read real headers in functional mode and the sender's
+//! [`FrameIndex`] in modeled mode, per the flow's [`FlowMode`].
 
 use std::collections::VecDeque;
 
 use ano_sim::payload::Payload;
 use ano_tcp::segment::SkbFlags;
 
-use crate::msg::{DataRef, EngineEvent, FrameIndex, MsgHeader, SearchWindow};
+use crate::msg::{DataRef, EngineEvent, FlowMode, FrameIndex, MsgHeader, SearchWindow};
 
 /// Per-flow, per-direction protocol handler executed "in the NIC".
 pub trait L5Flow: std::fmt::Debug {
@@ -29,22 +32,26 @@ pub trait L5Flow: std::fmt::Debug {
     /// (the generic header carrying the length field).
     fn header_len(&self) -> usize;
 
-    /// Parses a header at a *known* message boundary (in-sequence path).
-    ///
-    /// `hdr` holds exactly [`L5Flow::header_len`] bytes in functional mode
-    /// and is `None` in modeled mode (implementations consult their
-    /// [`crate::msg::FrameIndex`]). Returns `None` if the bytes do not form
-    /// a valid header (stream desynchronization or corruption).
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader>;
+    /// Where this flow's framing comes from.
+    fn mode(&self) -> &FlowMode;
 
-    /// Strict magic-pattern validation of a *speculative* header candidate
-    /// during search/tracking (§4.3). Must be at least as strict as
-    /// [`L5Flow::parse_at`].
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader>;
+    /// The real-bytes header check: validates the magic pattern of the
+    /// [`L5Flow::header_len`] bytes in `hdr` and reads the length field.
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader>;
 
-    /// Begins message number `msg_index`, whose header starts at stream
-    /// offset `stream_off`. `hdr` as in [`L5Flow::parse_at`].
-    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>);
+    /// The header of the message starting at `stream_off`, at a known
+    /// boundary or a speculative candidate (§4.3). `hdr` holds exactly
+    /// [`L5Flow::header_len`] bytes in functional mode and is `None` in
+    /// modeled mode, where the frame index answers. `None` means the bytes
+    /// do not form a valid header (desynchronization or corruption).
+    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
+        self.mode().msg_at(stream_off, hdr, |h| self.parse(h), Some)
+    }
+
+    /// Begins message number `msg_index`, whose header `msg` (as
+    /// [`L5Flow::parse_at`] returned it) starts at stream offset
+    /// `stream_off`; `hdr` as in `parse_at`.
+    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>, msg: MsgHeader);
 
     /// Processes message bytes `[msg_off, msg_off + data.len())`, where
     /// `msg_off` counts from the start of the message and the first call
@@ -68,11 +75,20 @@ pub trait L5Flow: std::fmt::Debug {
     fn packet_flags(&mut self, offloaded: bool) -> SkbFlags;
 
     /// Speculative search: the stream offset and header of the first valid
-    /// magic pattern whose header begins inside `window` (which starts at
-    /// stream offset `window_off`), or `None`. Functional implementations
-    /// can delegate to [`scan_window`]; modeled ones consult their
-    /// [`crate::msg::FrameIndex`].
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)>;
+    /// magic pattern whose header begins *and* fits inside `window` (which
+    /// starts at stream offset `window_off`), or `None`.
+    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
+        match (self.mode(), window) {
+            (FlowMode::Functional, SearchWindow::Real(b)) => scan_window(self, window_off, b),
+            (FlowMode::Functional, SearchWindow::Modeled(_)) => None,
+            (FlowMode::Modeled(frames), w) => frames
+                .next_at_or_after(window_off)
+                .filter(|&(off, _, _)| {
+                    off + self.header_len() as u64 <= window_off + w.len() as u64
+                })
+                .map(|(off, h, _)| (off, h)),
+        }
+    }
 
     /// Drains engine events produced by a nested (composed) engine, if any.
     fn take_events(&mut self) -> Vec<EngineEvent> {
@@ -86,21 +102,14 @@ pub trait L5Flow: std::fmt::Debug {
     }
 }
 
-/// Scans real bytes for the first offset where [`L5Flow::probe_at`]
+/// Scans real bytes for the first offset where [`L5Flow::parse_at`]
 /// accepts a header. Headers must begin *and* fit within the window to be
 /// found (split patterns are handled by the engine's carry buffer).
-pub fn scan_window(op: &dyn L5Flow, window_off: u64, bytes: &[u8]) -> Option<(u64, MsgHeader)> {
-    let hl = op.header_len();
-    if bytes.len() < hl {
-        return None;
-    }
-    for i in 0..=(bytes.len() - hl) {
+pub fn scan_window<F: L5Flow + ?Sized>(op: &F, window_off: u64, bytes: &[u8]) -> Option<(u64, MsgHeader)> {
+    bytes.windows(op.header_len()).enumerate().find_map(|(i, hdr)| {
         let off = window_off + i as u64;
-        if let Some(h) = op.probe_at(off, Some(&bytes[i..i + hl])) {
-            return Some((off, h));
-        }
-    }
-    None
+        op.parse_at(off, Some(hdr)).map(|h| (off, h))
+    })
 }
 
 /// Reference to the L5P message containing a given stream offset, for
@@ -130,32 +139,24 @@ pub trait L5TxSource {
 }
 
 /// The transmit-side message log every L5P keeps to answer
-/// `l5o_get_tx_msgstate` (§4.2): one [`TxMsgRef`] per message handed to the
-/// layer below, held until the whole message is acknowledged. Each push is
-/// mirrored into the stream's [`FrameIndex`] so modeled-mode engines and the
-/// peer's parser see the same framing.
+/// `l5o_get_tx_msgstate` (§4.2): each message handed to the layer below is
+/// pushed into the stream's [`FrameIndex`] — the same entries modeled-mode
+/// engines and the peer's parser read — and held there until the whole
+/// message is acknowledged.
 #[derive(Debug, Default)]
 pub struct TxMsgLog {
     frames: FrameIndex,
-    msgs: VecDeque<TxMsgRef>,
     /// Stream offset one past the last logged message.
     end: u64,
-    /// Messages logged so far (the next message's index).
-    count: u64,
 }
 
 impl TxMsgLog {
-    /// An empty log mirroring into `frames`.
+    /// An empty log over `frames`.
     pub fn with_frames(frames: FrameIndex) -> TxMsgLog {
-        TxMsgLog {
-            frames,
-            msgs: VecDeque::new(),
-            end: 0,
-            count: 0,
-        }
+        TxMsgLog { frames, end: 0 }
     }
 
-    /// The mirrored frame index.
+    /// The log's frame index.
     pub fn frames(&self) -> FrameIndex {
         self.frames.clone()
     }
@@ -167,43 +168,26 @@ impl TxMsgLog {
 
     /// Messages logged so far (the next message's index).
     pub fn count(&self) -> u64 {
-        self.count
+        self.frames.pushed()
     }
 
     /// Logs a message of `total_len` bytes at the current stream end
-    /// (`meta` as in [`FrameIndex::push_full`]); returns its index.
-    pub fn push(&mut self, total_len: u32, meta: Option<Vec<u8>>) -> u64 {
-        let msg_index = self.count;
-        self.frames.push_full(self.end, total_len, meta);
-        self.msgs.push_back(TxMsgRef {
-            msg_start: self.end,
-            msg_index,
-        });
+    /// (`header` as in [`FrameIndex::push_full`]); returns its index.
+    pub fn push(&mut self, total_len: u32, header: Option<Box<[u8]>>) -> u64 {
+        let msg_index = self.frames.push_full(self.end, total_len, header);
         self.end += total_len as u64;
-        self.count += 1;
         msg_index
     }
 
     /// `l5o_get_tx_msgstate`: the logged message containing `stream_off`.
     pub fn msg_at(&self, stream_off: u64) -> Option<TxMsgRef> {
-        if stream_off >= self.end {
-            return None;
-        }
-        let i = self.msgs.partition_point(|m| m.msg_start <= stream_off);
-        self.msgs.get(i.checked_sub(1)?).copied()
+        self.frames.containing(stream_off)
     }
 
     /// Releases every message that ends at or below the cumulative ack
     /// (§4.2: "the L5P releases its reference when the entire message is
     /// acknowledged").
     pub fn release_below(&mut self, acked: u64) {
-        while !self.msgs.is_empty() {
-            let next_start = self.msgs.get(1).map_or(self.end, |m| m.msg_start);
-            if next_start > acked {
-                break;
-            }
-            self.msgs.pop_front();
-        }
         self.frames.prune_below(acked);
     }
 }
@@ -279,19 +263,19 @@ mod tests {
     use super::*;
 
     #[derive(Debug)]
-    struct Nop;
+    struct Nop(FlowMode);
 
     impl L5Flow for Nop {
         fn header_len(&self) -> usize {
             3
         }
-        fn parse_at(&self, _o: u64, _h: Option<&[u8]>) -> Option<MsgHeader> {
-            Some(MsgHeader { total_len: 10 })
+        fn mode(&self) -> &FlowMode {
+            &self.0
         }
-        fn probe_at(&self, _o: u64, _h: Option<&[u8]>) -> Option<MsgHeader> {
-            None
+        fn parse(&self, h: &[u8]) -> Option<MsgHeader> {
+            (h[0] == 0xAB).then_some(MsgHeader { total_len: 10 })
         }
-        fn begin_msg(&mut self, _i: u64, _o: u64, _h: Option<&[u8]>) {}
+        fn begin_msg(&mut self, _i: u64, _o: u64, _h: Option<&[u8]>, _m: MsgHeader) {}
         fn process(&mut self, _o: u32, _d: DataRef<'_>) {}
         fn end_msg(&mut self) -> bool {
             true
@@ -303,12 +287,24 @@ mod tests {
                 ..Default::default()
             }
         }
-        fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-            match window {
-                SearchWindow::Real(b) => scan_window(self, window_off, b),
-                SearchWindow::Modeled(_) => None,
-            }
-        }
+    }
+
+    #[test]
+    fn provided_framing_follows_the_mode() {
+        let real = Nop(FlowMode::Functional);
+        let window = [0u8, 0, 0xAB, 1, 2, 0xAB, 9];
+        assert_eq!(real.search(100, SearchWindow::Real(&window)).map(|(o, _)| o), Some(102));
+        assert_eq!(real.search(100, SearchWindow::Real(&window[3..6])), None, "must fit");
+        assert_eq!(real.parse_at(0, None), None, "functional needs bytes");
+
+        let frames = FrameIndex::new();
+        frames.push(100, 40);
+        let modeled = Nop(FlowMode::Modeled(frames));
+        assert_eq!(modeled.parse_at(100, None), Some(MsgHeader { total_len: 40 }));
+        assert_eq!(modeled.parse_at(101, None), None);
+        let hit = modeled.search(90, SearchWindow::Modeled(13));
+        assert_eq!(hit, Some((100, MsgHeader { total_len: 40 })));
+        assert_eq!(modeled.search(90, SearchWindow::Modeled(12)), None, "header must fit");
     }
 
     #[test]
@@ -373,7 +369,7 @@ mod tests {
 
     #[test]
     fn default_trait_methods() {
-        let mut n = Nop;
+        let mut n = Nop(FlowMode::Functional);
         assert!(n.take_events().is_empty());
         assert!(!n.resync_response(0, 0, true, 0));
         assert!(n.packet_flags(true).tls_decrypted);
@@ -381,7 +377,7 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe() {
-        let b: Box<dyn L5Flow> = Box::new(Nop);
+        let b: Box<dyn L5Flow> = Box::new(Nop(FlowMode::Functional));
         assert_eq!(b.header_len(), 3);
     }
 }

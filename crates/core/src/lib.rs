@@ -41,7 +41,6 @@
 
 pub mod cache;
 pub mod demo;
-pub mod dpi;
 pub mod fault;
 pub mod flow;
 pub mod msg;

@@ -1,7 +1,11 @@
-//! Message framing abstractions shared by the offload engines.
+//! Message framing abstractions shared by the offload engines: the parsed
+//! [`MsgHeader`], the byte views an engine hands an L5P, and the modeled
+//! shortcut — a [`FrameIndex`] the sender fills, selected by [`FlowMode`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
+
+use crate::flow::TxMsgRef;
 
 /// A parsed L5P message header, as seen by the NIC.
 ///
@@ -71,8 +75,8 @@ impl DataRef<'_> {
 pub enum SearchWindow<'a> {
     /// Functional mode: scan these bytes for the magic pattern.
     Real(&'a [u8]),
-    /// Modeled mode: a window of this many bytes (impls consult their
-    /// [`FrameIndex`]).
+    /// Modeled mode: a window of this many bytes (the flow's
+    /// [`FrameIndex`] answers).
     Modeled(usize),
 }
 
@@ -107,20 +111,70 @@ pub enum EngineEvent {
     },
 }
 
-#[derive(Debug, Clone)]
+/// Where a flow's message framing comes from — the one switch between the
+/// simulator's two payload fidelities, shared by every L5P's NIC flows and
+/// software parsers.
+#[derive(Clone, Debug)]
+pub enum FlowMode {
+    /// Real bytes: framing is parsed from the headers on the wire.
+    Functional,
+    /// Synthetic bytes: framing comes from the sender's [`FrameIndex`].
+    Modeled(FrameIndex),
+}
+
+impl FlowMode {
+    /// `Modeled` over `frames` when `modeled`, else `Functional`.
+    pub fn new(modeled: bool, frames: &FrameIndex) -> FlowMode {
+        if modeled {
+            FlowMode::Modeled(frames.clone())
+        } else {
+            FlowMode::Functional
+        }
+    }
+
+    /// Which message starts at stream offset `off`? `decode` reads its
+    /// header bytes: `wire` in functional mode; in modeled mode the encoded
+    /// header the sender registered with the frame, so both modes decode it
+    /// with the same code. A modeled frame registered without a header
+    /// (a TLS record: its length is all its receivers need) goes to
+    /// `len_only` instead.
+    pub fn msg_at<T>(
+        &self,
+        off: u64,
+        wire: Option<&[u8]>,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+        len_only: impl FnOnce(MsgHeader) -> Option<T>,
+    ) -> Option<T> {
+        match (self, wire) {
+            (FlowMode::Functional, Some(h)) => decode(h),
+            (FlowMode::Functional, None) => None,
+            (FlowMode::Modeled(frames), _) => frames
+                .with_frame_at(off, |f| match &f.header {
+                    Some(h) => decode(h),
+                    None => len_only(MsgHeader { total_len: f.len }),
+                })
+                .flatten(),
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Frame {
     off: u64,
     len: u32,
     idx: u64,
-    meta: Option<Rc<Vec<u8>>>,
+    header: Option<Box<[u8]>>,
 }
 
 #[derive(Debug, Default)]
 struct FrameIndexInner {
-    /// Every message, in stream order. A deque so that pruning acked
-    /// entries off the front (once per ACK on the transmit path) advances
-    /// the head instead of memmoving every in-flight frame.
+    /// Every unacknowledged message, in stream order. A deque so that
+    /// pruning acked entries off the front (once per ACK on the transmit
+    /// path) advances the head instead of memmoving every in-flight frame.
     frames: std::collections::VecDeque<Frame>,
+    /// Frames pushed so far: the next frame's index, even after a prune
+    /// emptied the deque.
+    pushed: u64,
 }
 
 /// Ground-truth message framing for one flow, in *modeled* mode.
@@ -149,55 +203,56 @@ impl FrameIndex {
         self.push_full(offset, total_len, None)
     }
 
-    /// Like [`FrameIndex::push`] with an opaque metadata blob (e.g. the
-    /// logical header fields a modeled-mode parser would otherwise read
-    /// from real bytes).
+    /// Like [`FrameIndex::push`], registering the message's encoded header
+    /// for receivers that decode more than its length (see
+    /// [`FlowMode::msg_at`]). Returns the message's index.
     ///
     /// # Panics
     ///
     /// Panics if messages are not appended in order.
-    pub fn push_full(&self, offset: u64, total_len: u32, meta: Option<Vec<u8>>) -> u64 {
+    pub fn push_full(&self, offset: u64, total_len: u32, header: Option<Box<[u8]>>) -> u64 {
         let mut inner = self.0.borrow_mut();
-        let idx = inner
-            .frames
-            .back()
-            .map(|f| {
-                // ano-lint: allow(transitive-panic): append-order contract assert
-                assert!(offset >= f.off + f.len as u64, "frames must be appended in stream order");
-                f.idx + 1
-            })
-            .unwrap_or(0);
+        if let Some(f) = inner.frames.back() {
+            // ano-lint: allow(transitive-panic): append-order contract assert
+            assert!(offset >= f.off + f.len as u64, "frames must be appended in stream order");
+        }
+        let idx = inner.pushed;
+        inner.pushed += 1;
         inner.frames.push_back(Frame {
             off: offset,
             len: total_len,
             idx,
-            meta: meta.map(Rc::new),
+            header,
         });
         idx
     }
 
-    /// The metadata blob of the message starting exactly at `offset`.
-    pub fn meta_at(&self, offset: u64) -> Option<Rc<Vec<u8>>> {
+    /// Frames pushed so far (the next frame's index).
+    pub(crate) fn pushed(&self) -> u64 {
+        self.0.borrow().pushed
+    }
+
+    /// The message containing stream offset `offset` (§4.2's
+    /// `l5o_get_tx_msgstate`), if it is still indexed.
+    pub fn containing(&self, offset: u64) -> Option<TxMsgRef> {
         let inner = self.0.borrow();
-        inner
-            .frames
-            .binary_search_by_key(&offset, |f| f.off)
-            .ok()
-            // ano-lint: allow(hot-alloc, transitive-panic): binary-search index is in range; metadata clone on the resync lookup path, inventoried for arena round 2 (ROADMAP item 1)
-            .and_then(|i| inner.frames[i].meta.clone())
+        let i = inner.frames.partition_point(|f| f.off <= offset).checked_sub(1)?;
+        let f = inner.frames.get(i)?;
+        (offset < f.off + f.len as u64).then_some(TxMsgRef {
+            msg_start: f.off,
+            msg_index: f.idx,
+        })
+    }
+
+    fn with_frame_at<R>(&self, offset: u64, read: impl FnOnce(&Frame) -> R) -> Option<R> {
+        let inner = self.0.borrow();
+        let i = inner.frames.binary_search_by_key(&offset, |f| f.off).ok()?;
+        inner.frames.get(i).map(read)
     }
 
     /// The message starting exactly at `offset`, if any.
     pub fn at(&self, offset: u64) -> Option<(MsgHeader, u64)> {
-        let inner = self.0.borrow();
-        inner
-            .frames
-            .binary_search_by_key(&offset, |f| f.off)
-            .ok()
-            .map(|i| {
-                let f = &inner.frames[i];
-                (MsgHeader { total_len: f.len }, f.idx)
-            })
+        self.with_frame_at(offset, |f| (MsgHeader { total_len: f.len }, f.idx))
     }
 
     /// The first message boundary at or after `offset`.
@@ -276,5 +331,23 @@ mod tests {
         assert!(fi.at(100).is_some());
         fi.prune_below(200);
         assert!(fi.is_empty());
+        assert_eq!(fi.push(200, 10), 2, "indices keep counting after a full prune");
+    }
+
+    #[test]
+    fn modeled_msg_at_decodes_registered_headers() {
+        let fi = FrameIndex::new();
+        fi.push(0, 30);
+        fi.push_full(30, 40, Some(Box::new([40u8, 0xEE])));
+        let mode = FlowMode::new(true, &fi);
+        let at = |mode: &FlowMode, off, wire| mode.msg_at(off, wire, |h| Some(h[0]), |_| Some(0));
+        assert_eq!(at(&mode, 0, None), Some(0), "registered without a header");
+        assert_eq!(at(&mode, 30, None), Some(40), "decoded from the registered header");
+        assert_eq!(at(&mode, 31, None), None, "not a boundary");
+        let functional = FlowMode::new(false, &fi);
+        assert_eq!(at(&functional, 0, Some(&[7])), Some(7), "decoded off the wire");
+        assert_eq!(at(&functional, 0, None), None);
+        assert_eq!(fi.containing(45).map(|m| (m.msg_start, m.msg_index)), Some((30, 1)));
+        assert_eq!(fi.containing(70), None, "past the last frame");
     }
 }

@@ -112,7 +112,7 @@ impl Walker {
                         };
                         match op.parse_at(boundary, hdr) {
                             Some(m) if (m.total_len as usize) >= hl => {
-                                op.begin_msg(self.msg_index, boundary, hdr);
+                                op.begin_msg(self.msg_index, boundary, hdr, m);
                                 self.cur = Some(m);
                                 self.msg_consumed = hl as u32;
                                 if m.total_len as usize == hl {
@@ -210,7 +210,7 @@ impl TrackWalker {
 
     /// Follows `data` (which must start at [`TrackWalker::expected`]),
     /// verifying each expected header's magic pattern via
-    /// [`L5Flow::probe_at`]. Returns false on a mismatch (→ transition d1,
+    /// [`L5Flow::parse_at`]. Returns false on a mismatch (→ transition d1,
     /// back to searching).
     pub fn walk(&mut self, op: &dyn L5Flow, data: &DataRef<'_>) -> bool {
         let hl = op.header_len();
@@ -241,7 +241,7 @@ impl TrackWalker {
                     } else {
                         None
                     };
-                    match op.probe_at(boundary, hdr) {
+                    match op.parse_at(boundary, hdr) {
                         Some(m) if (m.total_len as usize) >= hl => {
                             self.remaining = m.total_len - hl as u32;
                             self.boundaries_passed += 1;

@@ -12,9 +12,9 @@ use ano_crypto::crc32c::crc32c;
 use ano_sim::cost::CostModel;
 use ano_sim::payload::{DataMode, Payload};
 
-use crate::offload::{meta_cmd_pdu, RrBuffer, RrEntry, RrMap};
+use crate::offload::{RrBuffer, RrEntry, RrMap};
 use crate::parser::{ParsedPdu, PduParser, StreamChunk};
-use crate::pdu::{encode_capsule_cmd, IoOpcode, PduType, CH_LEN, DDGST_LEN, SQE_LEN};
+use crate::pdu::{capsule_cmd_header, encode_capsule_cmd, pdu_len, IoOpcode, PduType, DDGST_LEN};
 
 /// Host configuration.
 #[derive(Clone, Copy, Debug)]
@@ -205,8 +205,7 @@ impl NvmeTcpHost {
                 copied_bytes: 0,
             },
         );
-        let wire = self.emit_cmd(cid, IoOpcode::Read, offset, len, None);
-        (wire, cost.syscall)
+        (self.emit_cmd(cid, IoOpcode::Read, offset, len, None), cost.syscall)
     }
 
     /// Submits a write of `data` at device offset `offset`.
@@ -230,49 +229,33 @@ impl NvmeTcpHost {
         if !self.cfg.crc_offload {
             cycles += cost.crc_cycles(len as usize);
         }
-        let wire = match self.cfg.mode {
+        (self.emit_cmd(cid, IoOpcode::Write, offset, len, Some(data)), cycles)
+    }
+
+    /// Frames one command capsule (`data`: a write's inline bytes) and logs
+    /// it. A synthetic capsule registers its encoded header with the frame,
+    /// for the peer's modeled parser and NIC flows to decode.
+    fn emit_cmd(&mut self, cid: u16, op: IoOpcode, offset: u64, len: u32, data: Option<&Payload>) -> Payload {
+        let inline = data.map_or(0, |d| d.len() as u32);
+        let header = capsule_cmd_header(cid, op, offset, len, inline);
+        let (wire, header) = match self.cfg.mode {
             DataMode::Functional => {
                 // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
-                let bytes = data.as_real().expect("functional mode requires real bytes");
-                let mut w = encode_capsule_cmd(cid, IoOpcode::Write, offset, len, Some(bytes));
-                if self.cfg.crc_offload {
+                let bytes = data.map(|d| d.as_real().expect("functional mode requires real bytes"));
+                let mut w = encode_capsule_cmd(cid, op, offset, len, bytes);
+                if inline > 0 && self.cfg.crc_offload {
                     // Dummy digest: the NIC tx offload fills it (§5.1).
                     let n = w.len();
                     // ano-lint: allow(transitive-panic): encoded capsule always ends with a DDGST_LEN digest
                     w[n - DDGST_LEN..].copy_from_slice(&[0; DDGST_LEN]);
                 }
-                let wire = Payload::real(w);
-                self.push_tx_frame(cid, IoOpcode::Write, offset, len, len, wire.len() as u32);
-                wire
+                (Payload::real(w), None)
             }
-            DataMode::Modeled => {
-                let total = (CH_LEN + SQE_LEN) as u32 + len + DDGST_LEN as u32;
-                self.push_tx_frame(cid, IoOpcode::Write, offset, len, len, total);
-                Payload::synthetic(total as usize)
-            }
+            // ano-lint: allow(hot-alloc): per-capsule modeled header, the frame index's copy of what real bytes would carry
+            DataMode::Modeled => (Payload::synthetic(pdu_len(&header)), Some(Box::new(header) as Box<[u8]>)),
         };
-        (wire, cycles)
-    }
-
-    fn emit_cmd(&mut self, cid: u16, op: IoOpcode, offset: u64, len: u32, data: Option<&[u8]>) -> Payload {
-        match self.cfg.mode {
-            DataMode::Functional => {
-                let w = encode_capsule_cmd(cid, op, offset, len, data);
-                let wire = Payload::real(w);
-                self.push_tx_frame(cid, op, offset, len, 0, wire.len() as u32);
-                wire
-            }
-            DataMode::Modeled => {
-                let total = (CH_LEN + SQE_LEN) as u32;
-                self.push_tx_frame(cid, op, offset, len, 0, total);
-                Payload::synthetic(total as usize)
-            }
-        }
-    }
-
-    fn push_tx_frame(&mut self, cid: u16, op: IoOpcode, offset: u64, len: u32, inline: u32, total: u32) {
-        self.tx_log
-            .push(total, Some(meta_cmd_pdu(cid, op as u8, offset, len, inline)));
+        self.tx_log.push(wire.len() as u32, header);
+        wire
     }
 
     /// `l5o_get_tx_msgstate` for the host's capsule stream.
@@ -331,7 +314,7 @@ impl NvmeTcpHost {
                     if let (Some(buf), Some(bytes)) =
                         (&req.buf, pdu.data_bytes().as_real())
                     {
-                        let datao = pdu.ext.map(|e| e.datao).unwrap_or(0) as usize;
+                        let datao = pdu.psh.ext.map_or(0, |e| e.datao) as usize;
                         let mut b = buf.borrow_mut();
                         if datao + bytes.len() <= b.len() {
                             // ano-lint: allow(transitive-panic): copy guarded by the bounds check on the line above
@@ -372,7 +355,7 @@ impl NvmeTcpHost {
                 }
             }
             PduType::CapsuleResp => {
-                let Some(cid) = cid_of_resp(&pdu) else {
+                let Some(cid) = pdu.cid() else {
                     return 0;
                 };
                 let Some(req) = self.inflight.remove(&cid) else {
@@ -397,15 +380,10 @@ impl NvmeTcpHost {
     }
 }
 
-/// Extracts the CID from a response capsule in either mode.
-fn cid_of_resp(pdu: &ParsedPdu) -> Option<u16> {
-    pdu.cid()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offload::NvmeMode;
+    use ano_core::msg::FlowMode;
     use crate::pdu::{encode_capsule_resp, encode_data_pdu};
     use ano_tcp::segment::SkbFlags;
 
@@ -421,7 +399,7 @@ mod tests {
                 crc_offload: crc,
             },
             RrMap::new(),
-            PduParser::new(NvmeMode::Functional),
+            PduParser::new(FlowMode::Functional),
         )
     }
 

@@ -8,20 +8,25 @@
 //!
 //! The CID → buffer map ([`RrMap`]) is the request-response state of
 //! Listing 1's `l5o_add_rr_state` / `l5o_del_rr_state`.
+//!
+//! Both flows decode PDU headers with the real codec in either
+//! [`FlowMode`]: the common header off the wire (its PSH follows through
+//! `process`), or the whole encoded header a modeled frame carries.
 
-// ano-lint: allow-file(transitive-panic): meta-capsule codec: fixed offsets into a capsule whose length is checked before decode
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use ano_core::flow::{scan_window, L5Flow};
-use ano_core::msg::{DataRef, FrameIndex, MsgHeader, SearchWindow};
+use ano_core::flow::L5Flow;
+use ano_core::msg::{DataRef, FlowMode, MsgHeader};
 use ano_crypto::crc32c::Crc32c;
 use ano_tcp::segment::SkbFlags;
 
-use crate::pdu::{
-    parse_data_ext, parse_sqe, CommonHeader, PduType, CH_LEN, DDGST_LEN,
-};
+use crate::pdu::{parse_header, CommonHeader, Psh, PduType, CH_LEN, DDGST_LEN};
+
+/// [`FlowMode`] under its former NVMe name, which the standalone
+/// `benchmark/` package still uses.
+pub use ano_core::msg::FlowMode as NvmeMode;
 
 /// A destination buffer for a read request (block-layer pages).
 pub type RrBuffer = Rc<RefCell<Vec<u8>>>;
@@ -73,121 +78,27 @@ impl RrMap {
     }
 }
 
-/// Payload fidelity of an NVMe flow.
-#[derive(Clone, Debug)]
-pub enum NvmeMode {
-    /// Real bytes.
-    Functional,
-    /// Synthetic bytes with framing/metadata from the shared index.
-    Modeled(FrameIndex),
+/// The §5.1 magic pattern and length field of a common header.
+fn common(hdr: &[u8]) -> Option<MsgHeader> {
+    CommonHeader::parse(hdr).map(|ch| MsgHeader { total_len: ch.plen })
 }
 
-/// Metadata blob for modeled-mode data PDUs:
-/// `[kind, cid_lo, cid_hi, datao(4), datal(4)]`.
-pub fn meta_data_pdu(kind: PduType, cid: u16, datao: u32, datal: u32) -> Vec<u8> {
-    let mut m = Vec::with_capacity(11);
-    m.push(kind as u8);
-    m.extend_from_slice(&cid.to_le_bytes());
-    m.extend_from_slice(&datao.to_le_bytes());
-    m.extend_from_slice(&datal.to_le_bytes());
-    m
-}
-
-/// Metadata blob for modeled-mode command capsules:
-/// `[kind, cid(2), op, offset(8), len(4), inline_data_len(4)]`.
-pub fn meta_cmd_pdu(cid: u16, op: u8, offset: u64, len: u32, inline: u32) -> Vec<u8> {
-    // ano-lint: allow(hot-alloc): per-capsule meta encode buffer, inventoried for arena round 2 (ROADMAP item 1)
-    let mut m = Vec::with_capacity(20);
-    m.push(PduType::CapsuleCmd as u8);
-    m.extend_from_slice(&cid.to_le_bytes());
-    m.push(op);
-    m.extend_from_slice(&offset.to_le_bytes());
-    m.extend_from_slice(&len.to_le_bytes());
-    m.extend_from_slice(&inline.to_le_bytes());
-    m
-}
-
-/// Metadata blob for modeled-mode response capsules: `[kind, cid(2), status(2)]`.
-pub fn meta_resp_pdu(cid: u16, status: u16) -> Vec<u8> {
-    let mut m = Vec::with_capacity(5);
-    m.push(PduType::CapsuleResp as u8);
-    m.extend_from_slice(&cid.to_le_bytes());
-    m.extend_from_slice(&status.to_le_bytes());
-    m
-}
-
-/// Decoded modeled metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PduMeta {
-    /// Data-bearing PDU.
-    Data {
-        /// PDU type.
-        kind: PduType,
-        /// Command id.
-        cid: u16,
-        /// Buffer offset.
-        datao: u32,
-        /// Data length.
-        datal: u32,
-    },
-    /// Command capsule.
-    Cmd {
-        /// Command id.
-        cid: u16,
-        /// Opcode byte.
-        op: u8,
-        /// Device byte offset.
-        offset: u64,
-        /// Transfer length.
-        len: u32,
-        /// Inline data bytes (writes).
-        inline: u32,
-    },
-    /// Response capsule.
-    Resp {
-        /// Command id.
-        cid: u16,
-        /// Status code.
-        status: u16,
-    },
-}
-
-/// Decodes a metadata blob.
-pub fn decode_meta(m: &[u8]) -> Option<PduMeta> {
-    let kind = PduType::from_byte(*m.first()?)?;
-    match kind {
-        PduType::C2HData | PduType::H2CData => Some(PduMeta::Data {
-            kind,
-            cid: u16::from_le_bytes([m[1], m[2]]),
-            datao: u32::from_le_bytes(m[3..7].try_into().ok()?),
-            datal: u32::from_le_bytes(m[7..11].try_into().ok()?),
-        }),
-        PduType::CapsuleCmd => Some(PduMeta::Cmd {
-            cid: u16::from_le_bytes([m[1], m[2]]),
-            op: m[3],
-            offset: u64::from_le_bytes(m[4..12].try_into().ok()?),
-            len: u32::from_le_bytes(m[12..16].try_into().ok()?),
-            inline: u32::from_le_bytes(m[16..20].try_into().ok()?),
-        }),
-        PduType::CapsuleResp => Some(PduMeta::Resp {
-            cid: u16::from_le_bytes([m[1], m[2]]),
-            status: u16::from_le_bytes([m[3], m[4]]),
-        }),
-        _ => None,
-    }
+/// Decodes the header of the PDU starting at `off` with the same
+/// [`parse_header`] in either mode: the common header off the wire (its
+/// PSH follows later, through the data path), or the whole encoded header
+/// the sender registered with a modeled frame.
+pub(crate) fn pdu_at(mode: &FlowMode, off: u64, hdr: Option<&[u8]>) -> Option<(CommonHeader, Option<Psh>)> {
+    mode.msg_at(off, hdr, parse_header, |_| None)
 }
 
 /// Receive-side NVMe flow: CRC verification + direct data placement.
 pub struct NvmeRxFlow {
-    mode: NvmeMode,
+    mode: FlowMode,
     rr: RrMap,
     /// Copy offload enabled (place C2HData into registered buffers).
     place: bool,
     // Per-PDU cursor state.
-    kind: Option<PduType>,
-    hlen: u32,
-    data_len: u32,
-    has_ddgst: bool,
+    ch: Option<CommonHeader>,
     cid: Option<u16>,
     datao: u32,
     ext_buf: Vec<u8>,
@@ -201,7 +112,7 @@ pub struct NvmeRxFlow {
 impl std::fmt::Debug for NvmeRxFlow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NvmeRxFlow")
-            .field("kind", &self.kind)
+            .field("kind", &self.ch.map(|ch| ch.kind))
             .field("place", &self.place)
             .finish()
     }
@@ -209,15 +120,12 @@ impl std::fmt::Debug for NvmeRxFlow {
 
 impl NvmeRxFlow {
     /// Creates the receive flow. `place` enables the copy offload.
-    pub fn new(mode: NvmeMode, rr: RrMap, place: bool) -> NvmeRxFlow {
+    pub fn new(mode: FlowMode, rr: RrMap, place: bool) -> NvmeRxFlow {
         NvmeRxFlow {
             mode,
             rr,
             place,
-            kind: None,
-            hlen: 0,
-            data_len: 0,
-            has_ddgst: false,
+            ch: None,
             cid: None,
             datao: 0,
             ext_buf: Vec::new(),
@@ -228,14 +136,10 @@ impl NvmeRxFlow {
         }
     }
 
-    fn parse_common(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        match (&self.mode, hdr) {
-            (NvmeMode::Functional, Some(h)) => CommonHeader::parse(h).map(|ch| MsgHeader {
-                total_len: ch.plen,
-            }),
-            (NvmeMode::Modeled(frames), _) => frames.at(stream_off).map(|(m, _)| m),
-            _ => None,
-        }
+    /// Takes the CID and placement offset from a decoded PSH.
+    fn note_psh(&mut self, psh: Psh) {
+        self.cid = psh.cid();
+        self.datao = psh.ext.map_or(0, |e| e.datao);
     }
 }
 
@@ -244,93 +148,42 @@ impl L5Flow for NvmeRxFlow {
         CH_LEN
     }
 
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_common(stream_off, hdr)
+    fn mode(&self) -> &FlowMode {
+        &self.mode
     }
 
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_common(stream_off, hdr)
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        common(hdr)
     }
 
-    fn begin_msg(&mut self, _msg_index: u64, stream_off: u64, hdr: Option<&[u8]>) {
+    fn begin_msg(&mut self, _msg_index: u64, stream_off: u64, hdr: Option<&[u8]>, _msg: MsgHeader) {
         self.ext_buf.clear();
         self.crc = Crc32c::new();
         self.ddgst_got = 0;
         self.cid = None;
         self.datao = 0;
-        match (&self.mode, hdr) {
-            (NvmeMode::Functional, Some(h)) => {
-                let ch = CommonHeader::parse(h).expect("walker validated header");
-                self.kind = Some(ch.kind);
-                self.hlen = ch.hlen as u32;
-                self.data_len = ch.data_len() as u32;
-                self.has_ddgst = ch.has_ddgst();
-            }
-            (NvmeMode::Modeled(frames), _) => {
-                let total = frames.at(stream_off).map(|(m, _)| m.total_len).unwrap_or(0);
-                match frames.meta_at(stream_off).as_deref().and_then(|m| decode_meta(m)) {
-                    Some(PduMeta::Data { kind, cid, datao, datal }) => {
-                        self.kind = Some(kind);
-                        self.hlen = kind.hlen() as u32;
-                        self.data_len = datal;
-                        self.has_ddgst = true;
-                        self.cid = Some(cid);
-                        self.datao = datao;
-                    }
-                    Some(PduMeta::Cmd { cid, inline, .. }) => {
-                        self.kind = Some(PduType::CapsuleCmd);
-                        self.hlen = PduType::CapsuleCmd.hlen() as u32;
-                        self.data_len = inline;
-                        self.has_ddgst = inline > 0;
-                        self.cid = Some(cid);
-                    }
-                    Some(PduMeta::Resp { cid, .. }) => {
-                        self.kind = Some(PduType::CapsuleResp);
-                        self.hlen = PduType::CapsuleResp.hlen() as u32;
-                        self.data_len = 0;
-                        self.has_ddgst = false;
-                        self.cid = Some(cid);
-                    }
-                    None => {
-                        self.kind = None;
-                        self.hlen = total.max(CH_LEN as u32);
-                        self.data_len = 0;
-                        self.has_ddgst = false;
-                    }
-                }
-            }
-            _ => {
-                self.kind = None;
-            }
+        let pdu = pdu_at(&self.mode, stream_off, hdr);
+        self.ch = pdu.map(|(ch, _)| ch);
+        if let Some((_, Some(psh))) = pdu {
+            self.note_psh(psh);
         }
     }
 
     fn process(&mut self, msg_off: u32, mut data: DataRef<'_>) {
+        let Some(ch) = self.ch else {
+            return;
+        };
         let len = data.len() as u32;
-        let ext_end = self.hlen;
-        let data_end = self.hlen + self.data_len;
+        let ext_end = ch.hlen as u32;
+        let data_end = ext_end + ch.data_len() as u32;
         let mut pos = 0u32;
-        // Extended header bytes.
+        // PSH bytes off the wire: extract CID & geometry once complete.
         if msg_off < ext_end {
             let take = (ext_end - msg_off).min(len);
             if let Some(bytes) = data.as_real() {
                 self.ext_buf.extend_from_slice(&bytes[..take as usize]);
                 if msg_off + take == ext_end {
-                    // Complete extended header: extract CID & geometry.
-                    match self.kind {
-                        Some(PduType::C2HData) | Some(PduType::H2CData) => {
-                            if let Some(ext) = parse_data_ext(&self.ext_buf) {
-                                self.cid = Some(ext.cid);
-                                self.datao = ext.datao;
-                            }
-                        }
-                        Some(PduType::CapsuleCmd) => {
-                            if let Some(sqe) = parse_sqe(&self.ext_buf) {
-                                self.cid = Some(sqe.cid);
-                            }
-                        }
-                        _ => {}
-                    }
+                    self.note_psh(Psh::parse(ch.kind, &self.ext_buf));
                 }
             }
             pos += take;
@@ -344,12 +197,12 @@ impl L5Flow for NvmeRxFlow {
                 if let Some(bytes) = chunk.as_real() {
                     self.crc.update(bytes);
                 }
-                if self.place && self.kind == Some(PduType::C2HData) {
+                if self.place && ch.kind == PduType::C2HData {
                     let entry = self.cid.and_then(|c| self.rr.get(c));
                     match entry {
                         Some(e) => {
                             if let (Some(buf), Some(bytes)) = (&e.buf, chunk.as_real()) {
-                                let dst = (self.datao + (off - self.hlen)) as usize;
+                                let dst = (self.datao + (off - ext_end)) as usize;
                                 let mut b = buf.borrow_mut();
                                 if dst + bytes.len() <= b.len() {
                                     b[dst..dst + bytes.len()].copy_from_slice(bytes);
@@ -376,20 +229,18 @@ impl L5Flow for NvmeRxFlow {
     }
 
     fn end_msg(&mut self) -> bool {
-        let ok = match (&self.mode, self.has_ddgst) {
-            (NvmeMode::Functional, true) => {
+        match (&self.mode, self.ch.take()) {
+            (FlowMode::Functional, Some(ch)) if ch.has_ddgst() => {
                 self.ddgst_got == DDGST_LEN
                     && self.crc.finalize() == u32::from_le_bytes(self.ddgst_buf)
             }
             _ => true,
-        };
-        self.kind = None;
-        ok
+        }
     }
 
     fn resync_to(&mut self, _msg_index: u64) {
         // Capsule digests are per-message; nothing carries across boundaries.
-        self.kind = None;
+        self.ch = None;
         self.ext_buf.clear();
         self.ddgst_got = 0;
     }
@@ -403,59 +254,32 @@ impl L5Flow for NvmeRxFlow {
             nvme_placed: placed,
         }
     }
-
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-        match (&self.mode, window) {
-            (NvmeMode::Functional, SearchWindow::Real(b)) => scan_window(self, window_off, b),
-            (NvmeMode::Modeled(frames), w) => frames
-                .next_at_or_after(window_off)
-                .filter(|&(off, _, _)| off + CH_LEN as u64 <= window_off + w.len() as u64)
-                .map(|(off, h, _)| (off, h)),
-            _ => None,
-        }
-    }
 }
 
 /// Transmit-side NVMe flow: computes data digests and fills the dummy
 /// digest fields the software left behind (§5.1, "NVMe-TCP prepares
 /// capsules with dummy CRC fields, which the offload fills").
 pub struct NvmeTxFlow {
-    mode: NvmeMode,
-    kind: Option<PduType>,
-    hlen: u32,
-    data_len: u32,
-    has_ddgst: bool,
+    mode: FlowMode,
+    ch: Option<CommonHeader>,
     crc: Crc32c,
     digest: Option<[u8; DDGST_LEN]>,
 }
 
 impl std::fmt::Debug for NvmeTxFlow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NvmeTxFlow").field("kind", &self.kind).finish()
+        f.debug_struct("NvmeTxFlow").field("kind", &self.ch.map(|ch| ch.kind)).finish()
     }
 }
 
 impl NvmeTxFlow {
     /// Creates the transmit flow.
-    pub fn new(mode: NvmeMode) -> NvmeTxFlow {
+    pub fn new(mode: FlowMode) -> NvmeTxFlow {
         NvmeTxFlow {
             mode,
-            kind: None,
-            hlen: 0,
-            data_len: 0,
-            has_ddgst: false,
+            ch: None,
             crc: Crc32c::new(),
             digest: None,
-        }
-    }
-
-    fn parse_common(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        match (&self.mode, hdr) {
-            (NvmeMode::Functional, Some(h)) => CommonHeader::parse(h).map(|ch| MsgHeader {
-                total_len: ch.plen,
-            }),
-            (NvmeMode::Modeled(frames), _) => frames.at(stream_off).map(|(m, _)| m),
-            _ => None,
         }
     }
 }
@@ -465,60 +289,27 @@ impl L5Flow for NvmeTxFlow {
         CH_LEN
     }
 
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_common(stream_off, hdr)
+    fn mode(&self) -> &FlowMode {
+        &self.mode
     }
 
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_common(stream_off, hdr)
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        common(hdr)
     }
 
-    fn begin_msg(&mut self, _msg_index: u64, stream_off: u64, hdr: Option<&[u8]>) {
+    fn begin_msg(&mut self, _msg_index: u64, stream_off: u64, hdr: Option<&[u8]>, _msg: MsgHeader) {
         self.crc = Crc32c::new();
         self.digest = None;
-        match (&self.mode, hdr) {
-            (NvmeMode::Functional, Some(h)) => {
-                let ch = CommonHeader::parse(h).expect("walker validated header");
-                self.kind = Some(ch.kind);
-                self.hlen = ch.hlen as u32;
-                self.data_len = ch.data_len() as u32;
-                self.has_ddgst = ch.has_ddgst();
-            }
-            (NvmeMode::Modeled(frames), _) => {
-                match frames.meta_at(stream_off).as_deref().and_then(|m| decode_meta(m)) {
-                    Some(PduMeta::Data { kind, datal, .. }) => {
-                        self.kind = Some(kind);
-                        self.hlen = kind.hlen() as u32;
-                        self.data_len = datal;
-                        self.has_ddgst = true;
-                    }
-                    Some(PduMeta::Cmd { inline, .. }) => {
-                        self.kind = Some(PduType::CapsuleCmd);
-                        self.hlen = PduType::CapsuleCmd.hlen() as u32;
-                        self.data_len = inline;
-                        self.has_ddgst = inline > 0;
-                    }
-                    _ => {
-                        self.kind = Some(PduType::CapsuleResp);
-                        self.hlen = PduType::CapsuleResp.hlen() as u32;
-                        self.data_len = 0;
-                        self.has_ddgst = false;
-                    }
-                }
-            }
-            _ => {
-                self.kind = None;
-            }
-        }
+        self.ch = pdu_at(&self.mode, stream_off, hdr).map(|(ch, _)| ch);
     }
 
     fn process(&mut self, msg_off: u32, mut data: DataRef<'_>) {
-        if !self.has_ddgst {
+        let Some(ch) = self.ch.filter(|ch| ch.has_ddgst()) else {
             return;
-        }
+        };
         let len = data.len() as u32;
-        let data_start = self.hlen;
-        let data_end = self.hlen + self.data_len;
+        let data_start = ch.hlen as u32;
+        let data_end = data_start + ch.data_len() as u32;
         let mut pos = 0u32;
         while pos < len {
             let off = msg_off + pos;
@@ -547,12 +338,12 @@ impl L5Flow for NvmeTxFlow {
     }
 
     fn end_msg(&mut self) -> bool {
-        self.kind = None;
+        self.ch = None;
         true
     }
 
     fn resync_to(&mut self, _msg_index: u64) {
-        self.kind = None;
+        self.ch = None;
         self.digest = None;
     }
 
@@ -562,23 +353,12 @@ impl L5Flow for NvmeTxFlow {
             ..Default::default()
         }
     }
-
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-        match (&self.mode, window) {
-            (NvmeMode::Functional, SearchWindow::Real(b)) => scan_window(self, window_off, b),
-            (NvmeMode::Modeled(frames), w) => frames
-                .next_at_or_after(window_off)
-                .filter(|&(off, _, _)| off + CH_LEN as u64 <= window_off + w.len() as u64)
-                .map(|(off, h, _)| (off, h)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pdu::{encode_capsule_resp, encode_data_pdu};
+    use crate::pdu::{data_pdu_header, encode_capsule_resp, encode_data_pdu};
     use ano_core::rx::RxEngine;
     use ano_crypto::crc32c::crc32c;
 
@@ -602,7 +382,7 @@ mod tests {
         .concat();
 
         let mut e = RxEngine::new(
-            Box::new(NvmeRxFlow::new(NvmeMode::Functional, rr.clone(), true)),
+            Box::new(NvmeRxFlow::new(FlowMode::Functional, rr.clone(), true)),
             0,
             0,
         );
@@ -622,7 +402,7 @@ mod tests {
         let n = wire.len();
         wire[n - 1] ^= 0xFF;
         let mut e = RxEngine::new(
-            Box::new(NvmeRxFlow::new(NvmeMode::Functional, rr, false)),
+            Box::new(NvmeRxFlow::new(FlowMode::Functional, rr, false)),
             0,
             0,
         );
@@ -635,7 +415,7 @@ mod tests {
         let rr = RrMap::new(); // nothing registered
         let mut wire = encode_data_pdu(PduType::C2HData, 9, 0, &[7; 100], false);
         let mut e = RxEngine::new(
-            Box::new(NvmeRxFlow::new(NvmeMode::Functional, rr, true)),
+            Box::new(NvmeRxFlow::new(FlowMode::Functional, rr, true)),
             0,
             0,
         );
@@ -666,7 +446,7 @@ mod tests {
         let data: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
         let skipped = encode_data_pdu(PduType::C2HData, 2, 0, &data, true);
         let src = Src(skipped.clone());
-        let mut e = TxEngine::new(Box::new(NvmeTxFlow::new(NvmeMode::Functional)), 0, 0);
+        let mut e = TxEngine::new(Box::new(NvmeTxFlow::new(FlowMode::Functional)), 0, 0);
         let mut wire = Vec::new();
         for chunk in skipped.chunks(1448) {
             let mut b = chunk.to_vec();
@@ -683,44 +463,19 @@ mod tests {
 
     #[test]
     fn modeled_rx_uses_meta() {
+        use ano_core::msg::FrameIndex;
         let frames = FrameIndex::new();
         let rr = RrMap::new();
         rr.add(3, RrEntry { buf: None, len: 4096 });
-        let total = (PduType::C2HData.hlen() + 4096 + DDGST_LEN) as u32;
-        frames.push_full(0, total, Some(meta_data_pdu(PduType::C2HData, 3, 0, 4096)));
+        let header = data_pdu_header(PduType::C2HData, 3, 0, 4096);
+        let total = crate::pdu::pdu_len(&header) as u32;
+        frames.push_full(0, total, Some(Box::new(header)));
         let mut e = RxEngine::new(
-            Box::new(NvmeRxFlow::new(NvmeMode::Modeled(frames), rr, true)),
+            Box::new(NvmeRxFlow::new(FlowMode::Modeled(frames), rr, true)),
             0,
             0,
         );
         let flags = e.on_packet(0, &mut DataRef::Modeled(total as usize));
         assert!(flags.nvme_crc_ok && flags.nvme_placed);
-    }
-
-    #[test]
-    fn meta_roundtrips() {
-        let m = meta_data_pdu(PduType::C2HData, 7, 100, 200);
-        assert_eq!(
-            decode_meta(&m),
-            Some(PduMeta::Data {
-                kind: PduType::C2HData,
-                cid: 7,
-                datao: 100,
-                datal: 200
-            })
-        );
-        let m = meta_cmd_pdu(9, 2, 1 << 40, 65536, 0);
-        assert_eq!(
-            decode_meta(&m),
-            Some(PduMeta::Cmd {
-                cid: 9,
-                op: 2,
-                offset: 1 << 40,
-                len: 65536,
-                inline: 0
-            })
-        );
-        let m = meta_resp_pdu(1, 0);
-        assert_eq!(decode_meta(&m), Some(PduMeta::Resp { cid: 1, status: 0 }));
     }
 }

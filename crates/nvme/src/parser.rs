@@ -4,16 +4,19 @@
 //! chunks from kTLS in the combined NVMe-TLS stack) and yields complete
 //! PDUs, preserving per-packet offload flags so the caller can decide
 //! whether to skip the copy and CRC work (§5.1's software fallback rules).
+//!
+//! Headers are decoded by the one `pdu` codec in either [`FlowMode`]: off
+//! the wire, or — with synthetic payloads — from the encoded header the
+//! sender registered with the frame, so a modeled [`ParsedPdu`] carries the
+//! same SQE, data header or CQE a functional one does.
 
 use ano_core::flow::ResyncResponder;
+use ano_core::msg::FlowMode;
 use ano_sim::payload::Payload;
 use ano_tcp::segment::SkbFlags;
 
-use crate::offload::{decode_meta, NvmeMode, PduMeta};
-use crate::pdu::{
-    parse_cqe, parse_data_ext, parse_sqe, CommonHeader, DataExt, PduType, SqeFields, CH_LEN,
-    DDGST_LEN,
-};
+use crate::offload::pdu_at;
+use crate::pdu::{CommonHeader, PduType, Psh, CH_LEN, DDGST_LEN};
 
 /// One in-order run of stream bytes with its packet's offload flags: TCP's
 /// chunk as is, or kTLS's plaintext chunk under NVMe-TLS.
@@ -28,14 +31,8 @@ pub struct ParsedPdu {
     pub kind: PduType,
     /// Total wire length.
     pub total: u32,
-    /// Parsed SQE (command capsules, functional mode).
-    pub sqe: Option<SqeFields>,
-    /// Parsed data extended header (data PDUs, functional mode).
-    pub ext: Option<DataExt>,
-    /// Parsed CQE `(cid, status)` (response capsules, functional mode).
-    pub cqe: Option<(u16, u16)>,
-    /// Modeled-mode metadata.
-    pub meta: Option<PduMeta>,
+    /// The decoded PDU-specific header (SQE, data header or CQE).
+    pub psh: Psh,
     /// Data-section runs with their flags.
     pub data: Vec<(Payload, SkbFlags)>,
     /// Wire data digest (functional mode, when present).
@@ -47,23 +44,9 @@ pub struct ParsedPdu {
 }
 
 impl ParsedPdu {
-    /// The command id this PDU refers to, in either mode.
+    /// The command id this PDU refers to.
     pub fn cid(&self) -> Option<u16> {
-        if let Some(sqe) = self.sqe {
-            return Some(sqe.cid);
-        }
-        if let Some(ext) = self.ext {
-            return Some(ext.cid);
-        }
-        if let Some((cid, _)) = self.cqe {
-            return Some(cid);
-        }
-        match self.meta {
-            Some(PduMeta::Data { cid, .. })
-            | Some(PduMeta::Cmd { cid, .. })
-            | Some(PduMeta::Resp { cid, .. }) => Some(cid),
-            None => None,
-        }
+        self.psh.cid()
     }
 
     /// Data-section length.
@@ -79,14 +62,12 @@ impl ParsedPdu {
 
 struct CurPdu {
     start: u64,
-    kind: PduType,
-    hlen: u32,
-    data_len: u32,
-    has_ddgst: bool,
-    total: u32,
+    ch: CommonHeader,
     consumed: u32,
+    /// PSH bytes as they arrive off the wire.
     ext: Vec<u8>,
-    meta: Option<PduMeta>,
+    /// The PSH, when the header came whole from a modeled frame.
+    psh: Option<Psh>,
     data: Vec<(Payload, SkbFlags)>,
     ddgst: [u8; DDGST_LEN],
     ddgst_got: usize,
@@ -96,7 +77,7 @@ struct CurPdu {
 
 /// The parser state machine.
 pub struct PduParser {
-    mode: NvmeMode,
+    mode: FlowMode,
     pos: u64,
     hdr: Vec<u8>,
     hdr_start: u64,
@@ -119,7 +100,7 @@ impl std::fmt::Debug for PduParser {
 impl PduParser {
     /// Creates a parser. In modeled mode, `mode` must hold the *sender's*
     /// frame index.
-    pub fn new(mode: NvmeMode) -> PduParser {
+    pub fn new(mode: FlowMode) -> PduParser {
         PduParser {
             mode,
             pos: 0,
@@ -173,13 +154,13 @@ impl PduParser {
                     }
                 }
                 Some(cur) => {
-                    let take = ((cur.total - cur.consumed) as usize).min(len - consumed);
+                    let take = ((cur.ch.plen - cur.consumed) as usize).min(len - consumed);
                     let off = cur.consumed;
                     Self::feed(cur, off, chunk.payload.slice(consumed, consumed + take), chunk.flags);
                     cur.consumed += take as u32;
                     consumed += take;
                     self.pos += take as u64;
-                    if cur.consumed == cur.total {
+                    if cur.consumed == cur.ch.plen {
                         out.push(self.finish_pdu());
                     }
                 }
@@ -189,88 +170,36 @@ impl PduParser {
         out
     }
 
-    /// Starts a PDU once the common header is known. Returns false on a
-    /// framing error.
+    /// Starts a PDU once the common header is known — off the wire, or
+    /// (modeled) the whole header from the sender's frame index. Returns
+    /// false on a framing error.
     fn begin_pdu(&mut self) -> bool {
         let start = self.hdr_start;
-        let parsed = match &self.mode {
-            NvmeMode::Functional => CommonHeader::parse(&self.hdr).map(|ch| CurPdu {
-                start,
-                kind: ch.kind,
-                hlen: ch.hlen as u32,
-                data_len: ch.data_len() as u32,
-                has_ddgst: ch.has_ddgst(),
-                total: ch.plen,
-                consumed: CH_LEN as u32,
-                // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
-                ext: Vec::new(),
-                meta: None,
-                // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
-                data: Vec::new(),
-                ddgst: [0; DDGST_LEN],
-                ddgst_got: 0,
-                all_crc_ok: true,
-                all_placed: true,
-            }),
-            NvmeMode::Modeled(frames) => {
-                let total = frames.at(start).map(|(m, _)| m.total_len);
-                let meta = frames.meta_at(start).as_deref().and_then(|m| decode_meta(m));
-                match (total, meta) {
-                    (Some(total), Some(meta)) => {
-                        let (kind, hlen, data_len, has_ddgst) = match meta {
-                            PduMeta::Data { kind, datal, .. } => {
-                                (kind, kind.hlen() as u32, datal, true)
-                            }
-                            PduMeta::Cmd { inline, .. } => (
-                                PduType::CapsuleCmd,
-                                PduType::CapsuleCmd.hlen() as u32,
-                                inline,
-                                inline > 0,
-                            ),
-                            PduMeta::Resp { .. } => (
-                                PduType::CapsuleResp,
-                                PduType::CapsuleResp.hlen() as u32,
-                                0,
-                                false,
-                            ),
-                        };
-                        Some(CurPdu {
-                            start,
-                            kind,
-                            hlen,
-                            data_len,
-                            has_ddgst,
-                            total,
-                            consumed: CH_LEN as u32,
-                            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
-                            ext: Vec::new(),
-                            meta: Some(meta),
-                            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
-                            data: Vec::new(),
-                            ddgst: [0; DDGST_LEN],
-                            ddgst_got: 0,
-                            all_crc_ok: true,
-                            all_placed: true,
-                        })
-                    }
-                    _ => None,
-                }
-            }
+        let Some((ch, psh)) = pdu_at(&self.mode, start, Some(&self.hdr)) else {
+            return false;
         };
-        match parsed {
-            Some(cur) => {
-                self.resync.note_start(start);
-                self.cur = Some(cur);
-                true
-            }
-            None => false,
-        }
+        self.resync.note_start(start);
+        self.cur = Some(CurPdu {
+            start,
+            ch,
+            consumed: CH_LEN as u32,
+            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
+            ext: Vec::new(),
+            psh,
+            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
+            data: Vec::new(),
+            ddgst: [0; DDGST_LEN],
+            ddgst_got: 0,
+            all_crc_ok: true,
+            all_placed: true,
+        });
+        true
     }
 
     fn feed(cur: &mut CurPdu, off: u32, payload: Payload, flags: SkbFlags) {
         let len = payload.len() as u32;
-        let ext_end = cur.hlen;
-        let data_end = cur.hlen + cur.data_len;
+        let ext_end = cur.ch.hlen as u32;
+        let data_end = ext_end + cur.ch.data_len() as u32;
         let mut pos = 0u32;
         // Extended header.
         if off < ext_end {
@@ -306,24 +235,13 @@ impl PduParser {
     fn finish_pdu(&mut self) -> ParsedPdu {
         // ano-lint: allow(transitive-panic): state-machine contract: finish_pdu runs only with a PDU open
         let cur = self.cur.take().expect("PDU in progress");
-        let (sqe, ext, cqe) = match cur.kind {
-            PduType::CapsuleCmd => (parse_sqe(&cur.ext), None, None),
-            PduType::C2HData | PduType::H2CData | PduType::R2T => {
-                (None, parse_data_ext(&cur.ext), None)
-            }
-            PduType::CapsuleResp => (None, None, parse_cqe(&cur.ext)),
-            _ => (None, None, None),
-        };
         ParsedPdu {
             start: cur.start,
-            kind: cur.kind,
-            total: cur.total,
-            sqe,
-            ext,
-            cqe,
-            meta: cur.meta,
+            kind: cur.ch.kind,
+            total: cur.ch.plen,
+            psh: cur.psh.unwrap_or_else(|| Psh::parse(cur.ch.kind, &cur.ext)),
             data: cur.data,
-            ddgst: (cur.has_ddgst && cur.ddgst_got == DDGST_LEN)
+            ddgst: (cur.ch.has_ddgst() && cur.ddgst_got == DDGST_LEN)
                 .then(|| u32::from_le_bytes(cur.ddgst)),
             all_crc_ok: cur.all_crc_ok,
             all_placed: cur.all_placed,
@@ -331,7 +249,7 @@ impl PduParser {
     }
 
     /// The parser's payload-fidelity mode.
-    pub fn mode(&self) -> &NvmeMode {
+    pub fn mode(&self) -> &FlowMode {
         &self.mode
     }
 }
@@ -363,7 +281,7 @@ mod tests {
             encode_capsule_resp(1, 0),
         ]
         .concat();
-        let mut p = PduParser::new(NvmeMode::Functional);
+        let mut p = PduParser::new(FlowMode::Functional);
         let mut pdus = Vec::new();
         for c in chunkify(&stream, 700, SkbFlags::default()) {
             pdus.extend(p.on_chunk(c));
@@ -388,7 +306,7 @@ mod tests {
             nvme_placed: true,
             ..Default::default()
         };
-        let mut p = PduParser::new(NvmeMode::Functional);
+        let mut p = PduParser::new(FlowMode::Functional);
         let mut pdus = Vec::new();
         for c in chunkify(&stream, 512, ok_flags) {
             pdus.extend(p.on_chunk(c));
@@ -396,7 +314,7 @@ mod tests {
         assert!(pdus[0].all_crc_ok && pdus[0].all_placed);
 
         // One un-offloaded packet poisons the PDU classification.
-        let mut p = PduParser::new(NvmeMode::Functional);
+        let mut p = PduParser::new(FlowMode::Functional);
         let mut chunks = chunkify(&stream, 512, ok_flags);
         chunks[1].flags = SkbFlags::default();
         let mut pdus = Vec::new();
@@ -414,7 +332,7 @@ mod tests {
         ]
         .concat();
         let second_start = (stream.len() / 2) as u64;
-        let mut p = PduParser::new(NvmeMode::Functional);
+        let mut p = PduParser::new(FlowMode::Functional);
         p.resync_mut().request(second_start);
         p.resync_mut().request(5); // not a boundary
         for c in chunkify(&stream, 16, SkbFlags::default()) {
@@ -427,7 +345,7 @@ mod tests {
 
     #[test]
     fn garbage_header_counts_error() {
-        let mut p = PduParser::new(NvmeMode::Functional);
+        let mut p = PduParser::new(FlowMode::Functional);
         p.on_chunk(StreamChunk {
             offset: 0,
             payload: Payload::real(vec![0xFFu8; 16]),

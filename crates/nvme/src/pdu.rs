@@ -161,30 +161,43 @@ pub enum IoOpcode {
     Read = 0x02,
 }
 
+/// Encodes an `N`-byte PDU header (`hlen` = `N`): the common header for
+/// `kind`, then `psh` fills the PDU-specific bytes after it.
+fn header<const N: usize>(kind: PduType, flags: u8, plen: u32, psh: impl FnOnce(&mut [u8])) -> [u8; N] {
+    let mut h = [0u8; N];
+    h[..CH_LEN].copy_from_slice(&CommonHeader { kind, flags, hlen: N as u8, plen }.encode());
+    psh(&mut h[CH_LEN..]);
+    h
+}
+
+/// Total length of the PDU whose encoded header is `header` (its `plen`).
+pub fn pdu_len(header: &[u8]) -> usize {
+    u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize
+}
+
+/// The header (common header + SQE) of a command capsule carrying `inline`
+/// bytes of write data.
+pub fn capsule_cmd_header(cid: u16, op: IoOpcode, offset: u64, len: u32, inline: u32) -> [u8; CH_LEN + SQE_LEN] {
+    let (flags, ddgst) = if inline > 0 { (FLAG_DDGST, DDGST_LEN as u32) } else { (0, 0) };
+    let plen = (CH_LEN + SQE_LEN) as u32 + inline + ddgst;
+    header(PduType::CapsuleCmd, flags, plen, |sqe| {
+        sqe[0] = op as u8;
+        sqe[2..4].copy_from_slice(&cid.to_le_bytes());
+        sqe[8..16].copy_from_slice(&offset.to_le_bytes());
+        sqe[16..20].copy_from_slice(&len.to_le_bytes());
+    })
+}
+
 /// Builds a command capsule: read (no data) or write (inline data + digest).
 pub fn encode_capsule_cmd(cid: u16, op: IoOpcode, offset: u64, len: u32, data: Option<&[u8]>) -> Vec<u8> {
-    let data_len = data.map(|d| d.len()).unwrap_or(0);
-    let ddgst = if data_len > 0 { DDGST_LEN } else { 0 };
-    let flags = if data_len > 0 { FLAG_DDGST } else { 0 };
-    let plen = (CH_LEN + SQE_LEN + data_len + ddgst) as u32;
-    let ch = CommonHeader {
-        kind: PduType::CapsuleCmd,
-        flags,
-        hlen: (CH_LEN + SQE_LEN) as u8,
-        plen,
-    };
+    let data = data.unwrap_or_default();
+    let header = capsule_cmd_header(cid, op, offset, len, data.len() as u32);
     // ano-lint: allow(hot-alloc): per-PDU encode buffer, inventoried for arena round 2 (ROADMAP item 1)
-    let mut out = Vec::with_capacity(plen as usize);
-    out.extend_from_slice(&ch.encode());
-    let mut sqe = [0u8; SQE_LEN];
-    sqe[0] = op as u8;
-    sqe[2..4].copy_from_slice(&cid.to_le_bytes());
-    sqe[8..16].copy_from_slice(&offset.to_le_bytes());
-    sqe[16..20].copy_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&sqe);
-    if let Some(d) = data {
-        out.extend_from_slice(d);
-        out.extend_from_slice(&crc32c(d).to_le_bytes());
+    let mut out = Vec::with_capacity(pdu_len(&header));
+    out.extend_from_slice(&header);
+    if !data.is_empty() {
+        out.extend_from_slice(data);
+        out.extend_from_slice(&crc32c(data).to_le_bytes());
     }
     out
 }
@@ -220,21 +233,17 @@ pub fn parse_sqe(sqe: &[u8]) -> Option<SqeFields> {
     })
 }
 
+/// The header (common header + CQE) of a response capsule — all of it.
+pub fn capsule_resp_header(cid: u16, status: u16) -> [u8; CH_LEN + CQE_LEN] {
+    header(PduType::CapsuleResp, 0, (CH_LEN + CQE_LEN) as u32, |cqe| {
+        cqe[12..14].copy_from_slice(&cid.to_le_bytes());
+        cqe[14..16].copy_from_slice(&status.to_le_bytes());
+    })
+}
+
 /// Builds a response capsule.
 pub fn encode_capsule_resp(cid: u16, status: u16) -> Vec<u8> {
-    let ch = CommonHeader {
-        kind: PduType::CapsuleResp,
-        flags: 0,
-        hlen: (CH_LEN + CQE_LEN) as u8,
-        plen: (CH_LEN + CQE_LEN) as u32,
-    };
-    let mut out = Vec::with_capacity(CH_LEN + CQE_LEN);
-    out.extend_from_slice(&ch.encode());
-    let mut cqe = [0u8; CQE_LEN];
-    cqe[12..14].copy_from_slice(&cid.to_le_bytes());
-    cqe[14..16].copy_from_slice(&status.to_le_bytes());
-    out.extend_from_slice(&cqe);
-    out
+    capsule_resp_header(cid, status).to_vec()
 }
 
 /// Parses a CQE: `(cid, status)`.
@@ -248,6 +257,22 @@ pub fn parse_cqe(cqe: &[u8]) -> Option<(u16, u16)> {
     ))
 }
 
+/// The header (common header + data extended header) of a C2H/H2C data
+/// PDU carrying `datal` bytes at buffer offset `datao`.
+///
+/// # Panics
+///
+/// Panics if `kind` is not a data PDU type.
+pub fn data_pdu_header(kind: PduType, cid: u16, datao: u32, datal: u32) -> [u8; CH_LEN + DATA_EXT_LEN] {
+    assert!(kind.has_data() && kind != PduType::CapsuleCmd, "data PDU type");
+    let plen = (CH_LEN + DATA_EXT_LEN + DDGST_LEN) as u32 + datal;
+    header(kind, FLAG_DDGST, plen, |ext| {
+        ext[0..2].copy_from_slice(&cid.to_le_bytes());
+        ext[4..8].copy_from_slice(&datao.to_le_bytes());
+        ext[8..12].copy_from_slice(&datal.to_le_bytes());
+    })
+}
+
 /// Builds a C2H/H2C data PDU. The digest is real over `data` unless
 /// `dummy_digest` is set (transmit offload: the NIC fills it, §5.1).
 pub fn encode_data_pdu(
@@ -257,22 +282,10 @@ pub fn encode_data_pdu(
     data: &[u8],
     dummy_digest: bool,
 ) -> Vec<u8> {
-    assert!(kind.has_data() && kind != PduType::CapsuleCmd, "data PDU type");
     assert!(data.len() <= MAX_DATA, "data PDU too large");
-    let plen = (CH_LEN + DATA_EXT_LEN + data.len() + DDGST_LEN) as u32;
-    let ch = CommonHeader {
-        kind,
-        flags: FLAG_DDGST,
-        hlen: (CH_LEN + DATA_EXT_LEN) as u8,
-        plen,
-    };
-    let mut out = Vec::with_capacity(plen as usize);
-    out.extend_from_slice(&ch.encode());
-    let mut ext = [0u8; DATA_EXT_LEN];
-    ext[0..2].copy_from_slice(&cid.to_le_bytes());
-    ext[4..8].copy_from_slice(&datao.to_le_bytes());
-    ext[8..12].copy_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ext);
+    let header = data_pdu_header(kind, cid, datao, data.len() as u32);
+    let mut out = Vec::with_capacity(pdu_len(&header));
+    out.extend_from_slice(&header);
     out.extend_from_slice(data);
     let digest = if dummy_digest { 0 } else { crc32c(data) };
     out.extend_from_slice(&digest.to_le_bytes());
@@ -305,21 +318,58 @@ pub fn parse_data_ext(ext: &[u8]) -> Option<DataExt> {
 /// Builds an R2T PDU (implemented for completeness; unused by the default
 /// inline-write binding).
 pub fn encode_r2t(cid: u16, ttag: u16, r2to: u32, r2tl: u32) -> Vec<u8> {
-    let ch = CommonHeader {
-        kind: PduType::R2T,
-        flags: 0,
-        hlen: (CH_LEN + DATA_EXT_LEN) as u8,
-        plen: (CH_LEN + DATA_EXT_LEN) as u32,
-    };
-    let mut out = Vec::with_capacity(CH_LEN + DATA_EXT_LEN);
-    out.extend_from_slice(&ch.encode());
-    let mut ext = [0u8; DATA_EXT_LEN];
-    ext[0..2].copy_from_slice(&cid.to_le_bytes());
-    ext[2..4].copy_from_slice(&ttag.to_le_bytes());
-    ext[4..8].copy_from_slice(&r2to.to_le_bytes());
-    ext[8..12].copy_from_slice(&r2tl.to_le_bytes());
-    out.extend_from_slice(&ext);
-    out
+    let h: [u8; CH_LEN + DATA_EXT_LEN] =
+        header(PduType::R2T, 0, (CH_LEN + DATA_EXT_LEN) as u32, |ext| {
+            ext[0..2].copy_from_slice(&cid.to_le_bytes());
+            ext[2..4].copy_from_slice(&ttag.to_le_bytes());
+            ext[4..8].copy_from_slice(&r2to.to_le_bytes());
+            ext[8..12].copy_from_slice(&r2tl.to_le_bytes());
+        });
+    h.to_vec()
+}
+
+/// The PDU-specific header fields a receiver reads, by PDU type.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Psh {
+    /// The SQE of a command capsule.
+    pub sqe: Option<SqeFields>,
+    /// The extended header of a data or R2T PDU.
+    pub ext: Option<DataExt>,
+    /// The CQE `(cid, status)` of a response capsule.
+    pub cqe: Option<(u16, u16)>,
+}
+
+impl Psh {
+    /// Decodes the PSH bytes (everything after the common header) of a
+    /// `kind` PDU.
+    pub fn parse(kind: PduType, psh: &[u8]) -> Psh {
+        match kind {
+            PduType::CapsuleCmd => Psh { sqe: parse_sqe(psh), ..Psh::default() },
+            PduType::C2HData | PduType::H2CData | PduType::R2T => Psh {
+                ext: parse_data_ext(psh),
+                ..Psh::default()
+            },
+            PduType::CapsuleResp => Psh { cqe: parse_cqe(psh), ..Psh::default() },
+            PduType::ICReq | PduType::ICResp => Psh::default(),
+        }
+    }
+
+    /// The command id the PDU refers to.
+    pub fn cid(&self) -> Option<u16> {
+        (self.sqe.map(|s| s.cid))
+            .or(self.ext.map(|e| e.cid))
+            .or(self.cqe.map(|(cid, _)| cid))
+    }
+}
+
+/// Decodes PDU header bytes: the common header (the §5.1 magic pattern),
+/// and the PSH too when `h` holds all `hlen` bytes — a header registered
+/// with a modeled frame. Off the wire, `h` is the common header alone and
+/// the PSH follows through the data path.
+pub fn parse_header(h: &[u8]) -> Option<(CommonHeader, Option<Psh>)> {
+    let ch = CommonHeader::parse(h)?;
+    let psh = h.get(CH_LEN..ch.hlen as usize).map(|p| Psh::parse(ch.kind, p));
+    Some((ch, psh))
 }
 
 /// Builds an ICReq/ICResp PDU (connection setup; offloads attach after it).

@@ -15,11 +15,8 @@ use ano_sim::payload::{DataMode, Payload};
 use ano_sim::time::SimTime;
 
 use crate::block::BlockDevice;
-use crate::offload::{meta_data_pdu, meta_resp_pdu};
 use crate::parser::{PduParser, StreamChunk};
-use crate::pdu::{
-    encode_capsule_resp, encode_data_pdu, IoOpcode, PduType, CH_LEN, DATA_EXT_LEN, DDGST_LEN,
-};
+use crate::pdu::{capsule_resp_header, data_pdu_header, encode_data_pdu, pdu_len, IoOpcode, PduType};
 
 /// Target configuration.
 #[derive(Clone, Copy, Debug)]
@@ -162,24 +159,13 @@ impl NvmeTcpTarget {
                 if pdu.kind != PduType::CapsuleCmd {
                     continue;
                 }
-                let Some(cid) = pdu.cid() else { continue };
-                let (op, offset, len, inline) = match (pdu.sqe, pdu.meta) {
-                    (Some(sqe), _) => (sqe.op, sqe.offset, sqe.len, pdu.data_len() as u32),
-                    (None, Some(crate::offload::PduMeta::Cmd { op, offset, len, inline, .. })) => {
-                        let op = if op == IoOpcode::Write as u8 {
-                            IoOpcode::Write
-                        } else {
-                            IoOpcode::Read
-                        };
-                        (op, offset, len, inline)
-                    }
-                    _ => continue,
-                };
+                let Some(sqe) = pdu.psh.sqe else { continue };
+                let (cid, offset, inline) = (sqe.cid, sqe.offset, pdu.data_len() as u32);
                 cycles += cost.per_req_nvme / 2; // submission half of the I/O path
-                match op {
+                match sqe.op {
                     IoOpcode::Read => {
                         self.stats.reads += 1;
-                        let (data, ready) = self.device.read(now, offset, len as usize);
+                        let (data, ready) = self.device.read(now, offset, sqe.len as usize);
                         out.push(PendingReply {
                             ready,
                             reply: Reply::ReadData { cid, data },
@@ -228,7 +214,7 @@ impl NvmeTcpTarget {
     pub fn emit(&mut self, reply: Reply, cost: &CostModel) -> (Vec<Payload>, u64) {
         let mut out = Vec::new();
         let mut cycles = cost.per_req_nvme / 2; // completion half
-        match reply {
+        let (cid, status) = match reply {
             Reply::ReadData { cid, data } => {
                 let mut datao = 0usize;
                 let len = data.len();
@@ -238,8 +224,7 @@ impl NvmeTcpTarget {
                     if !self.cfg.crc_tx_offload {
                         cycles += cost.crc_cycles(take);
                     }
-                    let total =
-                        (CH_LEN + DATA_EXT_LEN) as u32 + take as u32 + DDGST_LEN as u32;
+                    let header = data_pdu_header(PduType::C2HData, cid, datao as u32, take as u32);
                     let wire = match chunk.as_real() {
                         Some(bytes) => Payload::real(encode_data_pdu(
                             PduType::C2HData,
@@ -248,39 +233,34 @@ impl NvmeTcpTarget {
                             bytes,
                             self.cfg.crc_tx_offload,
                         )),
-                        None => Payload::synthetic(total as usize),
+                        None => Payload::synthetic(pdu_len(&header)),
                     };
-                    self.push_tx_frame(
-                        wire.len() as u32,
-                        meta_data_pdu(PduType::C2HData, cid, datao as u32, take as u32),
-                    );
-                    out.push(wire);
+                    self.push_pdu(wire, &header, &mut out);
                     datao += take;
                     if len == 0 {
                         break;
                     }
                 }
-                let resp = match self.cfg.mode {
-                    DataMode::Functional => Payload::real(encode_capsule_resp(cid, 0)),
-                    DataMode::Modeled => Payload::synthetic(CH_LEN + 16),
-                };
-                self.push_tx_frame(resp.len() as u32, meta_resp_pdu(cid, 0));
-                out.push(resp);
+                (cid, 0)
             }
-            Reply::WriteAck { cid, status } => {
-                let resp = match self.cfg.mode {
-                    DataMode::Functional => Payload::real(encode_capsule_resp(cid, status)),
-                    DataMode::Modeled => Payload::synthetic(CH_LEN + 16),
-                };
-                self.push_tx_frame(resp.len() as u32, meta_resp_pdu(cid, status));
-                out.push(resp);
-            }
-        }
+            Reply::WriteAck { cid, status } => (cid, status),
+        };
+        let header = capsule_resp_header(cid, status);
+        let resp = match self.cfg.mode {
+            DataMode::Functional => Payload::real(header.to_vec()),
+            DataMode::Modeled => Payload::synthetic(header.len()),
+        };
+        self.push_pdu(resp, &header, &mut out);
         (out, cycles)
     }
 
-    fn push_tx_frame(&mut self, total: u32, meta: Vec<u8>) {
-        self.tx_log.push(total, Some(meta));
+    /// Logs one emitted PDU and queues it. A synthetic PDU registers its
+    /// encoded header with the frame, for the peer's modeled parser and
+    /// NIC flows to decode.
+    fn push_pdu(&mut self, wire: Payload, header: &[u8], out: &mut Vec<Payload>) {
+        let header = wire.as_real().is_none().then(|| Box::from(header));
+        self.tx_log.push(wire.len() as u32, header);
+        out.push(wire);
     }
 
     /// `l5o_get_tx_msgstate` for the target's reply stream.
@@ -298,8 +278,8 @@ impl NvmeTcpTarget {
 mod tests {
     use super::*;
     use crate::block::{pattern_byte, BlockDevice, BlockDeviceConfig};
-    use crate::offload::NvmeMode;
-    use crate::pdu::encode_capsule_cmd;
+    use ano_core::msg::FlowMode;
+    use crate::pdu::{encode_capsule_cmd, CH_LEN, DATA_EXT_LEN};
     use ano_tcp::segment::SkbFlags;
 
     fn cost() -> CostModel {
@@ -318,7 +298,7 @@ mod tests {
                 mode: DataMode::Functional,
                 ..Default::default()
             }),
-            PduParser::new(NvmeMode::Functional),
+            PduParser::new(FlowMode::Functional),
         )
     }
 

@@ -74,7 +74,7 @@ impl World {
     /// Runs until the queue drains or `until` is reached.
     ///
     /// The loop is burst-processed: every pending event sharing the earliest
-    /// timestamp (up to [`MAX_BURST`]) is drained from the scheduler in one
+    /// timestamp (up to `MAX_BURST`, 64) is drained from the scheduler in one
     /// call and dispatched as a vector. Dispatch order is identical to
     /// popping one event at a time — the batch only ever contains events
     /// that were already queued, and anything scheduled *while the batch is

@@ -30,15 +30,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use ano_core::fault::DeviceFaults;
-use ano_core::flow::{L5Flow, L5TxSource, ResyncResponder, TxMsgLog, TxMsgRef};
-use ano_core::msg::FrameIndex;
+use ano_core::flow::{L5Flow, L5TxSource, ResyncResponder, TxMsgRef};
+use ano_core::msg::{FlowMode, FrameIndex};
 use ano_core::nic::{Nic, NicConfig};
 use ano_core::rss::FourTuple;
 use ano_core::rx::RxEngine;
 use ano_core::tx::TxEngine;
 use ano_nvme::block::{BlockDevice, BlockDeviceConfig};
 use ano_nvme::host::{NvmeHostConfig, NvmeTcpHost};
-use ano_nvme::offload::{NvmeMode, NvmeRxFlow, NvmeTxFlow, RrMap};
+use ano_nvme::offload::{NvmeRxFlow, NvmeTxFlow, RrMap};
 use ano_nvme::parser::PduParser;
 use ano_nvme::target::{NvmeTargetConfig, NvmeTcpTarget, Reply};
 use ano_sim::cost::CostModel;
@@ -52,7 +52,7 @@ use ano_tcp::conn::TcpEndpoint;
 use ano_tcp::segment::FlowId;
 use ano_tcp::TcpConfig;
 use ano_tls::ktls::{KtlsRx, KtlsTx, KtlsTxConfig};
-use ano_tls::offload::{FlowMode, TlsRxFlow, TlsTxFlow};
+use ano_tls::offload::{TlsRxFlow, TlsTxFlow};
 use ano_tls::session::TlsSession;
 
 use crate::app::HostApp;
@@ -501,22 +501,6 @@ fn mk_rx(flow: Box<dyn L5Flow>, at: Option<u64>) -> RxEngine {
     }
 }
 
-fn fmode(modeled: bool, f: &FrameIndex) -> FlowMode {
-    if modeled {
-        FlowMode::Modeled(f.clone())
-    } else {
-        FlowMode::Functional
-    }
-}
-
-fn nmode(modeled: bool, f: &FrameIndex) -> NvmeMode {
-    if modeled {
-        NvmeMode::Modeled(f.clone())
-    } else {
-        NvmeMode::Functional
-    }
-}
-
 /// Retained plaintext-stream bytes for nested tx-engine recovery.
 #[derive(Debug, Default)]
 pub(crate) struct RetainBuf {
@@ -568,31 +552,38 @@ impl RetainBuf {
     }
 }
 
-/// Shared transmit state for a *nested* NVMe engine inside a TLS tx offload:
-/// capsule boundaries and retained plaintext bytes in plaintext-stream
-/// offsets (the inner engine's recovery upcalls resolve here).
-#[derive(Debug, Default)]
+/// Shared transmit state for a *nested* NVMe engine inside a TLS tx offload,
+/// in plaintext-stream offsets (the inner engine's recovery upcalls resolve
+/// here): capsule boundaries from the NVMe layer's own frame index, which
+/// logs the same capsules at the same offsets, and the retained plaintext
+/// bytes.
+#[derive(Debug)]
 pub(crate) struct InnerTxShared {
-    log: TxMsgLog,
+    capsules: FrameIndex,
     retain: RetainBuf,
 }
 
 impl InnerTxShared {
+    fn new(capsules: FrameIndex) -> InnerTxShared {
+        InnerTxShared {
+            capsules,
+            retain: RetainBuf::default(),
+        }
+    }
+
     pub(crate) fn push_capsule(&mut self, payload: &Payload) {
-        self.log.push(payload.len() as u32, None);
         // ano-lint: allow(hot-alloc): Bytes-backed payload clone is an Arc refcount bump, not a heap copy
         self.retain.push(payload.clone());
     }
 
     pub(crate) fn prune(&mut self, below: u64) {
-        self.log.release_below(below);
         self.retain.prune(below);
     }
 }
 
 impl L5TxSource for InnerTxShared {
     fn msg_at(&self, off: u64) -> Option<TxMsgRef> {
-        self.log.msg_at(off)
+        self.capsules.containing(off)
     }
 
     fn stream_bytes(&self, from: u64, to: u64) -> Payload {
@@ -1513,7 +1504,7 @@ impl World {
         // flags: a tx engine when it leaves digests for the NIC to fill, an
         // rx engine (over this RR map, with or without data placement) when
         // it relies on the NIC's `crc_ok`/`placed` bits.
-        let parser = || PduParser::new(nmode(modeled, &inn.nvme_frames));
+        let parser = || PduParser::new(FlowMode::new(modeled, &inn.nvme_frames));
         let (nvme, nvme_tx, nvme_rx) = match nvme_spec {
             None => (None, false, None),
             Some(NvmeRole::Host(n)) => {
@@ -1553,15 +1544,15 @@ impl World {
             }
         };
         let inner = (tls.is_some() && nvme.is_some())
-            .then(|| Rc::new(RefCell::new(InnerTxShared::default())));
+            .then(|| Rc::new(RefCell::new(InnerTxShared::new(out.nvme_frames.clone()))));
 
         let nvme_tx = nvme_tx.then(|| {
             let fi = out.nvme_frames.clone();
-            move || TxEngine::new(Box::new(NvmeTxFlow::new(nmode(modeled, &fi))), 0, 0)
+            move || TxEngine::new(Box::new(NvmeTxFlow::new(FlowMode::new(modeled, &fi))), 0, 0)
         });
         let nvme_rx = nvme_rx.map(|(rr, copy)| {
             let fi = inn.nvme_frames.clone();
-            move || NvmeRxFlow::new(nmode(modeled, &fi), rr.clone(), copy)
+            move || NvmeRxFlow::new(FlowMode::new(modeled, &fi), rr.clone(), copy)
         });
 
         // Engine nesting: the outermost *offloaded* layer owns the NIC
@@ -1579,7 +1570,7 @@ impl World {
                 t.tx_offload.then(|| {
                     let (sess, fi, inner) = (out.sess.clone(), out.tls_frames.clone(), inner.clone());
                     Rc::new(move || {
-                        let mut flow = TlsTxFlow::new(sess.clone(), fmode(modeled, &fi));
+                        let mut flow = TlsTxFlow::new(sess.clone(), FlowMode::new(modeled, &fi));
                         if let (Some(mk), Some(inner)) = (&nvme_tx, &inner) {
                             flow = flow
                                 .with_inner(mk(), Rc::clone(inner) as Rc<RefCell<dyn L5TxSource>>);
@@ -1590,7 +1581,7 @@ impl World {
                 t.rx_offload.then(|| {
                     let (sess, fi) = (inn.sess.clone(), inn.tls_frames.clone());
                     Rc::new(move |at: Option<u64>| {
-                        let mut flow = TlsRxFlow::new(sess.clone(), fmode(modeled, &fi));
+                        let mut flow = TlsRxFlow::new(sess.clone(), FlowMode::new(modeled, &fi));
                         if let Some(mk) = &nvme_rx {
                             flow = flow.with_inner(RxEngine::new(Box::new(mk()), 0, 0));
                         }
@@ -1836,6 +1827,7 @@ fn check_pairing(a: &ConnSpec, b: &ConnSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ano_core::flow::TxMsgLog;
 
     #[test]
     fn retain_buf_ranges_and_prune() {
@@ -1852,13 +1844,18 @@ mod tests {
 
     #[test]
     fn inner_tx_shared_resolves_messages() {
-        let mut s = InnerTxShared::default();
-        s.push_capsule(&Payload::real(vec![0u8; 100]));
-        s.push_capsule(&Payload::real(vec![1u8; 50]));
+        // The NVMe layer logs each capsule; the nested engine reads its log.
+        let mut log = TxMsgLog::default();
+        let mut s = InnerTxShared::new(log.frames());
+        for capsule in [Payload::real(vec![0u8; 100]), Payload::real(vec![1u8; 50])] {
+            log.push(capsule.len() as u32, None);
+            s.push_capsule(&capsule);
+        }
         let m = s.msg_at(120).expect("second capsule");
         assert_eq!((m.msg_start, m.msg_index), (100, 1));
         assert!(s.msg_at(150).is_none(), "past the stream end");
         assert_eq!(s.stream_bytes(100, 110).to_vec(), vec![1u8; 10]);
+        log.release_below(100);
         s.prune(100);
         assert!(s.msg_at(10).is_none(), "acked capsule released");
         // Pruned ranges degrade to synthetic (modeled-safe) bytes.

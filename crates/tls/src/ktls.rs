@@ -15,7 +15,7 @@
 //! All CPU work is returned as cycle counts priced by the [`CostModel`].
 
 use ano_core::flow::{ResyncResponder, TxMsgLog, TxMsgRef};
-use ano_core::msg::FrameIndex;
+use ano_core::msg::{FlowMode, FrameIndex};
 use ano_crypto::gcm::{Direction, GcmStream};
 use ano_sim::cost::CostModel;
 use ano_sim::payload::{DataMode, Payload};
@@ -195,9 +195,8 @@ pub struct KtlsRxStats {
 #[derive(Debug)]
 pub struct KtlsRx {
     session: TlsSession,
-    mode: DataMode,
-    /// Modeled-mode framing (shared with the sender's `KtlsTx`).
-    frames: Option<FrameIndex>,
+    /// Where record framing comes from (modeled: the sender's `KtlsTx`).
+    mode: FlowMode,
     /// Consumed wire-stream offset.
     pos: u64,
     /// Next record sequence number.
@@ -228,8 +227,7 @@ impl KtlsRx {
         );
         KtlsRx {
             session,
-            mode,
-            frames,
+            mode: frames.map_or(FlowMode::Functional, FlowMode::Modeled),
             pos: 0,
             next_seq: 0,
             plain_pos: 0,
@@ -309,18 +307,14 @@ impl KtlsRx {
                         self.pos += take as u64;
                         if self.hdr_buf.len() == HEADER_LEN {
                             let start = self.hdr_start;
-                            let total = match self.mode {
-                                DataMode::Modeled => self
-                                    .frames
-                                    .as_ref()
-                                    .and_then(|f| f.at(start))
-                                    .map(|(m, _)| m.total_len),
-                                DataMode::Functional => {
-                                    RecordHeader::parse(&self.hdr_buf).map(|h| h.total_len() as u32)
-                                }
-                            };
+                            let msg = self.mode.msg_at(
+                                start,
+                                Some(&self.hdr_buf),
+                                |h| RecordHeader::parse(h).map(|r| r.total_len() as u32),
+                                |m| Some(m.total_len),
+                            );
                             self.hdr_buf.clear();
-                            match total {
+                            match msg {
                                 Some(total) => {
                                     self.resync.note_start(start);
                                     self.begin_record(total, start);
@@ -411,11 +405,11 @@ impl KtlsRx {
 
         let mark = out.len();
         match self.mode {
-            DataMode::Modeled => {
+            FlowMode::Modeled(_) => {
                 self.tracer.record(|| ano_trace::Event::AuthAccept { seq: start, len: plen });
                 self.emit_chunks(&parts, plen, None, out);
             }
-            DataMode::Functional => {
+            FlowMode::Functional => {
                 match self.recover_plaintext(seq, total, &parts, class) {
                     Some(plain) => {
                         self.tracer.record(|| ano_trace::Event::AuthAccept {

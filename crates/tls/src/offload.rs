@@ -12,8 +12,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ano_core::flow::{scan_window, L5Flow, L5TxSource};
-use ano_core::msg::{DataRef, EngineEvent, FrameIndex, MsgHeader, SearchWindow};
+use ano_core::flow::{L5Flow, L5TxSource};
+use ano_core::msg::{DataRef, EngineEvent, MsgHeader};
 use ano_core::rx::RxEngine;
 use ano_core::tx::TxEngine;
 use ano_crypto::gcm::{Direction, GcmStream};
@@ -22,19 +22,62 @@ use ano_tcp::segment::SkbFlags;
 use crate::record::{RecordHeader, HEADER_LEN, OVERHEAD, TAG_LEN};
 use crate::session::TlsSession;
 
-/// Payload fidelity of a flow.
-#[derive(Debug, Clone)]
-pub enum FlowMode {
-    /// Real bytes; the NIC really encrypts/decrypts.
-    Functional,
-    /// Synthetic bytes; framing comes from the shared index.
-    Modeled(FrameIndex),
-}
+/// Payload fidelity of a flow: `ano-core`'s one mode type, re-exported for
+/// the standalone `benchmark/` package, which names it here.
+pub use ano_core::msg::FlowMode;
 
 /// Plaintext-stream offset of the first body byte of record `idx` starting
 /// at TCP offset `record_start`.
 pub fn plain_offset(record_start: u64, idx: u64) -> u64 {
     record_start + HEADER_LEN as u64 - (OVERHEAD as u64 * idx + HEADER_LEN as u64)
+}
+
+/// The per-record cursor both directions keep (the HW context's dynamic
+/// part): which record, where it starts, how long it is, and — with real
+/// bytes — its AES-GCM stream.
+struct Record {
+    session: TlsSession,
+    mode: FlowMode,
+    msg_index: u64,
+    start: u64,
+    total: u32,
+    gcm: Option<GcmStream>,
+}
+
+impl Record {
+    fn new(session: TlsSession, mode: FlowMode) -> Record {
+        Record {
+            session,
+            mode,
+            msg_index: 0,
+            start: 0,
+            total: 0,
+            gcm: None,
+        }
+    }
+
+    /// The §5.2 magic pattern and length field of a record header.
+    fn parse(hdr: &[u8]) -> Option<MsgHeader> {
+        RecordHeader::parse(hdr).map(|r| MsgHeader {
+            total_len: r.total_len() as u32,
+        })
+    }
+
+    /// Starts record `msg_index`; with real header bytes, keys its cipher
+    /// stream (the header is the AEAD's associated data).
+    fn begin(&mut self, msg_index: u64, off: u64, hdr: Option<&[u8]>, msg: MsgHeader, dir: Direction) {
+        self.msg_index = msg_index;
+        self.start = off;
+        self.total = msg.total_len;
+        self.gcm = hdr
+            .and_then(|h| <[u8; HEADER_LEN]>::try_from(h).ok())
+            .map(|h| self.session.stream(msg_index, &h, dir));
+    }
+
+    /// Plaintext-stream offset of record byte `msg_off` (a body byte).
+    fn plain_at(&self, msg_off: u32) -> u64 {
+        plain_offset(self.start, self.msg_index) + (msg_off as u64 - HEADER_LEN as u64)
+    }
 }
 
 /// Nested receive engine state for NVMe-TLS composition.
@@ -47,13 +90,7 @@ struct InnerRx {
 
 /// TLS receive offload for one flow.
 pub struct TlsRxFlow {
-    session: TlsSession,
-    mode: FlowMode,
-    // Per-record cursor state (the HW context's dynamic part).
-    msg_index: u64,
-    record_start: u64,
-    total: u32,
-    gcm: Option<GcmStream>,
+    rec: Record,
     tag_buf: [u8; TAG_LEN],
     tag_got: usize,
     inner: Option<InnerRx>,
@@ -62,7 +99,7 @@ pub struct TlsRxFlow {
 impl std::fmt::Debug for TlsRxFlow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TlsRxFlow")
-            .field("msg_index", &self.msg_index)
+            .field("msg_index", &self.rec.msg_index)
             .field("composed", &self.inner.is_some())
             .finish()
     }
@@ -72,12 +109,7 @@ impl TlsRxFlow {
     /// Creates the receive offload.
     pub fn new(session: TlsSession, mode: FlowMode) -> TlsRxFlow {
         TlsRxFlow {
-            session,
-            mode,
-            msg_index: 0,
-            record_start: 0,
-            total: 0,
-            gcm: None,
+            rec: Record::new(session, mode),
             tag_buf: [0; TAG_LEN],
             tag_got: 0,
             inner: None,
@@ -95,23 +127,11 @@ impl TlsRxFlow {
         self
     }
 
-    fn parse_hdr(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        match (&self.mode, hdr) {
-            (FlowMode::Functional, Some(h)) => RecordHeader::parse(h).map(|r| MsgHeader {
-                total_len: r.total_len() as u32,
-            }),
-            (FlowMode::Modeled(frames), _) => frames.at(stream_off).map(|(m, _)| m),
-            _ => None,
-        }
-    }
-
     fn feed_inner(&mut self, msg_off: u32, data: &mut DataRef<'_>) {
         let Some(inner) = &mut self.inner else {
             return;
         };
-        let plain =
-            plain_offset(self.record_start, self.msg_index) + (msg_off as u64 - HEADER_LEN as u64);
-        let flags = inner.engine.on_packet(plain, data);
+        let flags = inner.engine.on_packet(self.rec.plain_at(msg_off), data);
         inner.pkt_crc_ok = Some(inner.pkt_crc_ok.unwrap_or(true) && flags.nvme_crc_ok);
         inner.pkt_placed = Some(inner.pkt_placed.unwrap_or(true) && flags.nvme_placed);
     }
@@ -122,44 +142,27 @@ impl L5Flow for TlsRxFlow {
         HEADER_LEN
     }
 
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_hdr(stream_off, hdr)
+    fn mode(&self) -> &FlowMode {
+        &self.rec.mode
     }
 
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_hdr(stream_off, hdr)
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        Record::parse(hdr)
     }
 
-    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>) {
-        self.msg_index = msg_index;
-        self.record_start = stream_off;
+    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>, msg: MsgHeader) {
+        self.rec.begin(msg_index, stream_off, hdr, msg, Direction::Decrypt);
         self.tag_got = 0;
-        match (&self.mode, hdr) {
-            (FlowMode::Functional, Some(h)) => {
-                let rh = RecordHeader::parse(h).expect("walker validated header");
-                self.total = rh.total_len() as u32;
-                let hdr5: [u8; HEADER_LEN] = h.try_into().expect("header length");
-                self.gcm = Some(self.session.stream(msg_index, &hdr5, Direction::Decrypt));
-            }
-            (FlowMode::Modeled(frames), _) => {
-                self.total = frames.at(stream_off).map(|(m, _)| m.total_len).unwrap_or(0);
-                self.gcm = None;
-            }
-            _ => {
-                self.total = 0;
-                self.gcm = None;
-            }
-        }
     }
 
     fn process(&mut self, msg_off: u32, mut data: DataRef<'_>) {
-        let body_end = self.total - TAG_LEN as u32;
+        let body_end = self.rec.total - TAG_LEN as u32;
         let len = data.len() as u32;
         // Split the range at the body/trailer boundary.
         let body_take = body_end.saturating_sub(msg_off).min(len);
         if body_take > 0 {
             let mut body = data.slice(0, body_take as usize);
-            if let (Some(gcm), DataRef::Real(bytes)) = (&mut self.gcm, &mut body) {
+            if let (Some(gcm), DataRef::Real(bytes)) = (&mut self.rec.gcm, &mut body) {
                 gcm.process(bytes);
             }
             self.feed_inner(msg_off, &mut body);
@@ -176,7 +179,7 @@ impl L5Flow for TlsRxFlow {
     }
 
     fn end_msg(&mut self) -> bool {
-        match (&self.mode, self.gcm.take()) {
+        match (&self.rec.mode, self.rec.gcm.take()) {
             (FlowMode::Functional, Some(gcm)) => {
                 self.tag_got == TAG_LEN && gcm.verify(&self.tag_buf).is_ok()
             }
@@ -189,8 +192,8 @@ impl L5Flow for TlsRxFlow {
         // Per-record state is rebuilt in `begin_msg`; the record sequence
         // number (= message index) is supplied by the walker. Nothing else
         // persists across records — exactly the §3.2 property.
-        self.msg_index = msg_index;
-        self.gcm = None;
+        self.rec.msg_index = msg_index;
+        self.rec.gcm = None;
         self.tag_got = 0;
     }
 
@@ -208,17 +211,6 @@ impl L5Flow for TlsRxFlow {
             inner.pkt_placed = None;
         }
         f
-    }
-
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-        match (&self.mode, window) {
-            (FlowMode::Functional, SearchWindow::Real(b)) => scan_window(self, window_off, b),
-            (FlowMode::Modeled(frames), w) => frames
-                .next_at_or_after(window_off)
-                .filter(|&(off, _, _)| off + HEADER_LEN as u64 <= window_off + w.len() as u64)
-                .map(|(off, h, _)| (off, h)),
-            _ => None,
-        }
     }
 
     fn take_events(&mut self) -> Vec<EngineEvent> {
@@ -258,12 +250,7 @@ struct InnerTx {
 /// TLS transmit offload for one flow: encrypts "skipped" plaintext records
 /// and fills their dummy ICVs on the way to the wire.
 pub struct TlsTxFlow {
-    session: TlsSession,
-    mode: FlowMode,
-    msg_index: u64,
-    record_start: u64,
-    total: u32,
-    gcm: Option<GcmStream>,
+    rec: Record,
     tag: Option<[u8; TAG_LEN]>,
     inner: Option<InnerTx>,
 }
@@ -271,7 +258,7 @@ pub struct TlsTxFlow {
 impl std::fmt::Debug for TlsTxFlow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TlsTxFlow")
-            .field("msg_index", &self.msg_index)
+            .field("msg_index", &self.rec.msg_index)
             .field("composed", &self.inner.is_some())
             .finish()
     }
@@ -281,12 +268,7 @@ impl TlsTxFlow {
     /// Creates the transmit offload.
     pub fn new(session: TlsSession, mode: FlowMode) -> TlsTxFlow {
         TlsTxFlow {
-            session,
-            mode,
-            msg_index: 0,
-            record_start: 0,
-            total: 0,
-            gcm: None,
+            rec: Record::new(session, mode),
             tag: None,
             inner: None,
         }
@@ -306,63 +288,38 @@ impl L5Flow for TlsTxFlow {
         HEADER_LEN
     }
 
-    fn parse_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        match (&self.mode, hdr) {
-            (FlowMode::Functional, Some(h)) => RecordHeader::parse(h).map(|r| MsgHeader {
-                total_len: r.total_len() as u32,
-            }),
-            (FlowMode::Modeled(frames), _) => frames.at(stream_off).map(|(m, _)| m),
-            _ => None,
-        }
+    fn mode(&self) -> &FlowMode {
+        &self.rec.mode
     }
 
-    fn probe_at(&self, stream_off: u64, hdr: Option<&[u8]>) -> Option<MsgHeader> {
-        self.parse_at(stream_off, hdr)
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        Record::parse(hdr)
     }
 
-    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>) {
-        self.msg_index = msg_index;
-        self.record_start = stream_off;
+    fn begin_msg(&mut self, msg_index: u64, stream_off: u64, hdr: Option<&[u8]>, msg: MsgHeader) {
+        self.rec.begin(msg_index, stream_off, hdr, msg, Direction::Encrypt);
         self.tag = None;
-        match (&self.mode, hdr) {
-            (FlowMode::Functional, Some(h)) => {
-                let rh = RecordHeader::parse(h).expect("walker validated header");
-                self.total = rh.total_len() as u32;
-                let hdr5: [u8; HEADER_LEN] = h.try_into().expect("header length");
-                self.gcm = Some(self.session.stream(msg_index, &hdr5, Direction::Encrypt));
-            }
-            (FlowMode::Modeled(frames), _) => {
-                self.total = frames.at(stream_off).map(|(m, _)| m.total_len).unwrap_or(0);
-                self.gcm = None;
-            }
-            _ => {
-                self.total = 0;
-                self.gcm = None;
-            }
-        }
     }
 
     fn process(&mut self, msg_off: u32, mut data: DataRef<'_>) {
-        let body_end = self.total - TAG_LEN as u32;
+        let body_end = self.rec.total - TAG_LEN as u32;
         let len = data.len() as u32;
         let body_take = body_end.saturating_sub(msg_off).min(len);
         if body_take > 0 {
             let mut body = data.slice(0, body_take as usize);
             // Inner first (NVMe CRC fill on plaintext), then encrypt (§5.3).
             if let Some(inner) = &mut self.inner {
-                let plain = plain_offset(self.record_start, self.msg_index)
-                    + (msg_off as u64 - HEADER_LEN as u64);
                 let src = Rc::clone(&inner.src);
                 let src_ref = src.borrow();
-                inner.engine.on_packet(plain, &mut body, &*src_ref);
+                inner.engine.on_packet(self.rec.plain_at(msg_off), &mut body, &*src_ref);
             }
-            if let (Some(gcm), DataRef::Real(bytes)) = (&mut self.gcm, &mut body) {
+            if let (Some(gcm), DataRef::Real(bytes)) = (&mut self.rec.gcm, &mut body) {
                 gcm.process(bytes);
             }
         }
         // Trailer: fill the dummy ICV with the real tag.
         if len > body_take {
-            if let Some(gcm) = &self.gcm {
+            if let Some(gcm) = &self.rec.gcm {
                 let tag = *self.tag.get_or_insert_with(|| gcm.tag());
                 let mut range = data.slice(body_take as usize, len as usize);
                 if let DataRef::Real(bytes) = &mut range {
@@ -374,14 +331,14 @@ impl L5Flow for TlsTxFlow {
     }
 
     fn end_msg(&mut self) -> bool {
-        self.gcm = None;
+        self.rec.gcm = None;
         self.tag = None;
         true
     }
 
     fn resync_to(&mut self, msg_index: u64) {
-        self.msg_index = msg_index;
-        self.gcm = None;
+        self.rec.msg_index = msg_index;
+        self.rec.gcm = None;
         self.tag = None;
     }
 
@@ -389,17 +346,6 @@ impl L5Flow for TlsTxFlow {
         SkbFlags {
             tls_decrypted: offloaded,
             ..Default::default()
-        }
-    }
-
-    fn search(&self, window_off: u64, window: SearchWindow<'_>) -> Option<(u64, MsgHeader)> {
-        match (&self.mode, window) {
-            (FlowMode::Functional, SearchWindow::Real(b)) => scan_window(self, window_off, b),
-            (FlowMode::Modeled(frames), w) => frames
-                .next_at_or_after(window_off)
-                .filter(|&(off, _, _)| off + HEADER_LEN as u64 <= window_off + w.len() as u64)
-                .map(|(off, h, _)| (off, h)),
-            _ => None,
         }
     }
 }
@@ -585,7 +531,7 @@ mod tests {
 
     #[test]
     fn composed_rx_decrypts_and_places_through_tls() {
-        use ano_nvme::offload::{NvmeMode, NvmeRxFlow, RrEntry, RrMap};
+        use ano_nvme::offload::{NvmeRxFlow, RrEntry, RrMap};
         use ano_nvme::pdu::{encode_capsule_resp, encode_data_pdu, PduType};
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -617,7 +563,7 @@ mod tests {
             },
         );
         let inner = RxEngine::new(
-            Box::new(NvmeRxFlow::new(NvmeMode::Functional, rr, true)),
+            Box::new(NvmeRxFlow::new(FlowMode::Functional, rr, true)),
             0,
             0,
         );

@@ -83,6 +83,11 @@ check_snapshot ALLOC_baseline.txt "$alloc_tmp" "hot-path allocation inventory"
 echo "== tier-1: offline release build (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo build --release
 
+echo "== docs: rustdoc with warnings as errors (broken or private intra-doc links) =="
+# Module and item docs name the types they describe; a rename that leaves a
+# dangling [`link`] behind fails here (~3 s).
+CARGO_NET_OFFLINE=true RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "== tier-1: offline tests (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo test -q --workspace
 
