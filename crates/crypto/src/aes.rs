@@ -1,11 +1,18 @@
 //! AES block cipher (FIPS 197), encryption direction.
 //!
 //! GCM only ever uses the forward cipher, so the decryption round functions
-//! are deliberately not implemented. The implementation is a straightforward
-//! table-free S-box design: clarity over raw speed (the cycle-cost model, not
-//! this code, stands in for AES-NI in experiments).
+//! are deliberately not implemented. The rounds use the classic four
+//! T-tables (`TE0..TE3`, 1 KiB each, generated at compile time from the
+//! S-box): each table entry is one S-box output already multiplied through
+//! the MixColumns column, so a full round is 16 table reads and XORs on
+//! four big-endian column words. The last round, which has no MixColumns,
+//! reads the plain S-box. Portable safe Rust: the cycle-cost model, not
+//! this code, stands in for AES-NI in experiments.
+//!
+//! An [`Aes`] is key-static state only: the expanded round keys
+//! (`[u32; 60]`, no heap) and the round count, so it is `Copy`.
 
-// ano-lint: allow-file(transitive-panic): AES kernel: every index is a compile-time constant into fixed-width state and round-key arrays
+// ano-lint: allow-file(transitive-panic): AES kernel: table indices are u8-masked into 256-entry arrays; round-key words are read through chunks_exact(4) over the fixed 60-word schedule
 /// AES key sizes supported by this module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AesKeySize {
@@ -37,8 +44,46 @@ const SBOX: [u8; 256] = [
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 #[inline]
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// One T-table: entry `i` is the MixColumns column `[2s, s, s, 3s]` of
+/// `s = SBOX[i]` (row 0 in the most significant byte), rotated right by
+/// `rot` bits so the same table serves the input byte of row `rot / 8`.
+const fn t_table(rot: u32) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = SBOX[i];
+        let s2 = xtime(s);
+        t[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]).rotate_right(rot);
+        i += 1;
+    }
+    t
+}
+
+static TE0: [u32; 256] = t_table(0);
+static TE1: [u32; 256] = t_table(8);
+static TE2: [u32; 256] = t_table(16);
+static TE3: [u32; 256] = t_table(24);
+
+/// Byte `row` (0 = most significant) of a column word, as a table index.
+#[inline(always)]
+fn byte(w: u32, row: u32) -> usize {
+    usize::from((w >> (24 - 8 * row)) as u8)
+}
+
+#[inline]
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[usize::from(b)]))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Blocks encrypted on this thread: lets tests assert that a code path
+    /// runs no AES (tests run on parallel threads, hence thread-local).
+    pub(crate) static BLOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// An expanded AES key, ready to encrypt blocks.
@@ -52,21 +97,23 @@ fn xtime(b: u8) -> u8 {
 /// aes.encrypt_block(&mut block);
 /// assert_ne!(block, [0u8; 16]);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
-    size: AesKeySize,
+    /// Round-key words, four per round key; the first `4 * (rounds + 1)`
+    /// are used (44 for AES-128, all 60 for AES-256).
+    rk: [u32; 60],
+    rounds: usize,
 }
 
 impl Aes {
     /// Expands a 128-bit key.
     pub fn new_128(key: &[u8; 16]) -> Aes {
-        Aes::expand(key, AesKeySize::Aes128)
+        Aes::expand(key)
     }
 
     /// Expands a 256-bit key.
     pub fn new_256(key: &[u8; 32]) -> Aes {
-        Aes::expand(key, AesKeySize::Aes256)
+        Aes::expand(key)
     }
 
     /// Expands a key of either supported size.
@@ -76,22 +123,98 @@ impl Aes {
     /// Panics if `key.len()` is not 16 or 32.
     pub fn new(key: &[u8]) -> Aes {
         match key.len() {
-            16 => Aes::expand(key, AesKeySize::Aes128),
-            32 => Aes::expand(key, AesKeySize::Aes256),
+            16 | 32 => Aes::expand(key),
             n => panic!("unsupported AES key length {n}"),
         }
     }
 
     /// The configured key size.
     pub fn key_size(&self) -> AesKeySize {
-        self.size
+        if self.rounds == 10 {
+            AesKeySize::Aes128
+        } else {
+            AesKeySize::Aes256
+        }
     }
 
-    fn expand(key: &[u8], size: AesKeySize) -> Aes {
+    /// FIPS 197 §5.2 key expansion over big-endian words.
+    fn expand(key: &[u8]) -> Aes {
         let nk = key.len() / 4; // words in key: 4 or 8
-        let nr = nk + 6; // rounds: 10 or 14
-        let total_words = 4 * (nr + 1);
+        let rounds = nk + 6; // 10 or 14
+        let mut rk = [0u32; 60];
+        for (w, k) in rk.iter_mut().zip(key.chunks_exact(4)) {
+            *w = u32::from_be_bytes([k[0], k[1], k[2], k[3]]);
+        }
+        for i in nk..4 * (rounds + 1) {
+            let mut t = rk[i - 1];
+            if i % nk == 0 {
+                t = sub_word(t.rotate_left(8)) ^ (u32::from(RCON[i / nk]) << 24);
+            } else if nk > 6 && i % nk == 4 {
+                t = sub_word(t);
+            }
+            rk[i] = rk[i - nk] ^ t;
+        }
+        Aes { rk, rounds }
+    }
 
+    /// Encrypts one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(test)]
+        BLOCKS.with(|n| n.set(n.get() + 1));
+        let mut keys = self.rk[..4 * (self.rounds + 1)].chunks_exact(4);
+        let mut s = [0u32; 4];
+        if let Some(k) = keys.next() {
+            for (c, w) in s.iter_mut().enumerate() {
+                let b = &block[4 * c..4 * c + 4];
+                *w = u32::from_be_bytes([b[0], b[1], b[2], b[3]]) ^ k[c];
+            }
+        }
+        // Output column c takes row r from input column c + r (ShiftRows).
+        for k in keys.by_ref().take(self.rounds - 1) {
+            s = [0, 1, 2, 3].map(|c| {
+                TE0[byte(s[c], 0)]
+                    ^ TE1[byte(s[(c + 1) % 4], 1)]
+                    ^ TE2[byte(s[(c + 2) % 4], 2)]
+                    ^ TE3[byte(s[(c + 3) % 4], 3)]
+                    ^ k[c]
+            });
+        }
+        if let Some(k) = keys.next() {
+            for c in 0..4 {
+                let w =
+                    u32::from_be_bytes([0, 1, 2, 3].map(|r| SBOX[byte(s[(c + r) % 4], r as u32)]));
+                block[4 * c..4 * c + 4].copy_from_slice(&(w ^ k[c]).to_be_bytes());
+            }
+        }
+    }
+
+    /// Encrypts one block, returning the result (convenience for GCM).
+    pub fn encrypt_block_copy(&self, block: &[u8; 16]) -> [u8; 16] {
+        let mut out = *block;
+        self.encrypt_block(&mut out);
+        out
+    }
+}
+
+impl std::fmt::Debug for Aes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("Aes").field("size", &self.key_size()).finish()
+    }
+}
+
+/// The textbook byte-wise FIPS 197 cipher (SubBytes, ShiftRows,
+/// MixColumns, AddRoundKey on a 16-byte state) with its own key expansion:
+/// the oracle the T-table kernel is checked against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{xtime, RCON, SBOX};
+
+    /// Byte-oriented round keys of a 16- or 32-byte key.
+    pub fn expand(key: &[u8]) -> Vec<[u8; 16]> {
+        let nk = key.len() / 4;
+        let nr = nk + 6;
+        let total_words = 4 * (nr + 1);
         let mut w = vec![[0u8; 4]; total_words];
         for (i, word) in w.iter_mut().take(nk).enumerate() {
             word.copy_from_slice(&key[4 * i..4 * i + 4]);
@@ -113,8 +236,7 @@ impl Aes {
                 w[i][j] = w[i - nk][j] ^ temp[j];
             }
         }
-
-        let round_keys = (0..=nr)
+        (0..=nr)
             .map(|r| {
                 let mut rk = [0u8; 16];
                 for c in 0..4 {
@@ -122,72 +244,53 @@ impl Aes {
                 }
                 rk
             })
-            .collect();
-        Aes { round_keys, size }
+            .collect()
     }
 
-    /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let nr = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..nr {
+    /// Encrypts one block with the round keys from [`expand`].
+    pub fn encrypt_block(round_keys: &[[u8; 16]], block: &mut [u8; 16]) {
+        let nr = round_keys.len() - 1;
+        add_round_key(block, &round_keys[0]);
+        for rk in &round_keys[1..nr] {
             sub_bytes(block);
             shift_rows(block);
             mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
+            add_round_key(block, rk);
         }
         sub_bytes(block);
         shift_rows(block);
-        add_round_key(block, &self.round_keys[nr]);
+        add_round_key(block, &round_keys[nr]);
     }
 
-    /// Encrypts one block, returning the result (convenience for GCM).
-    pub fn encrypt_block_copy(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.encrypt_block(&mut out);
-        out
-    }
-}
-
-impl std::fmt::Debug for Aes {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
-        f.debug_struct("Aes").field("size", &self.size).finish()
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State layout is column-major: byte `r + 4c` is row `r`, column `c`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
         }
     }
-}
 
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        for r in 0..4 {
-            state[4 * c + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    /// State layout is column-major: byte `r + 4c` is row `r`, column `c`.
+    fn shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            for r in 0..4 {
+                state[4 * c + r] = col[r] ^ t ^ xtime(col[r] ^ col[(r + 1) % 4]);
+            }
         }
     }
 }
@@ -196,6 +299,8 @@ fn mix_columns(state: &mut [u8; 16]) {
 mod tests {
     use super::*;
     use crate::hex::from_hex;
+    use ano_testkit::gen::vec_u8;
+    use ano_testkit::prop_test;
 
     #[test]
     fn fips197_aes128_vector() {
@@ -245,5 +350,27 @@ mod tests {
         let a = Aes::new_128(&[7u8; 16]);
         let s = format!("{a:?}");
         assert!(!s.contains('7'), "debug must not leak key bytes: {s}");
+    }
+
+    /// The T-table kernel equals the byte-wise FIPS 197 rounds on `key`.
+    fn check_against_reference(key: &[u8], block: &[u8]) {
+        let block: [u8; 16] = block.try_into().expect("16-byte block");
+        let mut want = block;
+        reference::encrypt_block(&reference::expand(key), &mut want);
+        assert_eq!(Aes::new(key).encrypt_block_copy(&block), want, "key {key:02x?}");
+    }
+
+    prop_test! {
+        cases = 64;
+        fn ttable_aes128_equals_reference(key in vec_u8(16..17), block in vec_u8(16..17)) {
+            check_against_reference(&key, &block);
+        }
+    }
+
+    prop_test! {
+        cases = 64;
+        fn ttable_aes256_equals_reference(key in vec_u8(32..33), block in vec_u8(16..17)) {
+            check_against_reference(&key, &block);
+        }
     }
 }

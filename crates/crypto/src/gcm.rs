@@ -6,10 +6,26 @@
 //! state between steps. That is precisely the capability an autonomous NIC
 //! offload needs (paper §3.2): the per-flow hardware context stores the
 //! exported state and processes each in-sequence TCP packet as it flies by.
+//!
+//! The state splits the way §3.2 splits it:
+//!
+//! * **key-static** — a [`GcmKey`]: the AES round keys, the hash key
+//!   `H = E_K(0^128)` and the 4 KiB GHASH table of `H`. It is built once per
+//!   session and shared into every record's stream by `Arc`; the table is
+//!   built lazily, by the first stream that sees real bytes, so keys that
+//!   only ever frame modeled payloads never pay for it.
+//! * **dynamic** — a [`GcmSavedState`]: the GHASH accumulator and partial
+//!   block plus the AAD and data lengths (~50 bytes). Starting or resuming a
+//!   stream from it costs no AES block and no heap allocation.
+//!
+//! Whole 16-byte blocks are transformed one keystream block at a time as a
+//! single `u128` XOR; only a range's ragged head and tail go byte by byte.
 
 // ano-lint: allow-file(transitive-panic): GCM framing: counter blocks and tags are fixed 16-byte arrays with constant indices
+use std::sync::{Arc, OnceLock};
+
 use crate::aes::Aes;
-use crate::ghash::{block_to_u128, u128_to_block, Ghash, GhashState};
+use crate::ghash::{block_to_u128, u128_to_block, Ghash, GhashKey, GhashState};
 use crate::AuthError;
 
 /// GCM authentication tag length in bytes.
@@ -26,21 +42,103 @@ pub enum Direction {
     Decrypt,
 }
 
+/// The key-static state of AES-GCM under one key: what a NIC installs once
+/// per flow and every record's stream reads.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use ano_crypto::aes::Aes;
+/// use ano_crypto::gcm::{seal, GcmKey};
+///
+/// let aes = Aes::new_128(&[1u8; 16]);
+/// let key = Arc::new(GcmKey::new(aes));
+/// let (mut a, mut b) = (*b"same bytes", *b"same bytes");
+/// assert_eq!(key.seal(&[2; 12], b"aad", &mut a), seal(&aes, &[2; 12], b"aad", &mut b));
+/// assert_eq!(a, b);
+/// ```
+pub struct GcmKey {
+    aes: Aes,
+    h: u128,
+    ghash: OnceLock<Box<GhashKey>>,
+}
+
+impl GcmKey {
+    /// Derives `H` from the expanded key (one AES block). The GHASH table
+    /// waits for the first stream.
+    pub fn new(aes: Aes) -> GcmKey {
+        let h = block_to_u128(&aes.encrypt_block_copy(&[0u8; 16]));
+        GcmKey {
+            aes,
+            h,
+            ghash: OnceLock::new(),
+        }
+    }
+
+    fn ghash(&self) -> &GhashKey {
+        self.ghash.get_or_init(|| ghash_table(self.h))
+    }
+
+    /// One-shot encryption in place; returns the tag.
+    pub fn seal(self: &Arc<Self>, iv: &[u8; IV_LEN], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
+        let mut s = GcmStream::new(Arc::clone(self), iv, aad, Direction::Encrypt);
+        s.process(data);
+        s.tag()
+    }
+
+    /// One-shot decryption in place with tag verification.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuthError`] and leaves `data` decrypted-in-place-but-untrusted
+    /// on tag mismatch (callers must discard it).
+    pub fn open(
+        self: &Arc<Self>,
+        iv: &[u8; IV_LEN],
+        aad: &[u8],
+        data: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), AuthError> {
+        let mut s = GcmStream::new(Arc::clone(self), iv, aad, Direction::Decrypt);
+        s.process(data);
+        s.verify(tag)
+    }
+}
+
+/// Builds the 4 KiB GHASH table of `h` on the heap.
+// ano-lint: cold(once per key: the first stream over real bytes builds the table, every later record of the session reuses it)
+fn ghash_table(h: u128) -> Box<GhashKey> {
+    Box::new(GhashKey::new(h))
+}
+
+impl std::fmt::Debug for GcmKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print key material.
+        f.debug_struct("GcmKey")
+            .field("aes", &self.aes)
+            .field("ghash_table", &self.ghash.get().is_some())
+            .finish()
+    }
+}
+
 /// Incremental AES-GCM over one message.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use ano_crypto::aes::Aes;
-/// use ano_crypto::gcm::{seal, GcmStream, Direction};
+/// use ano_crypto::gcm::{seal, Direction, GcmKey, GcmStream};
 ///
 /// let aes = Aes::new_128(&[1u8; 16]);
 /// let iv = [2u8; 12];
 /// let mut data = *b"stream me in pieces, any pieces";
-/// let (mut oneshot, tag) = (data.to_vec(), ());
+/// let mut oneshot = data.to_vec();
 /// let expect = seal(&aes, &iv, b"aad", &mut oneshot);
 ///
-/// let mut s = GcmStream::new(aes, &iv, b"aad", Direction::Encrypt);
+/// let key = Arc::new(GcmKey::new(aes));
+/// let mut s = GcmStream::new(key, &iv, b"aad", Direction::Encrypt);
 /// s.process(&mut data[..7]);
 /// s.process(&mut data[7..]);
 /// assert_eq!(&data[..], &oneshot[..]);
@@ -48,7 +146,7 @@ pub enum Direction {
 /// ```
 #[derive(Clone)]
 pub struct GcmStream {
-    aes: Aes,
+    key: Arc<GcmKey>,
     j0: [u8; 16],
     ghash: Ghash,
     aad_len: u64,
@@ -66,19 +164,24 @@ pub struct GcmSavedState {
     dir: Direction,
 }
 
+/// The pre-counter block `J0 = IV || 0^31 || 1` of a 96-bit IV.
+fn j0(iv: &[u8; IV_LEN]) -> [u8; 16] {
+    let mut j0 = [0u8; 16];
+    j0[..IV_LEN].copy_from_slice(iv);
+    j0[15] = 1;
+    j0
+}
+
 impl GcmStream {
     /// Starts a stream over a fresh message with the given nonce and AAD.
-    pub fn new(aes: Aes, iv: &[u8; IV_LEN], aad: &[u8], dir: Direction) -> GcmStream {
-        let h = block_to_u128(&aes.encrypt_block_copy(&[0u8; 16]));
-        let mut j0 = [0u8; 16];
-        j0[..12].copy_from_slice(iv);
-        j0[15] = 1;
-        let mut ghash = Ghash::new(h);
-        ghash.update(aad);
-        ghash.pad_block();
+    pub fn new(key: Arc<GcmKey>, iv: &[u8; IV_LEN], aad: &[u8], dir: Direction) -> GcmStream {
+        let mut ghash = Ghash::default();
+        let table = key.ghash();
+        ghash.update(table, aad);
+        ghash.pad_block(table);
         GcmStream {
-            aes,
-            j0,
+            key,
+            j0: j0(iv),
             ghash,
             aad_len: aad.len() as u64,
             data_len: 0,
@@ -97,7 +200,16 @@ impl GcmStream {
         let ctr = u32::from_be_bytes(cb[12..16].try_into().expect("4 bytes"));
         let ctr = ctr.wrapping_add(1).wrapping_add(block_index as u32);
         cb[12..16].copy_from_slice(&ctr.to_be_bytes());
-        self.aes.encrypt_block_copy(&cb)
+        self.key.aes.encrypt_block_copy(&cb)
+    }
+
+    /// XORs the keystream into `data`, which starts `pos` bytes into the
+    /// message and stays within one keystream block.
+    fn xor_partial(&self, pos: u64, data: &mut [u8]) {
+        let ks = self.keystream_block(pos / 16);
+        for (d, k) in data.iter_mut().zip(&ks[(pos % 16) as usize..]) {
+            *d ^= k;
+        }
     }
 
     /// Transforms `data` in place, continuing from the current position.
@@ -108,24 +220,33 @@ impl GcmStream {
         if data.is_empty() {
             return;
         }
+        let table = self.key.ghash();
         if self.dir == Direction::Decrypt {
-            self.ghash.update(data);
+            self.ghash.update(table, data);
         }
         let mut pos = self.data_len;
-        let mut off = 0usize;
-        while off < data.len() {
-            let block_index = pos / 16;
-            let in_block = (pos % 16) as usize;
-            let take = (16 - in_block).min(data.len() - off);
-            let ks = self.keystream_block(block_index);
-            for i in 0..take {
-                data[off + i] ^= ks[in_block + i];
-            }
-            pos += take as u64;
-            off += take;
+        // Ragged head up to the next keystream-block boundary.
+        let head = ((16 - pos % 16) % 16).min(data.len() as u64) as usize;
+        let (head, body) = data.split_at_mut(head);
+        if !head.is_empty() {
+            self.xor_partial(pos, head);
+            pos += head.len() as u64;
+        }
+        // Whole blocks: one keystream block, one u128 XOR.
+        let mut blocks = body.chunks_exact_mut(16);
+        for b in &mut blocks {
+            let ks = u128::from_ne_bytes(self.keystream_block(pos / 16));
+            let v = u128::from_ne_bytes((&*b).try_into().expect("exact chunk")) ^ ks;
+            b.copy_from_slice(&v.to_ne_bytes());
+            pos += 16;
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.xor_partial(pos, tail);
+            pos += tail.len() as u64;
         }
         if self.dir == Direction::Encrypt {
-            self.ghash.update(data);
+            self.ghash.update(table, data);
         }
         self.data_len = pos;
     }
@@ -134,20 +255,15 @@ impl GcmStream {
     /// so software fallbacks can authenticate partially offloaded messages
     /// after reprocessing).
     pub fn tag(&self) -> [u8; TAG_LEN] {
-        // ano-lint: allow(hot-alloc): Ghash clone is a fixed-array stack copy, no heap
-        let mut g = self.ghash.clone();
-        g.pad_block();
+        let table = self.key.ghash();
+        let mut g = self.ghash;
+        g.pad_block(table);
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&(self.aad_len * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&(self.data_len * 8).to_be_bytes());
-        g.update(&len_block);
-        let s = u128_to_block(g.finalize());
-        let e = self.aes.encrypt_block_copy(&self.j0);
-        let mut tag = [0u8; TAG_LEN];
-        for i in 0..TAG_LEN {
-            tag[i] = s[i] ^ e[i];
-        }
-        tag
+        g.update(table, &len_block);
+        let mask = block_to_u128(&self.key.aes.encrypt_block_copy(&self.j0));
+        u128_to_block(g.finalize(table) ^ mask)
     }
 
     /// Verifies `tag` against the processed data in constant time.
@@ -180,15 +296,11 @@ impl GcmStream {
 
     /// Resumes a stream mid-message from an exported state. The key and IV
     /// are per-message static state (§3.2) and are supplied afresh.
-    pub fn resume(aes: Aes, iv: &[u8; IV_LEN], st: &GcmSavedState) -> GcmStream {
-        let h = block_to_u128(&aes.encrypt_block_copy(&[0u8; 16]));
-        let mut j0 = [0u8; 16];
-        j0[..12].copy_from_slice(iv);
-        j0[15] = 1;
+    pub fn resume(key: Arc<GcmKey>, iv: &[u8; IV_LEN], st: &GcmSavedState) -> GcmStream {
         GcmStream {
-            aes,
-            j0,
-            ghash: Ghash::resume(h, &st.ghash),
+            key,
+            j0: j0(iv),
+            ghash: Ghash::resume(&st.ghash),
             aad_len: st.aad_len,
             data_len: st.data_len,
             dir: st.dir,
@@ -205,15 +317,13 @@ impl std::fmt::Debug for GcmStream {
     }
 }
 
-/// One-shot encryption in place; returns the tag.
+/// One-shot encryption in place; returns the tag. Expands a one-use
+/// [`GcmKey`]: callers with a long-lived key use [`GcmKey::seal`].
 pub fn seal(aes: &Aes, iv: &[u8; IV_LEN], aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-    // ano-lint: allow(hot-alloc): Aes clone is a fixed-array stack copy, no heap
-    let mut s = GcmStream::new(aes.clone(), iv, aad, Direction::Encrypt);
-    s.process(data);
-    s.tag()
+    Arc::new(GcmKey::new(*aes)).seal(iv, aad, data)
 }
 
-/// One-shot decryption in place with tag verification.
+/// One-shot decryption in place with tag verification (see [`GcmKey::open`]).
 ///
 /// # Errors
 ///
@@ -226,10 +336,7 @@ pub fn open(
     data: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AuthError> {
-    // ano-lint: allow(hot-alloc): Aes clone is a fixed-array stack copy, no heap
-    let mut s = GcmStream::new(aes.clone(), iv, aad, Direction::Decrypt);
-    s.process(data);
-    s.verify(tag)
+    Arc::new(GcmKey::new(*aes)).open(iv, aad, data, tag)
 }
 
 #[cfg(test)]
@@ -239,6 +346,10 @@ mod tests {
 
     fn k128(hex: &str) -> Aes {
         Aes::new_128(&from_hex(hex).try_into().unwrap())
+    }
+
+    fn key(aes: Aes) -> Arc<GcmKey> {
+        Arc::new(GcmKey::new(aes))
     }
 
     #[test]
@@ -293,6 +404,26 @@ mod tests {
     }
 
     #[test]
+    fn mcgrew_viega_case_13_aes256_empty() {
+        // K = 0^256, IV = 0^96, empty plaintext and AAD.
+        let aes = Aes::new_256(&[0u8; 32]);
+        let tag = seal(&aes, &[0u8; 12], &[], &mut []);
+        assert_eq!(to_hex(&tag), "530f8afbc74536b9a963b4f1c4cb738b");
+    }
+
+    #[test]
+    fn mcgrew_viega_case_14_aes256_one_block() {
+        // K = 0^256, IV = 0^96, P = 0^128.
+        let aes = Aes::new_256(&[0u8; 32]);
+        let mut data = [0u8; 16];
+        let tag = seal(&aes, &[0u8; 12], &[], &mut data);
+        assert_eq!(to_hex(&data), "cea7403d4d606b6e074ec5d3baf39d18");
+        assert_eq!(to_hex(&tag), "d0d1c8a799996bf0265b98b5d48ab919");
+        open(&aes, &[0u8; 12], &[], &mut data, &tag).expect("valid tag");
+        assert_eq!(data, [0u8; 16]);
+    }
+
+    #[test]
     fn open_roundtrip_and_reject() {
         let aes = k128("000102030405060708090a0b0c0d0e0f");
         let iv = [9u8; 12];
@@ -321,9 +452,10 @@ mod tests {
         let mut oneshot = msg.clone();
         let expect_tag = seal(&aes, &iv, b"A", &mut oneshot);
 
+        let k = key(aes);
         for split in [1usize, 5, 15, 16, 17, 32, 64, 100, 122] {
             let mut data = msg.clone();
-            let mut s = GcmStream::new(aes.clone(), &iv, b"A", Direction::Encrypt);
+            let mut s = GcmStream::new(Arc::clone(&k), &iv, b"A", Direction::Encrypt);
             s.process(&mut data[..split]);
             s.process(&mut data[split..]);
             assert_eq!(data, oneshot, "split {split}");
@@ -339,13 +471,14 @@ mod tests {
         let mut oneshot = msg.clone();
         let expect_tag = seal(&aes, &iv, &[], &mut oneshot);
 
+        let k = key(aes);
         let mut data = msg.clone();
-        let mut s1 = GcmStream::new(aes.clone(), &iv, &[], Direction::Encrypt);
+        let mut s1 = GcmStream::new(Arc::clone(&k), &iv, &[], Direction::Encrypt);
         s1.process(&mut data[..77]);
         let saved = s1.export();
         drop(s1); // the NIC context is all that survives
 
-        let mut s2 = GcmStream::resume(aes.clone(), &iv, &saved);
+        let mut s2 = GcmStream::resume(k, &iv, &saved);
         assert_eq!(s2.position(), 77);
         s2.process(&mut data[77..]);
         assert_eq!(data, oneshot);
@@ -360,7 +493,7 @@ mod tests {
         let mut ct = msg.clone();
         let tag = seal(&aes, &iv, b"aad!", &mut ct);
 
-        let mut d = GcmStream::new(aes.clone(), &iv, b"aad!", Direction::Decrypt);
+        let mut d = GcmStream::new(key(aes), &iv, b"aad!", Direction::Decrypt);
         // Decrypt in uneven packet-like chunks.
         let mut off = 0;
         for sz in [3usize, 160, 291, 546] {
@@ -370,5 +503,30 @@ mod tests {
         assert_eq!(off, 1000);
         assert_eq!(ct, msg);
         d.verify(&tag).expect("auth ok");
+    }
+
+    #[test]
+    fn stream_setup_is_key_free_and_small() {
+        // Key-static work happens once, in `GcmKey::new` and the first
+        // stream's table build; starting or resuming a record's stream then
+        // runs no AES block, and the 4 KiB table stays out of the
+        // per-stream state.
+        let k = key(k128("feffe9928665731c6d6a8f9467308308"));
+        let iv = [4u8; 12];
+        let first = GcmStream::new(Arc::clone(&k), &iv, b"warm", Direction::Encrypt);
+        let blocks = || crate::aes::BLOCKS.with(|n| n.get());
+
+        let before = blocks();
+        let s = GcmStream::new(Arc::clone(&k), &iv, b"hdr", Direction::Decrypt);
+        let r = GcmStream::resume(Arc::clone(&k), &iv, &first.export());
+        assert_eq!(blocks(), before, "new/resume encrypt no block");
+        drop((s, r));
+
+        const BOUND: usize = 128;
+        assert!(
+            std::mem::size_of::<GcmStream>() <= BOUND,
+            "GcmStream is {} bytes, bound {BOUND}",
+            std::mem::size_of::<GcmStream>()
+        );
     }
 }

@@ -1,33 +1,52 @@
 //! GHASH universal hash over GF(2^128), as specified for GCM
 //! (NIST SP 800-38D).
 //!
-//! The accumulator plus a partial-block buffer is the *entire* mutable state,
-//! which is what makes GCM "incrementally computable over any byte range of a
-//! message given only constant-size state" — the §3.2 precondition for
-//! autonomous offloading.
+//! Multiplication by the hash key `H` uses Shoup's 8-bit table method. The
+//! key-static half is a [`GhashKey`]: the 256 products `b·H` of every byte
+//! value `b` (4 KiB, built once per key). One block then costs 16 table
+//! steps, `z = (z >> 8) ^ R8[z & 0xff] ^ T[byte]`, highest-degree byte
+//! first, where the `const` table `R8` folds the byte shifted out of `z`
+//! back in through the field polynomial. The bitwise multiply survives only
+//! as the test oracle.
+//!
+//! The dynamic half is a [`Ghash`]: the accumulator plus a partial-block
+//! buffer, `Copy` and a few dozen bytes. That is the *entire* mutable
+//! state, which is what makes GCM "incrementally computable over any byte
+//! range of a message given only constant-size state" — the §3.2
+//! precondition for autonomous offloading.
 
-// ano-lint: allow-file(transitive-panic): GHASH kernel: 16-byte block arithmetic; indices are constants and chunks_exact guarantees block width
-/// Multiplies two elements of GF(2^128) in the GCM bit order.
-///
-/// Bit 0 of the polynomial is the most-significant bit of the first byte, and
-/// the field is reduced by `x^128 + x^7 + x^2 + x + 1` (the `0xE1` constant
-/// below is that polynomial's low bits reflected into GCM's ordering).
-pub fn gf_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xE1u128 << 120;
-    let mut z = 0u128;
-    let mut v = x;
-    for i in 0..128 {
-        if (y >> (127 - i)) & 1 == 1 {
-            z ^= v;
-        }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
+// ano-lint: allow-file(transitive-panic): GHASH kernel: table indices are u8-masked into 256-entry arrays; partial-block copies stay within the 16-byte buffer (pending_len < 16) and chunks_exact guarantees block width
+/// The GCM reduction constant: `x^128 + x^7 + x^2 + x + 1` reflected into
+/// GCM's bit order (bit 0 of the polynomial is the most-significant bit).
+const R: u128 = 0xE1u128 << 120;
+
+/// Multiplies a field element by `x` (one right shift in GCM bit order).
+const fn mul_x(v: u128) -> u128 {
+    if v & 1 == 1 {
+        (v >> 1) ^ R
+    } else {
+        v >> 1
     }
-    z
 }
+
+/// `R8[b]`: what the low byte `b` of `z` contributes back when `z` is
+/// multiplied by `x^8`, i.e. `z·x^8 = (z >> 8) ^ (R8[z & 0xff] << 112)`.
+/// The reduction only ever touches the top 15 bits, hence `u16`.
+static R8: [u16; 256] = {
+    let mut t = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut v = b as u128;
+        let mut i = 0;
+        while i < 8 {
+            v = mul_x(v);
+            i += 1;
+        }
+        t[b] = (v >> 112) as u16;
+        b += 1;
+    }
+    t
+};
 
 /// Converts a 16-byte block to the u128 big-endian polynomial representation.
 #[inline]
@@ -41,41 +60,77 @@ pub fn u128_to_block(v: u128) -> [u8; 16] {
     v.to_be_bytes()
 }
 
-/// Streaming GHASH with an internal partial-block buffer.
+/// The key-static half of GHASH: the 8-bit multiplication table of `H`.
+pub struct GhashKey {
+    /// `table[b] = b·H`, with byte `b` as the element's degree-0..7 byte.
+    table: [u128; 256],
+}
+
+impl GhashKey {
+    /// Builds the table for hash key `h` (the encrypted all-zero block).
+    pub fn new(h: u128) -> GhashKey {
+        let mut table = [0u128; 256];
+        // Single bits first: the byte 0x80 is the polynomial 1, so it maps
+        // to H; each lower bit is one more factor of x.
+        let mut v = h;
+        let mut bit = 0x80;
+        while bit > 0 {
+            table[bit] = v;
+            v = mul_x(v);
+            bit >>= 1;
+        }
+        // Every other byte is the XOR of its lowest set bit and the rest.
+        for b in 1..256usize {
+            let low = b & b.wrapping_neg();
+            table[b] = table[low] ^ table[b ^ low];
+        }
+        GhashKey { table }
+    }
+
+    /// `x·H` by 16 table steps, highest-degree byte first.
+    #[inline]
+    fn mul_h(&self, x: u128) -> u128 {
+        let mut z = 0u128;
+        for b in x.to_le_bytes() {
+            let reduce = u128::from(R8[usize::from(z as u8)]) << 112;
+            z = (z >> 8) ^ reduce ^ self.table[usize::from(b)];
+        }
+        z
+    }
+}
+
+impl std::fmt::Debug for GhashKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The table is key material.
+        f.debug_struct("GhashKey").finish_non_exhaustive()
+    }
+}
+
+/// Streaming GHASH state with an internal partial-block buffer; every call
+/// takes the [`GhashKey`] it hashes under.
 ///
 /// # Examples
 ///
 /// ```
-/// use ano_crypto::ghash::Ghash;
-/// let h = 0x66e94bd4ef8a2c3b884cfa59ca342b2eu128;
-/// let mut a = Ghash::new(h);
-/// a.update(b"hello world, this is ghash input");
-/// let mut b = Ghash::new(h);
-/// b.update(b"hello world, ");
-/// b.update(b"this is ghash input");
-/// assert_eq!(a.clone().finalize(), b.clone().finalize());
+/// use ano_crypto::ghash::{Ghash, GhashKey};
+/// let key = GhashKey::new(0x66e94bd4ef8a2c3b884cfa59ca342b2eu128);
+/// let mut a = Ghash::default();
+/// a.update(&key, b"hello world, this is ghash input");
+/// let mut b = Ghash::default();
+/// b.update(&key, b"hello world, ");
+/// b.update(&key, b"this is ghash input");
+/// assert_eq!(a.finalize(&key), b.finalize(&key));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Ghash {
-    h: u128,
     acc: u128,
     pending: [u8; 16],
     pending_len: usize,
 }
 
 impl Ghash {
-    /// Creates a GHASH instance keyed by `h` (the encrypted all-zero block).
-    pub fn new(h: u128) -> Ghash {
-        Ghash {
-            h,
-            acc: 0,
-            pending: [0; 16],
-            pending_len: 0,
-        }
-    }
-
     /// Absorbs bytes; block boundaries may fall anywhere.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, key: &GhashKey, mut data: &[u8]) {
         if self.pending_len > 0 {
             let take = (16 - self.pending_len).min(data.len());
             self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&data[..take]);
@@ -83,7 +138,7 @@ impl Ghash {
             data = &data[take..];
             if self.pending_len == 16 {
                 let block = self.pending;
-                self.absorb_block(&block);
+                self.absorb_block(key, &block);
                 self.pending_len = 0;
             }
             if data.is_empty() {
@@ -92,8 +147,7 @@ impl Ghash {
         }
         let mut chunks = data.chunks_exact(16);
         for c in &mut chunks {
-            let block: &[u8; 16] = c.try_into().expect("exact chunk");
-            self.absorb_block(block);
+            self.absorb_block(key, c.try_into().expect("exact chunk"));
         }
         let rem = chunks.remainder();
         self.pending[..rem.len()].copy_from_slice(rem);
@@ -102,24 +156,23 @@ impl Ghash {
 
     /// Pads any partial block with zeros and absorbs it (GCM does this
     /// between the AAD and ciphertext sections and before the length block).
-    pub fn pad_block(&mut self) {
+    pub fn pad_block(&mut self, key: &GhashKey) {
         if self.pending_len > 0 {
-            for b in &mut self.pending[self.pending_len..] {
-                *b = 0;
-            }
+            self.pending[self.pending_len..].fill(0);
             let block = self.pending;
-            self.absorb_block(&block);
+            self.absorb_block(key, &block);
             self.pending_len = 0;
         }
     }
 
-    fn absorb_block(&mut self, block: &[u8; 16]) {
-        self.acc = gf_mul(self.acc ^ block_to_u128(block), self.h);
+    #[inline]
+    fn absorb_block(&mut self, key: &GhashKey, block: &[u8; 16]) {
+        self.acc = key.mul_h(self.acc ^ block_to_u128(block));
     }
 
     /// Pads, then returns the accumulator.
-    pub fn finalize(mut self) -> u128 {
-        self.pad_block();
+    pub fn finalize(mut self, key: &GhashKey) -> u128 {
+        self.pad_block(key);
         self.acc
     }
 
@@ -134,9 +187,8 @@ impl Ghash {
     }
 
     /// Rebuilds a GHASH mid-stream from an exported state.
-    pub fn resume(h: u128, st: &GhashState) -> Ghash {
+    pub fn resume(st: &GhashState) -> Ghash {
         Ghash {
-            h,
             acc: st.acc,
             pending: st.pending,
             pending_len: st.pending_len as usize,
@@ -159,6 +211,22 @@ pub struct GhashState {
 mod tests {
     use super::*;
     use crate::hex::from_hex;
+    use ano_testkit::gen::u64_in;
+    use ano_testkit::prop_test;
+
+    /// Multiplies two elements of GF(2^128) in the GCM bit order, one bit
+    /// of `y` at a time: the oracle for the table kernel.
+    fn gf_mul(x: u128, y: u128) -> u128 {
+        let mut z = 0u128;
+        let mut v = x;
+        for i in 0..128 {
+            if (y >> (127 - i)) & 1 == 1 {
+                z ^= v;
+            }
+            v = mul_x(v);
+        }
+        z
+    }
 
     #[test]
     fn gf_mul_identity_and_zero() {
@@ -179,57 +247,82 @@ mod tests {
     }
 
     #[test]
+    fn table_mul_equals_gf_mul_on_edge_values() {
+        let edges = [0, 1u128 << 127, u128::MAX, R, 1];
+        for h in edges {
+            let key = GhashKey::new(h);
+            for x in edges {
+                assert_eq!(key.mul_h(x), gf_mul(x, h), "x {x:032x} H {h:032x}");
+            }
+        }
+    }
+
+    prop_test! {
+        cases = 64;
+        fn table_mul_equals_gf_mul(
+            x_hi in u64_in(0..u64::MAX),
+            x_lo in u64_in(0..u64::MAX),
+            h_hi in u64_in(0..u64::MAX),
+            h_lo in u64_in(0..u64::MAX),
+        ) {
+            let x = (u128::from(x_hi) << 64) | u128::from(x_lo);
+            let h = (u128::from(h_hi) << 64) | u128::from(h_lo);
+            assert_eq!(GhashKey::new(h).mul_h(x), gf_mul(x, h));
+        }
+    }
+
+    #[test]
     fn ghash_matches_nist_case_2() {
         // NIST GCM test case 2: H = 66e94bd4ef8a2c3b884cfa59ca342b2e,
         // C = 0388dace60b6a392f328c2b971b2fe78, len block = 0^64 || 0x80 (128 bits).
-        let h = block_to_u128(
+        let key = GhashKey::new(block_to_u128(
             &from_hex("66e94bd4ef8a2c3b884cfa59ca342b2e").try_into().unwrap(),
-        );
-        let mut g = Ghash::new(h);
-        g.update(&from_hex("0388dace60b6a392f328c2b971b2fe78"));
+        ));
+        let mut g = Ghash::default();
+        g.update(&key, &from_hex("0388dace60b6a392f328c2b971b2fe78"));
         let mut len_block = [0u8; 16];
         len_block[8..16].copy_from_slice(&(128u64).to_be_bytes());
-        g.update(&len_block);
-        let out = u128_to_block(g.finalize());
+        g.update(&key, &len_block);
+        let out = u128_to_block(g.finalize(&key));
         assert_eq!(out.to_vec(), from_hex("f38cbb1ad69223dcc3457ae5b6b0f885"));
     }
 
     #[test]
     fn split_updates_equal_one_shot() {
-        let h = 0x5e2ec746917062882c85b0685353deb7u128;
+        let key = GhashKey::new(0x5e2ec746917062882c85b0685353deb7u128);
         let data: Vec<u8> = (0..200u16).map(|i| (i * 7) as u8).collect();
-        let mut one = Ghash::new(h);
-        one.update(&data);
+        let mut one = Ghash::default();
+        one.update(&key, &data);
         for split in [1usize, 15, 16, 17, 31, 100, 199] {
-            let mut two = Ghash::new(h);
-            two.update(&data[..split]);
-            two.update(&data[split..]);
-            assert_eq!(one.clone().finalize(), two.finalize(), "split {split}");
+            let mut two = Ghash::default();
+            two.update(&key, &data[..split]);
+            two.update(&key, &data[split..]);
+            assert_eq!(one.finalize(&key), two.finalize(&key), "split {split}");
         }
     }
 
     #[test]
     fn export_resume_mid_stream() {
-        let h = 0xabcdefabcdefabcdefabcdefabcdefabu128;
+        let key = GhashKey::new(0xabcdefabcdefabcdefabcdefabcdefabu128);
         let data: Vec<u8> = (0..77u8).collect();
-        let mut full = Ghash::new(h);
-        full.update(&data);
+        let mut full = Ghash::default();
+        full.update(&key, &data);
 
-        let mut part = Ghash::new(h);
-        part.update(&data[..33]);
+        let mut part = Ghash::default();
+        part.update(&key, &data[..33]);
         let st = part.export();
-        let mut resumed = Ghash::resume(h, &st);
-        resumed.update(&data[33..]);
-        assert_eq!(full.finalize(), resumed.finalize());
+        let mut resumed = Ghash::resume(&st);
+        resumed.update(&key, &data[33..]);
+        assert_eq!(full.finalize(&key), resumed.finalize(&key));
     }
 
     #[test]
     fn pad_block_is_idempotent_on_boundary() {
-        let h = 0x1u128 << 127;
-        let mut g = Ghash::new(h);
-        g.update(&[0xAAu8; 32]);
-        let before = g.clone().finalize();
-        g.pad_block();
-        assert_eq!(g.finalize(), before);
+        let key = GhashKey::new(0x1u128 << 127);
+        let mut g = Ghash::default();
+        g.update(&key, &[0xAAu8; 32]);
+        let before = g.finalize(&key);
+        g.pad_block(&key);
+        assert_eq!(g.finalize(&key), before);
     }
 }

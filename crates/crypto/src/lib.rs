@@ -8,7 +8,8 @@
 //!
 //! * [`gcm`] — AES-GCM with exportable mid-message state (the TLS offload);
 //! * [`crc32c`] — incremental + combinable CRC32C (the NVMe-TCP offload);
-//! * [`aes`] — the block cipher underneath GCM.
+//! * [`aes`] — the block cipher underneath GCM (T-table rounds);
+//! * [`ghash`] — GCM's universal hash (8-bit-table multiply by `H`).
 //!
 //! These run for real in functional-mode simulations and tests; the
 //! experiments' cycle accounting separately models AES-NI-class speeds.

@@ -16,7 +16,7 @@
 
 use ano_core::flow::{ResyncResponder, TxMsgLog, TxMsgRef};
 use ano_core::msg::{FlowMode, FrameIndex};
-use ano_crypto::gcm::{Direction, GcmStream};
+use ano_crypto::gcm::Direction;
 use ano_sim::cost::CostModel;
 use ano_sim::payload::{DataMode, Payload};
 use ano_tcp::segment::{RxChunk, SkbFlags};
@@ -500,12 +500,7 @@ impl KtlsRx {
                     // XOR-keystream pass over a copy flips plain<->cipher.
                     // ano-lint: allow(transitive-panic): flipped window bounded by plen and the take clamps
                     let mut flipped = body_tag[..plen].to_vec();
-                    let mut enc = GcmStream::new(
-                        self.session.aes().clone(),
-                        &self.session.nonce(seq),
-                        &hdr,
-                        Direction::Encrypt,
-                    );
+                    let mut enc = self.session.stream(seq, &hdr, Direction::Encrypt);
                     enc.process(&mut flipped);
                     let mut off = 0usize;
                     for (p, f) in parts {
@@ -524,14 +519,9 @@ impl KtlsRx {
                 let tag: [u8; TAG_LEN] = ct[plen..plen + TAG_LEN].try_into().expect("tag");
                 // ano-lint: allow(transitive-panic): off+take clamped by min() against the part length
                 let mut body = ct[..plen].to_vec();
-                ano_crypto::gcm::open(
-                    self.session.aes(),
-                    &self.session.nonce(seq),
-                    &hdr,
-                    &mut body,
-                    &tag,
-                )
-                .ok()?;
+                let mut dec = self.session.stream(seq, &hdr, Direction::Decrypt);
+                dec.process(&mut body);
+                dec.verify(&tag).ok()?;
                 Some(body)
             }
         }
@@ -693,12 +683,8 @@ mod tests {
         let split = 4000;
         let mut first = wire[..split].to_vec();
         // NIC decrypts bytes [5, 4000) in place.
-        let mut dec = GcmStream::new(
-            s.aes().clone(),
-            &s.nonce(0),
-            &wire[..HEADER_LEN],
-            Direction::Decrypt,
-        );
+        let hdr: [u8; HEADER_LEN] = wire[..HEADER_LEN].try_into().unwrap();
+        let mut dec = s.stream(0, &hdr, Direction::Decrypt);
         dec.process(&mut first[HEADER_LEN..]);
         let second = wire[split..].to_vec();
 

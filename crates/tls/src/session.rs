@@ -6,17 +6,20 @@
 //! AES-128-GCM, deriving each record's nonce from the record sequence
 //! number exactly as RFC 8446 §5.3 does: `nonce = static_iv XOR seq64`.
 
+use std::sync::Arc;
+
 use ano_crypto::aes::Aes;
-use ano_crypto::gcm::{self, Direction, GcmStream};
+use ano_crypto::gcm::{Direction, GcmKey, GcmStream};
 use ano_crypto::AuthError;
 use ano_sim::rng::SimRng;
 
 use crate::record::{RecordHeader, HEADER_LEN, TAG_LEN};
 
-/// One direction's record-protection state.
+/// One direction's record-protection state. Cloning shares the key: the
+/// expanded AES key, `H` and the GHASH table are built once per session.
 #[derive(Clone)]
 pub struct TlsSession {
-    aes: Aes,
+    key: Arc<GcmKey>,
     static_iv: [u8; 12],
 }
 
@@ -30,7 +33,7 @@ impl TlsSession {
     /// Builds a session from explicit key material.
     pub fn new(key: [u8; 16], static_iv: [u8; 12]) -> TlsSession {
         TlsSession {
-            aes: Aes::new_128(&key),
+            key: Arc::new(GcmKey::new(Aes::new_128(&key))),
             static_iv,
         }
     }
@@ -44,11 +47,6 @@ impl TlsSession {
         rng.fill_bytes(&mut key);
         rng.fill_bytes(&mut iv);
         TlsSession::new(key, iv)
-    }
-
-    /// Access to the expanded key (the offload context's static state).
-    pub fn aes(&self) -> &Aes {
-        &self.aes
     }
 
     /// The per-record nonce for record number `seq` (RFC 8446 §5.3).
@@ -75,7 +73,7 @@ impl TlsSession {
         out.extend_from_slice(plaintext);
         let nonce = self.nonce(seq);
         let (head, body) = out.split_at_mut(HEADER_LEN);
-        let tag = gcm::seal(&self.aes, &nonce, head, body);
+        let tag = self.key.seal(&nonce, head, body);
         out.extend_from_slice(&tag);
         out
     }
@@ -94,14 +92,16 @@ impl TlsSession {
         let mut body = wire[HEADER_LEN..body_end].to_vec();
         let tag: [u8; TAG_LEN] = wire[body_end..].try_into().expect("tag length");
         let nonce = self.nonce(seq);
-        gcm::open(&self.aes, &nonce, &wire[..HEADER_LEN], &mut body, &tag)?;
+        self.key.open(&nonce, &wire[..HEADER_LEN], &mut body, &tag)?;
         Ok(body)
     }
 
     /// Starts an incremental stream for record `seq` (what the NIC context
-    /// holds), with the record header as AAD.
+    /// holds), with the record header as AAD. The stream shares the
+    /// session's key: no key expansion and no AES block, and no allocation
+    /// once the session's first stream has built its GHASH table.
     pub fn stream(&self, seq: u64, hdr: &[u8; HEADER_LEN], dir: Direction) -> GcmStream {
-        GcmStream::new(self.aes.clone(), &self.nonce(seq), hdr, dir)
+        GcmStream::new(Arc::clone(&self.key), &self.nonce(seq), hdr, dir)
     }
 }
 

@@ -91,6 +91,13 @@ CARGO_NET_OFFLINE=true RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --works
 echo "== tier-1: offline tests (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo test -q --workspace
 
+echo "== crypto kernels (release) =="
+# The benchmark and `figures` run the AES/GHASH/CRC kernels with fat LTO and
+# without overflow checks; their vectors and kernel-vs-oracle properties
+# must hold under that codegen too, not only in the debug build above
+# (a few seconds).
+CARGO_NET_OFFLINE=true cargo test -q --release -p ano-crypto
+
 # The scenario crate's default tests — the registry-wide shape tests, the
 # 16-entry link-adversity differential matrix, every family's smokes and all
 # seven golden traces (BLESS=1 regenerates; see crates/scenario/tests/common)

@@ -106,7 +106,8 @@ fn c1_throughput_is_drive_bound() {
 fn constant_size_state_preconditions() {
     use autonomous_nic_offloads::crypto::aes::Aes;
     use autonomous_nic_offloads::crypto::crc32c::Crc32c;
-    use autonomous_nic_offloads::crypto::gcm::{Direction, GcmStream};
+    use autonomous_nic_offloads::crypto::gcm::{Direction, GcmKey, GcmStream};
+    use std::sync::Arc;
 
     let aes = Aes::new_128(&[3; 16]);
     let iv = [9u8; 12];
@@ -117,10 +118,11 @@ fn constant_size_state_preconditions() {
     // Split at an awkward offset, export, resume — like a NIC context
     // evicted to host memory and restored (§6.5).
     let mut buf = data.clone();
-    let mut s = GcmStream::new(aes.clone(), &iv, b"", Direction::Encrypt);
+    let key = Arc::new(GcmKey::new(aes));
+    let mut s = GcmStream::new(Arc::clone(&key), &iv, b"", Direction::Encrypt);
     s.process(&mut buf[..1234]);
     let saved = s.export();
-    let mut s2 = GcmStream::resume(aes, &iv, &saved);
+    let mut s2 = GcmStream::resume(key, &iv, &saved);
     s2.process(&mut buf[1234..]);
     assert_eq!(buf, oneshot);
     assert_eq!(s2.tag(), tag);

@@ -7,7 +7,7 @@
 //! rather than opaque RNG-state hashes — see `tcp_regression_len_10137`
 //! below, the port of the historical `proptest-regressions` entry.
 
-use ano_testkit::gen::{usize_in, vec_bool, vec_of, vec_u8};
+use ano_testkit::gen::{any_bool, usize_in, vec_bool, vec_of, vec_u8};
 use ano_testkit::prop_test;
 
 use autonomous_nic_offloads::core::demo::{self, DemoFlow};
@@ -15,33 +15,49 @@ use autonomous_nic_offloads::core::msg::DataRef;
 use autonomous_nic_offloads::core::rx::RxEngine;
 use autonomous_nic_offloads::crypto::aes::Aes;
 use autonomous_nic_offloads::crypto::crc32c::{combine, crc32c, Crc32c};
-use autonomous_nic_offloads::crypto::gcm::{seal, Direction, GcmStream};
+use autonomous_nic_offloads::crypto::gcm::{seal, Direction, GcmKey, GcmStream};
 use autonomous_nic_offloads::tcp::conn::TcpEndpoint;
 use autonomous_nic_offloads::tcp::segment::{FlowId, SkbFlags};
 use autonomous_nic_offloads::tcp::TcpConfig;
 use ano_sim::payload::Payload;
 use ano_sim::time::SimTime;
+use std::sync::Arc;
 
 /// §3.2's precondition: incremental AES-GCM over arbitrary byte ranges
-/// equals one-shot (checked as a reusable body so replay cases can call it).
-fn check_gcm_incremental(data: &[u8], splits: &[usize]) {
+/// equals one-shot, in either direction and across an export → resume of
+/// the dynamic state at any offset (checked as a reusable body so replay
+/// cases can call it).
+fn check_gcm_incremental(data: &[u8], splits: &[usize], resume_at: usize, dir: Direction) {
     let aes = Aes::new_128(&[0x11; 16]);
     let iv = [5u8; 12];
-    let mut oneshot = data.to_vec();
-    let tag = seal(&aes, &iv, b"hdr", &mut oneshot);
+    let mut sealed = data.to_vec();
+    let tag = seal(&aes, &iv, b"hdr", &mut sealed);
+    let (input, want) = match dir {
+        Direction::Encrypt => (data, &sealed[..]),
+        Direction::Decrypt => (&sealed[..], data),
+    };
 
-    let mut cuts: Vec<usize> = splits.iter().map(|s| s % data.len()).collect();
-    cuts.push(0);
-    cuts.push(data.len());
+    let n = data.len();
+    let resume_at = resume_at % (n + 1);
+    let mut cuts: Vec<usize> = splits.iter().map(|s| s % (n + 1)).collect();
+    cuts.extend([0, n, resume_at]);
     cuts.sort_unstable();
     cuts.dedup();
 
-    let mut buf = data.to_vec();
-    let mut s = GcmStream::new(Aes::new_128(&[0x11; 16]), &iv, b"hdr", Direction::Encrypt);
+    let key = Arc::new(GcmKey::new(aes));
+    let resume = |s: &GcmStream| GcmStream::resume(Arc::clone(&key), &iv, &s.export());
+    let mut buf = input.to_vec();
+    let mut s = GcmStream::new(Arc::clone(&key), &iv, b"hdr", dir);
     for w in cuts.windows(2) {
+        if w[0] == resume_at {
+            s = resume(&s);
+        }
         s.process(&mut buf[w[0]..w[1]]);
     }
-    assert_eq!(buf, oneshot);
+    if resume_at == n {
+        s = resume(&s);
+    }
+    assert_eq!(buf, want);
     assert_eq!(s.tag(), tag);
 }
 
@@ -114,12 +130,19 @@ fn check_tcp_exactly_once(len: usize, drops: &[bool]) {
 }
 
 prop_test! {
-    cases = 24;
+    cases = 32;
+    /// `short` cuts the message to `len % 64` bytes, so lengths 0..=63 —
+    /// every mix of whole and partial 16-byte blocks — are drawn often.
     fn gcm_incremental_equals_oneshot(
-        data in vec_u8(1..2048),
-        splits in vec_of(usize_in(1..2048), 0..6),
+        data in vec_u8(0..2048),
+        short in any_bool(),
+        splits in vec_of(usize_in(0..2048), 3..8),
+        resume_at in usize_in(0..2048),
     ) {
-        check_gcm_incremental(&data, &splits);
+        let data = if short { &data[..data.len() % 64] } else { &data[..] };
+        for dir in [Direction::Encrypt, Direction::Decrypt] {
+            check_gcm_incremental(data, &splits, resume_at, dir);
+        }
     }
 }
 
