@@ -29,7 +29,8 @@ use crate::msg::{DataRef, EngineEvent, FlowMode, FrameIndex, MsgHeader, SearchWi
 /// Per-flow, per-direction protocol handler executed "in the NIC".
 pub trait L5Flow: std::fmt::Debug {
     /// Number of leading bytes required to parse any message header
-    /// (the generic header carrying the length field).
+    /// (the generic header carrying the length field); at most
+    /// [`MAX_HDR_LEN`](crate::msg::MAX_HDR_LEN).
     fn header_len(&self) -> usize;
 
     /// Where this flow's framing comes from.
@@ -104,7 +105,7 @@ pub trait L5Flow: std::fmt::Debug {
 
 /// Scans real bytes for the first offset where [`L5Flow::parse_at`]
 /// accepts a header. Headers must begin *and* fit within the window to be
-/// found (split patterns are handled by the engine's carry buffer).
+/// found (split patterns are handled by the engine's carry).
 pub fn scan_window<F: L5Flow + ?Sized>(op: &F, window_off: u64, bytes: &[u8]) -> Option<(u64, MsgHeader)> {
     bytes.windows(op.header_len()).enumerate().find_map(|(i, hdr)| {
         let off = window_off + i as u64;

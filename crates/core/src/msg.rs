@@ -20,6 +20,59 @@ pub struct MsgHeader {
     pub total_len: u32,
 }
 
+/// The longest generic header any [`L5Flow`](crate::flow::L5Flow) declares:
+/// NVMe-TCP's 8-byte common header (a TLS record header is 5 bytes, the
+/// demo's 4). The NIC context assembles headers and keeps its search carry
+/// in buffers of this fixed size; a longer header would never assemble, so
+/// a functional flow declaring one would desynchronize on every message.
+pub const MAX_HDR_LEN: usize = 8;
+
+/// A fixed-capacity byte buffer — part of a constant-size NIC context,
+/// never a heap allocation. Bytes appended past the capacity are dropped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FixedBytes<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> FixedBytes<N> {
+    /// Appends as much of `bytes` as fits.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        let n = bytes.len().min(N - self.len);
+        if let (Some(dst), Some(src)) = (self.buf.get_mut(self.len..self.len + n), bytes.get(..n)) {
+            dst.copy_from_slice(src);
+            self.len += n;
+        }
+    }
+
+    /// The bytes held.
+    pub fn as_slice(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or_default()
+    }
+
+    /// Number of bytes held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no bytes are held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empties the buffer.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+impl<const N: usize> Default for FixedBytes<N> {
+    /// An empty buffer.
+    fn default() -> Self {
+        FixedBytes { buf: [0; N], len: 0 }
+    }
+}
+
 /// One contiguous range of packet data handed to an offload operation:
 /// real mutable bytes in functional mode, a length in modeled mode.
 #[derive(Debug)]
@@ -49,6 +102,14 @@ impl DataRef<'_> {
         match self {
             DataRef::Real(b) => Some(b),
             DataRef::Modeled(_) => None,
+        }
+    }
+
+    /// The whole range as the read-only view speculative search scans.
+    pub(crate) fn window(&self) -> SearchWindow<'_> {
+        match self {
+            DataRef::Real(b) => SearchWindow::Real(b),
+            DataRef::Modeled(n) => SearchWindow::Modeled(*n),
         }
     }
 
@@ -299,6 +360,18 @@ mod tests {
         let mut m = DataRef::Modeled(10);
         assert_eq!(m.slice(2, 9).len(), 7);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn fixed_bytes_drop_what_does_not_fit() {
+        let mut b = FixedBytes::<4>::default();
+        assert!(b.is_empty());
+        b.extend(&[1, 2, 3]);
+        b.extend(&[4, 5, 6]);
+        assert_eq!((b.as_slice(), b.len()), (&[1u8, 2, 3, 4][..], 4));
+        b.clear();
+        b.extend(&[9]);
+        assert_eq!(b.as_slice(), &[9]);
     }
 
     #[test]

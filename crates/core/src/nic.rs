@@ -20,14 +20,20 @@ use crate::rss::{FourTuple, RssSteering};
 use crate::rx::{RxEngine, RxStats};
 use crate::tx::{TxEngine, TxStats};
 
+/// Bytes of one per-flow offload context in NIC memory: the PCIe cost of
+/// each cache fill and write-back. §6.5's scaling numbers rest on it: 4 MiB
+/// of NIC memory holds 4 MiB / 208 B ≈ 20 000 contexts (the default
+/// [`NicConfig::ctx_cache_capacity`]). A paper constant rather than
+/// `size_of` of the engine: Rust's layout is the compiler's choice, and the
+/// PCIe accounting must not move with it.
+pub const CTX_BYTES: u64 = 208;
+
 /// NIC configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NicConfig {
-    /// How many per-flow contexts fit in NIC memory (paper: 4 MiB / 208 B ≈
-    /// 20 K flows, §6.5).
+    /// How many per-flow contexts fit in NIC memory (paper: 4 MiB /
+    /// [`CTX_BYTES`] ≈ 20 K flows, §6.5).
     pub ctx_cache_capacity: usize,
-    /// Per-flow context size in bytes (PCIe cost of a cache fill).
-    pub ctx_bytes: u64,
     /// Number of receive queues. The default of 1 is the classic
     /// single-queue device and disables all RSS machinery (no steering
     /// state is consulted, no queue events are traced), so existing
@@ -47,7 +53,6 @@ impl Default for NicConfig {
     fn default() -> Self {
         NicConfig {
             ctx_cache_capacity: 20_000,
-            ctx_bytes: 208,
             rx_queues: 1,
             rss_buckets: 128,
             rss_key_seed: 0x5253_5321, // "RSS!"
@@ -126,9 +131,6 @@ pub struct NicCounters {
     /// resident rx context — the thrash cost of steering-based
     /// rebalancing. Always 0 on a single-queue NIC.
     pub queue_crossings: u64,
-}
-
-impl NicCounters {
 }
 
 /// Result of NIC receive processing for one packet.
@@ -297,7 +299,7 @@ impl Nic {
     /// Removes a cache entry, charging the write-back if it was resident.
     fn writeback_remove(&mut self, flow: FlowId, dir: Dir) {
         if self.cache.remove(&(flow, dir)) {
-            self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
+            self.counters.pcie_ctx_bytes += CTX_BYTES;
         }
     }
 
@@ -510,12 +512,12 @@ impl Nic {
         if miss {
             self.counters.cache_misses += 1;
             // Fill of the missing context...
-            self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
+            self.counters.pcie_ctx_bytes += CTX_BYTES;
             if let Some((victim, vdir)) = evicted {
                 // ...plus the write-back of the context it displaced. The
                 // trace record is scoped to the victim: cache pressure is
                 // the *victim's* story (its next packet pays the refill).
-                self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
+                self.counters.pcie_ctx_bytes += CTX_BYTES;
                 self.tracer.scoped(victim.0).record(|| ano_trace::Event::CtxEvict {
                     dir: match vdir {
                         Dir::Rx => "rx",
@@ -562,7 +564,7 @@ impl Nic {
                     e.set_queue(q);
                 }
                 if self.cache.remove(&(flow, Dir::Rx)) {
-                    self.counters.pcie_ctx_bytes += self.cfg.ctx_bytes;
+                    self.counters.pcie_ctx_bytes += CTX_BYTES;
                     self.tracer
                         .scoped(flow.0)
                         .record(|| ano_trace::Event::CtxEvict { dir: "rx" });
@@ -710,7 +712,6 @@ mod tests {
     fn cache_counts_hits_and_misses() {
         let cfg = NicConfig {
             ctx_cache_capacity: 2,
-            ctx_bytes: 208,
             ..NicConfig::default()
         };
         let mut nic = Nic::new(cfg);
@@ -734,7 +735,7 @@ mod tests {
         assert_eq!(c.cache_misses, 12);
         // 12 fills; the first 2 touches populate an empty cache, the other
         // 10 displace a resident context and pay its write-back too.
-        assert_eq!(c.pcie_ctx_bytes, (12 + 10) * 208);
+        assert_eq!(c.pcie_ctx_bytes, (12 + 10) * CTX_BYTES);
     }
 
     fn msg() -> Vec<u8> {
@@ -749,36 +750,36 @@ mod tests {
     #[test]
     fn pcie_accounting_splits_fill_and_writeback() {
         // Capacity 1: the second flow's fill displaces the first.
-        let cfg = NicConfig { ctx_cache_capacity: 1, ctx_bytes: 100, ..NicConfig::default() };
+        let cfg = NicConfig { ctx_cache_capacity: 1, ..NicConfig::default() };
         let mut nic = Nic::new(cfg);
         for i in 0..2u64 {
             nic.install_rx(FlowId(i), RxEngine::new(Box::new(DemoFlow::rx_functional(0)), 0, 0));
         }
         feed(&mut nic, FlowId(0), 0);
-        assert_eq!(nic.counters().pcie_ctx_bytes, 100, "first fill, no victim");
+        assert_eq!(nic.counters().pcie_ctx_bytes, CTX_BYTES, "first fill, no victim");
         feed(&mut nic, FlowId(1), 0);
         assert_eq!(
             nic.counters().pcie_ctx_bytes,
-            100 + 200,
+            3 * CTX_BYTES,
             "second fill displaces flow 0: fill + write-back"
         );
         // Orderly teardown writes the resident context back.
         nic.destroy(FlowId(1));
-        assert_eq!(nic.counters().pcie_ctx_bytes, 100 + 200 + 100);
+        assert_eq!(nic.counters().pcie_ctx_bytes, 4 * CTX_BYTES);
         // Destroying the non-resident flow moves nothing over PCIe.
         nic.destroy(FlowId(0));
-        assert_eq!(nic.counters().pcie_ctx_bytes, 100 + 200 + 100);
+        assert_eq!(nic.counters().pcie_ctx_bytes, 4 * CTX_BYTES);
     }
 
     #[test]
     fn reset_wipes_without_writeback_and_bumps_epoch() {
-        let cfg = NicConfig { ctx_cache_capacity: 4, ctx_bytes: 100, ..NicConfig::default() };
+        let cfg = NicConfig { ctx_cache_capacity: 4, ..NicConfig::default() };
         let mut nic = Nic::new(cfg);
         for i in 0..2u64 {
             nic.install_rx(FlowId(i), RxEngine::new(Box::new(DemoFlow::rx_functional(0)), 0, 0));
             feed(&mut nic, FlowId(i), 0);
         }
-        assert_eq!(nic.counters().pcie_ctx_bytes, 200, "two fills");
+        assert_eq!(nic.counters().pcie_ctx_bytes, 2 * CTX_BYTES, "two fills");
         assert_eq!(nic.epoch(), 0);
         let wiped = nic.reset();
         assert_eq!(wiped, 2);
@@ -786,11 +787,11 @@ mod tests {
         assert!(!nic.has_rx(FlowId(0)) && !nic.has_rx(FlowId(1)));
         // Lost contexts are not written back — Fig. 16b numbers must not
         // count bytes that never crossed PCIe.
-        assert_eq!(nic.counters().pcie_ctx_bytes, 200);
+        assert_eq!(nic.counters().pcie_ctx_bytes, 2 * CTX_BYTES);
         // A reinstall after the reset refills from scratch.
         nic.install_rx(FlowId(0), RxEngine::new(Box::new(DemoFlow::rx_functional(0)), 0, 0));
         feed(&mut nic, FlowId(0), 0);
-        assert_eq!(nic.counters().pcie_ctx_bytes, 300, "post-reset fill");
+        assert_eq!(nic.counters().pcie_ctx_bytes, 3 * CTX_BYTES, "post-reset fill");
     }
 
     #[test]
@@ -941,7 +942,7 @@ mod tests {
         // The crossing wrote the old context back and refilled it on the
         // new queue: write-back + fill on top of the original fill.
         assert_eq!(nic.counters().cache_misses, 2, "crossing thrashes the context");
-        assert_eq!(nic.counters().pcie_ctx_bytes, filled + 2 * nic.cfg.ctx_bytes);
+        assert_eq!(nic.counters().pcie_ctx_bytes, filled + 2 * CTX_BYTES);
 
         // Stable again: the next packet hits.
         feed(&mut nic, flow, 2 * msg().len() as u64);

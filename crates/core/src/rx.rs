@@ -12,13 +12,19 @@
 //!   verifying each expected header, while the candidate awaits software
 //!   confirmation; confirmation resumes offloading at the next boundary
 //!   (transition d2), a mismatch or rejection returns to searching (d1).
+//!
+//! The state is the constant-size part of the NIC context: `Copy` and
+//! heap-free. Offloading and Tracking hold the same [`Walker`] cursor —
+//! tracking is the offload walk without the operation ([`Walker::track`]) —
+//! and Searching carries at most `header_len - 1` bytes of the previous
+//! packet, so a pattern split across two in-sequence packets is still found.
 
 use ano_tcp::segment::SkbFlags;
 use ano_trace::{Event, ResyncPhase, Tracer};
 
 use crate::flow::L5Flow;
-use crate::msg::{DataRef, EngineEvent, SearchWindow};
-use crate::walker::{window_of, TrackWalker, Walker};
+use crate::msg::{DataRef, EngineEvent, FixedBytes, MsgHeader, SearchWindow, MAX_HDR_LEN};
+use crate::walker::{WalkOutcome, Walker};
 
 /// Receive-engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,24 +63,26 @@ pub enum RxStateKind {
     Tracking,
 }
 
+#[derive(Clone, Copy, Debug)]
 enum RxState {
     Offloading(Walker),
     Searching {
         /// Trailing bytes of the previous contiguous packet, so magic
         /// patterns split across packets are still found (§4.3: "it can
         /// identify patterns split between packets if they arrive
-        /// in-sequence").
-        carry: Vec<u8>,
+        /// in-sequence"). At most `header_len - 1` bytes.
+        carry: FixedBytes<MAX_HDR_LEN>,
+        /// Stream offset of the first carried byte.
         carry_off: u64,
     },
     Tracking {
         candidate: u64,
-        walker: TrackWalker,
+        /// Positioned inside the candidate ([`Walker::tracking`]).
+        walker: Walker,
         /// Software already confirmed; resume at the next known boundary.
         confirmed: Option<u64>, // base msg_index from software
     },
 }
-
 
 /// Walks `data[from..]` through `w` without writing transformed bytes back:
 /// the packet is not offloaded (its SKB bit stays clear, software will
@@ -86,7 +94,7 @@ fn ghost_walk(
     op: &mut dyn L5Flow,
     data: &mut DataRef<'_>,
     from: usize,
-) -> crate::walker::WalkOutcome {
+) -> WalkOutcome {
     match data {
         DataRef::Real(b) => {
             // `from` is in bounds by construction (caller clamps to the
@@ -190,7 +198,7 @@ impl RxEngine {
         RxEngine {
             op,
             state: RxState::Searching {
-                carry: Vec::new(),
+                carry: FixedBytes::default(),
                 carry_off: at_off,
             },
             events: Vec::new(),
@@ -235,13 +243,7 @@ impl RxEngine {
     /// is ever installed — starts at `Searching`, keeping the per-flow
     /// chain of transition events continuous.
     pub fn quiesce(&mut self) {
-        let at = self.expected().unwrap_or(0);
-        self.state = RxState::Searching {
-            // ano-lint: allow(hot-alloc): capacity-0 carry placeholder; fills only while searching
-            carry: Vec::new(),
-            carry_off: at,
-        };
-        self.force_phase(ResyncPhase::Searching, at);
+        self.enter_searching(self.expected().unwrap_or(0));
     }
 
     /// Installs a (typically flow-scoped) tracing handle. The default
@@ -331,92 +333,18 @@ impl RxEngine {
             self.stats.corrupt_detected += 1;
             self.enter_searching(seq);
         }
-        let seq_end = seq + data.len() as u64;
-        let state = std::mem::replace(
-            &mut self.state,
-            RxState::Searching {
-                // ano-lint: allow(hot-alloc): capacity-0 carry placeholder; fills only while searching
-                carry: Vec::new(),
-                carry_off: 0,
-            },
-        );
-        let mut offloaded = false;
-        match state {
-            RxState::Offloading(mut w) => {
-                let exp = w.expected();
-                if seq == exp {
-                    let out = w.walk(self.op.as_mut(), data);
-                    if out.desync {
-                        self.stats.desyncs += 1;
-                        self.enter_searching(seq_end);
-                    } else {
-                        offloaded = out.clean;
-                        self.state = RxState::Offloading(w);
-                    }
-                } else if seq_end <= exp {
-                    // Fig. 8a: pure retransmission of the past — bypass.
-                    self.stats.retransmit_bypass += 1;
-                    self.state = RxState::Offloading(w);
-                } else if seq < exp {
-                    // Overlap: the tail from `exp` is new, in-sequence data;
-                    // the packet itself is not offloaded (its seq does not
-                    // match the context), so HW advances its state without
-                    // writing back (software will process these bytes).
-                    self.stats.retransmit_bypass += 1;
-                    let out = ghost_walk(&mut w, self.op.as_mut(), data, (exp - seq) as usize);
-                    if out.desync {
-                        self.stats.desyncs += 1;
-                        self.enter_searching(seq_end);
-                    } else {
-                        self.state = RxState::Offloading(w);
-                    }
-                } else {
-                    // Gap: where is the next message boundary M?
-                    self.tracer.record(|| Event::PktOoS { seq, expected: exp });
-                    match w.next_boundary() {
-                        Some(nb) if nb >= seq_end => {
-                            // Packet entirely before M: ignore it (§4.3).
-                            self.state = RxState::Offloading(w);
-                        }
-                        Some(nb) if nb >= seq => {
-                            // Fig. 8b: M's header is inside this packet —
-                            // re-seat the context at M and advance state over
-                            // the tail (not written back: packet unoffloaded).
-                            self.stats.boundary_resyncs += 1;
-                            let idx = w.boundary_msg_index();
-                            self.op.resync_to(idx);
-                            let mut w2 = Walker::new(nb, idx);
-                            let out = ghost_walk(&mut w2, self.op.as_mut(), data, (nb - seq) as usize);
-                            if out.desync {
-                                self.stats.desyncs += 1;
-                                self.enter_searching(seq_end);
-                            } else {
-                                self.state = RxState::Offloading(w2);
-                            }
-                        }
-                        _ => {
-                            // Fig. 8c: M passed inside the gap (or is
-                            // unknown) — speculative search, starting with
-                            // this very packet.
-                            self.enter_searching(seq);
-                            self.do_search(seq, data);
-                        }
-                    }
-                }
-            }
-            RxState::Searching { carry, carry_off } => {
-                self.state = RxState::Searching { carry, carry_off };
+        let offloaded = match self.state {
+            RxState::Offloading(_) => self.offload(seq, data),
+            RxState::Searching { .. } => {
                 self.do_search(seq, data);
+                false
             }
-            RxState::Tracking {
-                candidate,
-                walker,
-                confirmed,
-            } => {
-                self.do_track(candidate, walker, confirmed, seq, data);
+            RxState::Tracking { .. } => {
+                self.do_track(seq, data);
+                false
             }
-        }
-        let len = (seq_end - seq) as usize;
+        };
+        let len = data.len();
         if offloaded {
             self.stats.pkts_offloaded += 1;
             self.tracer.record(|| Event::PktOffloaded { seq, len });
@@ -436,47 +364,87 @@ impl RxEngine {
             self.op.resync_response(layer - 1, tcpsn, ok, msg_index);
             return;
         }
-        let state = std::mem::replace(
-            &mut self.state,
-            RxState::Searching {
-                carry: Vec::new(),
-                carry_off: 0,
-            },
-        );
-        match state {
+        match &mut self.state {
             RxState::Tracking {
                 candidate,
-                walker,
                 confirmed,
-            } if candidate == tcpsn => {
+                ..
+            } if *candidate == tcpsn => {
                 self.tracer.record(|| Event::ResyncResponse { tcpsn, ok });
-                if !ok {
-                    self.stats.resync_failed += 1;
-                    // d1: stay in searching (already the placeholder state).
-                    self.note_phase(tcpsn);
-                } else {
+                if ok {
+                    *confirmed = Some(msg_index);
                     self.stats.resync_ok += 1;
-                    self.state = RxState::Tracking {
-                        candidate,
-                        walker,
-                        confirmed: Some(msg_index),
-                    };
                     self.note_phase(tcpsn);
                     self.try_resume();
-                    let _ = confirmed;
+                } else {
+                    // d1: back to searching.
+                    self.stats.resync_failed += 1;
+                    self.enter_searching(tcpsn);
                 }
             }
-            other => {
-                // Stale or mismatched response: ignore it.
-                self.state = other;
-            }
+            // Stale or mismatched response: ignore it.
+            _ => {}
         }
+    }
+
+    /// The Offloading state's packet: the in-sequence walk, or one of the
+    /// three out-of-sequence cases of Fig. 8. Returns whether the packet
+    /// was offloaded.
+    fn offload(&mut self, seq: u64, data: &mut DataRef<'_>) -> bool {
+        let RxState::Offloading(w) = &mut self.state else {
+            return false;
+        };
+        let exp = w.expected();
+        let seq_end = seq + data.len() as u64;
+        let out = if seq == exp {
+            w.walk(self.op.as_mut(), data)
+        } else if seq_end <= exp {
+            // Fig. 8a: pure retransmission of the past — bypass.
+            self.stats.retransmit_bypass += 1;
+            return false;
+        } else if seq < exp {
+            // Overlap: the tail from `exp` is new, in-sequence data; the
+            // packet itself is not offloaded (its seq does not match the
+            // context), so HW advances its state without writing back
+            // (software will process these bytes).
+            self.stats.retransmit_bypass += 1;
+            ghost_walk(w, self.op.as_mut(), data, (exp - seq) as usize)
+        } else {
+            // Gap: where is the next message boundary M?
+            self.tracer.record(|| Event::PktOoS { seq, expected: exp });
+            match w.next_boundary() {
+                // Packet entirely before M: ignore it (§4.3).
+                Some(nb) if nb >= seq_end => return false,
+                Some(nb) if nb >= seq => {
+                    // Fig. 8b: M's header is inside this packet — re-seat
+                    // the context at M and advance state over the tail
+                    // (not written back: packet unoffloaded).
+                    self.stats.boundary_resyncs += 1;
+                    let idx = w.boundary_msg_index();
+                    self.op.resync_to(idx);
+                    *w = Walker::new(nb, idx);
+                    ghost_walk(w, self.op.as_mut(), data, (nb - seq) as usize)
+                }
+                _ => {
+                    // Fig. 8c: M passed inside the gap (or is unknown) —
+                    // speculative search, starting with this very packet.
+                    self.enter_searching(seq);
+                    self.do_search(seq, data);
+                    return false;
+                }
+            }
+        };
+        if out.desync {
+            self.stats.desyncs += 1;
+            self.enter_searching(seq_end);
+        }
+        // Only the in-sequence walk offloads; a ghost walk re-seats the cursor.
+        seq == exp && out.clean
     }
 
     fn enter_searching(&mut self, carry_off: u64) {
         self.state = RxState::Searching {
-            // ano-lint: allow(hot-alloc): capacity-0 carry placeholder; fills only while searching
-            carry: Vec::new(),
+            carry: FixedBytes::default(),
             carry_off,
         };
         self.note_phase(carry_off);
@@ -484,19 +452,16 @@ impl RxEngine {
 
     /// d2: if confirmed and the tracker knows the next boundary, resume.
     fn try_resume(&mut self) {
-        let resume = if let RxState::Tracking {
+        let RxState::Tracking {
             walker,
             confirmed: Some(base_idx),
             ..
-        } = &self.state
-        {
-            walker
-                .next_boundary()
-                .map(|nb| (nb, *base_idx + walker.boundaries_passed() + 1))
-        } else {
-            None
+        } = self.state
+        else {
+            return;
         };
-        if let Some((nb, idx)) = resume {
+        if let Some(nb) = walker.next_boundary() {
+            let idx = base_idx + walker.boundary_msg_index();
             self.op.resync_to(idx);
             self.state = RxState::Offloading(Walker::new(nb, idx));
             self.note_phase(nb);
@@ -505,29 +470,9 @@ impl RxEngine {
 
     fn do_search(&mut self, seq: u64, data: &mut DataRef<'_>) {
         let hl = self.op.header_len();
-        let (carry, carry_off) = match &mut self.state {
-            RxState::Searching { carry, carry_off } => (std::mem::take(carry), *carry_off),
-            // ano-lint: allow(hot-alloc): capacity-0 placeholder for the non-searching arm
-            _ => (Vec::new(), 0),
-        };
-
-        // Build the search window, prepending carried bytes when contiguous.
-        let contiguous = !carry.is_empty() && carry_off + carry.len() as u64 == seq;
-        let mut combined: Vec<u8>;
-        let (window_off, hit) = if contiguous {
-            if let Some(bytes) = data.as_real() {
-                // ano-lint: allow(hot-alloc): carry+payload combine runs in search mode only
-                combined = carry.clone();
-                combined.extend_from_slice(bytes);
-                (carry_off, self.op.search(carry_off, SearchWindow::Real(&combined)))
-            } else {
-                (seq, self.op.search(seq, window_of(data, 0)))
-            }
-        } else {
-            (seq, self.op.search(seq, window_of(data, 0)))
-        };
-        let _ = window_off;
-
+        let hit = self
+            .carry_search(seq, data)
+            .or_else(|| self.op.search(seq, data.window()));
         if let Some((c, h)) = hit.filter(|(_, h)| h.total_len as usize >= hl) {
             self.stats.resync_requests += 1;
             self.events.push(EngineEvent::ResyncRequest { layer: 0, tcpsn: c });
@@ -537,28 +482,12 @@ impl RxEngine {
             // if walking the packet tail invalidates it again below.
             self.force_phase(ResyncPhase::Tracking, c);
             self.track_pkts = 0;
-            let mut walker = TrackWalker::new(c, h, hl);
-            // Track the remainder of this packet past the candidate header.
-            let track_from = c + hl as u64;
-            let seq_end = seq + data.len() as u64;
-            let ok = if track_from >= seq_end {
-                true
-            } else if track_from >= seq {
-                walker.walk(&*self.op, &data.slice((track_from - seq) as usize, data.len()))
-            } else {
-                // Candidate header ends inside the carry region: feed the
-                // carried tail first, then the packet. `track_from` lies in
-                // the carry by construction; degrade to empty if not, never
-                // panic on the per-packet path.
-                let carried_tail = carry
-                    .get((track_from - carry_off) as usize..)
-                    .unwrap_or_default();
-                // ano-lint: allow(hot-alloc): resync-search carried-tail copy, search mode only
-                let mut tmp = carried_tail.to_vec();
-                let a = walker.walk(&*self.op, &DataRef::Real(&mut tmp));
-                a && walker.walk(&*self.op, data)
-            };
-            if ok {
+            // Track the rest of this packet past the candidate header. The
+            // header ends inside the packet even when it starts in the
+            // carry, which holds fewer than `hl` bytes.
+            let mut walker = Walker::tracking(c, h, hl);
+            let from = ((c + hl as u64).saturating_sub(seq) as usize).min(data.len());
+            if walker.track(&*self.op, &mut data.slice(from, data.len())) {
                 self.state = RxState::Tracking {
                     candidate: c,
                     walker,
@@ -577,42 +506,51 @@ impl RxEngine {
         }
     }
 
+    /// The first candidate that starts in the carry, when this real packet
+    /// continues it. A header starting there ends within the packet's first
+    /// `hl - 1` bytes, so the window is the carry followed by those bytes,
+    /// contiguous on the stack.
+    fn carry_search(&self, seq: u64, data: &DataRef<'_>) -> Option<(u64, MsgHeader)> {
+        let RxState::Searching { carry, carry_off } = &self.state else {
+            return None;
+        };
+        let bytes = data.as_real()?;
+        if carry.is_empty() || carry_off + carry.len() as u64 != seq {
+            return None;
+        }
+        let mut window = FixedBytes::<{ 2 * MAX_HDR_LEN }>::default();
+        window.extend(carry.as_slice());
+        window.extend(bytes.get(..self.op.header_len() - 1).unwrap_or(bytes));
+        self.op.search(*carry_off, SearchWindow::Real(window.as_slice()))
+    }
+
     /// Remembers the last `header_len - 1` bytes for split-pattern search.
     fn update_carry(&mut self, seq: u64, data: &DataRef<'_>, hl: usize) {
-        let (carry, carry_off) = match data.as_real() {
+        let mut carry = FixedBytes::default();
+        let carry_off = match data.as_real() {
             Some(bytes) => {
-                // `keep <= len`, so the suffix range is always valid; the
-                // non-panicking form keeps the hot path abort-free anyway.
-                let keep = (hl - 1).min(bytes.len());
-                (
-                    // ano-lint: allow(hot-alloc): resync-search tail copy, per search transition not per in-sync packet
-                    bytes.get(bytes.len() - keep..).unwrap_or_default().to_vec(),
-                    seq + (bytes.len() - keep) as u64,
-                )
+                let start = bytes.len().saturating_sub(hl - 1);
+                carry.extend(bytes.get(start..).unwrap_or_default());
+                seq + start as u64
             }
-            // ano-lint: allow(hot-alloc): capacity-0 carry placeholder; fills only while searching
-            None => (Vec::new(), seq + data.len() as u64),
+            None => seq + data.len() as u64,
         };
         self.state = RxState::Searching { carry, carry_off };
     }
 
-    fn do_track(
-        &mut self,
-        candidate: u64,
-        mut walker: TrackWalker,
-        confirmed: Option<u64>,
-        seq: u64,
-        data: &mut DataRef<'_>,
-    ) {
+    fn do_track(&mut self, seq: u64, data: &mut DataRef<'_>) {
+        let RxState::Tracking {
+            candidate,
+            ref mut walker,
+            confirmed,
+        } = self.state
+        else {
+            return;
+        };
         let seq_end = seq + data.len() as u64;
         let exp = walker.expected();
         if seq_end <= exp {
             // Duplicate of tracked data: ignore.
-            self.state = RxState::Tracking {
-                candidate,
-                walker,
-                confirmed,
-            };
             return;
         }
         if seq > exp {
@@ -622,39 +560,32 @@ impl RxEngine {
             self.do_search(seq, data);
             return;
         }
-        let start = (exp - seq) as usize;
-        let ok = walker.walk(&*self.op, &data.slice(start, data.len()));
-        if ok {
-            if confirmed.is_none() {
-                // Still waiting on software. If the mailbox can lose
-                // messages, the original request may be gone — re-emit it
-                // every `rerequest_pkts` tracked packets so a dropped
-                // request heals instead of wedging the flow in Tracking.
-                self.track_pkts += 1;
-                if let Some(n) = self.rerequest_pkts {
-                    if self.track_pkts >= n {
-                        self.track_pkts = 0;
-                        self.stats.rerequests += 1;
-                        self.events.push(EngineEvent::ResyncRequest {
-                            layer: 0,
-                            tcpsn: candidate,
-                        });
-                        self.tracer.record(|| Event::ResyncRequest { tcpsn: candidate });
-                        self.tracer.count("rx.resync_rerequests", 1);
-                    }
-                }
-            }
-            self.state = RxState::Tracking {
-                candidate,
-                walker,
-                confirmed,
-            };
-            self.try_resume();
-        } else {
+        if !walker.track(&*self.op, &mut data.slice((exp - seq) as usize, data.len())) {
             // d1: unexpected pattern — back to searching.
             self.stats.resync_failed += 1;
             self.enter_searching(seq_end);
+            return;
         }
+        if confirmed.is_none() {
+            // Still waiting on software. If the mailbox can lose messages,
+            // the original request may be gone — re-emit it every
+            // `rerequest_pkts` tracked packets so a dropped request heals
+            // instead of wedging the flow in Tracking.
+            self.track_pkts += 1;
+            if let Some(n) = self.rerequest_pkts {
+                if self.track_pkts >= n {
+                    self.track_pkts = 0;
+                    self.stats.rerequests += 1;
+                    self.events.push(EngineEvent::ResyncRequest {
+                        layer: 0,
+                        tcpsn: candidate,
+                    });
+                    self.tracer.record(|| Event::ResyncRequest { tcpsn: candidate });
+                    self.tracer.count("rx.resync_rerequests", 1);
+                }
+            }
+        }
+        self.try_resume();
     }
 }
 
@@ -832,29 +763,46 @@ mod tests {
     #[test]
     fn split_magic_pattern_found_via_carry() {
         // Put the engine in searching, then deliver a header split across
-        // two contiguous packets.
-        let mut e = engine();
+        // two contiguous packets, at every split inside the header.
         let body = vec![9u8; 50];
         let msg = demo::encode_msg(&body);
-        // Jump into the void so the engine searches (gap with no boundary).
-        let mut junk = vec![0u8; 40];
-        e.on_packet(1000, &mut DataRef::Real(&mut junk));
-        assert_eq!(e.state_kind(), RxStateKind::Searching);
-        //
+        for split in 1..demo::HDR_LEN {
+            let mut e = engine();
+            // Jump into the void so the engine searches (gap with no boundary).
+            let mut junk = vec![0u8; 40];
+            e.on_packet(1000, &mut DataRef::Real(&mut junk));
+            assert_eq!(e.state_kind(), RxStateKind::Searching);
 
-        // Deliver the message header split at byte 2 (mid-magic).
-        let base = 1040u64;
-        let mut a = msg[..2].to_vec();
-        let mut b = msg[2..].to_vec();
-        e.on_packet(base, &mut DataRef::Real(&mut a));
-        assert_eq!(e.state_kind(), RxStateKind::Searching, "half a header is not enough");
-        e.on_packet(base + 2, &mut DataRef::Real(&mut b));
-        assert_eq!(e.state_kind(), RxStateKind::Tracking, "carry found the split pattern");
-        let ev = e.take_events();
-        assert!(matches!(
-            ev.first(),
-            Some(EngineEvent::ResyncRequest { tcpsn, .. }) if *tcpsn == base
-        ));
+            let base = 1040u64;
+            let mut a = msg[..split].to_vec();
+            let mut b = msg[split..].to_vec();
+            e.on_packet(base, &mut DataRef::Real(&mut a));
+            assert_eq!(e.state_kind(), RxStateKind::Searching, "part of a header is not enough");
+            e.on_packet(base + split as u64, &mut DataRef::Real(&mut b));
+            assert_eq!(e.state_kind(), RxStateKind::Tracking, "carry found the pattern split at {split}");
+            let ev = e.take_events();
+            assert!(matches!(
+                ev.first(),
+                Some(EngineEvent::ResyncRequest { tcpsn, .. }) if *tcpsn == base
+            ));
+            // Tracking walked the rest of the message: confirming resumes
+            // offload at the next boundary.
+            e.on_resync_response(0, base, true, 0);
+            assert_eq!(e.expected(), Some(base + msg.len() as u64), "split {split}");
+        }
+    }
+
+    #[test]
+    fn context_state_is_copy_and_fits_the_nic_context() {
+        fn copy<T: Copy>() {}
+        copy::<Walker>();
+        copy::<RxState>();
+        // The cursor and resync state (80 B on x86-64) take at most half of
+        // the context's 208 B; the other half is the L5P's own dynamic state
+        // (AES-GCM's counter block, GHASH accumulator and tag; or NVMe's
+        // CRC32C, CID and placement offset).
+        let size = std::mem::size_of::<RxState>();
+        assert!(size <= crate::nic::CTX_BYTES as usize / 2, "RxState is {size} B");
     }
 
     #[test]

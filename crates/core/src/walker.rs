@@ -5,15 +5,19 @@
 //! message, and the message count. It drives an [`L5Flow`] over packet
 //! payloads, handling headers and trailers that split across packets and
 //! multiple messages per packet — the paper's §3.2 note that "the offload
-//! cannot assume L5P message alignment to TCP packets".
+//! cannot assume L5P message alignment to TCP packets". It is `Copy` and
+//! heap-free: a header split across packets is assembled in a fixed
+//! [`MAX_HDR_LEN`]-byte buffer.
 //!
-//! [`TrackWalker`] is the verification-only variant used while the NIC is in
-//! the *tracking* state (§4.3): it follows message boundaries via length
-//! fields and checks each expected header's magic pattern, without
-//! performing the offloaded operation.
+//! The same cursor serves the *tracking* state (§4.3): [`Walker::tracking`]
+//! starts it inside a speculative candidate, and [`Walker::track`] is the
+//! offload walk without the operation — it follows message boundaries via
+//! length fields and checks each expected header's magic pattern.
+
+use ano_tcp::segment::SkbFlags;
 
 use crate::flow::L5Flow;
-use crate::msg::{DataRef, MsgHeader, SearchWindow};
+use crate::msg::{DataRef, FixedBytes, FlowMode, MsgHeader, MAX_HDR_LEN};
 
 /// Result of walking one packet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,9 +30,11 @@ pub struct WalkOutcome {
 }
 
 /// Streaming cursor over in-sequence message bytes.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Walker {
-    hdr_buf: Vec<u8>,
+    /// The real bytes of the header being collected.
+    hdr: FixedBytes<MAX_HDR_LEN>,
+    /// Header bytes consumed so far, real or modeled.
     hdr_collected: usize,
     cur: Option<MsgHeader>,
     /// Bytes of the current message consumed, counting its header.
@@ -44,13 +50,25 @@ impl Walker {
     /// `start_off` is the first header byte of message `msg_index`.
     pub fn new(start_off: u64, msg_index: u64) -> Walker {
         Walker {
-            // ano-lint: allow(hot-alloc): capacity-0 header buffer; fills only when a header spans packets
-            hdr_buf: Vec::new(),
+            hdr: FixedBytes::default(),
             hdr_collected: 0,
             cur: None,
             msg_consumed: 0,
             msg_index,
             next_off: start_off,
+        }
+    }
+
+    /// Creates a tracking cursor *inside* a speculative candidate (§4.3):
+    /// the candidate's header `h`, already verified by the engine, began at
+    /// `candidate_off`, and the cursor resumes after its `header_len` bytes.
+    /// The candidate is message 0, so [`Walker::boundary_msg_index`] counts
+    /// messages from it.
+    pub fn tracking(candidate_off: u64, h: MsgHeader, header_len: usize) -> Walker {
+        Walker {
+            cur: Some(h),
+            msg_consumed: header_len as u32,
+            ..Walker::new(candidate_off + header_len as u64, 0)
         }
     }
 
@@ -97,19 +115,15 @@ impl Walker {
                     let need = hl - self.hdr_collected;
                     let take = need.min(len - pos);
                     if let Some(bytes) = data.as_real() {
-                        // ano-lint: allow(transitive-panic): pos+take clamped by min() against the buffer length
-                        self.hdr_buf.extend_from_slice(&bytes[pos..pos + take]);
+                        self.hdr.extend(bytes.get(pos..pos + take).unwrap_or_default());
                     }
                     self.hdr_collected += take;
                     pos += take;
                     self.next_off += take as u64;
                     if self.hdr_collected == hl {
                         let boundary = self.next_off - hl as u64;
-                        let hdr = if self.hdr_buf.len() == hl {
-                            Some(self.hdr_buf.as_slice())
-                        } else {
-                            None
-                        };
+                        // Functional framing needs every header byte real.
+                        let hdr = (self.hdr.len() == hl).then(|| self.hdr.as_slice());
                         match op.parse_at(boundary, hdr) {
                             Some(m) if (m.total_len as usize) >= hl => {
                                 op.begin_msg(self.msg_index, boundary, hdr, m);
@@ -151,118 +165,53 @@ impl Walker {
         }
     }
 
+    /// Follows `data` (which must start at [`Walker::expected`]) as the
+    /// tracking state does: each expected header's magic pattern is checked
+    /// via [`L5Flow::parse_at`], but no message is processed. Returns false
+    /// on a mismatch (→ transition d1, back to searching).
+    pub fn track(&mut self, op: &dyn L5Flow, data: &mut DataRef<'_>) -> bool {
+        !self.walk(&mut Verify(op), data).desync
+    }
+
     fn finish_msg(&mut self) {
         self.cur = None;
         self.msg_consumed = 0;
         self.msg_index += 1;
         self.hdr_collected = 0;
-        self.hdr_buf.clear();
+        self.hdr.clear();
     }
 }
 
-/// Verification-only cursor for the tracking state.
+/// A flow as the tracking state sees it: headers parse exactly as the
+/// flow's own, and every message operation is a no-op.
 #[derive(Debug)]
-pub struct TrackWalker {
-    hdr_buf: Vec<u8>,
-    hdr_collected: usize,
-    /// Remaining body bytes of the message being skipped.
-    remaining: u32,
-    /// Next expected stream offset.
-    next_off: u64,
-    /// Message boundaries crossed since the candidate (candidate excluded).
-    boundaries_passed: u64,
-}
+struct Verify<'a>(&'a dyn L5Flow);
 
-impl TrackWalker {
-    /// Starts tracking *inside* the candidate message: the candidate header
-    /// began at `candidate_off` with parsed header `h`, and tracking starts
-    /// consuming at `candidate_off + header_len` (the engine verifies the
-    /// header itself before constructing the tracker).
-    pub fn new(candidate_off: u64, h: MsgHeader, header_len: usize) -> TrackWalker {
-        TrackWalker {
-            // ano-lint: allow(hot-alloc): capacity-0 header buffer; fills only when a header spans packets
-            hdr_buf: Vec::new(),
-            hdr_collected: 0,
-            remaining: h.total_len - header_len as u32,
-            next_off: candidate_off + header_len as u64,
-            boundaries_passed: 0,
-        }
+impl L5Flow for Verify<'_> {
+    fn header_len(&self) -> usize {
+        self.0.header_len()
     }
 
-    /// Next stream offset the tracker expects.
-    pub fn expected(&self) -> u64 {
-        self.next_off
+    fn mode(&self) -> &FlowMode {
+        self.0.mode()
     }
 
-    /// Message boundaries crossed since the candidate header.
-    pub fn boundaries_passed(&self) -> u64 {
-        self.boundaries_passed
+    fn parse(&self, hdr: &[u8]) -> Option<MsgHeader> {
+        self.0.parse(hdr)
     }
 
-    /// The next message boundary, when known (mid-header it is not).
-    pub fn next_boundary(&self) -> Option<u64> {
-        if self.hdr_collected > 0 {
-            None
-        } else {
-            Some(self.next_off + self.remaining as u64)
-        }
-    }
+    fn begin_msg(&mut self, _msg_index: u64, _stream_off: u64, _hdr: Option<&[u8]>, _msg: MsgHeader) {}
 
-    /// Follows `data` (which must start at [`TrackWalker::expected`]),
-    /// verifying each expected header's magic pattern via
-    /// [`L5Flow::parse_at`]. Returns false on a mismatch (→ transition d1,
-    /// back to searching).
-    pub fn walk(&mut self, op: &dyn L5Flow, data: &DataRef<'_>) -> bool {
-        let hl = op.header_len();
-        let len = data.len();
-        let bytes = data.as_real();
-        let mut pos = 0usize;
-        while pos < len {
-            if self.remaining > 0 {
-                let take = (self.remaining as usize).min(len - pos);
-                self.remaining -= take as u32;
-                pos += take;
-                self.next_off += take as u64;
-            } else {
-                // At a boundary: collect and verify the next header.
-                let need = hl - self.hdr_collected;
-                let take = need.min(len - pos);
-                if let Some(b) = bytes {
-                    // ano-lint: allow(transitive-panic): pos+take clamped by min() against the buffer length
-                    self.hdr_buf.extend_from_slice(&b[pos..pos + take]);
-                }
-                self.hdr_collected += take;
-                pos += take;
-                self.next_off += take as u64;
-                if self.hdr_collected == hl {
-                    let boundary = self.next_off - hl as u64;
-                    let hdr = if self.hdr_buf.len() == hl {
-                        Some(self.hdr_buf.as_slice())
-                    } else {
-                        None
-                    };
-                    match op.parse_at(boundary, hdr) {
-                        Some(m) if (m.total_len as usize) >= hl => {
-                            self.remaining = m.total_len - hl as u32;
-                            self.boundaries_passed += 1;
-                            self.hdr_collected = 0;
-                            self.hdr_buf.clear();
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-        }
+    fn process(&mut self, _msg_off: u32, _data: DataRef<'_>) {}
+
+    fn end_msg(&mut self) -> bool {
         true
     }
-}
 
-/// Convenience for building a [`SearchWindow`] over a packet range.
-pub fn window_of<'a>(data: &'a DataRef<'_>, start: usize) -> SearchWindow<'a> {
-    match data.as_real() {
-        // ano-lint: allow(transitive-panic): window start is clamped by the walker's collected-offset accounting
-        Some(b) => SearchWindow::Real(&b[start..]),
-        None => SearchWindow::Modeled(data.len() - start),
+    fn resync_to(&mut self, _msg_index: u64) {}
+
+    fn packet_flags(&mut self, _offloaded: bool) -> SkbFlags {
+        SkbFlags::default()
     }
 }
 
@@ -351,12 +300,15 @@ mod tests {
         let h = MsgHeader {
             total_len: (3 + crate::demo::HDR_LEN + 1) as u32,
         };
-        let mut t = TrackWalker::new(m0_len as u64, h, crate::demo::HDR_LEN);
-        let body = &stream[m0_len + crate::demo::HDR_LEN..];
-        let ok = t.walk(&op, &DataRef::Real(&mut body.to_vec()));
-        assert!(ok);
-        assert_eq!(t.boundaries_passed(), 2);
+        let mut t = Walker::tracking(m0_len as u64, h, crate::demo::HDR_LEN);
+        assert_eq!(t.next_boundary(), Some((m0_len + 3 + crate::demo::HDR_LEN + 1) as u64));
+        assert_eq!(t.boundary_msg_index(), 1, "the candidate is message 0");
+        let mut body = stream[m0_len + crate::demo::HDR_LEN..].to_vec();
+        assert!(t.track(&op, &mut DataRef::Real(&mut body)));
+        assert_eq!(t.boundary_msg_index(), 3, "two boundaries past the candidate");
         assert_eq!(t.expected(), stream.len() as u64);
+        assert_eq!(t.next_boundary(), Some(stream.len() as u64));
+        assert_eq!(body, stream[m0_len + crate::demo::HDR_LEN..], "tracking transforms nothing");
     }
 
     #[test]
@@ -369,9 +321,8 @@ mod tests {
         let h = MsgHeader {
             total_len: first_len as u32,
         };
-        let mut t = TrackWalker::new(0, h, crate::demo::HDR_LEN);
-        let body = stream[crate::demo::HDR_LEN..].to_vec();
-        assert!(!t.walk(&op, &DataRef::Real(&mut body.to_vec())));
-        let _ = body;
+        let mut t = Walker::tracking(0, h, crate::demo::HDR_LEN);
+        let mut body = stream[crate::demo::HDR_LEN..].to_vec();
+        assert!(!t.track(&op, &mut DataRef::Real(&mut body)));
     }
 }

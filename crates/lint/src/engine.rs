@@ -118,6 +118,10 @@ pub struct GraphStats {
 pub struct Report {
     pub diags: Vec<Diagnostic>,
     pub files: usize,
+    /// Lines carrying an inline allow in linted files outside `crates/lint`
+    /// (the linter's own sources quote the syntax). Printed with the
+    /// `--alloc-report` inventory, so a rise shows up as a snapshot diff.
+    pub suppressions: usize,
     /// Ranked allocation-site inventory (`--alloc-report`).
     pub alloc_report: Vec<AllocEntry>,
     pub graph: GraphStats,
@@ -151,6 +155,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     let mut parsed: Vec<ParsedFile> = Vec::new();
     let mut io_errors: Vec<Diagnostic> = Vec::new();
     let mut files = 0usize;
+    let mut suppressions = 0usize;
     let mut timings = Vec::new();
 
     // Phase 1: per-file — lex once, token rules + suppressions + parse.
@@ -180,6 +185,9 @@ pub fn lint_workspace(root: &Path) -> Report {
                 (parent == "src" && (fname == "lib.rs" || fname == "main.rs"))
                     || parent == "bin"
             };
+            if crate_name != "lint" {
+                suppressions += src.lines().filter(|l| l.contains("ano-lint: allow")).count();
+            }
             let scope = scope_for(&crate_name, &rel, is_root);
             let lexed = lex(&src);
             let lines = LineIndex::new(&src);
@@ -321,6 +329,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     Report {
         diags,
         files,
+        suppressions,
         alloc_report: fr.alloc_report,
         graph: stats,
         timings,

@@ -10,7 +10,8 @@
 //! stable field order (rule, severity, file, line, col, message, chain)
 //! for machine consumption. `--alloc-report` prints the ranked inventory
 //! of allocation sites reachable from the hot-path entries instead of
-//! diagnostics (and exits zero — it is a measurement, not a gate).
+//! diagnostics (and exits zero — it is a measurement, not a gate); its
+//! header line also counts the inline-allow lines outside `crates/lint`.
 //! `--timing` appends per-pass wall-clock milliseconds to stderr.
 
 #![forbid(unsafe_code)]
@@ -73,12 +74,13 @@ fn main() -> ExitCode {
         // measurement (this list feeds the arena/slab work).
         println!(
             "# allocation sites reachable from {} hot-path entr{} \
-             ({} fns, {} edges, {} unresolved calls)",
+             ({} fns, {} edges, {} unresolved calls; {} suppressions outside crates/lint)",
             report.graph.entries,
             if report.graph.entries == 1 { "y" } else { "ies" },
             report.graph.fns,
             report.graph.edges,
             report.graph.unresolved,
+            report.suppressions,
         );
         for (i, e) in report.alloc_report.iter().enumerate() {
             println!("{}", e.render(i + 1));

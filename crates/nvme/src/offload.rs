@@ -18,11 +18,11 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use ano_core::flow::L5Flow;
-use ano_core::msg::{DataRef, FlowMode, MsgHeader};
+use ano_core::msg::{DataRef, FixedBytes, FlowMode, MsgHeader};
 use ano_crypto::crc32c::Crc32c;
 use ano_tcp::segment::SkbFlags;
 
-use crate::pdu::{parse_header, CommonHeader, Psh, PduType, CH_LEN, DDGST_LEN};
+use crate::pdu::{parse_header, CommonHeader, Psh, PduType, CH_LEN, DDGST_LEN, SQE_LEN};
 
 /// [`FlowMode`] under its former NVMe name, which the standalone
 /// `benchmark/` package still uses.
@@ -101,7 +101,9 @@ pub struct NvmeRxFlow {
     ch: Option<CommonHeader>,
     cid: Option<u16>,
     datao: u32,
-    ext_buf: Vec<u8>,
+    /// The PSH collected off the wire. A command's SQE is the longest one
+    /// decoded; an ICReq/ICResp PSH is never decoded, so its tail is dropped.
+    ext_buf: FixedBytes<SQE_LEN>,
     crc: Crc32c,
     ddgst_buf: [u8; DDGST_LEN],
     ddgst_got: usize,
@@ -128,7 +130,7 @@ impl NvmeRxFlow {
             ch: None,
             cid: None,
             datao: 0,
-            ext_buf: Vec::new(),
+            ext_buf: FixedBytes::default(),
             crc: Crc32c::new(),
             ddgst_buf: [0; DDGST_LEN],
             ddgst_got: 0,
@@ -181,9 +183,9 @@ impl L5Flow for NvmeRxFlow {
         if msg_off < ext_end {
             let take = (ext_end - msg_off).min(len);
             if let Some(bytes) = data.as_real() {
-                self.ext_buf.extend_from_slice(&bytes[..take as usize]);
+                self.ext_buf.extend(&bytes[..take as usize]);
                 if msg_off + take == ext_end {
-                    self.note_psh(Psh::parse(ch.kind, &self.ext_buf));
+                    self.note_psh(Psh::parse(ch.kind, self.ext_buf.as_slice()));
                 }
             }
             pos += take;

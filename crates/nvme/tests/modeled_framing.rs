@@ -3,7 +3,9 @@
 //! A modeled-mode frame carries the PDU's real encoded header, so the
 //! software parser and the NIC receive flow must read the same PDUs — kinds,
 //! boundaries, CIDs, SQE / data header / CQE — from synthetic payloads plus
-//! the frame index as from the real bytes, at any packet cut.
+//! the frame index as from the real bytes, at any packet cut — including
+//! every cut inside every PDU header, so the NIC flow assembles each PSH
+//! across two packets at each split.
 
 use ano_core::msg::{DataRef, FlowMode, FrameIndex};
 use ano_core::rx::RxEngine;
@@ -22,13 +24,14 @@ use ano_sim::time::SimTime;
 use ano_tcp::segment::SkbFlags;
 
 const READ_LEN: usize = 9000;
-const CUTS: [usize; 5] = [1, 7, 100, 1448, 9000];
+const MSS: [usize; 5] = [1, 7, 100, 1448, 9000];
 
 /// One mixed PDU stream — a read command, a write with inline data, the
 /// read's C2HData split across two PDUs, an ok and an error response — as
-/// real bytes, and the frame index those PDUs' encoded headers fill.
-fn stream() -> (Vec<u8>, FrameIndex) {
-    let read: Vec<u8> = (0..READ_LEN).map(|i| (i % 241) as u8).collect();
+/// real bytes, the frame index those PDUs' encoded headers fill, and each
+/// header's `(offset, length)`.
+fn stream() -> (Vec<u8>, FrameIndex, Vec<(usize, usize)>) {
+    let read = read_data();
     let write = vec![0x5Au8; 3000];
     let pdus: [(Vec<u8>, Box<[u8]>); 6] = [
         (
@@ -52,30 +55,49 @@ fn stream() -> (Vec<u8>, FrameIndex) {
     ];
     let frames = FrameIndex::new();
     let mut wire = Vec::new();
+    let mut headers = Vec::new();
     for (bytes, header) in pdus {
         assert_eq!(&bytes[..header.len()], &header[..], "the registered header is the wire header");
+        headers.push((wire.len(), header.len()));
         frames.push_full(wire.len() as u64, bytes.len() as u32, Some(header));
         wire.extend_from_slice(&bytes);
     }
-    (wire, frames)
+    (wire, frames, headers)
 }
 
-/// `(offset, payload)` packets of at most `cut` bytes, real or synthetic.
-fn packets(wire: &[u8], cut: usize, real: bool) -> Vec<(u64, Payload)> {
-    wire.chunks(cut)
-        .enumerate()
-        .map(|(i, c)| {
+/// The bytes the read returns.
+fn read_data() -> Vec<u8> {
+    (0..READ_LEN).map(|i| (i % 241) as u8).collect()
+}
+
+/// Labelled packet-cut schedules (ascending cut offsets): packets of each
+/// `MSS` size, then one cut at every byte boundary inside every header.
+fn schedules(wire: &[u8], headers: &[(usize, usize)]) -> Vec<(String, Vec<usize>)> {
+    let uniform = MSS.iter().map(|&mss| (format!("mss {mss}"), (mss..wire.len()).step_by(mss).collect()));
+    let splits = headers
+        .iter()
+        .flat_map(|&(start, len)| (start + 1..start + len).map(|cut| (format!("cut at {cut}"), vec![cut])));
+    uniform.chain(splits).collect()
+}
+
+/// `(offset, payload)` packets of `wire` cut at `cuts`, real or synthetic.
+fn packets(wire: &[u8], cuts: &[usize], real: bool) -> Vec<(u64, Payload)> {
+    let bounds: Vec<usize> = std::iter::once(0).chain(cuts.iter().copied()).chain([wire.len()]).collect();
+    bounds
+        .windows(2)
+        .map(|b| {
+            let c = &wire[b[0]..b[1]];
             let p = if real { Payload::real(c.to_vec()) } else { Payload::synthetic(c.len()) };
-            ((i * cut) as u64, p)
+            (b[0] as u64, p)
         })
         .collect()
 }
 
-fn parse(mode: FlowMode, wire: &[u8], cut: usize) -> Vec<ParsedPdu> {
+fn parse(mode: FlowMode, wire: &[u8], cuts: &[usize]) -> Vec<ParsedPdu> {
     let real = matches!(mode, FlowMode::Functional);
     let mut parser = PduParser::new(mode);
     let mut pdus = Vec::new();
-    for (offset, payload) in packets(wire, cut, real) {
+    for (offset, payload) in packets(wire, cuts, real) {
         pdus.extend(parser.on_chunk(StreamChunk {
             offset,
             payload,
@@ -88,15 +110,15 @@ fn parse(mode: FlowMode, wire: &[u8], cut: usize) -> Vec<ParsedPdu> {
 
 #[test]
 fn parser_reads_the_same_pdus_in_both_modes() {
-    let (wire, frames) = stream();
-    for cut in CUTS {
-        let real = parse(FlowMode::Functional, &wire, cut);
-        let modeled = parse(FlowMode::Modeled(frames.clone()), &wire, cut);
-        assert_eq!(real.len(), 6, "cut {cut}");
-        assert_eq!(modeled.len(), 6, "cut {cut}");
+    let (wire, frames, headers) = stream();
+    for (label, cuts) in schedules(&wire, &headers) {
+        let real = parse(FlowMode::Functional, &wire, &cuts);
+        let modeled = parse(FlowMode::Modeled(frames.clone()), &wire, &cuts);
+        assert_eq!(real.len(), 6, "{label}");
+        assert_eq!(modeled.len(), 6, "{label}");
         for (r, m) in real.iter().zip(&modeled) {
             let view = |p: &ParsedPdu| (p.kind, p.start, p.total, p.cid(), p.psh, p.data_len());
-            assert_eq!(view(r), view(m), "cut {cut}, PDU at {}", r.start);
+            assert_eq!(view(r), view(m), "{label}, PDU at {}", r.start);
         }
         let psh = |i: usize| modeled[i].psh;
         assert_eq!(psh(0).sqe.map(|s| (s.op, s.offset, s.len)), Some((IoOpcode::Read, 4096, 9000)));
@@ -108,15 +130,16 @@ fn parser_reads_the_same_pdus_in_both_modes() {
 }
 
 /// Per-packet `(crc_ok, placed)` of an `NvmeRxFlow` with placement on.
-fn nic_flags(mode: FlowMode, wire: &[u8], cut: usize, registered: bool) -> Vec<(bool, bool)> {
+/// Functional placement must land every read byte where its PSH says.
+fn nic_flags(mode: FlowMode, wire: &[u8], cuts: &[usize], registered: bool) -> Vec<(bool, bool)> {
     let real = matches!(mode, FlowMode::Functional);
     let rr = RrMap::new();
+    let buf = (registered && real).then(|| std::rc::Rc::new(std::cell::RefCell::new(vec![0u8; READ_LEN])));
     if registered {
-        let buf = real.then(|| std::rc::Rc::new(std::cell::RefCell::new(vec![0u8; READ_LEN])));
-        rr.add(1, RrEntry { buf, len: READ_LEN as u32 });
+        rr.add(1, RrEntry { buf: buf.clone(), len: READ_LEN as u32 });
     }
     let mut e = RxEngine::new(Box::new(NvmeRxFlow::new(mode, rr, true)), 0, 0);
-    packets(wire, cut, real)
+    let flags = packets(wire, cuts, real)
         .into_iter()
         .map(|(seq, p)| {
             let flags = match p.as_real() {
@@ -125,22 +148,26 @@ fn nic_flags(mode: FlowMode, wire: &[u8], cut: usize, registered: bool) -> Vec<(
             };
             (flags.nvme_crc_ok, flags.nvme_placed)
         })
-        .collect()
+        .collect();
+    if let Some(buf) = buf {
+        assert!(*buf.borrow() == read_data(), "read placed at each PSH's offset");
+    }
+    flags
 }
 
 #[test]
 fn nic_rx_flow_flags_match_in_both_modes() {
-    let (wire, frames) = stream();
-    for cut in CUTS {
+    let (wire, frames, headers) = stream();
+    for (label, cuts) in schedules(&wire, &headers) {
         for registered in [true, false] {
-            let real = nic_flags(FlowMode::Functional, &wire, cut, registered);
-            let modeled = nic_flags(FlowMode::Modeled(frames.clone()), &wire, cut, registered);
-            assert_eq!(real, modeled, "cut {cut}, registered {registered}");
-            assert!(real.iter().all(|&(crc, _)| crc), "clean stream: every digest verifies");
+            let real = nic_flags(FlowMode::Functional, &wire, &cuts, registered);
+            let modeled = nic_flags(FlowMode::Modeled(frames.clone()), &wire, &cuts, registered);
+            assert_eq!(real, modeled, "{label}, registered {registered}");
+            assert!(real.iter().all(|&(crc, _)| crc), "clean stream: every digest verifies ({label})");
             assert_eq!(
                 real.iter().all(|&(_, placed)| placed),
                 registered,
-                "C2HData placed iff its CID is registered (cut {cut})"
+                "C2HData placed iff its CID is registered ({label})"
             );
         }
     }
