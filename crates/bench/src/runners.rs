@@ -105,6 +105,8 @@ pub struct IperfResult {
     pub pcie_overhead_pct: f64,
     /// Total retransmissions at the sender.
     pub retransmits: u64,
+    /// Packets offered to the links, both directions, whole run.
+    pub pkts: u64,
 }
 
 /// Runs an iperf-style streaming experiment.
@@ -171,6 +173,7 @@ pub fn run_iperf(cfg: &IperfCfg) -> IperfResult {
         class,
         pcie_overhead_pct: 100.0 * pcie_bps_used / w.cost().pcie_bps as f64,
         retransmits,
+        pkts: offered_pkts(&w),
     }
 }
 
@@ -243,6 +246,8 @@ pub struct RrResult {
     pub latency_us: f64,
     /// NIC context-cache hit fraction at the server (Fig. 19).
     pub cache_hit_pct: f64,
+    /// Packets offered to the links, both directions, whole run.
+    pub pkts: u64,
 }
 
 /// Runs an nginx/RoF-style closed-loop experiment.
@@ -338,6 +343,7 @@ pub fn run_rr(cfg: &RrCfg) -> RrResult {
         } else {
             100.0 * hits as f64 / (hits + misses) as f64
         },
+        pkts: offered_pkts(&w),
     }
 }
 
@@ -535,6 +541,11 @@ pub fn run_latency(cfg: &LatencyCfg) -> f64 {
     }
     let s = stats.borrow();
     s.latency_us.mean()
+}
+
+/// Packets handed to the two-host world's links so far, both directions.
+fn offered_pkts(w: &World) -> u64 {
+    w.link_stats_between(0, 1).offered + w.link_stats_between(1, 0).offered
 }
 
 /// The `(copy, crc)` cycle totals attributed to the NVMe layer so far,

@@ -212,9 +212,7 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
                 self.keys.len() - 1
             }
         };
-        // ano-lint: allow(hot-alloc): evicted-context clone handed to the caller, inventoried for arena round 2 (ROADMAP item 1)
         self.keys[idx] = Some(key.clone());
-        // ano-lint: allow(hot-alloc): evicted-context clone handed to the caller, inventoried for arena round 2 (ROADMAP item 1)
         self.map.insert(key.clone(), idx);
         self.push_front(idx);
         (CacheOutcome::Miss, evicted)

@@ -149,7 +149,6 @@ impl RxProcess {
     fn pass_through() -> RxProcess {
         RxProcess {
             flags: SkbFlags::default(),
-            // ano-lint: allow(hot-alloc): capacity-0 events placeholder
             events: Vec::new(),
             cache_miss: false,
         }
@@ -653,7 +652,6 @@ impl Nic {
 pub fn with_dataref<R>(p: &mut Payload, f: impl FnOnce(&mut DataRef<'_>) -> R) -> R {
     match p {
         Payload::Real(bytes) => {
-            // ano-lint: allow(hot-alloc): functional-mode copy so the walker can mutate payload bytes, inventoried for arena round 2 (ROADMAP item 1)
             let mut buf = bytes.to_vec();
             let r = f(&mut DataRef::Real(&mut buf));
             *p = Payload::real(buf);

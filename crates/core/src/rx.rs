@@ -100,7 +100,6 @@ fn ghost_walk(
             // `from` is in bounds by construction (caller clamps to the
             // packet), but a hot path must not be able to panic: an
             // out-of-range tail degrades to an empty walk.
-            // ano-lint: allow(hot-alloc): functional ghost-walk copy, search mode only
             let mut tmp = b.get(from..).unwrap_or_default().to_vec();
             w.walk(op, &mut DataRef::Real(&mut tmp))
         }

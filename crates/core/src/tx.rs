@@ -142,7 +142,6 @@ impl TxEngine {
                         self.tracer.observe("tx.replay_len", replayed);
                         let out = match replay.as_real() {
                             Some(bytes) => {
-                                // ano-lint: allow(hot-alloc): functional-mode replay copy for the header walk, inventoried for arena round 2 (ROADMAP item 1)
                                 let mut tmp = bytes.to_vec();
                                 self.walker.walk(self.op.as_mut(), &mut DataRef::Real(&mut tmp))
                             }

@@ -107,7 +107,6 @@ impl GcmKey {
 }
 
 /// Builds the 4 KiB GHASH table of `h` on the heap.
-// ano-lint: cold(once per key: the first stream over real bytes builds the table, every later record of the session reuses it)
 fn ghash_table(h: u128) -> Box<GhashKey> {
     Box::new(GhashKey::new(h))
 }

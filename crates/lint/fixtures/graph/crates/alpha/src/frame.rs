@@ -1,9 +1,15 @@
-//! Framing helpers reached from `alpha::pump` — the panic and the alloc
-//! here are two and one call deep respectively.
+//! Framing helpers reached from `alpha::pump` — the panic here is two
+//! calls deep.
 
 pub fn split(data: &[u8]) -> Vec<u8> {
     header_byte(data);
     data.to_vec()
+}
+
+/// `visit(b)` calls the closure argument, not `beta::clock::visit`: the
+/// graph must not bind it to that same-named free fn.
+pub fn each(data: &[u8], visit: impl Fn(u8) -> u64) -> u64 {
+    data.iter().map(|&b| visit(b)).sum()
 }
 
 fn header_byte(data: &[u8]) -> u8 {

@@ -9,8 +9,6 @@
 //!   (a measurement harness whose stdout *is* its deliverable) and `lint`
 //!   (this tool — its stdout is the diagnostic report);
 //! * **panic-freedom** rules cover only the per-packet hot paths;
-//! * **hot-config-clone** covers per-event dispatch loops: the panic-freedom
-//!   hot paths plus the stack runtime (`crates/stack/src/runtime.rs`);
 //! * **unsafe-attr** covers every crate root;
 //! * test modules (`#[cfg(test)]`), `tests/`, `benches/`, and `examples/`
 //!   are out of scope for *rules* — the engine only runs them on `src/` —
@@ -19,7 +17,7 @@
 //! The workspace run is two-phase. Phase one lexes every `src/` file,
 //! runs the token rules, parses items/call-sites, and collects the file's
 //! suppressions. Phase two is workspace-global: build the cross-crate call
-//! graph, propagate panic/nondet/alloc facts from `entry(hot-path)` roots,
+//! graph, propagate panic/nondet facts from `entry(hot-path)` roots,
 //! run the dead-export pass, cross-check the resync table, and only then
 //! apply suppressions — so a stale allow is judged against *every* pass,
 //! not just the per-file ones.
@@ -30,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::facts::{self, AllocEntry};
+use crate::facts;
 use crate::graph;
 use crate::lexer::{lex, LineIndex, TokenKind};
 use crate::parser::{self, ParsedFile};
@@ -61,22 +59,12 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/tcp/src/receiver.rs",
 ];
 
-/// Files with a per-event dispatch loop where cloning a config struct is a
-/// hidden per-event heap allocation (the PR 6 hot-path allocation bug class).
-/// Every panic-freedom hot path qualifies, plus `runtime.rs`: it is *not* in
-/// [`HOT_PATH_FILES`] (its world-construction asserts are deliberate), but
-/// its `dispatch`/`pump_conn` loops run per event and must split-borrow
-/// `WorldConfig` rather than clone it.
-const HOT_CONFIG_FILES: &[&str] = &["crates/stack/src/runtime.rs"];
-
 /// Derives the rule scope for one file.
 pub fn scope_for(crate_name: &str, rel_path: &str, is_crate_root: bool) -> FileScope {
-    let hot_path = HOT_PATH_FILES.contains(&rel_path);
     FileScope {
         determinism: DETERMINISM_CRATES.contains(&crate_name),
         observability: !OBSERVABILITY_EXEMPT.contains(&crate_name),
-        hot_path,
-        hot_config: hot_path || HOT_CONFIG_FILES.contains(&rel_path),
+        hot_path: HOT_PATH_FILES.contains(&rel_path),
         crate_root: is_crate_root,
     }
 }
@@ -118,12 +106,11 @@ pub struct GraphStats {
 pub struct Report {
     pub diags: Vec<Diagnostic>,
     pub files: usize,
-    /// Lines carrying an inline allow in linted files outside `crates/lint`
-    /// (the linter's own sources quote the syntax). Printed with the
-    /// `--alloc-report` inventory, so a rise shows up as a snapshot diff.
-    pub suppressions: usize,
-    /// Ranked allocation-site inventory (`--alloc-report`).
-    pub alloc_report: Vec<AllocEntry>,
+    /// Inline suppressions in linted files outside `crates/lint` (the
+    /// linter's own sources quote the syntax), counted per rule and keyed
+    /// `allow(<rule>)` / `allow-file(<rule>)`. The self-test pins them, so
+    /// a new exemption shows up in review as a snapshot diff.
+    pub allows: BTreeMap<String, usize>,
     pub graph: GraphStats,
     /// `(pass name, milliseconds)` in execution order (`--timing`).
     pub timings: Vec<(&'static str, f64)>,
@@ -155,7 +142,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     let mut parsed: Vec<ParsedFile> = Vec::new();
     let mut io_errors: Vec<Diagnostic> = Vec::new();
     let mut files = 0usize;
-    let mut suppressions = 0usize;
+    let mut allows: BTreeMap<String, usize> = BTreeMap::new();
     let mut timings = Vec::new();
 
     // Phase 1: per-file — lex once, token rules + suppressions + parse.
@@ -185,9 +172,6 @@ pub fn lint_workspace(root: &Path) -> Report {
                 (parent == "src" && (fname == "lib.rs" || fname == "main.rs"))
                     || parent == "bin"
             };
-            if crate_name != "lint" {
-                suppressions += src.lines().filter(|l| l.contains("ano-lint: allow")).count();
-            }
             let scope = scope_for(&crate_name, &rel, is_root);
             let lexed = lex(&src);
             let lines = LineIndex::new(&src);
@@ -200,6 +184,14 @@ pub fn lint_workspace(root: &Path) -> Report {
             };
             let raw = run_token_rules(&ctx, scope);
             let sup = suppress::parse(&rel, &lexed, &lines);
+            if crate_name != "lint" {
+                for s in &sup.list {
+                    let directive = if s.file_scope { "allow-file" } else { "allow" };
+                    for rule in &s.rules {
+                        *allows.entry(format!("{directive}({rule})")).or_insert(0) += 1;
+                    }
+                }
+            }
             let file_mod = module_path(&rel);
             let pf = parser::parse_file(&rel, &crate_name, &file_mod, &src);
             entries.push(FileEntry {
@@ -240,7 +232,7 @@ pub fn lint_workspace(root: &Path) -> Report {
         .enumerate()
         .map(|(i, e)| (e.rel.clone(), i))
         .collect();
-    let fr = facts::analyze(&g, |file, line, rules| {
+    let fact_diags = facts::analyze(&g, |file, line, rules| {
         by_rel
             .get(file)
             .map(|&i| entries[i].sup.covers(line, rules))
@@ -299,7 +291,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     for e in &mut entries {
         pending.append(&mut e.raw);
     }
-    pending.extend(fr.diags);
+    pending.extend(fact_diags);
     pending.extend(dead);
     pending.extend(resync_diags);
 
@@ -329,8 +321,7 @@ pub fn lint_workspace(root: &Path) -> Report {
     Report {
         diags,
         files,
-        suppressions,
-        alloc_report: fr.alloc_report,
+        allows,
         graph: stats,
         timings,
     }
@@ -481,15 +472,10 @@ mod tests {
         assert!(s.determinism && s.hot_path);
         let s = scope_for("scenario", "crates/scenario/src/chaos.rs", false);
         assert!(s.determinism && !s.hot_path);
-        // PR 6: runtime.rs is config-clone scoped but not panic-freedom
-        // scoped (its construction asserts are deliberate); panic-freedom
-        // hot paths are config-clone scoped too.
+        // runtime.rs is not panic-freedom scoped: its world-construction
+        // asserts are deliberate.
         let s = scope_for("stack", "crates/stack/src/runtime.rs", false);
-        assert!(s.hot_config && !s.hot_path);
-        let s = scope_for("core", "crates/core/src/tx.rs", false);
-        assert!(s.hot_config && s.hot_path);
-        let s = scope_for("stack", "crates/stack/src/world.rs", false);
-        assert!(!s.hot_config);
+        assert!(s.determinism && !s.hot_path);
     }
 
     #[test]
@@ -499,7 +485,6 @@ mod tests {
             determinism: true,
             observability: true,
             hot_path: false,
-            hot_config: false,
             crate_root: true,
         };
         assert!(lint_source("x.rs", src, scope).is_empty());

@@ -1,31 +1,22 @@
 //! Fact propagation over the call graph: turns "this helper two crates
 //! away can panic" into a hot-path diagnostic with the full call chain.
 //!
-//! Three fact lattices, each a may-analysis seeded by token patterns the
+//! Two fact lattices, each a may-analysis seeded by token patterns the
 //! parser recorded and propagated along resolved call edges:
 //!
 //! * **may-panic** (`transitive-panic`): `unwrap`/`expect`, the panic
 //!   macro family, slice indexing, integer `/`/`%` by a non-literal
 //!   divisor;
 //! * **nondeterminism taint** (`transitive-nondet`): wall-clock reads,
-//!   OS threads, hash-ordered collections;
-//! * **may-allocate** (`hot-alloc`): `Vec::new`/`Box::new`-style
-//!   constructors, `format!`/`vec!`, `.clone()`/`.to_vec()`/`.collect()`.
+//!   OS threads, hash-ordered collections.
 //!
 //! Every fn annotated `// ano-lint: entry(hot-path)` is a root: any seed
 //! reachable from a root (breadth-first, so chains are shortest) becomes a
 //! diagnostic at the *seed site* — that is where the fix or the audited
-//! `allow` belongs — carrying the entry→seed call chain. A fn annotated
-//! `// ano-lint: cold(<why>)` is an audited allocation boundary: the
-//! **may-allocate** walk stops there (a per-flow install path may allocate)
-//! but panic and taint still propagate through it — a cold path that
-//! panics still aborts the whole schedule.
+//! `allow` belongs — carrying the entry→seed call chain.
 //!
-//! The pass also builds the ranked allocation-site inventory behind
-//! `ano-lint --alloc-report`: every alloc seed reachable from an entry,
-//! suppressed or not, ranked by how many entries reach it and how close to
-//! the entry it sits. That list is the shopping list for the arena/slab
-//! work (ROADMAP item 1).
+//! Allocation is not inferred here: the tier-1 allocation gate
+//! (`crates/bench/tests/alloc_gate.rs`) measures it.
 
 use std::collections::BTreeMap;
 
@@ -33,54 +24,14 @@ use crate::diag::{Diagnostic, Severity};
 use crate::graph::Graph;
 use crate::parser::Fact;
 
-/// One row of the `--alloc-report` inventory.
-#[derive(Clone, Debug)]
-pub struct AllocEntry {
-    pub file: String,
-    pub line: usize,
-    pub what: String,
-    pub in_fn: String,
-    /// How many `entry(hot-path)` roots reach this site.
-    pub entries: usize,
-    /// Fewest call hops from any root (0 = in the entry fn itself).
-    pub depth: usize,
-    /// True when an audited `allow` covers the site (still inventoried —
-    /// suppression silences the error, not the measurement).
-    pub suppressed: bool,
-}
-
-impl AllocEntry {
-    /// One stable text row (the snapshot format CI diffs).
-    pub fn render(&self, rank: usize) -> String {
-        format!(
-            "{rank:3}. {}:{} `{}` in {} — {} entr{}, depth {}{}",
-            self.file,
-            self.line,
-            self.what,
-            self.in_fn,
-            self.entries,
-            if self.entries == 1 { "y" } else { "ies" },
-            self.depth,
-            if self.suppressed { "" } else { " [UNSUPPRESSED]" },
-        )
-    }
-}
-
-/// Output of the fact pass.
-#[derive(Debug, Default)]
-pub struct FactsResult {
-    pub diags: Vec<Diagnostic>,
-    pub alloc_report: Vec<AllocEntry>,
-}
-
-/// Runs the three lattices over `g`.
+/// Runs both lattices over `g` and returns their diagnostics.
 ///
 /// `allow(file, line, rules)` must return true when an inline suppression
 /// covers the given site for *any* of the rule ids (the transitive rule or
 /// its per-file syntactic siblings — one audited allow covers both views),
 /// marking the suppression used as a side effect.
-pub fn analyze(g: &Graph, mut allow: impl FnMut(&str, usize, &[&str]) -> bool) -> FactsResult {
-    let mut out = FactsResult::default();
+pub fn analyze(g: &Graph, mut allow: impl FnMut(&str, usize, &[&str]) -> bool) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     let entries = g.entries();
     if entries.is_empty() {
         return out;
@@ -100,46 +51,8 @@ pub fn analyze(g: &Graph, mut allow: impl FnMut(&str, usize, &[&str]) -> bool) -
         }
     }
 
-    for fact in [Fact::Panic, Fact::Nondet, Fact::Alloc] {
-        let reach = multi_source_bfs(g, &entries, fact);
-
-        if fact == Fact::Alloc {
-            // Inventory first: every reachable alloc seed, suppressed or not.
-            let per_entry: Vec<BTreeMap<usize, usize>> = entries
-                .iter()
-                .map(|&e| multi_source_bfs(g, &[e], fact).depth)
-                .collect();
-            for (ni, node) in g.nodes.iter().enumerate() {
-                let Some(&d) = reach.depth.get(&ni) else {
-                    continue;
-                };
-                let n_entries = per_entry.iter().filter(|m| m.contains_key(&ni)).count();
-                for (si, seed) in node.item.seeds.iter().enumerate() {
-                    if seed.fact != Fact::Alloc {
-                        continue;
-                    }
-                    out.alloc_report.push(AllocEntry {
-                        file: node.file.clone(),
-                        line: seed.line,
-                        what: seed.what.clone(),
-                        in_fn: node.item.id.clone(),
-                        entries: n_entries,
-                        depth: d,
-                        suppressed: seed_allowed.get(&(ni, si)).copied().unwrap_or(false),
-                    });
-                }
-            }
-            out.alloc_report.sort_by(|a, b| {
-                (std::cmp::Reverse(a.entries), a.depth, &a.file, a.line, &a.what).cmp(&(
-                    std::cmp::Reverse(b.entries),
-                    b.depth,
-                    &b.file,
-                    b.line,
-                    &b.what,
-                ))
-            });
-        }
-
+    let reach = multi_source_bfs(g, &entries);
+    for fact in [Fact::Panic, Fact::Nondet] {
         // Diagnostics: one per (rule, file, line) with the shortest chain.
         let mut seen: BTreeMap<(&str, String, usize), ()> = BTreeMap::new();
         for (ni, node) in g.nodes.iter().enumerate() {
@@ -162,9 +75,8 @@ pub fn analyze(g: &Graph, mut allow: impl FnMut(&str, usize, &[&str]) -> bool) -
                 let verb = match fact {
                     Fact::Panic => "can panic mid-schedule and",
                     Fact::Nondet => "reads process-varying state and",
-                    Fact::Alloc => "allocates and",
                 };
-                out.diags.push(Diagnostic {
+                out.push(Diagnostic {
                     rule: fact.rule(),
                     severity: Severity::Error,
                     file: node.file.clone(),
@@ -184,7 +96,7 @@ pub fn analyze(g: &Graph, mut allow: impl FnMut(&str, usize, &[&str]) -> bool) -
         }
     }
 
-    out.diags.sort_by(|a, b| {
+    out.sort_by(|a, b| {
         (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule))
     });
     out
@@ -220,11 +132,8 @@ impl Reach {
     }
 }
 
-/// BFS over call edges from `roots`. For [`Fact::Alloc`] the walk refuses
-/// to *enter* a `cold(…)` node: its body and callees are an audited
-/// allocation boundary. Panic/taint walks traverse everything — cold code
-/// still runs on the schedule.
-fn multi_source_bfs(g: &Graph, roots: &[usize], fact: Fact) -> Reach {
+/// BFS over call edges from `roots`.
+fn multi_source_bfs(g: &Graph, roots: &[usize]) -> Reach {
     let mut depth = BTreeMap::new();
     let mut parent = BTreeMap::new();
     let mut queue = std::collections::VecDeque::new();
@@ -238,9 +147,6 @@ fn multi_source_bfs(g: &Graph, roots: &[usize], fact: Fact) -> Reach {
         for e in &g.edges[i] {
             let j = e.callee;
             if depth.contains_key(&j) {
-                continue;
-            }
-            if fact == Fact::Alloc && g.nodes[j].item.cold.is_some() {
                 continue;
             }
             depth.insert(j, d + 1);
@@ -353,7 +259,7 @@ mod tests {
     use crate::graph;
     use crate::parser::parse_file;
 
-    fn analyze_src(files: &[(&str, &str, &str)]) -> (Graph, FactsResult) {
+    fn analyze_src(files: &[(&str, &str, &str)]) -> (Graph, Vec<Diagnostic>) {
         let parsed: Vec<_> = files
             .iter()
             .map(|(path, krate, src)| parse_file(path, krate, &[], src))
@@ -377,8 +283,8 @@ mod tests {
                 "pub fn mid() { deep(); }\nfn deep(x: Option<u8>) { x.unwrap(); }",
             ),
         ]);
-        let panics: Vec<_> = r.diags.iter().filter(|d| d.rule == "transitive-panic").collect();
-        assert_eq!(panics.len(), 1, "{:?}", r.diags);
+        let panics: Vec<_> = r.iter().filter(|d| d.rule == "transitive-panic").collect();
+        assert_eq!(panics.len(), 1, "{:?}", r);
         let d = panics[0];
         assert_eq!(d.file, "crates/b/src/lib.rs");
         assert_eq!(d.chain.len(), 3, "{:?}", d.chain);
@@ -394,7 +300,7 @@ mod tests {
             "a",
             "// ano-lint: entry(hot-path)\npub fn hot() {}\nfn island(x: Option<u8>) { x.unwrap(); }",
         )]);
-        assert!(r.diags.is_empty(), "{:?}", r.diags);
+        assert!(r.is_empty(), "{:?}", r);
     }
 
     #[test]
@@ -405,65 +311,8 @@ mod tests {
             "// ano-lint: entry(hot-path)\npub fn hot() { now(); }\n\
              fn now() -> u64 { let t = Instant::now(); 0 }",
         )]);
-        assert_eq!(r.diags.len(), 1, "{:?}", r.diags);
-        assert_eq!(r.diags[0].rule, "transitive-nondet");
-    }
-
-    #[test]
-    fn cold_cuts_alloc_but_not_panic() {
-        let (_, r) = analyze_src(&[(
-            "crates/a/src/lib.rs",
-            "a",
-            "// ano-lint: entry(hot-path)\npub fn hot() { install(); }\n\
-             // ano-lint: cold(per-flow install, not per packet)\n\
-             fn install(x: Option<u8>) { let v = Vec::new(); x.unwrap(); }",
-        )]);
-        let rules: Vec<&str> = r.diags.iter().map(|d| d.rule).collect();
-        assert_eq!(rules, ["transitive-panic"], "{:?}", r.diags);
-        assert!(r.alloc_report.is_empty(), "{:?}", r.alloc_report);
-    }
-
-    #[test]
-    fn alloc_report_ranks_by_entries_then_depth() {
-        let (_, r) = analyze_src(&[(
-            "crates/a/src/lib.rs",
-            "a",
-            "// ano-lint: entry(hot-path)\npub fn hot1() { shared(); solo(); }\n\
-             // ano-lint: entry(hot-path)\npub fn hot2() { shared(); }\n\
-             fn shared() { let v = Vec::new(); }\n\
-             fn solo() { let b = Box::new(0); }",
-        )]);
-        assert_eq!(r.alloc_report.len(), 2, "{:?}", r.alloc_report);
-        assert_eq!(r.alloc_report[0].what, "Vec::new");
-        assert_eq!(r.alloc_report[0].entries, 2);
-        assert_eq!(r.alloc_report[1].what, "Box::new");
-        assert_eq!(r.alloc_report[1].entries, 1);
-        // Both are unsuppressed, so both also error.
-        assert_eq!(
-            r.diags.iter().filter(|d| d.rule == "hot-alloc").count(),
-            2,
-            "{:?}",
-            r.diags
-        );
-    }
-
-    #[test]
-    fn suppressed_seed_stays_in_inventory_but_not_in_errors() {
-        let parsed = vec![parse_file(
-            "crates/a/src/lib.rs",
-            "a",
-            &[],
-            "// ano-lint: entry(hot-path)\npub fn hot() { let v = Vec::new(); }",
-        )];
-        let g = graph::build(&parsed);
-        let r = analyze(&g, |_, line, rules| {
-            assert!(rules.contains(&"hot-alloc"));
-            line == 2
-        });
-        assert!(r.diags.is_empty(), "{:?}", r.diags);
-        assert_eq!(r.alloc_report.len(), 1);
-        assert!(r.alloc_report[0].suppressed);
-        assert!(!r.alloc_report[0].render(1).contains("UNSUPPRESSED"));
+        assert_eq!(r.len(), 1, "{:?}", r);
+        assert_eq!(r[0].rule, "transitive-nondet");
     }
 
     #[test]

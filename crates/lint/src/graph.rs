@@ -8,7 +8,9 @@
 //! * **qualified calls** (`a::b::f`, `Type::f`, `Self::f`) match by path
 //!   suffix, so cross-crate calls resolve without `use`-tracking;
 //! * **bare calls** (`f(…)`) prefer the caller's module, then the caller's
-//!   crate, then a workspace-unique match;
+//!   crate, then a workspace-unique match — unless `f` names a parameter
+//!   of the caller or of one of its closures: that call goes through a
+//!   value and counts as unresolved;
 //! * **method calls** (`recv.m(…)`) resolve by receiver name: `self.m()`
 //!   binds inside the caller's impl type; other receivers match a type
 //!   whose name contains the receiver identifier (`nic` → `Nic`,
@@ -219,8 +221,17 @@ fn resolve_direct(
         return finish(name, cands.len(), hits);
     }
 
-    // Bare call: same module, then same crate, then workspace-unique.
+    // A bare call through a parameter (`f(x)` with `f: impl Fn(..)`, or a
+    // closure argument) calls a value: no free fn of that name is the
+    // callee, whatever its module.
     let c = &g.nodes[caller];
+    if c.item.params.contains(name) {
+        return Resolution::Unresolved {
+            name: name.clone(),
+            candidates: cands.len(),
+        };
+    }
+    // Bare call: same module, then same crate, then workspace-unique.
     let same_mod: Vec<usize> = cands
         .iter()
         .copied()

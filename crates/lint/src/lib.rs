@@ -16,12 +16,10 @@
 //! * a cross-crate call graph ([`graph`]) links those fns workspace-wide,
 //!   with method calls resolved by receiver-name heuristics and everything
 //!   unresolvable counted in an explicit bucket;
-//! * fixed-point fact propagation ([`facts`]) pushes may-panic,
-//!   nondeterminism-taint, and may-allocate facts along the graph and
-//!   reports any that reach a `// ano-lint: entry(hot-path)` fn, with the
-//!   full call chain (`transitive-panic`, `transitive-nondet`,
-//!   `hot-alloc`), plus a dead-export pass and the ranked allocation-site
-//!   inventory behind `--alloc-report`;
+//! * fixed-point fact propagation ([`facts`]) pushes may-panic and
+//!   nondeterminism-taint facts along the graph and reports any that
+//!   reach a `// ano-lint: entry(hot-path)` fn, with the full call chain
+//!   (`transitive-panic`, `transitive-nondet`), plus a dead-export pass;
 //! * inline suppressions ([`suppress`]) allow audited exceptions but
 //!   *require* a written justification, and error when stale;
 //! * a spec-vs-code pass ([`resync`]) extracts the §4.3 resync transition
@@ -29,7 +27,9 @@
 //!   legal-edge set in `crates/scenario/src/invariant.rs`.
 //!
 //! Run with `cargo run -p ano-lint` (workspace root is inferred); CI runs
-//! it as the `static analysis` tier before building anything.
+//! it as the `static analysis` tier before building anything. Heap
+//! allocation is measured, not inferred: the allocation gate in
+//! `crates/bench/tests/alloc_gate.rs` counts it per packet.
 
 #![forbid(unsafe_code)]
 

@@ -10,15 +10,14 @@
 //!   the form `crate::module::Type::fn`);
 //! * **call sites**: qualified calls (`a::b::f(…)`, `Self::f(…)`),
 //!   bare calls (`f(…)`), and method calls (`recv.m(…)`) with the
-//!   receiver identifier kept as a resolution hint;
+//!   receiver identifier kept as a resolution hint, plus the names of the
+//!   fn's own and its closures' parameters (a bare call through one of
+//!   those is a call through a value, not to a free fn);
 //! * **fact seeds**: the token patterns that *introduce* a panic
-//!   (`unwrap`/`expect`/`panic!`/`assert!`/slice-index/integer-div),
-//!   nondeterminism (wall clock, OS threads, hash-ordered collections),
-//!   or an allocation (`Vec::new`/`Box::new`/`format!`/`clone`/`to_vec`/…);
+//!   (`unwrap`/`expect`/`panic!`/`assert!`/slice-index/integer-div) or
+//!   nondeterminism (wall clock, OS threads, hash-ordered collections);
 //! * **annotations**: `// ano-lint: entry(hot-path)` marks the fn that
-//!   follows as a hot-path root the fact pass must prove clean, and
-//!   `// ano-lint: cold(<why>)` marks a fn as an audited allocation
-//!   boundary (see `facts` — panics and taint still propagate through).
+//!   follows as a hot-path root the fact pass must prove clean.
 //!
 //! `#[cfg(test)]` modules and items are pruned entirely: a test twin of a
 //! hot-path helper must never contribute edges or seeds.
@@ -35,8 +34,6 @@ pub enum Fact {
     /// The site reads process-varying state (clock, OS scheduler, hash
     /// ordering) that would leak into traces.
     Nondet,
-    /// The site can touch the heap.
-    Alloc,
 }
 
 impl Fact {
@@ -45,7 +42,6 @@ impl Fact {
         match self {
             Fact::Panic => "transitive-panic",
             Fact::Nondet => "transitive-nondet",
-            Fact::Alloc => "hot-alloc",
         }
     }
 
@@ -55,7 +51,6 @@ impl Fact {
         match self {
             Fact::Panic => &["hot-path-panic", "hot-path-index"],
             Fact::Nondet => &["hash-collection", "wall-clock", "thread"],
-            Fact::Alloc => &["hot-config-clone"],
         }
     }
 }
@@ -112,11 +107,13 @@ pub struct FnItem {
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     pub calls: Vec<CallSite>,
+    /// Parameter names of the fn and of every closure in its body. A bare
+    /// call `f(…)` through one of them calls a value, so `graph` must not
+    /// bind it to a same-named free fn.
+    pub params: Vec<String>,
     pub seeds: Vec<Seed>,
     /// `entry(<class>)` annotation, e.g. `hot-path`.
     pub entry: Option<String>,
-    /// `cold(<why>)` annotation: audited allocation boundary.
-    pub cold: Option<String>,
 }
 
 /// A `pub` item other than `fn` (struct/enum/trait/const/static/type),
@@ -139,7 +136,7 @@ pub struct ParsedFile {
     /// count — the dead-export pass marks a name "used" when it occurs
     /// anywhere beyond its own definitions.
     pub ident_counts: std::collections::BTreeMap<String, usize>,
-    /// Malformed `entry`/`cold` annotations.
+    /// Malformed `entry` annotations.
     pub diags: Vec<Diagnostic>,
 }
 
@@ -155,34 +152,6 @@ const KEYWORDS: &[&str] = &[
 
 const PANIC_MACROS: &[&str] = &[
     "panic", "assert", "assert_eq", "assert_ne", "todo", "unimplemented", "unreachable",
-];
-
-/// Macros whose expansion allocates.
-const ALLOC_MACROS: &[&str] = &["format", "vec"];
-
-/// `.m(…)` method names whose callee allocates (on owned/heap types; a
-/// false hit on a `Copy` clone is suppressible at the site).
-const ALLOC_METHODS: &[&str] = &[
-    "clone", "collect", "to_owned", "to_string", "to_vec", "boxed",
-];
-
-/// `Type::assoc(…)` pairs whose callee allocates or creates a growable
-/// container (`Vec::new` is heap-free until first push, but it *is* the
-/// allocation site the arena work needs in the inventory).
-const ALLOC_ASSOC: &[(&str, &str)] = &[
-    ("Vec", "new"),
-    ("Vec", "with_capacity"),
-    ("Vec", "from"),
-    ("VecDeque", "new"),
-    ("VecDeque", "with_capacity"),
-    ("Box", "new"),
-    ("String", "new"),
-    ("String", "from"),
-    ("String", "with_capacity"),
-    ("Rc", "new"),
-    ("Arc", "new"),
-    ("BTreeMap", "new"),
-    ("BTreeSet", "new"),
 ];
 
 /// Parses one file into items, call sites, seeds, and annotations.
@@ -206,7 +175,7 @@ pub fn parse_file(path: &str, crate_name: &str, file_mod: &[String], src: &str) 
         }
     }
 
-    // `entry`/`cold` annotations, in offset order; each binds to the next
+    // `entry` annotations, in offset order; each binds to the next
     // extracted fn.
     let mut anns: Vec<Ann> = Vec::new();
     for c in &lexed.comments {
@@ -214,11 +183,7 @@ pub fn parse_file(path: &str, crate_name: &str, file_mod: &[String], src: &str) 
             continue;
         };
         let rest = rest.trim();
-        let (kind, is_entry) = if rest.starts_with("entry") {
-            (&rest[5..], true)
-        } else if rest.starts_with("cold") {
-            (&rest[4..], false)
-        } else {
+        let Some(kind) = rest.strip_prefix("entry") else {
             continue; // allow/allow-file directives belong to `suppress`
         };
         let (line, col) = lines.line_col(c.off);
@@ -237,24 +202,16 @@ pub fn parse_file(path: &str, crate_name: &str, file_mod: &[String], src: &str) 
         };
         match arg {
             None => out.diags.push(bad(format!(
-                "malformed annotation `{rest}`; expected `entry(<class>)` or `cold(<why>)`"
+                "malformed annotation `{rest}`; expected `entry(<class>)`"
             ))),
-            Some(a) if is_entry && !ENTRY_CLASSES.contains(&a.as_str()) => {
-                out.diags.push(bad(format!(
-                    "entry({a}) names an unknown entry class; known classes: {}",
-                    ENTRY_CLASSES.join(", ")
-                )))
-            }
-            Some(a) if !is_entry && a.is_empty() => out.diags.push(bad(
-                "cold() requires a justification: `// ano-lint: cold(<why this path is \
-                 not per-packet>)`"
-                    .to_string(),
-            )),
+            Some(a) if !ENTRY_CLASSES.contains(&a.as_str()) => out.diags.push(bad(format!(
+                "entry({a}) names an unknown entry class; known classes: {}",
+                ENTRY_CLASSES.join(", ")
+            ))),
             Some(a) => anns.push(Ann {
                 off: c.off,
                 line,
                 arg: a,
-                is_entry,
                 used: false,
             }),
         }
@@ -283,11 +240,7 @@ pub fn parse_file(path: &str, crate_name: &str, file_mod: &[String], src: &str) 
             file: path.to_string(),
             line: a.line,
             col: 1,
-            message: format!(
-                "`{}({})` annotation does not precede a fn item",
-                if a.is_entry { "entry" } else { "cold" },
-                a.arg
-            ),
+            message: format!("`entry({})` annotation does not precede a fn item", a.arg),
             chain: Vec::new(),
         });
     }
@@ -299,7 +252,6 @@ struct Ann {
     off: usize,
     line: usize,
     arg: String,
-    is_entry: bool,
     used: bool,
 }
 
@@ -648,15 +600,11 @@ impl Walker<'_> {
         }
 
         // Bind the closest preceding unused annotation.
-        let (mut entry, mut cold) = (None, None);
+        let mut entry = None;
         for a in self.anns.iter_mut() {
             if !a.used && a.off < fn_off {
                 a.used = true;
-                if a.is_entry {
-                    entry = Some(a.arg.clone());
-                } else {
-                    cold = Some(a.arg.clone());
-                }
+                entry = Some(a.arg.clone());
             }
         }
 
@@ -687,9 +635,9 @@ impl Walker<'_> {
             is_pub,
             line: self.lines.line(fn_off),
             calls: Vec::new(),
+            params: self.param_names(i + 2, body_start),
             seeds: Vec::new(),
             entry,
-            cold,
         };
         self.scan_body(body_start + 1, body_end - 1, mods, ictx, &mut item);
         self.out_fns.push(item);
@@ -736,12 +684,6 @@ impl Walker<'_> {
                         if PANIC_MACROS.contains(&name.as_str()) {
                             item.seeds.push(Seed {
                                 fact: Fact::Panic,
-                                line,
-                                what: format!("{name}!"),
-                            });
-                        } else if ALLOC_MACROS.contains(&name.as_str()) {
-                            item.seeds.push(Seed {
-                                fact: Fact::Alloc,
                                 line,
                                 what: format!("{name}!"),
                             });
@@ -806,13 +748,6 @@ impl Walker<'_> {
                                     what: format!(".{name}()"),
                                 });
                             }
-                            if ALLOC_METHODS.contains(&name.as_str()) {
-                                item.seeds.push(Seed {
-                                    fact: Fact::Alloc,
-                                    line,
-                                    what: format!(".{name}()"),
-                                });
-                            }
                             item.calls.push(CallSite::Method {
                                 name: name.clone(),
                                 receiver,
@@ -831,16 +766,6 @@ impl Walker<'_> {
                                 path.insert(0, self.ident_at(k - 3).unwrap_or("").to_string());
                                 k -= 3;
                             }
-                            if path.len() == 2 {
-                                let pair = (path[0].as_str(), path[1].as_str());
-                                if ALLOC_ASSOC.contains(&pair) {
-                                    item.seeds.push(Seed {
-                                        fact: Fact::Alloc,
-                                        line,
-                                        what: format!("{}::{}", path[0], path[1]),
-                                    });
-                                }
-                            }
                             item.calls.push(CallSite::Direct { path, line });
                         }
                     }
@@ -849,6 +774,12 @@ impl Walker<'_> {
                 TokenKind::Punct('#') => {
                     let (j, _) = self.skip_attr(i);
                     i = j;
+                }
+                TokenKind::Punct('|') if self.opens_closure(i) => {
+                    // `|a, b: T| …` / `||`: the list ends at the next `|`.
+                    let close = (i + 1..end).find(|&j| self.is_punct(j, '|')).unwrap_or(end);
+                    item.params.extend(self.pattern_names(i + 1, close));
+                    i += 1;
                 }
                 TokenKind::Punct('[') => {
                     // Index expression (same shape test as the syntactic
@@ -905,6 +836,57 @@ impl Walker<'_> {
                 _ => i += 1,
             }
         }
+    }
+
+    /// Names bound by the parameter list of the fn whose signature starts
+    /// at `i` (the token after its name) and whose body opens at `body`.
+    fn param_names(&self, i: usize, body: usize) -> Vec<String> {
+        let open = if self.is_punct(i, '<') { self.skip_angles(i) } else { i };
+        if !self.is_punct(open, '(') {
+            return Vec::new();
+        }
+        let close = self.match_delim(open, '(', ')').min(body);
+        self.pattern_names(open + 1, close.saturating_sub(1))
+    }
+
+    /// Whether the `|` at `i` opens a closure's parameter list: it stands
+    /// where an expression starts, not after an operand (`a | b`, `a || b`).
+    fn opens_closure(&self, i: usize) -> bool {
+        let Some(prev) = i.checked_sub(1).and_then(|p| self.toks.get(p)) else {
+            return false;
+        };
+        match &prev.kind {
+            TokenKind::Punct(c) => matches!(c, '(' | ',' | '=' | '{' | ';' | '['),
+            TokenKind::Ident(s) => s == "move" || s == "return",
+            _ => false,
+        }
+    }
+
+    /// Identifiers a parameter list `[from, to)` binds: every identifier
+    /// outside the `: Type` annotations (so `(a, b)` and `mut x` patterns
+    /// count), minus keywords.
+    fn pattern_names(&self, from: usize, to: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut depth = 0i32;
+        let mut in_type = false;
+        for k in from..to {
+            let colon = |j: usize| self.is_punct(j, ':');
+            match &self.toks[k].kind {
+                TokenKind::Punct('(' | '[' | '<') => depth += 1,
+                // `->` in a closure type is not a closing angle.
+                TokenKind::Punct('>') if k > 0 && self.is_punct(k - 1, '-') => {}
+                TokenKind::Punct(')' | ']' | '>') => depth -= 1,
+                TokenKind::Punct(',') if depth <= 0 => in_type = false,
+                TokenKind::Punct(':') if !colon(k + 1) && !(k > 0 && colon(k - 1)) => {
+                    in_type = true
+                }
+                TokenKind::Ident(name) if !in_type && !KEYWORDS.contains(&name.as_str()) => {
+                    out.push(name.clone())
+                }
+                _ => {}
+            }
+        }
+        out
     }
 
     /// Dispatches one nested item from inside a fn body; returns the index
@@ -1021,10 +1003,10 @@ mod tests {
         assert!(whats.contains(&".unwrap()"), "{whats:?}");
         assert!(whats.contains(&"slice-index"), "{whats:?}");
         assert!(whats.iter().any(|w| w.starts_with("integer `/`")), "{whats:?}");
-        assert!(whats.contains(&"Vec::new"), "{whats:?}");
-        assert!(whats.contains(&"format!"), "{whats:?}");
         assert!(whats.contains(&"std::time::Instant"), "{whats:?}");
         assert!(whats.contains(&"assert!"), "{whats:?}");
+        // Allocation is measured by the allocation gate, not seeded here.
+        assert!(!whats.contains(&"Vec::new") && !whats.contains(&"format!"), "{whats:?}");
     }
 
     #[test]
@@ -1047,15 +1029,27 @@ mod tests {
     #[test]
     fn entry_and_cold_annotations_bind_to_next_fn() {
         let p = parse(
-            "// ano-lint: entry(hot-path)\npub fn hot() {}\n\
-             // ano-lint: cold(install path, runs per flow not per packet)\nfn install() {}\n",
+            "fn before() {}\n// ano-lint: entry(hot-path)\npub fn hot() {}\n\
+             // ano-lint: cold(install path)\nfn install() {}\n",
         );
-        assert_eq!(p.fns[0].entry.as_deref(), Some("hot-path"));
-        assert_eq!(
-            p.fns[1].cold.as_deref(),
-            Some("install path, runs per flow not per packet")
-        );
+        let entries: Vec<Option<&str>> = p.fns.iter().map(|f| f.entry.as_deref()).collect();
+        assert_eq!(entries, [None, Some("hot-path"), None]);
+        // `cold(..)` is no longer an annotation: it binds to nothing here,
+        // and `suppress` reports it as an unknown directive.
         assert!(p.diags.is_empty(), "{:?}", p.diags);
+    }
+
+    #[test]
+    fn fn_and_closure_parameters_are_recorded() {
+        let p = parse(
+            "fn f<T>(mut a: u8, (b, c): (u8, u8), visit: impl Fn(u8) -> Vec<u8>) {\n\
+               let g = |d: &[u8], e| d.len() | e;\n\
+               v.iter().map(move |x| x);\n\
+               let h = || 0;\n\
+               let i = a | b || c;\n\
+             }",
+        );
+        assert_eq!(p.fns[0].params, ["a", "b", "c", "visit", "d", "e", "x"]);
     }
 
     #[test]
@@ -1063,8 +1057,8 @@ mod tests {
         let p = parse("// ano-lint: entry(warm-path)\nfn f() {}\n");
         assert_eq!(p.diags.len(), 1, "{:?}", p.diags);
         assert!(p.diags[0].message.contains("unknown entry class"));
-        let p = parse("// ano-lint: cold()\nfn f() {}\n");
-        assert!(p.diags[0].message.contains("justification"));
+        let p = parse("// ano-lint: entry hot-path\nfn f() {}\n");
+        assert!(p.diags[0].message.contains("malformed annotation"));
         let p = parse("fn f() {}\n// ano-lint: entry(hot-path)\n");
         assert!(p.diags[0].message.contains("does not precede a fn"));
     }

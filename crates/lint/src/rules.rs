@@ -15,7 +15,6 @@ pub const RULES: &[&str] = &[
     "hash-collection",
     "hot-path-panic",
     "hot-path-index",
-    "hot-config-clone",
     "direct-output",
     "unsafe-attr",
     "resync-table",
@@ -23,7 +22,6 @@ pub const RULES: &[&str] = &[
     // `// ano-lint: entry(hot-path)` fn, plus the dead-export pass.
     "transitive-panic",
     "transitive-nondet",
-    "hot-alloc",
     "dead-export",
 ];
 
@@ -39,10 +37,6 @@ pub struct FileScope {
     pub observability: bool,
     /// Panic-freedom rules: the file is a per-packet hot path.
     pub hot_path: bool,
-    /// Config-clone rules: the file contains a per-event dispatch loop, so
-    /// cloning configuration structs (`cfg`/`cost`/`degrade`/`config`) is a
-    /// hidden per-event heap allocation; split-borrow the config instead.
-    pub hot_config: bool,
     /// The file is a crate root and must carry `#![forbid(unsafe_code)]`.
     pub crate_root: bool,
 }
@@ -100,9 +94,6 @@ pub fn run_token_rules(ctx: &FileCtx<'_>, scope: FileScope) -> Vec<Diagnostic> {
                 }
                 if scope.hot_path {
                     hot_path_ident(ctx, toks, i, name, &mut out);
-                }
-                if scope.hot_config {
-                    hot_config_ident(ctx, toks, i, name, &mut out);
                 }
                 if scope.observability {
                     observability_ident(ctx, toks, i, name, &mut out);
@@ -252,44 +243,6 @@ fn hot_path_ident(
     }
 }
 
-/// Receiver identifiers whose `.clone()` means "copy a config struct".
-/// These are the workspace's conventional names for configuration values
-/// (`WorldConfig` fields and locals bound from them).
-const CONFIG_IDENTS: &[&str] = &["cfg", "config", "cost", "degrade"];
-
-fn hot_config_ident(
-    ctx: &FileCtx<'_>,
-    toks: &[Token],
-    i: usize,
-    name: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    // Pattern: `<config-ident> . clone (` — a method call cloning a value
-    // named like a config. `cfg!(…)` and fields merely *named* clone do
-    // not match (no `.`-call shape).
-    if name != "clone" {
-        return;
-    }
-    let is_method = i >= 2
-        && toks[i - 1].is_punct('.')
-        && toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-    if !is_method {
-        return;
-    }
-    let Some(recv) = toks[i - 2].ident() else { return };
-    if CONFIG_IDENTS.contains(&recv) {
-        out.push(ctx.diag(
-            "hot-config-clone",
-            toks[i].off,
-            format!(
-                "`{recv}.clone()` copies a config struct inside a per-event dispatch \
-                 path (hidden heap allocation per event); split-borrow the config \
-                 (`let cost = &self.cfg.cost;`) or hoist the clone out of the loop"
-            ),
-        ));
-    }
-}
-
 fn observability_ident(
     ctx: &FileCtx<'_>,
     toks: &[Token],
@@ -424,21 +377,12 @@ mod tests {
         determinism: true,
         observability: false,
         hot_path: false,
-        hot_config: false,
         crate_root: false,
     };
     const HOT: FileScope = FileScope {
         determinism: false,
         observability: false,
         hot_path: true,
-        hot_config: false,
-        crate_root: false,
-    };
-    const HOT_CFG: FileScope = FileScope {
-        determinism: false,
-        observability: false,
-        hot_path: false,
-        hot_config: true,
         crate_root: false,
     };
 
@@ -499,20 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn config_clone_detection() {
-        let d = run("let cost = self.cfg.cost.clone();", HOT_CFG);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "hot-config-clone");
-        assert_eq!(run("let c = cfg.clone(); let d = degrade.clone();", HOT_CFG).len(), 2);
-        // Non-config receivers, cfg! the macro, and split-borrows are fine.
-        assert!(run("let p = payload.clone(); let b = cfg!(test); let c = &self.cfg.cost;", HOT_CFG).is_empty());
-        // A field access named clone (no call parens) is not a clone call.
-        assert!(run("let x = cfg.clone;", HOT_CFG).is_empty());
-        // Out of scope: nothing fires without the hot_config flag.
-        assert!(run("let c = self.cfg.cost.clone();", HOT).is_empty());
-    }
-
-    #[test]
     fn direct_output() {
         let scope = FileScope {
             observability: true,
@@ -532,7 +462,6 @@ mod tests {
             determinism: true,
             observability: true,
             hot_path: true,
-            hot_config: false,
             crate_root: false,
         };
         let d = run(src, scope);

@@ -8,9 +8,9 @@
 //! A suppression that silences nothing is an **error** too: stale allows
 //! are latent holes in the policy, not clutter.
 //!
-//! Two further directives share the `ano-lint:` prefix but are consumed by
-//! the parser, not here: `entry(<class>)` marks a call-graph root and
-//! `cold(<why>)` marks an audited allocation boundary (see `parser.rs`).
+//! One further directive shares the `ano-lint:` prefix but is consumed by
+//! the parser, not here: `entry(<class>)` marks a call-graph root (see
+//! `parser.rs`).
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Lexed, LineIndex};
@@ -72,9 +72,9 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
             continue;
         };
         let rest = rest.trim();
-        // `entry(...)` and `cold(...)` are call-graph annotations owned by
-        // the parser (which also validates their placement and arguments).
-        if rest.starts_with("entry") || rest.starts_with("cold") {
+        // `entry(...)` is a call-graph annotation owned by the parser
+        // (which also validates its placement and argument).
+        if rest.starts_with("entry") {
             continue;
         }
         let (line, col) = lines.line_col(c.off);
@@ -96,7 +96,7 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
             out.diags.push(bad(format!(
                 "unknown ano-lint directive `{rest}`; expected \
                  `allow(<rule>): <justification>`, `allow-file(<rule>): <justification>`, \
-                 `entry(<class>)`, or `cold(<why>)`"
+                 or `entry(<class>)`"
             )));
             continue;
         };
@@ -283,18 +283,23 @@ mod tests {
 
     #[test]
     fn entry_and_cold_are_not_suppressions() {
-        let src = "// ano-lint: entry(hot-path)\nfn f() {}\n// ano-lint: cold(setup)\nfn g() {}\n";
+        let src = "// ano-lint: entry(hot-path)\nfn f() {}\n";
         assert!(lint(src).is_empty(), "{:?}", lint(src));
+        // `cold(..)` is no longer a directive at all: a leftover one is an
+        // error, not a silent no-op.
+        let d = lint("// ano-lint: cold(setup)\nfn g() {}\n");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("unknown ano-lint directive"), "{d:?}");
     }
 
     #[test]
     fn covers_marks_used_for_fact_seeds() {
-        let src = "// ano-lint: allow(hot-alloc): ring is preallocated, this is the one-time splice\nlet v = grow();\n";
+        let src = "// ano-lint: allow(transitive-panic): index bounded by the ring length\nlet v = ring[i];\n";
         let lexed = lex(src);
         let lines = LineIndex::new(src);
         let mut sup = parse("t.rs", &lexed, &lines);
-        assert!(sup.covers(2, &["hot-alloc", "hot-config-clone"]));
-        assert!(!sup.covers(9, &["hot-alloc"]));
+        assert!(sup.covers(2, &["transitive-panic", "hot-path-index"]));
+        assert!(!sup.covers(9, &["transitive-panic"]));
         assert!(stale_diags("t.rs", &sup).is_empty());
     }
 

@@ -106,7 +106,6 @@ impl BlockDevice {
         let payload = match self.cfg.mode {
             DataMode::Modeled => Payload::synthetic(len),
             DataMode::Functional => {
-                // ano-lint: allow(hot-alloc): per-IO functional read buffer, inventoried for arena round 2 (ROADMAP item 1)
                 let mut out = vec![0u8; len];
                 for (i, b) in out.iter_mut().enumerate() {
                     let pos = offset + i as u64;
@@ -135,7 +134,6 @@ impl BlockDevice {
                 // ano-lint: allow(transitive-panic): CHUNK is a nonzero const divisor
                 let base = pos / CHUNK * CHUNK;
                 let chunk = self.store.entry(base).or_insert_with(|| {
-                    // ano-lint: allow(hot-alloc): lazy chunk materialization, once per written chunk
                     (0..CHUNK).map(|j| pattern_byte(base + j)).collect()
                 });
                 // ano-lint: allow(transitive-panic): pos-base < CHUNK by the base rounding

@@ -179,7 +179,6 @@ impl NvmeTcpHost {
         self.stats.reads += 1;
         // l5o_add_rr_state: register the destination buffer before sending.
         let buf: Option<RrBuffer> = match self.cfg.mode {
-            // ano-lint: allow(hot-alloc): per-IO functional read buffer, inventoried for arena round 2 (ROADMAP item 1)
             DataMode::Functional => Some(Rc::new(RefCell::new(vec![0u8; len as usize]))),
             DataMode::Modeled => None,
         };
@@ -187,7 +186,6 @@ impl NvmeTcpHost {
             self.rr.add(
                 cid,
                 RrEntry {
-                    // ano-lint: allow(hot-alloc): Rc clone is a refcount bump
                     buf: buf.clone(),
                     len,
                 },
@@ -251,7 +249,6 @@ impl NvmeTcpHost {
                 }
                 (Payload::real(w), None)
             }
-            // ano-lint: allow(hot-alloc): per-capsule modeled header, the frame index's copy of what real bytes would carry
             DataMode::Modeled => (Payload::synthetic(pdu_len(&header)), Some(Box::new(header) as Box<[u8]>)),
         };
         self.tx_log.push(wire.len() as u32, header);

@@ -126,7 +126,6 @@ impl PduParser {
     /// Consumes one in-order chunk, returning completed PDUs.
     pub fn on_chunk(&mut self, chunk: StreamChunk) -> Vec<ParsedPdu> {
         debug_assert_eq!(chunk.offset, self.pos, "chunks must be in order");
-        // ano-lint: allow(hot-alloc): per-chunk event buffer, inventoried for arena round 2 (ROADMAP item 1)
         let mut out = Vec::new();
         let len = chunk.payload.len();
         let mut consumed = 0usize;
@@ -183,10 +182,8 @@ impl PduParser {
             start,
             ch,
             consumed: CH_LEN as u32,
-            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
             ext: Vec::new(),
             psh,
-            // ano-lint: allow(hot-alloc): capacity-0 PDU field placeholder
             data: Vec::new(),
             ddgst: [0; DDGST_LEN],
             ddgst_got: 0,

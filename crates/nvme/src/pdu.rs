@@ -192,7 +192,6 @@ pub fn capsule_cmd_header(cid: u16, op: IoOpcode, offset: u64, len: u32, inline:
 pub fn encode_capsule_cmd(cid: u16, op: IoOpcode, offset: u64, len: u32, data: Option<&[u8]>) -> Vec<u8> {
     let data = data.unwrap_or_default();
     let header = capsule_cmd_header(cid, op, offset, len, data.len() as u32);
-    // ano-lint: allow(hot-alloc): per-PDU encode buffer, inventoried for arena round 2 (ROADMAP item 1)
     let mut out = Vec::with_capacity(pdu_len(&header));
     out.extend_from_slice(&header);
     if !data.is_empty() {

@@ -151,7 +151,6 @@ impl NvmeTcpTarget {
     where
         I: IntoIterator<Item = StreamChunk>,
     {
-        // ano-lint: allow(hot-alloc): per-call output accumulation, inventoried for arena round 2 (ROADMAP item 1)
         let mut out = Vec::new();
         let mut cycles = 0u64;
         for c in chunks {

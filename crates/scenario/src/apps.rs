@@ -102,7 +102,6 @@ impl HostApp for FlowApp {
                 let buf = completion
                     .buffer
                     .as_ref()
-                    // ano-lint: allow(hot-alloc): functional-mode read-completion copy handed to the app, inventoried for arena round 2 (ROADMAP item 1)
                     .map(|b| b.borrow().clone())
                     .unwrap_or_default();
                 self.log

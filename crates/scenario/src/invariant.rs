@@ -5,14 +5,16 @@ use ano_sim::time::{SimDuration, SimTime};
 use ano_trace::ResyncPhase;
 
 use crate::apps::Delivered;
-use crate::scenario::Workload;
+use crate::runner::FlowRecord;
+use crate::scenario::{Scenario, Workload};
 
 /// One invariant violation (collected, not panicked, so a single run can
 /// report everything that went wrong).
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Which invariant (`stream-integrity`, `auth-integrity`,
-    /// `forward-progress`, `resync-reconvergence`, `completion`).
+    /// `forward-progress`, `resync-reconvergence`, `completion`,
+    /// `clean-link-quiescence`, …).
     pub invariant: &'static str,
     /// Simulated time of detection.
     pub at: SimTime,
@@ -93,6 +95,24 @@ impl ProgressWatchdog {
         }
         None
     }
+}
+
+/// Clean-link quiescence: on a flow whose links nothing in the spec ever
+/// touches ([`Scenario::clean_links`]), no segment is lost, reordered or
+/// delayed, so TCP has nothing to recover from. Any retransmission or
+/// timeout there is a TCP defect, such as a piggybacked ACK counted as a
+/// duplicate ACK. Returns one detail per offending flow.
+pub(crate) fn check_clean_link_quiescence(sc: &Scenario, flows: &[FlowRecord]) -> Vec<String> {
+    flows
+        .iter()
+        .filter(|f| (f.retransmits > 0 || f.timeouts > 0) && sc.clean_links(f.flow))
+        .map(|f| {
+            format!(
+                "conn {} ({}<->{}) retransmitted {} segment(s) with {} RTO(s) on clean links",
+                f.conn.0, f.client, f.server, f.retransmits, f.timeouts
+            )
+        })
+        .collect()
 }
 
 /// Step-by-step invariant state for one flow of one run.

@@ -22,8 +22,10 @@
 //!   **auth integrity** (corruption surfaces as TLS alerts and nothing
 //!   else), **resync legality and reconvergence** (every engine's ladder
 //!   walks only [`invariant::LEGAL_EDGES`] and ends in `Offloading`),
-//!   the **partitioned/lost split**, **no sideways degradation**, and the
-//!   spec's declared [`chaos::Degradation`];
+//!   the **partitioned/lost split**, **no sideways degradation**,
+//!   **clean-link quiescence** (no TCP retransmission or timeout on a flow
+//!   whose links nothing in the spec touches), and the spec's declared
+//!   [`chaos::Degradation`];
 //! * [`runner::run_differential`] runs the spec and its
 //!   [`scenario::Scenario::twin`] (offload off, device faults stripped,
 //!   one rx queue, no rebalancer; same links, same net plan) and demands

@@ -96,21 +96,25 @@ fn extras() -> Vec<Scenario> {
 /// link (chaos isolates device faults from link adversity), named
 /// `chaos/<workload>/<fault>`.
 ///
-/// The workloads are larger than the adversity matrix's on purpose: with
-/// the default link and cost model the payload stream is active roughly
-/// t≈30µs–1ms (NVMe) / t≈160µs–1ms (TLS), and the scheduled fault times
-/// (300–750µs) must land while it flows. NVMe reads stay well under the
-/// target's 256 KiB `max_data_pdu` so C2HData boundaries — the §4.3 resume
-/// points — recur every few packets; a single huge read would leave a
-/// reinstalled engine with no boundary to resume at before the stream ends.
+/// The workloads are larger than the adversity matrix's on purpose: the
+/// scheduled fault times must land while the payload stream flows. TLS
+/// data flows from t≈100µs, so its faults land from 300µs. Plain NVMe read
+/// data is sparse until the device's first completions and flows steadily
+/// only from t≈750µs, so its resync storm starts at 900µs: invalidating an
+/// idle engine requests no resync, and a storm of those is no storm. NVMe
+/// reads stay well under the target's 256 KiB `max_data_pdu` so C2HData
+/// boundaries — the §4.3 resume points — recur every few packets; a single
+/// huge read would leave a reinstalled engine with no boundary to resume
+/// at before the stream ends.
 fn chaos_matrix() -> Vec<Scenario> {
     let reads: Vec<(u64, u32)> = (0..48).map(|i| (i << 16, 32_768)).collect();
+    // (tag, workload, first resync-storm invalidation)
     let workloads = [
-        ("tls", Workload::tls(1_000_000)),
-        ("nvme", Workload::Nvme { reads: reads.clone() }),
-        ("nvme-tls", Workload::NvmeTls { reads }),
+        ("tls", Workload::tls(1_000_000), 300),
+        ("nvme", Workload::Nvme { reads: reads.clone() }, 900),
+        ("nvme-tls", Workload::NvmeTls { reads }, 300),
     ];
-    let patterns = [
+    let patterns = |storm: u64| [
         DeviceChaos::FailInstalls { n: 2 },
         DeviceChaos::FailAllInstalls,
         DeviceChaos::DropResyncReq { invalidate_at: us(300) },
@@ -122,12 +126,12 @@ fn chaos_matrix() -> Vec<Scenario> {
         DeviceChaos::InvalidateRxAt(us(300)),
         DeviceChaos::CorruptRxAt(us(300)),
         DeviceChaos::ResyncStorm {
-            at: vec![us(300), us(450), us(600), us(750)],
+            at: (0..4).map(|k| us(storm + 150 * k)).collect(),
         },
     ];
     let mut out = Vec::new();
-    for (tag, workload) in &workloads {
-        for chaos in &patterns {
+    for (tag, workload, storm) in &workloads {
+        for chaos in &patterns(*storm) {
             let name = format!("chaos/{tag}/{}", chaos.label());
             out.push(Scenario::two_host(&name, workload.clone()).with_chaos(chaos));
         }

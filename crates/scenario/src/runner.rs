@@ -17,7 +17,7 @@ use ano_trace::{export, Event as TraceEvent, Record, ResyncPhase};
 
 use crate::apps::{Delivered, DeliveryLog, FlowApp, Job};
 use crate::chaos::Degradation;
-use crate::invariant::{FlowChecker, ProgressWatchdog, Violation};
+use crate::invariant::{check_clean_link_quiescence, FlowChecker, ProgressWatchdog, Violation};
 use crate::scenario::{Offload, Scenario, Workload};
 
 /// Invariant-checking granularity: the world runs in slices of this length,
@@ -69,6 +69,11 @@ pub struct FlowRecord {
     pub rx_queue: u16,
     /// The core the connection ended on.
     pub core: usize,
+    /// Segments re-sent (fast, SACK or RTO retransmissions), summed over
+    /// the connection's two directions.
+    pub retransmits: u64,
+    /// RTO expirations, summed over the connection's two directions.
+    pub timeouts: u64,
 }
 
 /// One host at run end.
@@ -377,6 +382,8 @@ pub fn run(sc: &Scenario, arm: Arm) -> Outcome {
             let breaker = fleet.breaker_reason(recv, conn);
             let rx_state = fleet.rx_engine_state(recv, conn);
             let resync = ladders.remove(&rx_flow).unwrap_or_default();
+            let tcp = [client, server]
+                .map(|h| fleet.tcp_tx_stats(h as usize, conn).unwrap_or_default());
             checker.finish(
                 end,
                 sc.expect_complete,
@@ -404,6 +411,8 @@ pub fn run(sc: &Scenario, arm: Arm) -> Outcome {
                 degraded_pkts: fleet.degraded_pkts(recv, conn),
                 rx_queue: fleet.rx_queue_of(recv, conn).unwrap_or(0),
                 core: fleet.conn_core(recv, conn).unwrap_or(0),
+                retransmits: tcp.iter().map(|t| t.retransmits).sum(),
+                timeouts: tcp.iter().map(|t| t.timeouts).sum(),
             });
         }
         if finish.is_none() {
@@ -525,6 +534,10 @@ fn check_run(sc: &Scenario, out: &Outcome) -> Vec<Violation> {
     let crossings: u64 = out.hosts.iter().map(|h| h.nic.queue_crossings).sum();
     if sc.rx_queues == 1 && crossings > 0 {
         flag("software-arm", format!("single-queue NICs crossed queues {crossings} times"));
+    }
+
+    for detail in check_clean_link_quiescence(sc, &out.flows) {
+        flag("clean-link-quiescence", detail);
     }
 
     // A fault plan that injected nothing tested a healthy device.

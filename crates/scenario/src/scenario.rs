@@ -387,6 +387,31 @@ impl Scenario {
                 .any(|(_, op)| matches!(op, NetOp::Impair(..) | NetOp::SetScript(..)))
     }
 
+    /// Whether nothing in the spec ever touches flow `k`'s links: both
+    /// directions pristine (no impairment knob, no script), no net-plan
+    /// step naming the pair, and no declared outage. Device faults do not
+    /// count: they act on a NIC, never on a link.
+    pub fn clean_links(&self, k: usize) -> bool {
+        let (a, b) = self.data_pair(k);
+        let is_pair = |x: u16, y: u16| (x, y) == (a, b) || (x, y) == (b, a);
+        let crosses = |g: &[u16], h: &[u16]| {
+            g.iter().any(|&x| h.iter().any(|&y| is_pair(x, y)))
+        };
+        self.outages.is_empty()
+            && self
+                .links
+                .iter()
+                .all(|(p, imp)| !is_pair(p.0, p.1) || *imp == Impairments::none())
+            && !self.net_plan.steps().iter().any(|(_, op)| match op {
+                NetOp::Partition(g, h) | NetOp::Repair(g, h) | NetOp::Impair(g, h, _) => {
+                    crosses(g, h)
+                }
+                NetOp::Hold(x, y) | NetOp::Release(x, y) | NetOp::SetScript(x, y, _) => {
+                    is_pair(*x, *y)
+                }
+            })
+    }
+
     /// Whether `host`'s NIC carries a device-fault plan.
     pub fn faulted(&self, host: usize) -> bool {
         self.faults.iter().any(|(h, _)| *h == host)

@@ -69,7 +69,6 @@ impl Bytes {
 
     /// Copies the visible bytes into an owned `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        // ano-lint: allow(hot-alloc): explicit materialization API; callers own the copy (ROADMAP item 1)
         self.as_slice().to_vec()
     }
 

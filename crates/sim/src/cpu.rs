@@ -158,7 +158,6 @@ impl CpuSet {
     }
 
     /// Per-core cycle counters (for windowed utilization: snapshot, run, diff).
-    // ano-lint: cold(diagnostic cycle snapshot for reports, not the packet path)
     pub fn snapshot(&self) -> Vec<u64> {
         self.cores.iter().map(|c| c.busy_cycles).collect()
     }

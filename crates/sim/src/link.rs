@@ -187,7 +187,6 @@ impl Script {
             .iter()
             .filter(|r| r.when.hits(index, now))
             .map(|r| r.action)
-            // ano-lint: allow(hot-alloc): fault-script rule expansion; allocates only on links with an active script
             .collect()
     }
 }

@@ -100,10 +100,8 @@ impl Payload {
     /// Concatenates a list of payloads. The result is synthetic if any input
     /// chunk is synthetic (fidelity can only be lowered, never invented).
     pub fn concat<'a>(chunks: impl IntoIterator<Item = &'a Payload>) -> Payload {
-        // ano-lint: allow(hot-alloc): concat assembly buffer, inventoried for arena round 2 (ROADMAP item 1)
         let chunks: Vec<&Payload> = chunks.into_iter().collect();
         if chunks.iter().all(|c| c.is_real()) {
-            // ano-lint: allow(hot-alloc): concat assembly buffer, inventoried for arena round 2 (ROADMAP item 1)
             let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
             for c in &chunks {
                 // ano-lint: allow(transitive-panic): guarded by the all-real check above

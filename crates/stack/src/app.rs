@@ -103,7 +103,6 @@ impl HostApi {
     pub(crate) fn new(now: SimTime) -> HostApi {
         HostApi {
             now,
-            // ano-lint: allow(hot-alloc): capacity-0 action queue; fills only when the app acts
             actions: Vec::new(),
         }
     }

@@ -342,11 +342,8 @@ impl World {
         let now = sched.now();
         let cost = &cfg.cost;
         let degrade = &cfg.degrade;
-        // ano-lint: allow(hot-alloc): capacity-0 resync mailbox; fills only when the NIC requests resync
         let mut resync_reqs: Vec<(u8, u64)> = Vec::new();
-        // ano-lint: allow(hot-alloc): capacity-0 resync mailbox; fills only when the NIC requests resync
         let mut resync_resps: Vec<(u8, u64, bool, u64)> = Vec::new();
-        // ano-lint: allow(hot-alloc): capacity-0 resync mailbox; fills only when the NIC requests resync
         let mut target_replies: Vec<(u64, SimTime)> = Vec::new();
         let mut open_reason: Option<&'static str> = None;
 
@@ -737,7 +734,6 @@ impl World {
                 let deliver = if delivery.corrupt {
                     corrupt_copy(&payload)
                 } else {
-                    // ano-lint: allow(hot-alloc): Bytes-backed payload clone is an Arc refcount bump, not a heap copy
                     Some(payload.clone())
                 };
                 // A corrupt frame with no bytes to flip (synthetic payload or
@@ -748,7 +744,6 @@ impl World {
                 let sack = if i + 1 == fanout {
                     std::mem::take(&mut seg.sack)
                 } else {
-                    // ano-lint: allow(hot-alloc): SACK vector clone per retained segment, inventoried for arena round 2 (ROADMAP item 1)
                     seg.sack.clone()
                 };
                 let at = delivery.at + cost.nic_latency;
@@ -987,7 +982,6 @@ impl World {
 fn corrupt_copy(payload: &Payload) -> Option<Payload> {
     match payload.as_real() {
         Some(bytes) if !bytes.is_empty() => {
-            // ano-lint: allow(hot-alloc): fault-injection copy; runs only when the chaos script corrupts a payload
             let mut copy = bytes.to_vec();
             let mid = copy.len() / 2;
             // ano-lint: allow(transitive-panic): mid is len/2 of a checked non-empty buffer

@@ -521,7 +521,6 @@ impl RetainBuf {
         if from < self.start || to > self.end() {
             return None;
         }
-        // ano-lint: allow(hot-alloc): retransmit range assembly, inventoried for arena round 2 (ROADMAP item 1)
         let mut parts = Vec::new();
         let mut off = self.start;
         for c in &self.chunks {
@@ -572,7 +571,6 @@ impl InnerTxShared {
     }
 
     pub(crate) fn push_capsule(&mut self, payload: &Payload) {
-        // ano-lint: allow(hot-alloc): Bytes-backed payload clone is an Arc refcount bump, not a heap copy
         self.retain.push(payload.clone());
     }
 

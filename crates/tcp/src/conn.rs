@@ -81,7 +81,9 @@ impl TcpEndpoint {
         }
     }
 
-    /// Handles a received packet whose advertised window is `wnd`.
+    /// Handles one received packet (already NIC-processed) whose advertised
+    /// window is `wnd`: consumes its ACK and SACK blocks for our send side
+    /// and its payload for our receive side.
     #[allow(clippy::too_many_arguments)]
     pub fn on_packet_wnd(
         &mut self,
@@ -94,18 +96,7 @@ impl TcpEndpoint {
         now: SimTime,
     ) -> AckOutcome {
         self.tx.on_sack(sack);
-        let outcome = self.tx.on_ack_wnd(ack, wnd, now);
-        if !payload.is_empty() {
-            self.rx.on_segment(seq, payload, flags);
-            self.ack_pending = true;
-        }
-        outcome
-    }
-
-    /// Handles one received packet (already NIC-processed): consumes its
-    /// ACK for our send side and its payload for our receive side.
-    pub fn on_packet(&mut self, seq: u32, ack: u32, payload: Payload, flags: SkbFlags, now: SimTime) -> AckOutcome {
-        let outcome = self.tx.on_ack(ack, now);
+        let outcome = self.tx.on_ack_wnd(ack, wnd, !payload.is_empty(), now);
         if !payload.is_empty() {
             self.rx.on_segment(seq, payload, flags);
             self.ack_pending = true;
@@ -187,6 +178,11 @@ mod tests {
         )
     }
 
+    /// Hands `seg` to `to` the way the stack runtime does.
+    fn deliver(to: &mut TcpEndpoint, seg: Segment, now: SimTime) -> AckOutcome {
+        to.on_packet_wnd(seg.seq, seg.ack, seg.wnd, &seg.sack, seg.payload, SkbFlags::default(), now)
+    }
+
     /// Runs a lossless in-memory exchange until both sides go quiet.
     fn pump(a: &mut TcpEndpoint, b: &mut TcpEndpoint) {
         let mut t = 0u64;
@@ -195,11 +191,11 @@ mod tests {
             let now = SimTime::from_micros(t);
             let mut progressed = false;
             while let Some(seg) = a.poll_transmit(now) {
-                b.on_packet(seg.seq, seg.ack, seg.payload, SkbFlags::default(), now);
+                deliver(b, seg, now);
                 progressed = true;
             }
             while let Some(seg) = b.poll_transmit(now) {
-                a.on_packet(seg.seq, seg.ack, seg.payload, SkbFlags::default(), now);
+                deliver(a, seg, now);
                 progressed = true;
             }
             if !progressed {
@@ -237,10 +233,38 @@ mod tests {
         let (mut a, mut b) = pair();
         a.send(Payload::synthetic(100));
         let seg = a.poll_transmit(SimTime::ZERO).expect("data");
-        b.on_packet(seg.seq, seg.ack, seg.payload, SkbFlags::default(), SimTime::ZERO);
+        deliver(&mut b, seg, SimTime::ZERO);
         let ack = b.poll_transmit(SimTime::ZERO).expect("pure ack");
         assert!(ack.payload.is_empty());
         assert_eq!(ack.ack, 100);
+    }
+
+    /// RFC 5681 §2(b): requests sent while a response is still in flight
+    /// all carry the same non-advancing ACK, but they ride on data, so
+    /// none of them is a duplicate ACK and none may trigger a fast
+    /// retransmit.
+    #[test]
+    fn piggybacked_stale_acks_do_not_fast_retransmit() {
+        let (mut client, mut server) = pair();
+        let now = SimTime::ZERO;
+        server.send(Payload::synthetic(64 << 10));
+        let response: Vec<Segment> = std::iter::from_fn(|| server.poll_transmit(now)).collect();
+        assert!(response.len() > 4, "a multi-segment response is in flight");
+        for _ in 0..8 {
+            client.send(Payload::synthetic(100));
+            let request = client.poll_transmit(now).expect("request");
+            assert_eq!(request.ack, 0, "the request has seen none of the response");
+            assert_eq!(deliver(&mut server, request, now), AckOutcome::Ignored);
+        }
+        for seg in response {
+            deliver(&mut client, seg, now);
+        }
+        pump(&mut client, &mut server);
+        assert_eq!(server.tx_stats().fast_retransmits, 0);
+        assert_eq!(client.tx_stats().fast_retransmits, 0);
+        let got: usize = client.take_ready().iter().map(|c| c.payload.len()).sum();
+        assert_eq!(got, 64 << 10);
+        assert_eq!(server.rcv_nxt(), 800);
     }
 
     #[test]
@@ -253,7 +277,7 @@ mod tests {
         a.on_rto(deadline);
         let rtx = a.poll_transmit(deadline).expect("retransmission");
         assert!(rtx.is_retransmit);
-        b.on_packet(rtx.seq, rtx.ack, rtx.payload, SkbFlags::default(), deadline);
+        deliver(&mut b, rtx, deadline);
         assert_eq!(b.rcv_nxt(), 1000);
     }
 }

@@ -26,7 +26,7 @@
 //! let mut b = TcpEndpoint::new(FlowId(2), TcpConfig::default());
 //! a.send(Payload::real(&b"hello l5p"[..]));
 //! let seg = a.poll_transmit(SimTime::ZERO).expect("one segment");
-//! b.on_packet(seg.seq, seg.ack, seg.payload, SkbFlags::default(), SimTime::ZERO);
+//! b.on_packet_wnd(seg.seq, seg.ack, seg.wnd, &seg.sack, seg.payload, SkbFlags::default(), SimTime::ZERO);
 //! let chunks = b.take_ready();
 //! assert_eq!(chunks[0].payload.to_vec(), b"hello l5p");
 //! ```

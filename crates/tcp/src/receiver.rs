@@ -91,7 +91,6 @@ impl TcpReceiver {
             .iter()
             .take(3)
             .map(|(&off, (p, _))| (off as u32, (off + p.len() as u64) as u32))
-            // ano-lint: allow(hot-alloc): SACK range vector per ACK emission, inventoried for arena round 2 (ROADMAP item 1)
             .collect()
     }
 

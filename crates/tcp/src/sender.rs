@@ -3,7 +3,7 @@
 //!
 //! The sender is a pure state machine — the surrounding stack pumps it with
 //! [`TcpSender::poll_transmit`], feeds acknowledgments via
-//! [`TcpSender::on_ack`], and fires [`TcpSender::on_rto`] when the deadline
+//! [`TcpSender::on_ack_wnd`], and fires [`TcpSender::on_rto`] when the deadline
 //! from [`TcpSender::rto_deadline`] passes.
 
 use std::collections::VecDeque;
@@ -48,7 +48,6 @@ impl SendBuffer {
             return Payload::empty();
         }
         let mut first: Option<Payload> = None;
-        // ano-lint: allow(hot-alloc): capacity-0; fills only when a range spans payload boundaries
         let mut rest: Vec<Payload> = Vec::new();
         let mut off = self.start;
         for c in &self.chunks {
@@ -75,7 +74,6 @@ impl SendBuffer {
             None => Payload::empty(),
             Some(first) if rest.is_empty() => first,
             Some(first) => {
-                // ano-lint: allow(hot-alloc): multi-part range assembly, inventoried for arena round 2 (ROADMAP item 1)
                 let mut parts = Vec::with_capacity(1 + rest.len());
                 parts.push(first);
                 parts.append(&mut rest);
@@ -323,7 +321,6 @@ impl TcpSender {
                         seq64: cursor,
                         ack: ack_for_peer,
                         wnd: 0, // filled by the endpoint
-                        // ano-lint: allow(hot-alloc): capacity-0 SACK placeholder; the endpoint fills it
                         sack: Vec::new(),
                         is_retransmit: true,
                         payload,
@@ -361,7 +358,6 @@ impl TcpSender {
             seq64,
             ack: ack_for_peer,
             wnd: 0, // filled by the endpoint
-            // ano-lint: allow(hot-alloc): capacity-0 SACK placeholder; the endpoint fills it
             sack: Vec::new(),
             is_retransmit: false,
             payload,
@@ -380,7 +376,6 @@ impl TcpSender {
         }
         // Merge and prune the scoreboard.
         self.sacked.sort_unstable();
-        // ano-lint: allow(hot-alloc): SACK merge rebuild per SACK-carrying ACK, inventoried for arena round 2 (ROADMAP item 1)
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.sacked.len());
         for &(s, e) in &self.sacked {
             if e <= self.snd_una {
@@ -442,34 +437,28 @@ impl TcpSender {
             seq64: h,
             ack: ack_for_peer,
             wnd: 0, // filled by the endpoint
-            // ano-lint: allow(hot-alloc): capacity-0 SACK placeholder; the endpoint fills it
             sack: Vec::new(),
             is_retransmit: true,
             payload: self.buf.range(h, end),
         })
     }
 
-    /// Processes a cumulative acknowledgment (with advertised window `wnd`)
-    /// from the peer.
+    /// Processes the cumulative acknowledgment and advertised window `wnd`
+    /// of one segment from the peer; `carries_data` says whether that
+    /// segment also carries payload (the ACK then rides on data).
     // ano-lint: entry(hot-path)
-    pub fn on_ack_wnd(&mut self, ack_wire: u32, wnd: u32, now: SimTime) -> AckOutcome {
+    pub fn on_ack_wnd(&mut self, ack_wire: u32, wnd: u32, carries_data: bool, now: SimTime) -> AckOutcome {
         let ack = unwrap_seq(self.snd_una, ack_wire);
         // The window's right edge never moves left.
         let new_limit = self.snd_limit.max(ack + wnd as u64);
         let window_update = new_limit > self.snd_limit;
         self.snd_limit = new_limit;
-        if window_update && ack == self.snd_una {
-            // RFC 5681: an ACK that changes the advertised window is not a
-            // duplicate — it must not feed fast retransmit.
+        // RFC 5681 §2: an ACK that rides on data (b) or changes the
+        // advertised window (e) is not a duplicate — it must not feed fast
+        // retransmit.
+        if (carries_data && ack <= self.snd_una) || (window_update && ack == self.snd_una) {
             return AckOutcome::Ignored;
         }
-        self.on_ack64(ack, now)
-    }
-
-    /// Processes a cumulative acknowledgment from the peer.
-    pub fn on_ack(&mut self, ack_wire: u32, now: SimTime) -> AckOutcome {
-        let ack = unwrap_seq(self.snd_una, ack_wire);
-        self.snd_limit = self.snd_limit.max(ack + self.cfg.rcv_buf);
         self.on_ack64(ack, now)
     }
 
@@ -679,6 +668,11 @@ mod tests {
         TcpSender::new(FlowId(1), cfg())
     }
 
+    /// A pure ACK that keeps the default receive window.
+    fn pure_ack(s: &mut TcpSender, ack: u32, now: SimTime) -> AckOutcome {
+        s.on_ack_wnd(ack, cfg().rcv_buf as u32, false, now)
+    }
+
     fn drain(s: &mut TcpSender, now: SimTime) -> Vec<Segment> {
         std::iter::from_fn(|| s.poll_transmit(now, 0)).collect()
     }
@@ -701,7 +695,7 @@ mod tests {
         let segs = drain(&mut s, SimTime::ZERO);
         let cwnd0 = s.cwnd();
         let first_end = segs[0].payload.len() as u32;
-        let out = s.on_ack(first_end, SimTime::from_micros(100));
+        let out = pure_ack(&mut s, first_end, SimTime::from_micros(100));
         assert_eq!(out, AckOutcome::Advanced);
         assert_eq!(s.snd_una(), first_end as u64);
         assert!(s.cwnd() > cwnd0, "slow start grows cwnd");
@@ -715,9 +709,9 @@ mod tests {
         let segs = drain(&mut s, SimTime::ZERO);
         assert!(segs.len() >= 4);
         // Peer acks nothing new (first segment lost): 3 dup acks at snd_una=0.
-        assert_eq!(s.on_ack(0, SimTime::from_micros(10)), AckOutcome::Duplicate);
-        assert_eq!(s.on_ack(0, SimTime::from_micros(20)), AckOutcome::Duplicate);
-        assert_eq!(s.on_ack(0, SimTime::from_micros(30)), AckOutcome::FastRetransmit);
+        assert_eq!(pure_ack(&mut s, 0, SimTime::from_micros(10)), AckOutcome::Duplicate);
+        assert_eq!(pure_ack(&mut s, 0, SimTime::from_micros(20)), AckOutcome::Duplicate);
+        assert_eq!(pure_ack(&mut s, 0, SimTime::from_micros(30)), AckOutcome::FastRetransmit);
         let rtx = s.poll_transmit(SimTime::from_micros(31), 0).expect("retransmit");
         assert!(rtx.is_retransmit);
         assert_eq!(rtx.seq, 0);
@@ -747,11 +741,11 @@ mod tests {
         let segs = drain(&mut s, SimTime::ZERO);
         let recover = s.snd_nxt;
         for _ in 0..3 {
-            s.on_ack(0, SimTime::from_micros(5));
+            pure_ack(&mut s, 0, SimTime::from_micros(5));
         }
         assert!(s.in_recovery);
         // Full ack of everything outstanding ends recovery.
-        s.on_ack(recover as u32, SimTime::from_micros(50));
+        pure_ack(&mut s, recover as u32, SimTime::from_micros(50));
         assert!(!s.in_recovery);
         let _ = segs;
     }
@@ -763,7 +757,7 @@ mod tests {
         let segs = drain(&mut s, SimTime::ZERO);
         assert!(!s.is_idle());
         let end: u32 = segs.last().unwrap().seq_end();
-        s.on_ack(end, SimTime::from_micros(40));
+        pure_ack(&mut s, end, SimTime::from_micros(40));
         assert!(s.is_idle());
         assert!(s.rto_deadline().is_none(), "timer disarmed when idle");
     }
@@ -783,7 +777,7 @@ mod tests {
         s.push(Payload::synthetic(5000));
         let segs = drain(&mut s, SimTime::ZERO);
         let end = segs.last().unwrap().seq_end();
-        s.on_ack(end, SimTime::from_micros(200));
+        pure_ack(&mut s, end, SimTime::from_micros(200));
         assert!(s.srtt.is_some());
         assert!(s.rto >= cfg().min_rto);
     }

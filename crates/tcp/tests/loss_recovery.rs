@@ -120,7 +120,7 @@ fn tail_loss_recovers_without_backoff_stacking() {
 #[test]
 fn ack_between_rto_and_poll_does_not_wedge_sender() {
     let cfg = TcpConfig::default();
-    let mss = cfg.mss;
+    let (mss, wnd) = (cfg.mss, cfg.rcv_buf as u32);
     let mut s = TcpSender::new(FlowId(1), cfg);
     s.push(Payload::synthetic(4 * mss));
     let t0 = SimTime::from_micros(0);
@@ -130,7 +130,7 @@ fn ack_between_rto_and_poll_does_not_wedge_sender() {
     // The "lost" first two segments were merely delayed: their ACK arrives
     // before the sender gets to retransmit anything.
     let t1 = deadline + ano_sim::time::SimDuration::from_micros(10);
-    s.on_ack((2 * mss) as u32, t1);
+    s.on_ack_wnd((2 * mss) as u32, wnd, false, t1);
     // Must neither panic nor wedge: the remaining bytes retransmit and new
     // progress is possible.
     let seg = s.poll_transmit(t1, 0).expect("sender still makes progress");

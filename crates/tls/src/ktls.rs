@@ -96,7 +96,6 @@ impl KtlsTx {
     /// Panics in functional mode if `app` is synthetic.
     // ano-lint: entry(hot-path)
     pub fn send(&mut self, app: &Payload, cost: &CostModel) -> (Vec<Payload>, u64) {
-        // ano-lint: allow(hot-alloc): per-send record batch buffer, inventoried for arena round 2 (ROADMAP item 1)
         let mut out = Vec::new();
         let mut cycles = 0u64;
         let len = app.len();
@@ -110,7 +109,6 @@ impl KtlsTx {
                 (DataMode::Functional, true) => {
                     // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
                     let plain = chunk.as_real().expect("functional mode requires real bytes");
-                    // ano-lint: allow(hot-alloc): per-record wire buffer; the record_alloc cycle cost models it, inventoried for arena round 2 (ROADMAP item 1)
                     let mut w = Vec::with_capacity(take + HEADER_LEN + TAG_LEN);
                     w.extend_from_slice(&RecordHeader::for_plaintext(take).encode());
                     w.extend_from_slice(plain);
@@ -455,7 +453,7 @@ impl KtlsRx {
             }
             let take = p.len().min(plen - off);
             let payload = match plain {
-                // ano-lint: allow(hot-alloc, transitive-panic): functional-mode chunk copy; offsets clamped by min() against the part length
+                // ano-lint: allow(transitive-panic): functional-mode chunk copy; offsets clamped by min() against the part length
                 Some(bytes) => Payload::real(bytes[off..off + take].to_vec()),
                 None => Payload::synthetic(take),
             };
@@ -469,7 +467,6 @@ impl KtlsRx {
     }
 
     /// Functional-mode plaintext recovery for all three record classes.
-    // ano-lint: cold(functional-mode record reconstruction, the modeled software fallback per completed record, not the offload fast path)
     fn recover_plaintext(
         &self,
         seq: u64,

@@ -67,7 +67,6 @@ impl TlsSession {
     /// Panics if `plaintext` exceeds the record size limit.
     pub fn seal_record(&self, seq: u64, plaintext: &[u8]) -> Vec<u8> {
         let hdr = RecordHeader::for_plaintext(plaintext.len());
-        // ano-lint: allow(hot-alloc): software-path record seal buffer, inventoried for arena round 2 (ROADMAP item 1)
         let mut out = Vec::with_capacity(hdr.total_len());
         out.extend_from_slice(&hdr.encode());
         out.extend_from_slice(plaintext);
