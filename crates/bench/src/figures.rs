@@ -16,6 +16,12 @@ fn header(id: &str, what: &str) -> String {
     format!("\n=== {id}: {what} ===\n")
 }
 
+/// The figure's closing line: TCP loss recovery summed over its runs on
+/// unimpaired links, where any retransmission is the simulator's own doing.
+fn clean_link(out: &mut String, tcp: TcpRecovery) {
+    writeln!(out, "clean-link TCP: {} retransmits, {} RTOs", tcp.retransmits, tcp.timeouts).unwrap();
+}
+
 /// Fig. 2 — L5P overheads: cycles per message and the offloadable fraction.
 pub fn fig02() -> String {
     let m = CostModel::calibrated();
@@ -103,6 +109,7 @@ pub fn fig04() -> String {
 pub fn fig10(quick: bool) -> String {
     let mut out = header("Fig 10", "NVMe-TCP/fio cycles per random read (1 core)");
     let depths: &[usize] = if quick { &[1, 64, 1024] } else { &[1, 4, 16, 64, 256, 1024, 4096] };
+    let mut tcp = TcpRecovery::default();
     for size in [4 * 1024u32, 256 * 1024] {
         writeln!(out, "-- {} KiB reads --", size / 1024).unwrap();
         writeln!(
@@ -122,6 +129,7 @@ pub fn fig10(quick: bool) -> String {
                 window: SimDuration::from_nanos(quick_window(quick).as_nanos() * scale),
                 seed: 10 + depth as u64,
             });
+            tcp.add(r.tcp);
             writeln!(
                 out,
                 "{:>6} {:>10.0} {:>9.0} {:>9.0} {:>10.0} {:>10.0} {:>6.1}%",
@@ -137,6 +145,7 @@ pub fn fig10(quick: bool) -> String {
         }
     }
     writeln!(out, "(paper: 4KiB 2-8%; 256KiB 25% LLC-resident, ~55% once DRAM-bound)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -145,6 +154,7 @@ pub fn fig11(quick: bool) -> String {
     let mut out = header("Fig 11", "kTLS/iperf per-record cycles and §6.1 offload speedups");
     let m = CostModel::calibrated();
     let sizes: &[usize] = if quick { &[2048, 16384] } else { &[2048, 4096, 8192, 16384] };
+    let mut tcp = TcpRecovery::default();
     writeln!(
         out,
         "{:>9} {:>12} {:>8} {:>12} {:>8}",
@@ -160,6 +170,7 @@ pub fn fig11(quick: bool) -> String {
             window: quick_window(quick),
             ..Default::default()
         });
+        tcp.add(r.tcp);
         let enc = m.encrypt_cycles(rec) as f64;
         let dec = m.decrypt_cycles(rec) as f64;
         writeln!(
@@ -224,6 +235,10 @@ pub fn fig11(quick: bool) -> String {
     )
     .unwrap();
     writeln!(out, "(paper Fig 11: 16K records ~40K tx / ~47K rx cycles, 70%/60% crypto)").unwrap();
+    for r in [&base_tx, &off_tx, &base_rx, &off_rx] {
+        tcp.add(r.tcp);
+    }
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -237,8 +252,10 @@ fn sizes_for(quick: bool) -> &'static [usize] {
 
 /// The nginx-C1-shaped table Fig. 12, 14 and 15 share: per size, Gbit/s
 /// at 1 and 8 cores, baseline vs offload, then busy cores at 8. `cfg`
-/// builds the run for `(size, cores, offload)`.
-fn c1_table(out: &mut String, first: &str, quick: bool, cfg: impl Fn(usize, usize, bool) -> RrCfg) {
+/// builds the run for `(size, cores, offload)`. Returns the runs' TCP loss
+/// recovery.
+fn c1_table(out: &mut String, first: &str, quick: bool, cfg: impl Fn(usize, usize, bool) -> RrCfg) -> TcpRecovery {
+    let mut tcp = TcpRecovery::default();
     writeln!(
         out,
         "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>7} {:>7}",
@@ -251,6 +268,7 @@ fn c1_table(out: &mut String, first: &str, quick: bool, cfg: impl Fn(usize, usiz
         for cores in [1usize, 8] {
             for offload in [false, true] {
                 let r = run_rr(&cfg(size, cores, offload));
+                tcp.add(r.tcp);
                 row.push(r.gbps);
                 if cores == 8 {
                     busy.push(r.busy_cores);
@@ -270,6 +288,7 @@ fn c1_table(out: &mut String, first: &str, quick: bool, cfg: impl Fn(usize, usiz
         )
         .unwrap();
     }
+    tcp
 }
 
 /// The storage and front end of an NVMe-TLS run: software TLS over plain
@@ -285,7 +304,7 @@ fn nvme_tls(offload: bool) -> (Variant, Option<(NvmeVariant, bool)>) {
 /// Fig. 12 — nginx C1 with the NVMe-TCP offload.
 pub fn fig12(quick: bool) -> String {
     let mut out = header("Fig 12", "nginx C1 (storage-bound) with NVMe-TCP offload");
-    c1_table(&mut out, "file", quick, |size, cores, offload| RrCfg {
+    let tcp = c1_table(&mut out, "file", quick, |size, cores, offload| RrCfg {
         front: Variant::Http,
         storage: Some((if offload { NvmeVariant::Offload } else { NvmeVariant::Baseline }, false)),
         conns: if quick { 32 } else { 128 },
@@ -295,6 +314,7 @@ pub fn fig12(quick: bool) -> String {
         ..Default::default()
     });
     writeln!(out, "(paper: 1-core gains 4%-44% with size; 8-core drive-bound ~21.4 Gbps, CPU saved up to 27%)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -302,6 +322,7 @@ pub fn fig12(quick: bool) -> String {
 pub fn fig13(quick: bool) -> String {
     let mut out = header("Fig 13", "nginx C2 (page cache) with TLS offload variants");
     let variants = [Variant::TlsSw, Variant::TlsOffload, Variant::TlsOffloadZc, Variant::Http];
+    let mut tcp = TcpRecovery::default();
     for cores in [1usize, 8] {
         writeln!(out, "-- {cores} core(s): Gbps (busy cores) --").unwrap();
         write!(out, "{:>8} |", "file").unwrap();
@@ -321,19 +342,21 @@ pub fn fig13(quick: bool) -> String {
                     window: quick_window(quick),
                     ..Default::default()
                 });
+                tcp.add(r.tcp);
                 write!(out, " {:>12.2} ({:>4.2})", r.gbps, r.busy_cores).unwrap();
             }
             writeln!(out).unwrap();
         }
     }
     writeln!(out, "(paper: 1-core offload+zc up to 2.7x https; 8-core line-rate, 88% higher at 256Ki)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
 /// Fig. 14 — nginx C1 with the combined NVMe-TLS offload.
 pub fn fig14(quick: bool) -> String {
     let mut out = header("Fig 14", "nginx C1 with the combined NVMe-TLS offload");
-    c1_table(&mut out, "file", quick, |size, cores, offload| {
+    let tcp = c1_table(&mut out, "file", quick, |size, cores, offload| {
         let (front, storage) = nvme_tls(offload);
         RrCfg {
             front,
@@ -346,13 +369,14 @@ pub fn fig14(quick: bool) -> String {
         }
     });
     writeln!(out, "(paper: 1-core up to 2.8x; 8-core drive-bound with up to 41% CPU saved)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
 /// Fig. 15 — Redis-on-Flash with the combined NVMe-TLS offload.
 pub fn fig15(quick: bool) -> String {
     let mut out = header("Fig 15", "Redis-on-Flash (OffloadDB) with NVMe-TLS offload");
-    c1_table(&mut out, "value", quick, |size, cores, offload| {
+    let tcp = c1_table(&mut out, "value", quick, |size, cores, offload| {
         let (front, storage) = nvme_tls(offload);
         RrCfg {
             front,
@@ -366,6 +390,7 @@ pub fn fig15(quick: bool) -> String {
         }
     });
     writeln!(out, "(paper: 1-core up to 2.3x; 8-core 12-26% higher, up to 48% CPU saved)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -379,6 +404,7 @@ pub fn tab04(quick: bool) -> String {
     )
     .unwrap();
     let reqs = if quick { 40 } else { 200 };
+    let mut tcp = TcpRecovery::default();
     for &size in sizes_for(quick) {
         let combos = [
             (false, false, false),
@@ -389,14 +415,16 @@ pub fn tab04(quick: bool) -> String {
         let vals: Vec<f64> = combos
             .iter()
             .map(|&(tls, copy, crc)| {
-                run_latency(&LatencyCfg {
+                let r = run_latency(&LatencyCfg {
                     response: size,
                     tls_offload: tls,
                     copy_offload: copy,
                     crc_offload: crc,
                     requests: reqs,
                     seed: 99,
-                })
+                });
+                tcp.add(r.tcp);
+                r.latency_us
             })
             .collect();
         writeln!(
@@ -414,6 +442,7 @@ pub fn tab04(quick: bool) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: 256K 1321 -> 1056 (0.80) -> 980 (0.74) -> 941 (0.71))").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -434,6 +463,7 @@ pub fn fig16(quick: bool) -> String {
         "loss%", "tcp", "offload", "tls", "pcie-ovh%"
     )
     .unwrap();
+    let mut clean = TcpRecovery::default();
     for &p in loss_points(quick) {
         let mk = |variant| {
             run_iperf(&IperfCfg {
@@ -449,6 +479,11 @@ pub fn fig16(quick: bool) -> String {
         let tcp = mk(Variant::Http);
         let off = mk(Variant::TlsOffloadZc);
         let tls = mk(Variant::TlsSw);
+        if p == 0.0 {
+            for r in [&tcp, &off, &tls] {
+                clean.add(r.tcp);
+            }
+        }
         writeln!(
             out,
             "{:>6.1} {:>9.2} {:>9.2} {:>9.2} {:>9.3}%",
@@ -461,6 +496,7 @@ pub fn fig16(quick: bool) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: offload within 8-11% of TCP; >=33% above software TLS; PCIe <=2.5%)").unwrap();
+    clean_link(&mut out, clean);
     out
 }
 
@@ -472,6 +508,7 @@ fn rx_sweep(title: String, quick: bool, imp: fn(f64) -> Impairments, note: &str)
         "rate%", "tcp", "offload", "tls", "full%", "partial%", "none%"
     )
     .unwrap();
+    let mut clean = TcpRecovery::default();
     for &p in loss_points(quick) {
         let mk = |variant| {
             run_iperf(&IperfCfg {
@@ -487,6 +524,11 @@ fn rx_sweep(title: String, quick: bool, imp: fn(f64) -> Impairments, note: &str)
         let tcp = mk(Variant::Http);
         let off = mk(Variant::TlsOffloadZc);
         let tls = mk(Variant::TlsSw);
+        if p == 0.0 {
+            for r in [&tcp, &off, &tls] {
+                clean.add(r.tcp);
+            }
+        }
         let t = off.class.total().max(1) as f64;
         writeln!(
             out,
@@ -502,6 +544,7 @@ fn rx_sweep(title: String, quick: bool, imp: fn(f64) -> Impairments, note: &str)
         .unwrap();
     }
     writeln!(out, "{note}").unwrap();
+    clean_link(&mut out, clean);
     out
 }
 
@@ -532,6 +575,7 @@ pub fn fig19(quick: bool) -> String {
         "scalability vs NIC context cache (cache capacity scaled 1:20 to 1024 contexts)",
     );
     let conn_counts: &[usize] = if quick { &[64, 1024] } else { &[64, 256, 1024, 4096] };
+    let mut tcp = TcpRecovery::default();
     writeln!(
         out,
         "{:>7} {:>12} {:>22} {:>12} {:>10}",
@@ -557,6 +601,9 @@ pub fn fig19(quick: bool) -> String {
         let https = mk(Variant::TlsSw);
         let off = mk(Variant::TlsOffloadZc);
         let http = mk(Variant::Http);
+        for r in [&https, &off, &http] {
+            tcp.add(r.tcp);
+        }
         writeln!(
             out,
             "{:>7} {:>12.2} {:>15.2} ({:>4.1}) {:>12.2} {:>10.2}",
@@ -565,6 +612,7 @@ pub fn fig19(quick: bool) -> String {
         .unwrap();
     }
     writeln!(out, "(paper: offload+zc stays within 10% of http and 53-94% above https up to 128K conns)").unwrap();
+    clean_link(&mut out, tcp);
     out
 }
 
@@ -627,7 +675,7 @@ mod tests {
         let tls = mk(Variant::TlsSw, 0.02);
         assert!(off.gbps > tls.gbps, "offload beats software TLS under loss");
         assert!(off.pcie_overhead_pct < 5.0, "PCIe overhead small: {}", off.pcie_overhead_pct);
-        assert!(off.retransmits > 0, "loss actually caused retransmissions");
+        assert!(off.tcp.retransmits > 0, "loss actually caused retransmissions");
     }
 }
 
@@ -641,6 +689,7 @@ pub fn ablations(quick: bool) -> String {
     writeln!(out, "-- A1: context-cache capacity (2048 conns, C2, offload+zc) --").unwrap();
     writeln!(out, "{:>9} {:>10} {:>7} {:>7}", "capacity", "Gbps", "hit%", "busy").unwrap();
     let caps: &[usize] = if quick { &[256, 4096] } else { &[256, 1024, 4096, 16384] };
+    let mut clean = TcpRecovery::default();
     for &cap in caps {
         let r = run_rr(&RrCfg {
             front: Variant::TlsOffloadZc,
@@ -652,9 +701,11 @@ pub fn ablations(quick: bool) -> String {
             window: quick_window(quick),
             ..Default::default()
         });
+        clean.add(r.tcp);
         writeln!(out, "{:>9} {:>10.2} {:>6.1}% {:>7.2}", cap, r.gbps, r.cache_hit_pct, r.busy_cores).unwrap();
     }
     writeln!(out, "(expected: hit rate collapses below ~4096 contexts; throughput does not cliff)").unwrap();
+    clean_link(&mut out, clean);
 
     // A2 — resync confirmation latency under receiver-side loss.
     writeln!(out, "\n-- A2: driver<->L5P resync delay (rx, 2% loss, offload+zc) --").unwrap();
@@ -672,7 +723,7 @@ pub fn ablations(quick: bool) -> String {
             ..Default::default()
         });
         let t = r.class.total().max(1) as f64;
-        writeln!(out, "{:>9} {:>10.2} {:>6.1}% {:>9}", d, r.gbps, 100.0 * r.class.full as f64 / t, r.retransmits).unwrap();
+        writeln!(out, "{:>9} {:>10.2} {:>6.1}% {:>9}", d, r.gbps, 100.0 * r.class.full as f64 / t, r.tcp.retransmits).unwrap();
     }
     writeln!(out, "(expected: slower confirmation -> longer tracking windows -> fewer fully offloaded records)").unwrap();
 

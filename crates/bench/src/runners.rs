@@ -103,10 +103,39 @@ pub struct IperfResult {
     pub class: RecordClass,
     /// Sender-side PCIe recovery traffic as a fraction of PCIe capacity.
     pub pcie_overhead_pct: f64,
-    /// Total retransmissions at the sender.
-    pub retransmits: u64,
+    /// TCP loss recovery, both hosts, whole run.
+    pub tcp: TcpRecovery,
     /// Packets offered to the links, both directions, whole run.
     pub pkts: u64,
+}
+
+/// TCP loss recovery summed over a run's connections on both hosts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TcpRecovery {
+    /// Segments retransmitted (RTO, fast and SACK-directed).
+    pub retransmits: u64,
+    /// Retransmission timeouts.
+    pub timeouts: u64,
+}
+
+impl TcpRecovery {
+    /// Sums `conns` of the two-host world `w` over both hosts.
+    fn of(w: &World, conns: &[ConnId]) -> TcpRecovery {
+        let mut sum = TcpRecovery::default();
+        for &c in conns {
+            for s in (0..2).filter_map(|h| w.tcp_tx_stats(h, c)) {
+                sum.retransmits += s.retransmits;
+                sum.timeouts += s.timeouts;
+            }
+        }
+        sum
+    }
+
+    /// Adds `other` in.
+    pub fn add(&mut self, other: TcpRecovery) {
+        self.retransmits += other.retransmits;
+        self.timeouts += other.timeouts;
+    }
 }
 
 /// Runs an iperf-style streaming experiment.
@@ -160,10 +189,6 @@ pub fn run_iperf(cfg: &IperfCfg) -> IperfResult {
     }
     let records = records.max(1);
     let pcie_bps_used = (pcie1 - pcie0) as f64 * 8.0 / elapsed.as_secs_f64();
-    let retransmits = conns
-        .iter()
-        .map(|&c| w.tcp_tx_stats(0, c).map(|s| s.retransmits).unwrap_or(0))
-        .sum();
     IperfResult {
         gbps,
         busy_tx,
@@ -172,7 +197,7 @@ pub fn run_iperf(cfg: &IperfCfg) -> IperfResult {
         rx_cycles_per_record: w.cpu_busy_cycles(1) as f64 / records as f64,
         class,
         pcie_overhead_pct: 100.0 * pcie_bps_used / w.cost().pcie_bps as f64,
-        retransmits,
+        tcp: TcpRecovery::of(&w, &conns),
         pkts: offered_pkts(&w),
     }
 }
@@ -246,6 +271,9 @@ pub struct RrResult {
     pub latency_us: f64,
     /// NIC context-cache hit fraction at the server (Fig. 19).
     pub cache_hit_pct: f64,
+    /// TCP loss recovery, both hosts, front and storage connections,
+    /// whole run.
+    pub tcp: TcpRecovery,
     /// Packets offered to the links, both directions, whole run.
     pub pkts: u64,
 }
@@ -263,9 +291,10 @@ pub fn run_rr(cfg: &RrCfg) -> RrResult {
         tcp: dc_tcp(),
         ..Default::default()
     });
-    let front: Vec<ConnId> = (0..cfg.conns)
+    let mut conns: Vec<ConnId> = (0..cfg.conns)
         .map(|_| w.connect(cfg.front.spec(), cfg.front.spec()))
         .collect();
+    let front = conns.clone();
     let backing = match cfg.storage {
         None => Backing::PageCache,
         Some((nv, over_tls)) => {
@@ -289,7 +318,7 @@ pub fn run_rr(cfg: &RrCfg) -> RrResult {
             let queues = cfg.storage_queues.max(cfg.cores[0]);
             let mut target_spec = target_spec;
             target_spec.device.bandwidth_bps /= queues as u64;
-            let conns: Vec<ConnId> = (0..queues)
+            let storage: Vec<ConnId> = (0..queues)
                 .map(|_| {
                     if over_tls {
                         w.connect(
@@ -304,14 +333,15 @@ pub fn run_rr(cfg: &RrCfg) -> RrResult {
                     }
                 })
                 .collect();
+            conns.extend(&storage);
             Backing::Storage {
-                conns,
+                conns: storage,
                 span: 64 << 30,
             }
         }
     };
     let server = Server::new(cfg.request, cfg.response, backing, DataMode::Modeled);
-    let mut client = Client::new(front.clone(), cfg.request, cfg.response, DataMode::Modeled);
+    let mut client = Client::new(front, cfg.request, cfg.response, DataMode::Modeled);
     client.measure_from = SimTime::ZERO + cfg.warmup;
     let cstats = client.stats();
     w.set_app(0, Box::new(server));
@@ -343,6 +373,7 @@ pub fn run_rr(cfg: &RrCfg) -> RrResult {
         } else {
             100.0 * hits as f64 / (hits + misses) as f64
         },
+        tcp: TcpRecovery::of(&w, &conns),
         pkts: offered_pkts(&w),
     }
 }
@@ -382,6 +413,8 @@ pub struct FioResult {
     pub offloadable_pct: f64,
     /// Mean latency, µs.
     pub latency_us: f64,
+    /// TCP loss recovery, both hosts, whole run.
+    pub tcp: TcpRecovery,
 }
 
 /// Runs a fio-style random-read experiment on one core.
@@ -460,6 +493,7 @@ pub fn run_fio(cfg: &FioCfg) -> FioResult {
         idle_per_req,
         offloadable_pct: 100.0 * (copy_per_req + crc_per_req) / busy_per_req.max(1.0),
         latency_us,
+        tcp: TcpRecovery::of(&w, &[conn]),
     }
 }
 
@@ -480,8 +514,17 @@ pub struct LatencyCfg {
     pub seed: u64,
 }
 
-/// Runs the Table 4 latency experiment; returns mean latency in µs.
-pub fn run_latency(cfg: &LatencyCfg) -> f64 {
+/// Table 4 results.
+#[derive(Clone, Debug)]
+pub struct LatencyResult {
+    /// Mean GET latency, µs.
+    pub latency_us: f64,
+    /// TCP loss recovery, both hosts, whole run.
+    pub tcp: TcpRecovery,
+}
+
+/// Runs the Table 4 latency experiment.
+pub fn run_latency(cfg: &LatencyCfg) -> LatencyResult {
     let mut w = World::new(WorldConfig {
         seed: cfg.seed,
         mode: DataMode::Modeled,
@@ -539,8 +582,11 @@ pub fn run_latency(cfg: &LatencyCfg) -> f64 {
             break;
         }
     }
-    let s = stats.borrow();
-    s.latency_us.mean()
+    let latency_us = stats.borrow().latency_us.mean();
+    LatencyResult {
+        latency_us,
+        tcp: TcpRecovery::of(&w, &[front, storage]),
+    }
 }
 
 /// Packets handed to the two-host world's links so far, both directions.

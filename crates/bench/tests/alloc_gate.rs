@@ -12,8 +12,11 @@
 //!   runs, so the difference of the two counts over the difference of their
 //!   link packets is the extra window alone: the steady-state per-packet
 //!   figure.
-//! * **functional** shapes run one registry scenario's offload arm, counted
-//!   over the whole run.
+//! * **functional** shapes run one registry scenario's offload arm twice:
+//!   as registered, and a copy carrying twice the bytes (each TLS flow
+//!   sends twice as much, each NVMe flow issues its reads twice; the
+//!   registry itself is untouched). Set-up allocates the same in both, so
+//!   again the difference is the per-packet figure.
 //!
 //! The counts come from the debug profile tier-1 runs; release codegen may
 //! elide allocations. A moved count is a snapshot diff: regenerate with
@@ -26,7 +29,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use ano_bench::runners::{run_iperf, run_rr, IperfCfg, NvmeVariant, RrCfg, Variant};
-use ano_scenario::{builtin, run, Arm};
+use ano_scenario::{builtin, run, Arm, Scenario, Workload};
 use ano_sim::link::Impairments;
 use ano_sim::time::SimDuration;
 
@@ -176,16 +179,36 @@ fn rr(
     }
 }
 
-/// A functional shape: a registry scenario's offload arm, whole run.
+/// `sc` carrying twice its bytes: every TLS flow sends twice as much and
+/// every NVMe flow issues its reads twice.
+fn doubled(sc: &Scenario) -> Scenario {
+    let mut sc = sc.clone();
+    for f in &mut sc.flows {
+        match &mut f.workload {
+            Workload::Tls { bytes, .. } => *bytes *= 2,
+            Workload::Nvme { reads } | Workload::NvmeTls { reads } => reads.extend(reads.clone()),
+        }
+    }
+    sc
+}
+
+/// A functional shape: a registry scenario's offload arm, the doubled run
+/// minus the registered one.
 fn scenario(shape: &'static str, name: &str) -> Count {
     let sc = builtin(name).unwrap_or_else(|| panic!("no registry entry {name}"));
+    let twice = doubled(&sc);
     prime(|| run(&sc, Arm::Offload));
-    let (allocs, out) = counted(|| run(&sc, Arm::Offload));
-    out.assert_clean();
+    let [(allocs, pkts), (allocs2, pkts2)] = [&sc, &twice].map(|sc| {
+        let (allocs, out) = counted(|| run(sc, Arm::Offload));
+        out.assert_clean();
+        (allocs, out.links.values().map(|l| l.offered).sum::<u64>())
+    });
     Count {
         shape,
-        allocs,
-        pkts: out.links.values().map(|l| l.offered).sum(),
+        allocs: allocs2
+            .checked_sub(allocs)
+            .unwrap_or_else(|| panic!("{shape}: the doubled run allocated less")),
+        pkts: pkts2.saturating_sub(pkts),
     }
 }
 
@@ -293,8 +316,8 @@ fn allocs_per_pkt_match_the_snapshot() {
     }
 
     let mut got = String::from(
-        "# heap allocation calls per link packet, debug build; modeled = the steady-state \
-         window, functional = the whole offload-arm run\n",
+        "# heap allocation calls per link packet, debug build; modeled = a longer window \
+         minus a shorter one, functional = a doubled-bytes offload-arm run minus the registered one\n",
     );
     for c in &counts {
         got.push_str(&c.render());

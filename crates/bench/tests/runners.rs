@@ -63,6 +63,7 @@ fn latency_falls_with_each_offload_added() {
             requests: 40,
             seed: 99,
         })
+        .latency_us
     };
     let lat = [
         mk(false, false, false),

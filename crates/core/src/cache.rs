@@ -7,7 +7,6 @@
 //! least-recently-used eviction, reporting hits and misses so experiments
 //! can charge the miss penalty.
 
-// ano-lint: allow-file(transitive-panic): intrusive-list slab: node indices are handles maintained by the list invariants
 // ano-lint: allow(hash-collection): LruSet models the NIC's O(1) context
 // cache; the map is keyed-access only — recency order lives in the
 // intrusive prev/next list and eviction follows `tail`, so hash iteration

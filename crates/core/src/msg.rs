@@ -120,10 +120,8 @@ impl DataRef<'_> {
     /// Panics if the range is out of bounds.
     pub fn slice(&mut self, start: usize, end: usize) -> DataRef<'_> {
         match self {
-            // ano-lint: allow(transitive-panic): both arms share the caller-checked range; the Modeled arm asserts it
             DataRef::Real(b) => DataRef::Real(&mut b[start..end]),
             DataRef::Modeled(n) => {
-                // ano-lint: allow(transitive-panic): deliberate slice-contract assert
                 assert!(start <= end && end <= *n, "slice out of range");
                 DataRef::Modeled(end - start)
             }
@@ -274,7 +272,6 @@ impl FrameIndex {
     pub fn push_full(&self, offset: u64, total_len: u32, header: Option<Box<[u8]>>) -> u64 {
         let mut inner = self.0.borrow_mut();
         if let Some(f) = inner.frames.back() {
-            // ano-lint: allow(transitive-panic): append-order contract assert
             assert!(offset >= f.off + f.len as u64, "frames must be appended in stream order");
         }
         let idx = inner.pushed;

@@ -422,7 +422,6 @@ impl Nic {
     /// 4-tuple once, records the bucket, and returns the queue the flow
     /// currently steers to. On a multi-queue NIC the initial placement is
     /// traced as a `nic.queue` event; a single-queue NIC records nothing.
-    // ano-lint: entry(hot-path)
     pub fn steer_rx(&mut self, flow: FlowId, tuple: FourTuple) -> u16 {
         let bucket = self.steering.bucket_of(&tuple);
         let q = self.steering.queue_of_bucket(bucket);
@@ -532,7 +531,6 @@ impl Nic {
 
     /// Processes one received packet. For non-offloaded flows this is a
     /// pass-through with default flags.
-    // ano-lint: entry(hot-path)
     pub fn rx_process(&mut self, flow: FlowId, seq: u64, payload: &mut Payload) -> RxProcess {
         // Zero-length segments (pure ACKs) carry no stream bytes; their
         // sequence number is not meaningful to the offload cursor.
@@ -554,7 +552,6 @@ impl Nic {
         // cache-thrash breaker.
         if let (true, Some(bucket)) = (multi_queue, ctx.rx_bucket) {
             let q = self.steering.queue_of_bucket(bucket);
-            // ano-lint: allow(transitive-panic): queue id is produced by the RSS table and bounded by its length
             self.queue_rx_pkts[q as usize] += 1;
             if std::mem::replace(&mut ctx.rx_queue, q) != q {
                 self.counters.queue_crossings += 1;
@@ -614,7 +611,6 @@ impl Nic {
 
     /// Processes one packet being transmitted. For non-offloaded flows this
     /// is a pass-through.
-    // ano-lint: entry(hot-path)
     pub fn tx_process(
         &mut self,
         flow: FlowId,
@@ -626,7 +622,6 @@ impl Nic {
         let ctx = self.flows.get_mut(&flow);
         if multi_queue && !payload.is_empty() {
             let q = ctx.as_ref().map_or(0, |c| c.tx_queue);
-            // ano-lint: allow(transitive-panic): queue id is produced by the RSS table and bounded by its length
             self.queue_tx_pkts[q as usize] += 1;
         }
         let Some(engine) = ctx.and_then(|c| c.tx.as_mut()) else {

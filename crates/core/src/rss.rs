@@ -19,7 +19,6 @@
 //! across queues, at the documented cost of thrashing their NIC
 //! contexts (`nic.rs` models the eviction).
 
-// ano-lint: allow-file(transitive-panic): Toeplitz kernel: fixed-size key window; bucket and queue tables are sized at construction and indexed modulo their nonzero length
 use ano_sim::rng::SimRng;
 
 /// Length of the Toeplitz secret key in bytes. 40 bytes covers the

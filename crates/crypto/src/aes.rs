@@ -12,7 +12,6 @@
 //! An [`Aes`] is key-static state only: the expanded round keys
 //! (`[u32; 60]`, no heap) and the round count, so it is `Copy`.
 
-// ano-lint: allow-file(transitive-panic): AES kernel: table indices are u8-masked into 256-entry arrays; round-key words are read through chunks_exact(4) over the fixed 60-word schedule
 /// AES key sizes supported by this module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AesKeySize {

@@ -21,7 +21,6 @@
 //! Whole 16-byte blocks are transformed one keystream block at a time as a
 //! single `u128` XOR; only a range's ragged head and tail go byte by byte.
 
-// ano-lint: allow-file(transitive-panic): GCM framing: counter blocks and tags are fixed 16-byte arrays with constant indices
 use std::sync::{Arc, OnceLock};
 
 use crate::aes::Aes;

@@ -15,7 +15,6 @@
 //! range of a message given only constant-size state" — the §3.2
 //! precondition for autonomous offloading.
 
-// ano-lint: allow-file(transitive-panic): GHASH kernel: table indices are u8-masked into 256-entry arrays; partial-block copies stay within the 16-byte buffer (pending_len < 16) and chunks_exact guarantees block width
 /// The GCM reduction constant: `x^128 + x^7 + x^2 + x + 1` reflected into
 /// GCM's bit order (bit 0 of the polynomial is the most-significant bit).
 const R: u128 = 0xE1u128 << 120;

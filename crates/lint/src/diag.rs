@@ -31,47 +31,28 @@ pub struct Diagnostic {
     /// 1-based.
     pub col: usize,
     pub message: String,
-    /// For transitive findings: the call chain from the entry point to the
-    /// seed site, outermost first, each element `fn-id (file:line)`.
-    /// Empty for per-file findings.
-    pub chain: Vec<String>,
 }
 
 impl Diagnostic {
-    /// `error[rule]: message\n  --> file:line:col` (rustc-style), with the
-    /// call chain indented below when the finding is transitive.
+    /// `error[rule]: message\n  --> file:line:col` (rustc-style).
     pub fn render_text(&self) -> String {
-        let mut s = format!(
+        format!(
             "{}[{}]: {}\n  --> {}:{}:{}",
             self.severity, self.rule, self.message, self.file, self.line, self.col
-        );
-        for (i, hop) in self.chain.iter().enumerate() {
-            s.push_str(&format!(
-                "\n  {} {hop}",
-                if i == 0 { "chain:" } else { "    ->" }
-            ));
-        }
-        s
+        )
     }
 
     /// One JSON object on a single line (machine-readable output mode).
-    /// Stable field order: rule, severity, file, line, col, message, chain.
+    /// Stable field order: rule, severity, file, line, col, message.
     pub fn render_json(&self) -> String {
-        let chain = self
-            .chain
-            .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"chain\":[{}]}}",
+            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
             json_escape(self.rule),
             self.severity,
             json_escape(&self.file),
             self.line,
             self.col,
             json_escape(&self.message),
-            chain
         )
     }
 }
@@ -105,7 +86,6 @@ mod tests {
             line: 3,
             col: 7,
             message: "say \"no\"".into(),
-            chain: Vec::new(),
         }
     }
 
@@ -121,22 +101,8 @@ mod tests {
     fn json_rendering_escapes() {
         let j = diag().render_json();
         assert!(j.contains("\"message\":\"say \\\"no\\\"\""), "{j}");
-        assert!(j.ends_with("\"chain\":[]}"), "{j}");
+        assert!(j.ends_with("\"col\":7,\"message\":\"say \\\"no\\\"\"}"), "{j}");
         assert!(j.starts_with('{') && j.ends_with('}'));
-    }
-
-    #[test]
-    fn chain_renders_in_text_and_json() {
-        let mut d = diag();
-        d.chain = vec![
-            "stack::runtime::World::handle_packet (crates/stack/src/runtime.rs:300)".into(),
-            "tcp::receiver::TcpReceiver::on_segment (crates/tcp/src/receiver.rs:121)".into(),
-        ];
-        let t = d.render_text();
-        assert!(t.contains("chain: stack::runtime"), "{t}");
-        assert!(t.contains("    -> tcp::receiver"), "{t}");
-        let j = d.render_json();
-        assert!(j.contains("\"chain\":[\"stack::runtime"), "{j}");
     }
 
     #[test]

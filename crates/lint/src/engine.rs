@@ -15,22 +15,18 @@
 //!   but their identifier usage still counts for the dead-export pass.
 //!
 //! The workspace run is two-phase. Phase one lexes every `src/` file,
-//! runs the token rules, parses items/call-sites, and collects the file's
-//! suppressions. Phase two is workspace-global: build the cross-crate call
-//! graph, propagate panic/nondet facts from `entry(hot-path)` roots,
-//! run the dead-export pass, cross-check the resync table, and only then
-//! apply suppressions — so a stale allow is judged against *every* pass,
-//! not just the per-file ones.
+//! runs the token rules, scans its exported items, and collects the file's
+//! suppressions. Phase two is workspace-global: run the dead-export pass,
+//! cross-check the resync table, and only then apply suppressions — so a
+//! stale allow is judged against *every* pass, not just the per-file ones.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use crate::diag::{Diagnostic, Severity};
 use crate::facts;
-use crate::graph;
-use crate::lexer::{lex, LineIndex, TokenKind};
+use crate::lexer::{lex, LineIndex};
 use crate::parser::{self, ParsedFile};
 use crate::resync;
 use crate::rules::{run_token_rules, test_spans, FileCtx, FileScope};
@@ -71,7 +67,7 @@ pub fn scope_for(crate_name: &str, rel_path: &str, is_crate_root: bool) -> FileS
 
 /// Lints one file's source under the given scope: token rules filtered
 /// through inline suppressions, plus suppression-syntax diagnostics.
-/// Per-file view only — no call-graph passes (use [`lint_workspace`]).
+/// Per-file view only — no workspace passes (use [`lint_workspace`]).
 pub fn lint_source(rel_path: &str, src: &str, scope: FileScope) -> Vec<Diagnostic> {
     let lexed = lex(src);
     let lines = LineIndex::new(src);
@@ -90,18 +86,6 @@ pub fn lint_source(rel_path: &str, src: &str, scope: FileScope) -> Vec<Diagnosti
     out
 }
 
-/// Call-graph shape summary, printed with the report so coverage drift
-/// (crates falling out of the graph, resolution rate collapsing) is
-/// visible in CI logs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GraphStats {
-    pub fns: usize,
-    pub edges: usize,
-    pub unresolved: usize,
-    pub crates: usize,
-    pub entries: usize,
-}
-
 /// Result of a whole-workspace run.
 pub struct Report {
     pub diags: Vec<Diagnostic>,
@@ -111,9 +95,6 @@ pub struct Report {
     /// `allow(<rule>)` / `allow-file(<rule>)`. The self-test pins them, so
     /// a new exemption shows up in review as a snapshot diff.
     pub allows: BTreeMap<String, usize>,
-    pub graph: GraphStats,
-    /// `(pass name, milliseconds)` in execution order (`--timing`).
-    pub timings: Vec<(&'static str, f64)>,
 }
 
 impl Report {
@@ -132,21 +113,17 @@ struct FileEntry {
     sup: Suppressions,
     /// Token-rule findings awaiting workspace-level suppression.
     raw: Vec<Diagnostic>,
-    /// Parse diagnostics (bad annotations) — not suppressible.
-    parse_diags: Vec<Diagnostic>,
 }
 
 /// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path) -> Report {
     let mut entries: Vec<FileEntry> = Vec::new();
-    let mut parsed: Vec<ParsedFile> = Vec::new();
+    let mut parsed: Vec<(String, ParsedFile)> = Vec::new();
     let mut io_errors: Vec<Diagnostic> = Vec::new();
     let mut files = 0usize;
     let mut allows: BTreeMap<String, usize> = BTreeMap::new();
-    let mut timings = Vec::new();
 
-    // Phase 1: per-file — lex once, token rules + suppressions + parse.
-    let t = Instant::now();
+    // Phase 1: per-file — lex once, token rules + exports + suppressions.
     for (crate_name, src_dir) in crate_src_dirs(root, &mut io_errors) {
         let mut rs_files = Vec::new();
         collect_rs_files(&src_dir, &mut rs_files);
@@ -192,77 +169,16 @@ pub fn lint_workspace(root: &Path) -> Report {
                     }
                 }
             }
-            let file_mod = module_path(&rel);
-            let pf = parser::parse_file(&rel, &crate_name, &file_mod, &src);
-            entries.push(FileEntry {
-                rel,
-                sup,
-                raw,
-                parse_diags: pf.diags.clone(),
-            });
-            parsed.push(pf);
+            parsed.push((rel.clone(), parser::scan(&lexed, &lines, &spans)));
+            entries.push(FileEntry { rel, sup, raw });
         }
     }
-    timings.push(("parse+token-rules", ms(t)));
 
-    // Phase 2a: identifier usage in trees the rules do not cover —
-    // tests/, benches/, examples/ — feeds the dead-export pass only.
-    let t = Instant::now();
-    let extra_idents = extra_ident_counts(root);
-    timings.push(("usage-scan", ms(t)));
+    // Phase 2a: dead exports, against src usage plus the identifiers of
+    // the trees the rules do not cover — tests/, benches/, examples/.
+    let dead = facts::dead_exports(&parsed, &extra_ident_counts(root));
 
-    // Phase 2b: the cross-crate call graph.
-    let t = Instant::now();
-    let g = graph::build(&parsed);
-    let stats = GraphStats {
-        fns: g.nodes.len(),
-        edges: g.edge_count(),
-        unresolved: g.unresolved.len(),
-        crates: g.crates.len(),
-        entries: g.entries().len(),
-    };
-    timings.push(("call-graph", ms(t)));
-
-    // Phase 2c: fact propagation. The allow callback routes each seed
-    // through its file's suppressions (same audited allows as the
-    // syntactic rules), marking them used.
-    let t = Instant::now();
-    let by_rel: BTreeMap<String, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.rel.clone(), i))
-        .collect();
-    let fact_diags = facts::analyze(&g, |file, line, rules| {
-        by_rel
-            .get(file)
-            .map(|&i| entries[i].sup.covers(line, rules))
-            .unwrap_or(false)
-    });
-    timings.push(("fact-propagation", ms(t)));
-
-    // Phase 2d: dead exports (fns from the graph, other pub items from the
-    // parsed files), against src + tests/benches/examples usage.
-    let t = Instant::now();
-    let mut ident_totals: BTreeMap<String, usize> = BTreeMap::new();
-    for p in &parsed {
-        for (k, v) in &p.ident_counts {
-            *ident_totals.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-    let mut dead = facts::dead_exports(&g, &ident_totals, &extra_idents);
-    let items: Vec<(String, &'static str, String, usize)> = parsed
-        .iter()
-        .flat_map(|p| {
-            p.pub_items
-                .iter()
-                .map(|it| (it.name.clone(), it.kind, p.path.clone(), it.line))
-        })
-        .collect();
-    dead.extend(facts::dead_pub_items(&items, &ident_totals, &extra_idents));
-    timings.push(("dead-export", ms(t)));
-
-    // Phase 2e: spec-vs-code — the resync transition table.
-    let t = Instant::now();
+    // Phase 2b: spec-vs-code — the resync transition table.
     let mut resync_diags = Vec::new();
     let rx_path = root.join("crates/core/src/rx.rs");
     let inv_path = root.join("crates/scenario/src/invariant.rs");
@@ -281,17 +197,19 @@ pub fn lint_workspace(root: &Path) -> Report {
             )),
         }
     }
-    timings.push(("resync-check", ms(t)));
 
     // Suppression application, last: every suppressible finding (token
-    // rules, transitive facts, dead exports, resync) is routed through its
-    // file's suppressions; only then are stale allows judged.
-    let t = Instant::now();
+    // rules, dead exports, resync) is routed through its file's
+    // suppressions; only then are stale allows judged.
+    let by_rel: BTreeMap<String, usize> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.rel.clone(), i))
+        .collect();
     let mut pending: Vec<Diagnostic> = Vec::new();
     for e in &mut entries {
         pending.append(&mut e.raw);
     }
-    pending.extend(fact_diags);
     pending.extend(dead);
     pending.extend(resync_diags);
 
@@ -309,10 +227,8 @@ pub fn lint_workspace(root: &Path) -> Report {
     for e in &entries {
         diags.extend(suppress::stale_diags(&e.rel, &e.sup));
         diags.extend(e.sup.diags.iter().cloned());
-        diags.extend(e.parse_diags.iter().cloned());
     }
     diags.extend(io_errors);
-    timings.push(("suppressions", ms(t)));
 
     // Deterministic report order (the lint must satisfy its own standard).
     diags.sort_by(|a, b| {
@@ -322,37 +238,7 @@ pub fn lint_workspace(root: &Path) -> Report {
         diags,
         files,
         allows,
-        graph: stats,
-        timings,
     }
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Module path of a file within its crate: `crates/tcp/src/receiver.rs` →
-/// `["receiver"]`, `src/foo/mod.rs` → `["foo"]`, crate roots → `[]`.
-fn module_path(rel: &str) -> Vec<String> {
-    let after_src = rel
-        .strip_prefix("src/")
-        .or_else(|| rel.split("/src/").nth(1))
-        .unwrap_or(rel);
-    let mut parts: Vec<&str> = after_src.split('/').collect();
-    let Some(last) = parts.pop() else {
-        return Vec::new();
-    };
-    let stem = last.strip_suffix(".rs").unwrap_or(last);
-    let mut out: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-    match stem {
-        "lib" | "main" | "mod" => {}
-        _ => out.push(stem.to_string()),
-    }
-    // src/bin/name.rs is its own crate root, not a `bin::name` module.
-    if out.first().map(String::as_str) == Some("bin") {
-        return Vec::new();
-    }
-    out
 }
 
 /// Identifier usage counts from `tests/`, `benches/`, and `examples/`
@@ -380,10 +266,8 @@ fn extra_ident_counts(root: &Path) -> BTreeMap<String, usize> {
         let Ok(src) = fs::read_to_string(&path) else {
             continue;
         };
-        for t in &lex(&src).tokens {
-            if let TokenKind::Ident(name) = &t.kind {
-                *out.entry(name.clone()).or_insert(0) += 1;
-            }
+        for (name, n) in parser::ident_counts(&lex(&src)) {
+            *out.entry(name).or_insert(0) += n;
         }
     }
     out
@@ -397,7 +281,6 @@ fn io_diag(file: &str, message: String) -> Diagnostic {
         line: 1,
         col: 1,
         message,
-        chain: Vec::new(),
     }
 }
 
@@ -488,15 +371,5 @@ mod tests {
             crate_root: true,
         };
         assert!(lint_source("x.rs", src, scope).is_empty());
-    }
-
-    #[test]
-    fn module_paths() {
-        assert!(module_path("crates/tcp/src/lib.rs").is_empty());
-        assert_eq!(module_path("crates/tcp/src/receiver.rs"), ["receiver"]);
-        assert_eq!(module_path("src/main.rs"), Vec::<String>::new());
-        assert_eq!(module_path("crates/x/src/foo/mod.rs"), ["foo"]);
-        assert_eq!(module_path("crates/x/src/foo/bar.rs"), ["foo", "bar"]);
-        assert!(module_path("crates/x/src/bin/tool.rs").is_empty());
     }
 }

@@ -11,32 +11,31 @@
 //!   stream with byte offsets (no `syn`, preserving the hermetic build);
 //! * a rule engine ([`rules`], [`engine`]) applies scoped rule families —
 //!   determinism, panic-freedom, observability, unsafe-code hygiene;
-//! * an item/call-site extractor ([`parser`]) lifts each file to its fns,
-//!   call sites, and fact seeds, pruning `#[cfg(test)]` code;
-//! * a cross-crate call graph ([`graph`]) links those fns workspace-wide,
-//!   with method calls resolved by receiver-name heuristics and everything
-//!   unresolvable counted in an explicit bucket;
-//! * fixed-point fact propagation ([`facts`]) pushes may-panic and
-//!   nondeterminism-taint facts along the graph and reports any that
-//!   reach a `// ano-lint: entry(hot-path)` fn, with the full call chain
-//!   (`transitive-panic`, `transitive-nondet`), plus a dead-export pass;
+//! * a token-level item scan ([`parser`]) and the dead-export pass over it
+//!   ([`facts`]) flag `pub` items whose names occur nowhere else in the
+//!   workspace;
 //! * inline suppressions ([`suppress`]) allow audited exceptions but
 //!   *require* a written justification, and error when stale;
 //! * a spec-vs-code pass ([`resync`]) extracts the §4.3 resync transition
 //!   table from `crates/core/src/rx.rs` and cross-checks it against the
 //!   legal-edge set in `crates/scenario/src/invariant.rs`.
 //!
+//! Every rule is local to the tokens it reads; nothing is inferred across
+//! calls. What a call graph would have to guess is measured instead: heap
+//! allocation per packet by the allocation gate
+//! (`crates/bench/tests/alloc_gate.rs`), panics by hostile-input properties
+//! over the wire parsers (`crates/nvme/tests/hostile_input.rs`,
+//! `crates/tls/tests/hostile_input.rs`), and cross-process nondeterminism by
+//! CI's trace-hash comparison over the whole scenario registry.
+//!
 //! Run with `cargo run -p ano-lint` (workspace root is inferred); CI runs
-//! it as the `static analysis` tier before building anything. Heap
-//! allocation is measured, not inferred: the allocation gate in
-//! `crates/bench/tests/alloc_gate.rs` counts it per packet.
+//! it as the `static analysis` tier before building anything.
 
 #![forbid(unsafe_code)]
 
 pub mod diag;
 pub mod engine;
 pub mod facts;
-pub mod graph;
 pub mod lexer;
 pub mod parser;
 pub mod resync;
@@ -44,5 +43,5 @@ pub mod rules;
 pub mod suppress;
 
 pub use diag::{Diagnostic, Severity};
-pub use engine::{lint_source, lint_workspace, scope_for, GraphStats, Report};
+pub use engine::{lint_source, lint_workspace, scope_for, Report};
 pub use rules::FileScope;

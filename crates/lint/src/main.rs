@@ -1,14 +1,13 @@
 //! CLI for `ano-lint`.
 //!
 //! ```text
-//! cargo run -p ano-lint [--root <dir>] [--format text|json] [--json] [--timing]
+//! cargo run -p ano-lint [--root <dir>] [--format text|json] [--json]
 //! ```
 //!
 //! Exits non-zero iff any error-severity diagnostic survives suppression.
 //! `--json` (alias for `--format json`) emits one JSON object per line in
-//! stable field order (rule, severity, file, line, col, message, chain)
-//! for machine consumption. `--timing` appends per-pass wall-clock
-//! milliseconds to stderr.
+//! stable field order (rule, severity, file, line, col, message) for
+//! machine consumption.
 
 #![forbid(unsafe_code)]
 
@@ -17,12 +16,11 @@ use std::process::ExitCode;
 
 use ano_lint::lint_workspace;
 
-const USAGE: &str = "usage: ano-lint [--root <dir>] [--format text|json] [--json] [--timing]";
+const USAGE: &str = "usage: ano-lint [--root <dir>] [--format text|json] [--json]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut timing = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -36,7 +34,6 @@ fn main() -> ExitCode {
                 _ => return usage("--format must be text or json"),
             },
             "--json" => format = Format::Json,
-            "--timing" => timing = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -54,11 +51,6 @@ fn main() -> ExitCode {
     });
 
     let report = lint_workspace(&root);
-    if timing {
-        for (pass, millis) in &report.timings {
-            eprintln!("ano-lint: timing {pass} {millis:.1}ms");
-        }
-    }
 
     for d in &report.diags {
         match format {
@@ -69,14 +61,8 @@ fn main() -> ExitCode {
     let (errors, warnings) = (report.errors(), report.warnings());
     if format == Format::Text {
         println!(
-            "ano-lint: {} file(s) checked, {} fn(s), {} call edge(s) \
-             ({} unresolved), {} hot-path entr{}; {errors} error(s), {warnings} warning(s)",
-            report.files,
-            report.graph.fns,
-            report.graph.edges,
-            report.graph.unresolved,
-            report.graph.entries,
-            if report.graph.entries == 1 { "y" } else { "ies" },
+            "ano-lint: {} file(s) checked; {errors} error(s), {warnings} warning(s)",
+            report.files
         );
     }
     if errors > 0 {

@@ -82,7 +82,6 @@ pub fn cross_check(rx_src: &str, inv_src: &str) -> Vec<Diagnostic> {
         line: 1,
         col: 1,
         message: msg,
-        chain: Vec::new(),
     };
     let rx = match extract_rx_table(rx_src) {
         Ok(t) => t,

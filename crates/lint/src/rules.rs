@@ -18,10 +18,6 @@ pub const RULES: &[&str] = &[
     "direct-output",
     "unsafe-attr",
     "resync-table",
-    // Call-graph rules (see `graph` / `facts`): transitive facts reaching a
-    // `// ano-lint: entry(hot-path)` fn, plus the dead-export pass.
-    "transitive-panic",
-    "transitive-nondet",
     "dead-export",
 ];
 
@@ -65,7 +61,6 @@ impl FileCtx<'_> {
             line,
             col,
             message,
-            chain: Vec::new(),
         }
     }
 }
@@ -145,7 +140,6 @@ pub fn run_token_rules(ctx: &FileCtx<'_>, scope: FileScope) -> Vec<Diagnostic> {
             message: "crate root must carry `#![forbid(unsafe_code)]` (or \
                       `#![deny(unsafe_code)]` with a documented exception)"
                 .to_string(),
-            chain: Vec::new(),
         });
     }
 

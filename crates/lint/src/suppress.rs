@@ -6,11 +6,8 @@
 //! The justification is mandatory — an allow without one is itself an
 //! error (`bad-suppression`), as is one naming a rule that does not exist.
 //! A suppression that silences nothing is an **error** too: stale allows
-//! are latent holes in the policy, not clutter.
-//!
-//! One further directive shares the `ano-lint:` prefix but is consumed by
-//! the parser, not here: `entry(<class>)` marks a call-graph root (see
-//! `parser.rs`).
+//! are latent holes in the policy, not clutter. Any other `ano-lint:`
+//! directive is an error too.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Lexed, LineIndex};
@@ -30,9 +27,7 @@ pub struct Suppression {
 }
 
 impl Suppression {
-    /// Does this suppression cover rule `rule` at `line`? Does not mark
-    /// used — callers decide (a *query* during fact seeding marks used via
-    /// [`Suppressions::covers`], the final filter via [`apply`]).
+    /// Does this suppression cover rule `rule` at `line`?
     fn matches(&self, line: usize, rule: &str) -> bool {
         (self.file_scope || line == self.line || line == self.applies_to)
             && self.rules.iter().any(|r| r == rule)
@@ -43,22 +38,6 @@ impl Suppression {
 pub struct Suppressions {
     pub list: Vec<Suppression>,
     pub diags: Vec<Diagnostic>,
-}
-
-impl Suppressions {
-    /// True when some suppression covers any of `rules` at `line`; marks
-    /// every matching suppression used. This is how transitive-fact seeds
-    /// consult the same audited allows as the syntactic rules.
-    pub fn covers(&mut self, line: usize, rules: &[&str]) -> bool {
-        let mut hit = false;
-        for s in &mut self.list {
-            if rules.iter().any(|r| s.matches(line, r)) {
-                s.used = true;
-                hit = true;
-            }
-        }
-        hit
-    }
 }
 
 /// Scans captured comments for `ano-lint:` directives.
@@ -72,11 +51,6 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
             continue;
         };
         let rest = rest.trim();
-        // `entry(...)` is a call-graph annotation owned by the parser
-        // (which also validates its placement and argument).
-        if rest.starts_with("entry") {
-            continue;
-        }
         let (line, col) = lines.line_col(c.off);
         let bad = |msg: String| Diagnostic {
             rule: "bad-suppression",
@@ -85,7 +59,6 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
             line,
             col,
             message: msg,
-            chain: Vec::new(),
         };
 
         let (args, file_scope) = if let Some(a) = rest.strip_prefix("allow-file") {
@@ -95,8 +68,7 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
         } else {
             out.diags.push(bad(format!(
                 "unknown ano-lint directive `{rest}`; expected \
-                 `allow(<rule>): <justification>`, `allow-file(<rule>): <justification>`, \
-                 or `entry(<class>)`"
+                 `allow(<rule>): <justification>` or `allow-file(<rule>): <justification>`"
             )));
             continue;
         };
@@ -164,9 +136,9 @@ pub fn parse(path: &str, lexed: &Lexed, lines: &LineIndex) -> Suppressions {
 }
 
 /// Filters `diags` through the suppressions, marking the ones used.
-/// Stale-suppression errors are *not* emitted here — a suppression may
-/// still be consumed by a later pass (fact seeding); the engine calls
-/// [`stale_diags`] once every pass has run.
+/// Stale-suppression errors are *not* emitted here — the engine routes
+/// every pass's findings through [`apply`] first, then calls
+/// [`stale_diags`].
 pub fn apply(sup: &mut Suppressions, diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
     let mut kept = Vec::new();
     for d in diags {
@@ -196,11 +168,9 @@ pub fn stale_diags(path: &str, sup: &Suppressions) -> Vec<Diagnostic> {
             line: s.line,
             col: 1,
             message: format!(
-                "suppression of `{}` matches no diagnostic and silences no \
-                 fact seed; remove it",
+                "suppression of `{}` matches no diagnostic; remove it",
                 s.rules.join(", ")
             ),
-            chain: Vec::new(),
         })
         .collect()
 }
@@ -283,24 +253,13 @@ mod tests {
 
     #[test]
     fn entry_and_cold_are_not_suppressions() {
-        let src = "// ano-lint: entry(hot-path)\nfn f() {}\n";
-        assert!(lint(src).is_empty(), "{:?}", lint(src));
-        // `cold(..)` is no longer a directive at all: a leftover one is an
-        // error, not a silent no-op.
-        let d = lint("// ano-lint: cold(setup)\nfn g() {}\n");
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("unknown ano-lint directive"), "{d:?}");
-    }
-
-    #[test]
-    fn covers_marks_used_for_fact_seeds() {
-        let src = "// ano-lint: allow(transitive-panic): index bounded by the ring length\nlet v = ring[i];\n";
-        let lexed = lex(src);
-        let lines = LineIndex::new(src);
-        let mut sup = parse("t.rs", &lexed, &lines);
-        assert!(sup.covers(2, &["transitive-panic", "hot-path-index"]));
-        assert!(!sup.covers(9, &["transitive-panic"]));
-        assert!(stale_diags("t.rs", &sup).is_empty());
+        // Only `allow`/`allow-file` exist: a leftover annotation of any
+        // other shape is an error, not a silent no-op.
+        for src in ["// ano-lint: entry(root)\nfn f() {}\n", "// ano-lint: cold(setup)\nfn g() {}\n"] {
+            let d = lint(src);
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert!(d[0].message.contains("unknown ano-lint directive"), "{d:?}");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! known-good twin it must stay silent on; suppression misuse is itself
 //! diagnosed; the resync transition table extracted from the *real*
 //! `crates/core/src/rx.rs` is pinned against the legal-edge set in
-//! `crates/scenario/src/invariant.rs`; and the workspace's own inline
-//! allows are pinned per rule in `tests/expected/allows.txt`.
+//! `crates/scenario/src/invariant.rs`; the dead-export pass runs over a
+//! fixture mini-workspace; and the workspace's own inline allows are
+//! pinned per rule in `tests/expected/allows.txt`.
 
 use std::fs;
 use std::path::Path;
@@ -211,6 +212,22 @@ fn real_resync_tables_match_and_are_pinned() {
     assert!(d.is_empty(), "{d:?}");
 }
 
+// ---- dead exports ------------------------------------------------------
+
+#[test]
+fn dead_export_fixture_workspace() {
+    // `alpha` exports four items: `used` is called from `beta`,
+    // `tested` only from alpha's tests/ tree, `orphan` and `Unused` by
+    // nobody — and `orphan` is justified by an audited allow.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/exports");
+    let report = lint_workspace(&root);
+    assert_eq!(report.files, 2);
+    let d: Vec<_> = report.diags.iter().map(|d| (d.rule, d.file.as_str(), d.line)).collect();
+    assert_eq!(d, [("dead-export", "crates/alpha/src/lib.rs", 11)], "{:?}", report.diags);
+    assert!(report.diags[0].message.contains("pub struct `Unused`"), "{:?}", report.diags);
+    assert_eq!(report.errors(), 0);
+}
+
 // ---- the workspace satisfies its own lint ------------------------------
 
 #[test]
@@ -218,12 +235,6 @@ fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = lint_workspace(&root);
     assert!(report.files > 50, "walked only {} files", report.files);
-    // The call graph must span the whole workspace (14 member crates plus
-    // the root package) and keep every annotated hot-path root.
-    assert_eq!(report.graph.crates, 15, "crates in graph: {}", report.graph.crates);
-    assert!(report.graph.entries >= 10, "hot-path entries: {}", report.graph.entries);
-    assert!(report.graph.fns > 1000, "fns: {}", report.graph.fns);
-    assert!(report.graph.edges > 2000, "edges: {}", report.graph.edges);
     assert_eq!(
         report.errors(),
         0,

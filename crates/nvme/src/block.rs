@@ -64,7 +64,6 @@ const CHUNK: u64 = 4096;
 pub fn pattern_byte(offset: u64) -> u8 {
     // The paper's emulation fills storage with a repeated magic word
     // (§6.2); we do the same but keyed by position so placement bugs show.
-    // ano-lint: allow(transitive-panic): CHUNK is a nonzero const divisor
     MAGIC_BYTE ^ ((offset / CHUNK) as u8)
 }
 
@@ -89,7 +88,6 @@ impl BlockDevice {
     fn schedule(&mut self, now: SimTime, len: usize) -> SimTime {
         let start = now.max(self.busy_until);
         let transfer =
-            // ano-lint: allow(transitive-panic): bandwidth is a nonzero model parameter
             SimDuration::from_nanos((len as u64).saturating_mul(1_000_000_000) / self.cfg.bandwidth_bps);
         let done = start + self.cfg.access_latency + transfer;
         // The channel is occupied for the transfer (latency overlaps).
@@ -109,10 +107,8 @@ impl BlockDevice {
                 let mut out = vec![0u8; len];
                 for (i, b) in out.iter_mut().enumerate() {
                     let pos = offset + i as u64;
-                    // ano-lint: allow(transitive-panic): CHUNK is a nonzero const divisor
                     let base = pos / CHUNK * CHUNK;
                     *b = match self.store.get(&base) {
-                        // ano-lint: allow(transitive-panic): pos-base < CHUNK by the base rounding
                         Some(chunk) => chunk[(pos - base) as usize],
                         None => pattern_byte(pos),
                     };
@@ -131,12 +127,10 @@ impl BlockDevice {
         if let Some(bytes) = data.as_real() {
             for (i, &b) in bytes.iter().enumerate() {
                 let pos = offset + i as u64;
-                // ano-lint: allow(transitive-panic): CHUNK is a nonzero const divisor
                 let base = pos / CHUNK * CHUNK;
                 let chunk = self.store.entry(base).or_insert_with(|| {
                     (0..CHUNK).map(|j| pattern_byte(base + j)).collect()
                 });
-                // ano-lint: allow(transitive-panic): pos-base < CHUNK by the base rounding
                 chunk[(pos - base) as usize] = b;
             }
         }

@@ -238,13 +238,11 @@ impl NvmeTcpHost {
         let header = capsule_cmd_header(cid, op, offset, len, inline);
         let (wire, header) = match self.cfg.mode {
             DataMode::Functional => {
-                // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
                 let bytes = data.map(|d| d.as_real().expect("functional mode requires real bytes"));
                 let mut w = encode_capsule_cmd(cid, op, offset, len, bytes);
                 if inline > 0 && self.cfg.crc_offload {
                     // Dummy digest: the NIC tx offload fills it (§5.1).
                     let n = w.len();
-                    // ano-lint: allow(transitive-panic): encoded capsule always ends with a DDGST_LEN digest
                     w[n - DDGST_LEN..].copy_from_slice(&[0; DDGST_LEN]);
                 }
                 (Payload::real(w), None)
@@ -314,7 +312,6 @@ impl NvmeTcpHost {
                         let datao = pdu.psh.ext.map_or(0, |e| e.datao) as usize;
                         let mut b = buf.borrow_mut();
                         if datao + bytes.len() <= b.len() {
-                            // ano-lint: allow(transitive-panic): copy guarded by the bounds check on the line above
                             b[datao..datao + bytes.len()].copy_from_slice(bytes);
                         } else {
                             req.failed = true;

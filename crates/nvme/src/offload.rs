@@ -204,7 +204,9 @@ impl L5Flow for NvmeRxFlow {
                     match entry {
                         Some(e) => {
                             if let (Some(buf), Some(bytes)) = (&e.buf, chunk.as_real()) {
-                                let dst = (self.datao + (off - ext_end)) as usize;
+                                // `datao` is off the wire: widen before
+                                // adding, so a hostile one cannot overflow.
+                                let dst = self.datao as usize + (off - ext_end) as usize;
                                 let mut b = buf.borrow_mut();
                                 if dst + bytes.len() <= b.len() {
                                     b[dst..dst + bytes.len()].copy_from_slice(bytes);

@@ -138,7 +138,6 @@ impl PduParser {
                     let need = CH_LEN - self.hdr.len();
                     let take = need.min(len - consumed);
                     match chunk.payload.as_real() {
-                        // ano-lint: allow(transitive-panic): consumed+take clamped by min() against the header remainder
                         Some(bytes) => self.hdr.extend_from_slice(&bytes[consumed..consumed + take]),
                         None => self.hdr.extend(std::iter::repeat(0).take(take)),
                     }
@@ -202,7 +201,6 @@ impl PduParser {
         if off < ext_end {
             let take = (ext_end - off).min(len);
             if let Some(bytes) = payload.as_real() {
-                // ano-lint: allow(transitive-panic): take clamped against the remaining ext length
                 cur.ext.extend_from_slice(&bytes[..take as usize]);
             }
             pos += take;
@@ -217,10 +215,13 @@ impl PduParser {
                 cur.all_placed &= flags.nvme_placed;
                 pos += take;
             } else {
+                // The NIC's verdict on a digest comes with the packet that
+                // ends it: the data packets before it were flagged while
+                // the CRC was still running.
+                cur.all_crc_ok &= flags.nvme_crc_ok;
                 let take = len - pos;
                 if let Some(bytes) = payload.slice(pos as usize, len as usize).as_real() {
                     let s = (o - data_end) as usize;
-                    // ano-lint: allow(transitive-panic): digest window bounded by the DDGST_LEN framing arithmetic
                     cur.ddgst[s..s + bytes.len()].copy_from_slice(bytes);
                     cur.ddgst_got = s + bytes.len();
                 }
@@ -230,7 +231,6 @@ impl PduParser {
     }
 
     fn finish_pdu(&mut self) -> ParsedPdu {
-        // ano-lint: allow(transitive-panic): state-machine contract: finish_pdu runs only with a PDU open
         let cur = self.cur.take().expect("PDU in progress");
         ParsedPdu {
             start: cur.start,
@@ -319,6 +319,32 @@ mod tests {
             pdus.extend(p.on_chunk(c));
         }
         assert!(!pdus[0].all_crc_ok && !pdus[0].all_placed);
+    }
+
+    #[test]
+    fn unverified_digest_packet_poisons_crc_ok() {
+        // The NIC flags data packets before the digest is in; only the
+        // packet ending the PDU carries its verdict.
+        let data = vec![3u8; 1000];
+        let stream = encode_data_pdu(PduType::C2HData, 4, 0, &data, false);
+        let ok_flags = SkbFlags {
+            nvme_crc_ok: true,
+            ..Default::default()
+        };
+        let split = stream.len() - 2;
+        let mut p = PduParser::new(FlowMode::Functional);
+        p.on_chunk(StreamChunk {
+            offset: 0,
+            payload: Payload::real(stream[..split].to_vec()),
+            flags: ok_flags,
+        });
+        let pdus = p.on_chunk(StreamChunk {
+            offset: split as u64,
+            payload: Payload::real(stream[split..].to_vec()),
+            flags: SkbFlags::default(),
+        });
+        assert_eq!(pdus.len(), 1);
+        assert!(!pdus[0].all_crc_ok, "the digest's packet was not verified");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! used, and the header digest is disabled (the data digest — the offloaded
 //! computation — is always on for data-bearing PDUs).
 
-// ano-lint: allow-file(transitive-panic): fixed-offset PDU codec: every index is a compile-time header offset behind the length guards at each parse entry
 use ano_crypto::crc32c::crc32c;
 
 /// Common-header length.
@@ -125,10 +124,14 @@ impl CommonHeader {
         if plen < min || plen > max {
             return None;
         }
-        if !kind.has_data() && plen != min {
+        // The digest flag goes with a data section, both ways: on a type
+        // without data it would leave `data_len` negative; a data section
+        // without it (this binding always digests data) would reach the
+        // host unverified, its last bytes read as data.
+        if !kind.has_data() && (plen != min || ddgst != 0) {
             return None;
         }
-        if kind.has_data() && flags & FLAG_DDGST != 0 && plen < min + ddgst {
+        if kind.has_data() && ((ddgst != 0 && plen < min + ddgst) || (ddgst == 0 && plen > min)) {
             return None;
         }
         Some(CommonHeader {
@@ -428,6 +431,29 @@ mod tests {
         let mut b = good;
         b[4] = 30;
         assert!(CommonHeader::parse(&b).is_none());
+    }
+
+    #[test]
+    fn digest_flag_on_a_dataless_pdu_is_rejected() {
+        // A response capsule with the data-digest flag and `plen == hlen`:
+        // accepting it left `data_len` at 24 - 24 - 4.
+        assert_eq!(CommonHeader::parse(&[0x05, 0x02, 0x18, 0x00, 0x18, 0x00, 0x00, 0x00]), None);
+        // The same header without the flag is a valid response.
+        let ch = CommonHeader::parse(&[0x05, 0x00, 0x18, 0x00, 0x18, 0x00, 0x00, 0x00]);
+        assert_eq!(ch.map(|ch| ch.data_len()), Some(0));
+    }
+
+    #[test]
+    fn data_section_without_digest_flag_is_rejected() {
+        let wire = encode_data_pdu(PduType::C2HData, 1, 0, &[7u8; 100], false);
+        let mut b: [u8; CH_LEN] = wire[..CH_LEN].try_into().unwrap();
+        assert!(CommonHeader::parse(&b).is_some());
+        // Clearing the flag would hand the host the digest as 4 data bytes.
+        b[1] = 0;
+        assert_eq!(CommonHeader::parse(&b), None);
+        // A read command carries no data section, hence no digest.
+        let read = encode_capsule_cmd(2, IoOpcode::Read, 0, 4096, None);
+        assert_eq!(CommonHeader::parse(&read).map(|ch| ch.flags), Some(0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 mod common;
 
 use ano_scenario::registry::tls_workload;
-use ano_scenario::{builtin, run, Arm, Scenario, Workload};
+use ano_scenario::{all, builtin, run, Arm, Scenario, Workload};
 use ano_sim::link::Script;
 use ano_trace::event::Category;
 use ano_trace::export;
@@ -137,12 +137,9 @@ fn golden_netchaos_partition_ladder() {
 
 /// The determinism contract the goldens stand on: running the same scenario
 /// twice yields byte-identical canonical traces *and* metrics renderings.
-///
-/// With `ANO_TRACE_DUMP=1` the canonical trace is printed between
-/// `--TRACE-BEGIN--`/`--TRACE-END--` markers; `scripts/ci.sh` runs this
-/// test in two separate processes and compares the dumped hashes, catching
-/// cross-process nondeterminism (wall clock, ASLR-dependent hashing) that
-/// an in-process double run cannot.
+/// Cross-process nondeterminism (wall clock, ASLR-dependent hashing) is
+/// invisible to an in-process double run; [`registry_trace_hashes`] covers
+/// it.
 #[test]
 fn identical_seeds_produce_identical_traces() {
     let sc = builtin("tls/partition").expect("built-in");
@@ -150,8 +147,39 @@ fn identical_seeds_produce_identical_traces() {
     assert_eq!(a.canonical_trace(), b.canonical_trace(), "canonical trace diverged");
     assert!(!a.canonical_trace().is_empty());
     assert_eq!(a.trace.len(), b.trace.len(), "full record streams diverged");
-    if std::env::var("ANO_TRACE_DUMP").is_ok() {
-        println!("--TRACE-BEGIN--\n{}--TRACE-END--", a.canonical_trace());
+}
+
+/// FNV-1a, 64-bit.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every trace category, high-volume ones included.
+const EVERY_CATEGORY: &[Category] = &[
+    Category::Tcp,
+    Category::Offload,
+    Category::Resync,
+    Category::Crypto,
+    Category::Cpu,
+    Category::Device,
+    Category::Net,
+];
+
+/// Prints `name arm fnv64(canonical trace) trace-records` for both arms of
+/// every registry entry except the `*/scale` runs, hashing the canonical
+/// rendering of every category. `scripts/ci.sh` runs it in two separate
+/// release processes and diffs the outputs: any wall-clock, ASLR or
+/// hash-order leak into a schedule anywhere in the registry shows as a
+/// differing line, which no in-process double run can see.
+#[test]
+#[ignore = "132 scenario runs (a few seconds in release); run via the scripts/ci.sh trace-determinism stage"]
+fn registry_trace_hashes() {
+    for sc in all().iter().filter(|s| !s.name.ends_with("/scale")) {
+        for (arm, label) in [(Arm::Offload, "offload"), (Arm::Software, "software")] {
+            let out = run(sc, arm);
+            let trace = export::canonical(&out.trace, EVERY_CATEGORY);
+            println!("{} {label} {:016x} {}", sc.name, fnv64(trace.as_bytes()), out.trace.len());
+        }
     }
 }
 

@@ -24,7 +24,6 @@ impl Bytes {
     pub fn new() -> Bytes {
         static EMPTY: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
         Bytes {
-            // ano-lint: allow(transitive-panic): full-range slice of an empty literal, not an index
             data: Arc::clone(EMPTY.get_or_init(|| Arc::from(&[][..]))),
             start: 0,
             end: 0,
@@ -74,7 +73,6 @@ impl Bytes {
 
     /// The visible bytes.
     pub fn as_slice(&self) -> &[u8] {
-        // ano-lint: allow(transitive-panic): start/end maintained within the backing slice by construction
         &self.data[self.start..self.end]
     }
 }

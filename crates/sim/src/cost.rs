@@ -148,7 +148,6 @@ impl CostModel {
 
     /// Time to move `bytes` across PCIe (context recovery replay, Fig. 16b).
     pub fn pcie_transfer(&self, bytes: u64) -> SimDuration {
-        // ano-lint: allow(transitive-panic): PCIe rate is a nonzero model parameter
         SimDuration::from_nanos(bytes.saturating_mul(8).saturating_mul(1_000_000_000) / self.pcie_bps)
     }
 }

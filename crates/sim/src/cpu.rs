@@ -5,7 +5,6 @@
 //! expressed in cycles, occupies a core for `cycles / freq` of simulated
 //! time, and is accumulated for utilization reporting.
 
-// ano-lint: allow-file(transitive-panic): per-core arrays are sized at construction and indexed by runtime-issued core ids; divisors are nonzero clock rates
 use crate::time::{SimDuration, SimTime};
 
 /// One core's accounting state.

@@ -416,7 +416,6 @@ impl Link {
             Some(40) => bits / 40,
             Some(100) => bits / 100,
             Some(400) => bits / 400,
-            // ano-lint: allow(transitive-panic): link rate is a nonzero model parameter
             _ => bits.saturating_mul(1_000_000_000) / self.rate_bps,
         };
         SimDuration::from_nanos(ns)
@@ -554,13 +553,11 @@ impl LinkRegistry {
     ///
     /// Panics on an id this registry never issued.
     pub fn by_id_mut(&mut self, id: u32) -> &mut Link {
-        // ano-lint: allow(transitive-panic): link ids are registry handles issued at construction
         &mut self.links[id as usize]
     }
 
     /// Read access by id.
     pub fn by_id(&self, id: u32) -> &Link {
-        // ano-lint: allow(transitive-panic): link ids are registry handles issued at construction
         &self.links[id as usize]
     }
 
@@ -684,7 +681,6 @@ impl LinkRegistry {
 
     /// Iterates `((src, dst), link)` in host-pair order.
     pub fn iter(&self) -> impl Iterator<Item = ((u16, u16), &Link)> {
-        // ano-lint: allow(transitive-panic): link ids are registry handles issued at construction
         self.index.iter().map(|(&pair, &id)| (pair, &self.links[id as usize]))
     }
 }

@@ -72,7 +72,6 @@ impl Payload {
     ///
     /// Panics if `start > end` or `end > self.len()`.
     pub fn slice(&self, start: usize, end: usize) -> Payload {
-        // ano-lint: allow(transitive-panic): deliberate slice-contract assert
         assert!(start <= end && end <= self.len(), "slice out of range");
         match self {
             Payload::Real(b) => Payload::Real(b.slice(start..end)),
@@ -104,7 +103,6 @@ impl Payload {
         if chunks.iter().all(|c| c.is_real()) {
             let mut out = Vec::with_capacity(chunks.iter().map(|c| c.len()).sum());
             for c in &chunks {
-                // ano-lint: allow(transitive-panic): guarded by the all-real check above
                 out.extend_from_slice(c.as_real().expect("checked real"));
             }
             Payload::Real(out.into())

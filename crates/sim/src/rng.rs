@@ -10,7 +10,6 @@
 //! algorithm is cryptographic; key material drawn from it is only ever used
 //! by the *functional-fidelity* simulation mode, never by real peers.
 
-// ano-lint: allow-file(transitive-panic): PRNG kernel: fixed-size state and jump tables; range_u64 asserts its contract, making the rejection modulus nonzero
 /// splitmix64: expands a 64-bit seed into the xoshiro state. Weyl-sequence
 /// increment + two xor-shift-multiply finalization rounds (Steele et al.,
 /// "Fast splittable pseudorandom number generators").

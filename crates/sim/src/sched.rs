@@ -24,7 +24,6 @@
 //! calling [`Scheduler::pop`] in a loop. Batching changes wall-clock cost,
 //! never simulated behavior.
 
-// ano-lint: allow-file(transitive-panic): event heap and slab: indices follow the 4-ary heap invariant; expects and asserts are capacity contracts
 use std::cmp::Ordering;
 
 use crate::time::{SimDuration, SimTime};

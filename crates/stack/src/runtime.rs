@@ -311,7 +311,6 @@ impl World {
     // ------------------------------------------------------------------
     // Packet receive path.
 
-    // ano-lint: entry(hot-path)
     #[allow(clippy::too_many_arguments)]
     fn handle_packet(
         &mut self,
@@ -348,7 +347,6 @@ impl World {
         let mut open_reason: Option<&'static str> = None;
 
         let in_flow = {
-            // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
             let host = &mut hosts[h];
             let Some(c) = host.conns.get_mut(&conn) else {
                 return;
@@ -407,9 +405,7 @@ impl World {
                 if rxp.flags != Default::default() {
                     cyc += cost.per_pkt_rx_offload_extra;
                 }
-                // ano-lint: allow(transitive-panic): core id is bounded by the per-host core table
                 if host.last_conn[c.core] != Some(conn) {
-                    // ano-lint: allow(transitive-panic): core id is bounded by the per-host core table
                     host.last_conn[c.core] = Some(conn);
                     cyc += cost.per_wakeup;
                 }
@@ -500,7 +496,6 @@ impl World {
     /// `None` (traced as a device fault) when the message is lost.
     fn mailbox_deliver_at(&mut self, h: usize, op: DeviceOp, in_flow: u64) -> Option<SimTime> {
         let now = self.sched.now();
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let extra = match self.hosts[h].faults.on_op(op, now) {
             Some(FaultAction::Fail | FaultAction::Drop) => {
                 self.tracer
@@ -524,7 +519,6 @@ impl World {
         in_flow: u64,
         resps: Vec<(u8, u64, bool, u64)>,
     ) {
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let epoch = self.hosts[h].nic.epoch();
         for (layer, tcpsn, ok, idx) in resps {
             if let Some(at) = self.mailbox_deliver_at(h, DeviceOp::ResyncResp, in_flow) {
@@ -652,7 +646,6 @@ impl World {
     // Transmit pump.
 
     /// Drains TCP's transmit queue through the NIC onto the link.
-    // ano-lint: entry(hot-path)
     pub(crate) fn pump_conn(&mut self, h: usize, conn: ConnId) {
         // Split-borrow the world once: hot config stays a shared borrow,
         // link deliveries land in the world-owned reusable burst buffer —
@@ -672,7 +665,6 @@ impl World {
         // One connection lookup for the whole pump: nothing inside the loop
         // can remove the connection, and the host split-borrow keeps `cpu`
         // and `nic` usable alongside the `ConnState` borrow.
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let HostState { cpu, nic, conns, .. } = &mut hosts[h];
         let Some(c) = conns.get_mut(&conn) else {
             return;
@@ -801,13 +793,11 @@ impl World {
     // Application plumbing.
 
     fn fire_app(&mut self, h: usize, f: impl FnOnce(&mut dyn crate::app::HostApp, &mut HostApi)) {
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let Some(mut app) = self.apps[h].take() else {
             return;
         };
         let mut api = HostApi::new(self.sched.now());
         f(app.as_mut(), &mut api);
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         self.apps[h] = Some(app);
         let actions = std::mem::take(&mut api.actions);
         self.run_actions(h, actions);
@@ -875,7 +865,6 @@ impl World {
                 } => self.nvme_submit(h, conn, id, offset, data.len() as u32, Some(data)),
                 Action::Charge { cycles } => {
                     let now = self.sched.now();
-                    // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
                     let host = &mut self.hosts[h];
                     let core = host.cpu.least_busy();
                     host.cpu.run(core, now, cycles);
@@ -896,7 +885,6 @@ impl World {
     /// Application bytes into a Raw or TLS connection.
     fn proto_send(&mut self, h: usize, conn: ConnId, data: Payload) {
         self.send_l5(h, conn, |c, cost| {
-            // ano-lint: allow(transitive-panic): dispatch contract: Send is only routed to Raw/Tls connections
             assert!(c.proto.nvme.is_none(), "Send is only valid on Raw/Tls connections");
             c.blocked = true; // notify (once) when the queue drains
             let mut cycles = cost.syscall;
@@ -919,7 +907,6 @@ impl World {
     ) {
         self.send_l5(h, conn, |c, cost| {
             let Some(NvmeLayer::Host(nh)) = &mut c.proto.nvme else {
-                // ano-lint: allow(transitive-panic): dispatch contract: NVMe ops are only routed to initiator connections
                 panic!("NVMe I/O is only valid on initiator connections");
             };
             let (capsule, cycles) = match &write_data {
@@ -946,7 +933,6 @@ impl World {
         let now = self.sched.now();
         let World { cfg, hosts, .. } = &mut *self;
         let cost = &cfg.cost;
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let host = &mut hosts[h];
         let Some(c) = host.conns.get_mut(&conn) else {
             return;
@@ -984,7 +970,6 @@ fn corrupt_copy(payload: &Payload) -> Option<Payload> {
         Some(bytes) if !bytes.is_empty() => {
             let mut copy = bytes.to_vec();
             let mid = copy.len() / 2;
-            // ano-lint: allow(transitive-panic): mid is len/2 of a checked non-empty buffer
             copy[mid] ^= 0xA5;
             Some(Payload::real(copy))
         }

@@ -1259,7 +1259,6 @@ impl World {
     /// uninstalled (orderly, with context write-back) and the flow runs in
     /// software permanently. Idempotent.
     pub(crate) fn open_breaker(&mut self, h: usize, conn: ConnId, reason: &'static str) {
-        // ano-lint: allow(transitive-panic): host index is a dispatch-validated topology id
         let host = &mut self.hosts[h];
         let Some(c) = host.conns.get_mut(&conn) else {
             return;

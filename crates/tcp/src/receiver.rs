@@ -118,7 +118,6 @@ impl TcpReceiver {
     /// Accepts one packet's payload (`seq` is the wire sequence number).
     /// In-order data (and any newly contiguous buffered data) becomes
     /// readable via [`TcpReceiver::take_ready`].
-    // ano-lint: entry(hot-path)
     pub fn on_segment(&mut self, seq: u32, payload: Payload, flags: SkbFlags) {
         if payload.is_empty() {
             return; // pure ACK

@@ -42,7 +42,6 @@ impl SendBuffer {
     /// zero-allocation slice; only ranges straddling a chunk boundary pay
     /// for stitching.
     fn range(&self, from: u64, to: u64) -> Payload {
-        // ano-lint: allow(transitive-panic): send-buffer range contract assert
         assert!(from >= self.start && to <= self.end && from <= to, "range outside buffer");
         if from == to {
             return Payload::empty();
@@ -262,7 +261,6 @@ impl TcpSender {
 
     /// Produces the next segment to emit, or `None` if cwnd/buffer don't
     /// allow one. Call in a loop until `None`.
-    // ano-lint: entry(hot-path)
     pub fn poll_transmit(&mut self, now: SimTime, ack_for_peer: u32) -> Option<Segment> {
         // SACK-driven loss recovery: while loss is established (fast
         // recovery, or the go-back-N window after a timeout), probe the
@@ -446,7 +444,6 @@ impl TcpSender {
     /// Processes the cumulative acknowledgment and advertised window `wnd`
     /// of one segment from the peer; `carries_data` says whether that
     /// segment also carries payload (the ACK then rides on data).
-    // ano-lint: entry(hot-path)
     pub fn on_ack_wnd(&mut self, ack_wire: u32, wnd: u32, carries_data: bool, now: SimTime) -> AckOutcome {
         let ack = unwrap_seq(self.snd_una, ack_wire);
         // The window's right edge never moves left.
@@ -508,7 +505,6 @@ impl TcpSender {
             } else {
                 // Congestion avoidance.
                 let mss = self.cfg.mss as f64;
-                // ano-lint: allow(transitive-panic): f64 division cannot panic
                 self.cwnd = (self.cwnd + mss * mss / self.cwnd).min(self.cfg.max_cwnd as f64);
             }
 

@@ -39,7 +39,6 @@ pub fn unwrap_seq(near: u64, seq: u32) -> u64 {
     candidates
         .into_iter()
         .min_by_key(|c| c.abs_diff(near))
-        // ano-lint: allow(transitive-panic): iterator over exactly three candidates is never empty
         .expect("three candidates")
 }
 

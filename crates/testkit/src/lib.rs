@@ -2,7 +2,7 @@
 //! reproduction — a hermetic stand-in for `proptest`, so `cargo test` needs
 //! no registry access.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`gen`] — composable seeded generators ([`gen::vec_u8`],
 //!   [`gen::usize_in`], [`gen::vec_bool`], tuples, nesting) that also know
@@ -10,7 +10,8 @@
 //! * [`runner`] — the case loop: deterministic per-case seeds, panic
 //!   capture, greedy shrinking, and replay instructions on failure
 //!   (`ANO_TESTKIT_SEED=<seed> cargo test <name>`);
-//! * [`prop_test!`] — a `proptest!`-like macro wrapping both.
+//! * [`prop_test!`] — a `proptest!`-like macro wrapping both;
+//! * [`stream`] — seeded packet cuts of a byte stream.
 //!
 //! Regression seeds are replayed as *named cases* via [`runner::replay`]:
 //! instead of proptest's opaque RNG-state hashes, the shrunk inputs are
@@ -44,6 +45,7 @@
 
 pub mod gen;
 pub mod runner;
+pub mod stream;
 
 pub use gen::Gen;
 pub use runner::{check, replay, Config};

@@ -94,7 +94,6 @@ impl KtlsTx {
     /// # Panics
     ///
     /// Panics in functional mode if `app` is synthetic.
-    // ano-lint: entry(hot-path)
     pub fn send(&mut self, app: &Payload, cost: &CostModel) -> (Vec<Payload>, u64) {
         let mut out = Vec::new();
         let mut cycles = 0u64;
@@ -107,7 +106,6 @@ impl KtlsTx {
             cycles += cost.per_record_tx;
             let wire = match (self.cfg.mode, self.cfg.offload) {
                 (DataMode::Functional, true) => {
-                    // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
                     let plain = chunk.as_real().expect("functional mode requires real bytes");
                     let mut w = Vec::with_capacity(take + HEADER_LEN + TAG_LEN);
                     w.extend_from_slice(&RecordHeader::for_plaintext(take).encode());
@@ -119,7 +117,6 @@ impl KtlsTx {
                     Payload::real(w)
                 }
                 (DataMode::Functional, false) => {
-                    // ano-lint: allow(transitive-panic): mode contract: functional mode always carries real bytes
                     let plain = chunk.as_real().expect("functional mode requires real bytes");
                     cycles += cost.record_alloc + cost.encrypt_cycles(take);
                     Payload::real(self.session.seal_record(self.log.count(), plain))
@@ -210,6 +207,10 @@ pub struct KtlsRx {
     parts: Vec<(Payload, SkbFlags)>,
     /// `l5o_resync_rx_req`/`resp` bookkeeping over the record stream.
     resync: ResyncResponder,
+    /// A record header failed the magic-pattern check. Its bytes were
+    /// skipped, so a later record that authenticates sits at an unknown
+    /// plaintext offset: nothing is delivered from here on.
+    framing_lost: bool,
     stats: KtlsRxStats,
     tracer: ano_trace::Tracer,
 }
@@ -234,6 +235,7 @@ impl KtlsRx {
             cur: None,
             parts: Vec::new(),
             resync: ResyncResponder::default(),
+            framing_lost: false,
             stats: KtlsRxStats::default(),
             tracer: ano_trace::Tracer::default(),
         }
@@ -271,7 +273,6 @@ impl KtlsRx {
     /// so the steady-state receive path allocates nothing.
     ///
     /// [`on_chunks`]: KtlsRx::on_chunks
-    // ano-lint: entry(hot-path)
     pub fn on_chunks_into<I>(
         &mut self,
         chunks: I,
@@ -297,7 +298,6 @@ impl KtlsRx {
                         match chunk.payload.as_real() {
                             Some(bytes) => self
                                 .hdr_buf
-                                // ano-lint: allow(transitive-panic): take is clamped by min() against the header remainder
                                 .extend_from_slice(&bytes[consumed..consumed + take]),
                             None => self.hdr_buf.extend(std::iter::repeat(0).take(take)),
                         }
@@ -319,6 +319,7 @@ impl KtlsRx {
                                 }
                                 None => {
                                     // Stream garbage: fatal protocol error.
+                                    self.framing_lost = true;
                                     self.stats.alerts += 1;
                                     self.tracer.record(|| ano_trace::Event::AuthReject {
                                         seq: start,
@@ -356,7 +357,6 @@ impl KtlsRx {
     /// `out` and returning the CPU cycles spent. Appends (rather than
     /// returns) so the per-record output needs no fresh allocation.
     fn finish_record(&mut self, cost: &CostModel, out: &mut Vec<PlainChunk>) -> u64 {
-        // ano-lint: allow(transitive-panic): state-machine contract: finish_record runs only with an open record
         let (total, start) = self.cur.take().expect("record in progress");
         let parts = std::mem::take(&mut self.parts);
         self.hdr_buf.clear();
@@ -408,7 +408,12 @@ impl KtlsRx {
                 self.emit_chunks(&parts, plen, None, out);
             }
             FlowMode::Functional => {
-                match self.recover_plaintext(seq, total, &parts, class) {
+                let plain = if self.framing_lost {
+                    None
+                } else {
+                    self.recover_plaintext(seq, total, &parts, class)
+                };
+                match plain {
                     Some(plain) => {
                         self.tracer.record(|| ano_trace::Event::AuthAccept {
                             seq: start,
@@ -425,7 +430,6 @@ impl KtlsRx {
             }
         }
         self.tracer.count("tls.records", 1);
-        // ano-lint: allow(transitive-panic): mark is a prior out.len(); the slice start never exceeds the length
         let delivered: u64 = out[mark..].iter().map(|c| c.payload.len() as u64).sum();
         self.plain_pos += plen as u64;
         self.stats.plain_bytes += delivered;
@@ -453,7 +457,6 @@ impl KtlsRx {
             }
             let take = p.len().min(plen - off);
             let payload = match plain {
-                // ano-lint: allow(transitive-panic): functional-mode chunk copy; offsets clamped by min() against the part length
                 Some(bytes) => Payload::real(bytes[off..off + take].to_vec()),
                 None => Payload::synthetic(take),
             };
@@ -477,7 +480,6 @@ impl KtlsRx {
         let plen = total as usize - HEADER_LEN - TAG_LEN;
         let mut body_tag = Vec::with_capacity(total as usize - HEADER_LEN);
         for (p, _) in parts {
-            // ano-lint: allow(transitive-panic): mode contract: functional recovery only runs on real bytes
             body_tag.extend_from_slice(p.as_real().expect("functional bytes"));
         }
         debug_assert_eq!(body_tag.len(), total as usize - HEADER_LEN);
@@ -485,7 +487,6 @@ impl KtlsRx {
         match class {
             Class::Full => {
                 // NIC already decrypted and authenticated: body is plaintext.
-                // ano-lint: allow(transitive-panic): plen < body_tag length by record framing (body = plain+tag)
                 Some(body_tag[..plen].to_vec())
             }
             Class::None | Class::Partial => {
@@ -495,7 +496,6 @@ impl KtlsRx {
                 let mut ct = body_tag.clone();
                 if class == Class::Partial {
                     // XOR-keystream pass over a copy flips plain<->cipher.
-                    // ano-lint: allow(transitive-panic): flipped window bounded by plen and the take clamps
                     let mut flipped = body_tag[..plen].to_vec();
                     let mut enc = self.session.stream(seq, &hdr, Direction::Encrypt);
                     enc.process(&mut flipped);
@@ -503,7 +503,6 @@ impl KtlsRx {
                     for (p, f) in parts {
                         let take = p.len().min(plen.saturating_sub(off));
                         if f.tls_decrypted {
-                            // ano-lint: allow(transitive-panic): ct holds body+tag, so plen+TAG_LEN is exactly its length
                             ct[off..off + take].copy_from_slice(&flipped[off..off + take]);
                         }
                         off += take;
@@ -512,9 +511,7 @@ impl KtlsRx {
                         }
                     }
                 }
-                // ano-lint: allow(transitive-panic): plen+TAG_LEN is exactly the ct length by record framing
                 let tag: [u8; TAG_LEN] = ct[plen..plen + TAG_LEN].try_into().expect("tag");
-                // ano-lint: allow(transitive-panic): off+take clamped by min() against the part length
                 let mut body = ct[..plen].to_vec();
                 let mut dec = self.session.stream(seq, &hdr, Direction::Decrypt);
                 dec.process(&mut body);

@@ -45,7 +45,6 @@ impl RecordHeader {
     ///
     /// Panics if `plaintext_len` exceeds [`MAX_PLAINTEXT`].
     pub fn for_plaintext(plaintext_len: usize) -> RecordHeader {
-        // ano-lint: allow(transitive-panic): record-size contract assert at the TLS API boundary
         assert!(plaintext_len <= MAX_PLAINTEXT, "record too large");
         RecordHeader {
             content_type: CONTENT_APPDATA,
@@ -65,16 +64,13 @@ impl RecordHeader {
         if bytes.len() < HEADER_LEN {
             return None;
         }
-        // ano-lint: allow(transitive-panic): guarded by the header-length check above
         let content_type = bytes[0];
         if !VALID_CONTENT_TYPES.contains(&content_type) {
             return None;
         }
-        // ano-lint: allow(transitive-panic): guarded by the header-length check above
         if bytes[1..3] != LEGACY_VERSION {
             return None;
         }
-        // ano-lint: allow(transitive-panic): guarded by the header-length check above
         let length = u16::from_be_bytes([bytes[3], bytes[4]]);
         if (length as usize) < TAG_LEN || (length as usize) > MAX_PLAINTEXT + TAG_LEN {
             return None;

@@ -53,7 +53,6 @@ impl TlsSession {
     pub fn nonce(&self, seq: u64) -> [u8; 12] {
         let mut n = self.static_iv;
         for (i, b) in seq.to_be_bytes().iter().enumerate() {
-            // ano-lint: allow(transitive-panic): nonce is IV_LEN bytes; 4+i stays below it for the 8-byte counter
             n[4 + i] ^= b;
         }
         n

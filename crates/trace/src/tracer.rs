@@ -125,9 +125,7 @@ impl Tracer {
             ring.buf.push(rec);
         } else {
             let head = ring.head;
-            // ano-lint: allow(transitive-panic): head stays in range via the modulo on the next line
             ring.buf[head] = rec;
-            // ano-lint: allow(transitive-panic): ring arithmetic: cap is asserted nonzero at construction
             ring.head = (head + 1) % ring.cap;
             self.inner.dropped.set(self.inner.dropped.get() + 1);
         }
