@@ -11,8 +11,6 @@
 //! latency and internal bandwidth, versus in-core ciphers with calibrated
 //! cycles/byte on the paper's 2.4 GHz Xeon E5-2620 v3.
 
-#![forbid(unsafe_code)]
-
 /// Cipher suites from Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cipher {

@@ -6,8 +6,6 @@
 //!   backs responses with NVMe-TCP reads, C2 serves from the page cache;
 //! * [`fio`] — random-read generator at fixed I/O depth (Fig. 10).
 
-#![forbid(unsafe_code)]
-
 pub mod fio;
 pub mod httpd;
 pub mod iperf;

@@ -4,10 +4,11 @@
 //! (plus `ablate` for the DESIGN.md §6 ablations); with no ids, every
 //! paper figure runs in order (ablations run only when asked).
 
-#![forbid(unsafe_code)]
-
 use ano_bench::figures as f;
 
+#[expect(clippy::print_stdout, reason = "the figures are this binary's output")]
+#[expect(clippy::print_stderr, reason = "reports its own wall time, off the byte-stable stdout")]
+#[expect(clippy::disallowed_types, reason = "times the run; no simulated quantity reads it")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

@@ -709,7 +709,7 @@ pub fn ablations(quick: bool) -> String {
 
     // A2 — resync confirmation latency under receiver-side loss.
     writeln!(out, "\n-- A2: driver<->L5P resync delay (rx, 2% loss, offload+zc) --").unwrap();
-    writeln!(out, "{:>9} {:>10} {:>7} {:>9}", "delay us", "Gbps", "full%", "resyncs").unwrap();
+    writeln!(out, "{:>9} {:>10} {:>7} {:>9}", "delay us", "Gbps", "full%", "retransmits").unwrap();
     let delays: &[u64] = if quick { &[5, 100] } else { &[1, 5, 20, 100] };
     for &d in delays {
         let r = run_iperf(&IperfCfg {

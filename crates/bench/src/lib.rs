@@ -5,8 +5,6 @@
 //!   rows/series the paper reports (driven by the `figures` binary);
 //! * [`data`] — embedded datasets behind the motivation figures.
 
-#![forbid(unsafe_code)]
-
 pub mod data;
 pub mod figures;
 pub mod runners;

@@ -57,6 +57,7 @@ static ALLOC: Counting = Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter never touches the memory.
+#[expect(unsafe_code, reason = "a global allocator can only be installed through unsafe code")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();

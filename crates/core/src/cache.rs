@@ -7,10 +7,11 @@
 //! least-recently-used eviction, reporting hits and misses so experiments
 //! can charge the miss penalty.
 
-// ano-lint: allow(hash-collection): LruSet models the NIC's O(1) context
-// cache; the map is keyed-access only — recency order lives in the
-// intrusive prev/next list and eviction follows `tail`, so hash iteration
-// order can never reach traces, golden files, or scheduling.
+// LruSet models the NIC's O(1) context cache with a `HashMap`; the map is
+// keyed-access only — recency order lives in the intrusive prev/next list
+// and eviction follows `tail`, so hash iteration order can never reach
+// traces, golden files, or scheduling.
+#[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -85,8 +86,7 @@ const NIL: usize = usize::MAX;
 /// A fixed-capacity LRU set with O(1) touch.
 #[derive(Debug)]
 pub struct LruSet<K: Eq + Hash + Clone> {
-    // ano-lint: allow(hash-collection): keyed access only, never iterated
-    // (see module-top justification).
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     map: HashMap<K, usize, BuildHasherDefault<FxHasher>>,
     keys: Vec<Option<K>>,
     nodes: Vec<Node>,
@@ -108,7 +108,7 @@ impl<K: Eq + Hash + Clone> LruSet<K> {
     pub fn new(capacity: usize) -> LruSet<K> {
         let capacity = capacity.max(1);
         LruSet {
-            // ano-lint: allow(hash-collection): see module-top justification.
+            #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
             map: HashMap::default(),
             keys: Vec::new(),
             nodes: Vec::new(),

@@ -24,6 +24,16 @@
 //! unused, which `empty_fault_plan_is_inert` in `ano-stack`'s
 //! `tests/faults.rs` checks.
 
+// Per-packet hot path: a panic here aborts the whole simulated schedule.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use ano_sim::link::Match;
 use ano_sim::time::{SimDuration, SimTime};
 use ano_tcp::segment::FlowId;

@@ -37,8 +37,6 @@
 //! assert_eq!(&wire[demo::HDR_LEN..demo::HDR_LEN + 5], b"hello");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod demo;
 pub mod fault;

@@ -19,6 +19,16 @@
 //! and Searching carries at most `header_len - 1` bytes of the previous
 //! packet, so a pattern split across two in-sequence packets is still found.
 
+// Per-packet hot path: a panic here aborts the whole simulated schedule.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use ano_tcp::segment::SkbFlags;
 use ano_trace::{Event, ResyncPhase, Tracer};
 
@@ -111,11 +121,11 @@ fn ghost_walk(
 /// the §4.3 machine's edges, with `Tracking` split into its unconfirmed
 /// and software-confirmed halves as the trace layer reports them.
 ///
-/// This match table is the *code-side* declaration of the state machine:
-/// `ano-lint` (rule `resync-table`) extracts the pairs below and
-/// cross-checks them against the spec-side legal-edge set in
-/// `crates/scenario/src/invariant.rs` (`LEGAL_EDGES`); drift on either
-/// side fails static analysis. [`RxEngine`] also debug-asserts every
+/// This match table is the *code-side* declaration of the state machine.
+/// The scenario crate's `invariant::tests::table_matches_rx_engine_declaration`
+/// compares it with the spec-side legal-edge set (`LEGAL_EDGES` in
+/// `crates/scenario/src/invariant.rs`) over the whole phase space; drift
+/// on either side fails that test. [`RxEngine`] also debug-asserts every
 /// emitted transition against it, so an illegal edge dies in tests before
 /// it can reach a trace.
 pub fn legal_transition(from: ResyncPhase, to: ResyncPhase) -> bool {

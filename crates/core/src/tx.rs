@@ -10,6 +10,16 @@
 //! through the operation to rebuild the dynamic state, and only then lets
 //! the NIC process the packet.
 
+// Per-packet hot path: a panic here aborts the whole simulated schedule.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use ano_tcp::segment::SkbFlags;
 use ano_trace::{Event, Tracer};
 

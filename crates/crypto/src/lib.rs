@@ -28,8 +28,6 @@
 //! # Ok::<(), ano_crypto::AuthError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod aes;
 pub mod crc32c;
 pub mod gcm;

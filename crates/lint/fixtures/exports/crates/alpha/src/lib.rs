@@ -1,13 +1,11 @@
-#![forbid(unsafe_code)]
-
 pub fn used() {}
 
 pub fn tested() {}
 
-// ano-lint: allow(dead-export): kept for the fixture's audited-allow case
 pub fn orphan() {}
 
 /// Exported, never mentioned again.
+#[expect(dead_code, reason = "the fixture's one exception")]
 pub struct Unused;
 
 #[cfg(test)]

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 fn call() {
     alpha::used();
 }

@@ -8,18 +8,17 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::{Diagnostic, Severity};
-use crate::parser::ParsedFile;
+use crate::parser::{ParsedFile, PubItem};
 
 /// The pass over every linted file (`(path, scan)` pairs) and the
 /// identifier counts of the trees the rules do not cover (`tests/`,
 /// `benches/`, `examples/`). An item is dead when its name's mentions do
 /// not exceed its definitions: the fns of that name, or the same-named
-/// exported items.
+/// exported items. Returns each dead item with its file.
 pub fn dead_exports(
     files: &[(String, ParsedFile)],
     extra_idents: &BTreeMap<String, usize>,
-) -> Vec<Diagnostic> {
+) -> Vec<(String, PubItem)> {
     let mut mentions = extra_idents.clone();
     let mut fn_defs: BTreeMap<&str, usize> = BTreeMap::new();
     let mut item_defs: BTreeMap<&str, usize> = BTreeMap::new();
@@ -42,19 +41,7 @@ pub fn dead_exports(
             if mentions.get(&it.name).copied().unwrap_or(0) > defs {
                 continue;
             }
-            out.push(Diagnostic {
-                rule: "dead-export",
-                severity: Severity::Warning,
-                file: file.clone(),
-                line: it.line,
-                col: 1,
-                message: format!(
-                    "pub {} `{}` is never referenced anywhere in the workspace \
-                     (src, tests, benches, or examples); remove it or justify with \
-                     `// ano-lint: allow(dead-export)`",
-                    it.kind, it.name
-                ),
-            });
+            out.push((file.clone(), it.clone()));
         }
     }
     out
@@ -65,14 +52,10 @@ mod tests {
     use super::*;
     use crate::lexer::{lex, LineIndex};
     use crate::parser::scan;
-    use crate::rules::test_spans;
 
     fn files(srcs: &[(&str, &str)]) -> Vec<(String, ParsedFile)> {
         srcs.iter()
-            .map(|(path, src)| {
-                let lexed = lex(src);
-                (path.to_string(), scan(&lexed, &LineIndex::new(src), &test_spans(&lexed)))
-            })
+            .map(|(path, src)| (path.to_string(), scan(&lex(src), &LineIndex::new(src))))
             .collect()
     }
 
@@ -83,10 +66,11 @@ mod tests {
             ("crates/b/src/lib.rs", "fn f() { used(); }"),
         ]);
         let d = dead_exports(&f, &BTreeMap::new());
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d[0].message.contains("pub fn `orphan`"), "{:?}", d[0]);
-        assert!(d[1].message.contains("pub struct `Lonely`"), "{:?}", d[1]);
-        assert!(d.iter().all(|d| d.severity == Severity::Warning && d.file.contains("/a/")));
+        let d: Vec<_> = d.iter().map(|(f, it)| (f.as_str(), it.name.as_str(), it.kind)).collect();
+        assert_eq!(
+            d,
+            [("crates/a/src/lib.rs", "orphan", "fn"), ("crates/a/src/lib.rs", "Lonely", "struct")]
+        );
     }
 
     #[test]

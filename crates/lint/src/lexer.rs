@@ -1,17 +1,16 @@
 //! A minimal Rust lexer: source text → token stream with byte offsets.
 //!
-//! Deliberately *not* a parser. The rules in this workspace key off
-//! identifiers, macro names, literals, and brace structure, so a faithful
-//! token stream is enough — and keeping the lexer ~300 lines preserves the
-//! hermetic-build guarantee (no `syn`, no registry dependencies at all).
+//! Deliberately *not* a parser. The item scan keys off identifiers,
+//! attributes and brace structure, so a faithful token stream is enough —
+//! and keeping the lexer small preserves the hermetic-build guarantee (no
+//! `syn`, no registry dependencies at all).
 //!
-//! What it gets right, because the rules depend on it:
+//! What it gets right, because the scan depends on it:
 //!
-//! * comments (line, nested block) are skipped but *captured*, so the
-//!   suppression scanner can read `// ano-lint:` directives;
-//! * string/char literals are opaque single tokens (a `HashMap` inside a
-//!   string must not fire the determinism rule) — including raw strings
-//!   `r#"…"#`, byte strings, and byte/char escapes;
+//! * comments (line, nested block) are skipped;
+//! * string/char literals are opaque single tokens (a name inside a string
+//!   is not a mention of it) — including raw strings `r#"…"#`, byte
+//!   strings, and byte/char escapes;
 //! * lifetimes (`'a`) are distinguished from char literals (`'a'`);
 //! * numbers never swallow `..` (so `0..n` lexes as three tokens).
 
@@ -40,21 +39,6 @@ pub enum TokenKind {
     Punct(char),
 }
 
-/// A captured comment (the token stream itself skips them).
-#[derive(Clone, Debug)]
-pub struct Comment {
-    /// Text without the `//` / `/*` markers, trimmed.
-    pub text: String,
-    pub off: usize,
-}
-
-/// Lex output: tokens plus captured comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 impl Token {
     /// The identifier text, if this token is one.
     pub fn ident(&self) -> Option<&str> {
@@ -70,7 +54,7 @@ impl Token {
     }
 }
 
-/// Maps byte offsets to 1-based `(line, col)` pairs.
+/// Maps byte offsets to 1-based line numbers.
 pub struct LineIndex {
     /// Byte offset at which each line starts.
     starts: Vec<usize>,
@@ -87,16 +71,9 @@ impl LineIndex {
         LineIndex { starts }
     }
 
-    /// 1-based line and column for a byte offset.
-    pub fn line_col(&self, off: usize) -> (usize, usize) {
-        let line = self.starts.partition_point(|&s| s <= off);
-        let col = off - self.starts[line - 1] + 1;
-        (line, col)
-    }
-
-    /// 1-based line number only.
+    /// 1-based line number of a byte offset.
     pub fn line(&self, off: usize) -> usize {
-        self.line_col(off).0
+        self.starts.partition_point(|&s| s <= off)
     }
 }
 
@@ -108,12 +85,12 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `src` into tokens and comments. Unterminated literals or comments
-/// do not panic: the remainder of the file becomes one opaque token.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into tokens. Unterminated literals or comments do not
+/// panic: the remainder of the file becomes one opaque token.
+pub fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
     // Byte offset of each char (source positions must be byte-accurate for
-    // line/col reporting even with multi-byte characters in comments).
+    // line reporting even with multi-byte characters in comments).
     let mut offs = Vec::with_capacity(b.len() + 1);
     let mut acc = 0;
     for &c in &b {
@@ -122,7 +99,7 @@ pub fn lex(src: &str) -> Lexed {
     }
     offs.push(acc);
 
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let n = b.len();
 
@@ -138,24 +115,18 @@ pub fn lex(src: &str) -> Lexed {
 
         // Line comment.
         if c == '/' && i + 1 < n && b[i + 1] == '/' {
-            let start = i + 2;
-            let mut j = start;
+            let mut j = i + 2;
             while j < n && b[j] != '\n' {
                 j += 1;
             }
-            out.comments.push(Comment {
-                text: b[start..j].iter().collect::<String>().trim().to_string(),
-                off,
-            });
             i = j;
             continue;
         }
 
         // Block comment (nested).
         if c == '/' && i + 1 < n && b[i + 1] == '*' {
-            let start = i + 2;
             let mut depth = 1;
-            let mut j = start;
+            let mut j = i + 2;
             while j < n && depth > 0 {
                 if b[j] == '/' && j + 1 < n && b[j + 1] == '*' {
                     depth += 1;
@@ -167,11 +138,6 @@ pub fn lex(src: &str) -> Lexed {
                     j += 1;
                 }
             }
-            let end = j.saturating_sub(2).max(start);
-            out.comments.push(Comment {
-                text: b[start..end].iter().collect::<String>().trim().to_string(),
-                off,
-            });
             i = j;
             continue;
         }
@@ -185,7 +151,7 @@ pub fn lex(src: &str) -> Lexed {
                 ('b', '\'', _) => {
                     // Byte char literal b'x'.
                     let (tok, j) = lex_char(&b, i + 1, i);
-                    out.tokens.push(Token { kind: tok, off });
+                    out.push(Token { kind: tok, off });
                     i = j;
                     continue;
                 }
@@ -197,7 +163,7 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     lex_string(&b, i + plen, i)
                 };
-                out.tokens.push(Token { kind: tok, off });
+                out.push(Token { kind: tok, off });
                 i = j;
                 continue;
             }
@@ -210,7 +176,7 @@ pub fn lex(src: &str) -> Lexed {
             while j < n && is_ident_continue(b[j]) {
                 j += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokenKind::Ident(b[i + 2..j].iter().collect()),
                 off,
             });
@@ -224,7 +190,7 @@ pub fn lex(src: &str) -> Lexed {
             while j < n && is_ident_continue(b[j]) {
                 j += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokenKind::Ident(b[i..j].iter().collect()),
                 off,
             });
@@ -249,7 +215,7 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokenKind::Num(b[i..j].iter().collect()),
                 off,
             });
@@ -260,7 +226,7 @@ pub fn lex(src: &str) -> Lexed {
         // String literal.
         if c == '"' {
             let (tok, j) = lex_string(&b, i, i);
-            out.tokens.push(Token { kind: tok, off });
+            out.push(Token { kind: tok, off });
             i = j;
             continue;
         }
@@ -276,11 +242,11 @@ pub fn lex(src: &str) -> Lexed {
                 if j < n && b[j] == '\'' && j == i + 2 {
                     // 'x' — a one-char literal.
                     let (tok, j2) = lex_char(&b, i, i);
-                    out.tokens.push(Token { kind: tok, off });
+                    out.push(Token { kind: tok, off });
                     i = j2;
                 } else {
                     // 'abc — a lifetime (or 'static etc.).
-                    out.tokens.push(Token {
+                    out.push(Token {
                         kind: TokenKind::Lifetime(b[i + 1..j].iter().collect()),
                         off,
                     });
@@ -289,12 +255,12 @@ pub fn lex(src: &str) -> Lexed {
                 continue;
             }
             let (tok, j) = lex_char(&b, i, i);
-            out.tokens.push(Token { kind: tok, off });
+            out.push(Token { kind: tok, off });
             i = j;
             continue;
         }
 
-        out.tokens.push(Token {
+        out.push(Token {
             kind: TokenKind::Punct(c),
             off,
         });
@@ -377,7 +343,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| t.ident().map(str::to_string))
             .collect()
@@ -387,7 +352,7 @@ mod tests {
     fn basic_idents_and_puncts() {
         let l = lex("fn main() { let x = y; }");
         assert_eq!(idents("fn main() { let x = y; }"), ["fn", "main", "let", "x", "y"]);
-        assert!(l.tokens.iter().any(|t| t.is_punct('{')));
+        assert!(l.iter().any(|t| t.is_punct('{')));
     }
 
     #[test]
@@ -398,18 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_not_tokenized() {
-        let l = lex("// ano-lint: allow(x): y\nlet a = 1; /* HashMap */");
-        assert_eq!(idents("// HashMap\nlet a = 1;"), ["let", "a"]);
-        assert_eq!(l.comments.len(), 2);
-        assert_eq!(l.comments[0].text, "ano-lint: allow(x): y");
-        assert_eq!(l.comments[1].text, "HashMap");
+    fn comments_are_not_tokenized() {
+        assert_eq!(idents("// HashMap\nlet a = 1; /* Instant */"), ["let", "a"]);
     }
 
     #[test]
     fn nested_block_comment() {
-        let l = lex("/* a /* b */ c */ let x = 1;");
-        assert_eq!(l.comments.len(), 1);
         assert_eq!(idents("/* a /* b */ c */ let x = 1;"), ["let", "x"]);
     }
 
@@ -417,7 +376,6 @@ mod tests {
     fn lifetime_vs_char() {
         let l = lex("fn f<'a>(x: &'a u8) { let c = 'a'; let d = '\\n'; }");
         let lifetimes: Vec<_> = l
-            .tokens
             .iter()
             .filter_map(|t| match &t.kind {
                 TokenKind::Lifetime(s) => Some(s.clone()),
@@ -426,7 +384,6 @@ mod tests {
             .collect();
         assert_eq!(lifetimes, ["a", "a"]);
         let chars: Vec<_> = l
-            .tokens
             .iter()
             .filter_map(|t| match &t.kind {
                 TokenKind::Char(s) => Some(s.clone()),
@@ -440,7 +397,6 @@ mod tests {
     fn numbers_do_not_swallow_ranges() {
         let l = lex("for i in 0..10 {}");
         let nums: Vec<_> = l
-            .tokens
             .iter()
             .filter_map(|t| match &t.kind {
                 TokenKind::Num(s) => Some(s.clone()),
@@ -448,7 +404,7 @@ mod tests {
             })
             .collect();
         assert_eq!(nums, ["0", "10"]);
-        assert_eq!(lex("1.5e3 0xFF 1_000").tokens.len(), 3);
+        assert_eq!(lex("1.5e3 0xFF 1_000").len(), 3);
     }
 
     #[test]
@@ -460,16 +416,17 @@ mod tests {
     fn line_index_maps_offsets() {
         let src = "ab\ncde\nf";
         let ix = LineIndex::new(src);
-        assert_eq!(ix.line_col(0), (1, 1));
-        assert_eq!(ix.line_col(3), (2, 1));
-        assert_eq!(ix.line_col(5), (2, 3));
-        assert_eq!(ix.line_col(7), (3, 1));
+        assert_eq!(ix.line(0), 1);
+        assert_eq!(ix.line(2), 1);
+        assert_eq!(ix.line(3), 2);
+        assert_eq!(ix.line(5), 2);
+        assert_eq!(ix.line(7), 3);
     }
 
     #[test]
     fn byte_char_literal() {
         let l = lex("let x = b'a'; let y = b\"bytes\";");
-        assert!(l.tokens.iter().any(|t| matches!(&t.kind, TokenKind::Char(s) if s == "b'a'")));
-        assert!(l.tokens.iter().any(|t| matches!(&t.kind, TokenKind::Str(s) if s == "b\"bytes\"")));
+        assert!(l.iter().any(|t| matches!(&t.kind, TokenKind::Char(s) if s == "b'a'")));
+        assert!(l.iter().any(|t| matches!(&t.kind, TokenKind::Str(s) if s == "b\"bytes\"")));
     }
 }

@@ -1,20 +1,18 @@
-//! The token-level item scan behind the dead-export pass: which `pub`
-//! items one file exports, which fns it defines, and how often it
-//! mentions each identifier.
+//! The token-level item scan: which `pub` items one file exports, which
+//! fns it defines, how often it mentions each identifier, and which lints
+//! its `#[expect(...)]` attributes name.
 //!
 //! Items are read straight off the token stream: an unrestricted `pub`
 //! (`pub(crate)` is not an export) followed by `fn`, `const fn`, `struct`,
 //! `enum`, `union`, `trait`, `const`, `static` or `type` and a name. A
-//! brace stack tells the scan where it stands, so it skips test modules
-//! ([`rules::test_spans`]) and `#[cfg(test)]` items, associated consts and
-//! types (their block is an `impl` or `trait` body), and anything inside a
-//! fn body. `main` is never an export.
-//!
-//! [`rules::test_spans`]: crate::rules::test_spans
+//! brace stack tells the scan where it stands, so it skips `#[cfg(test)]`
+//! items (test modules included), associated consts and types (their
+//! block is an `impl` or `trait` body), and anything inside a fn body.
+//! `main` is never an export.
 
 use std::collections::BTreeMap;
 
-use crate::lexer::{Lexed, LineIndex, Token, TokenKind};
+use crate::lexer::{LineIndex, Token, TokenKind};
 
 /// One exported item.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,7 +25,7 @@ pub struct PubItem {
     pub line: usize,
 }
 
-/// What one file contributes to the dead-export pass.
+/// What one file contributes to the workspace pass.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub items: Vec<PubItem>,
@@ -37,6 +35,9 @@ pub struct ParsedFile {
     /// Every identifier token in the file (test modules included) with a
     /// count — a name is used when it occurs beyond its own definitions.
     pub ident_counts: BTreeMap<String, usize>,
+    /// The lint of every `#[expect(...)]` / `#![expect(...)]` outside test
+    /// code, once per lint named (`clippy::disallowed_types`).
+    pub expects: Vec<String>,
 }
 
 /// What the `{` about to open is the body of.
@@ -48,14 +49,11 @@ enum Block {
     Fn,
 }
 
-/// Scans one lexed file. `test_spans` are the byte ranges of its test
-/// modules.
-pub fn scan(lexed: &Lexed, lines: &LineIndex, test_spans: &[(usize, usize)]) -> ParsedFile {
-    let toks = &lexed.tokens;
-    let in_test = |off: usize| test_spans.iter().any(|&(a, b)| off >= a && off < b);
+/// Scans one lexed file.
+pub fn scan(toks: &[Token], lines: &LineIndex) -> ParsedFile {
     let ident = |i: usize| toks.get(i).and_then(Token::ident);
     let mut out = ParsedFile {
-        ident_counts: ident_counts(lexed),
+        ident_counts: ident_counts(toks),
         ..Default::default()
     };
     let mut stack: Vec<Block> = Vec::new();
@@ -65,16 +63,13 @@ pub fn scan(lexed: &Lexed, lines: &LineIndex, test_spans: &[(usize, usize)]) -> 
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
-        if in_test(t.off) {
-            i += 1;
-            continue;
-        }
         let in_fn = stack.contains(&Block::Fn);
         match &t.kind {
             TokenKind::Punct('#') if !in_fn && is_cfg_test(toks, i) => {
                 i = skip_item(toks, i + 7);
                 continue;
             }
+            TokenKind::Punct('#') => out.expects.extend(expected_lints(toks, i)),
             TokenKind::Punct('(' | '[') => group += 1,
             TokenKind::Punct(')' | ']') => group = group.saturating_sub(1),
             TokenKind::Punct(';') if group == 0 => pending = None,
@@ -137,6 +132,31 @@ fn is_cfg_test(toks: &[Token], i: usize) -> bool {
     p(1, '[') && id(2, "cfg") && p(3, '(') && id(4, "test") && p(5, ')') && p(6, ']')
 }
 
+/// The lints named by the attribute whose `#` is token `i`, if it is an
+/// `expect(...)`: each comma-separated path before the trailing `reason`.
+fn expected_lints(toks: &[Token], i: usize) -> Vec<String> {
+    let p = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_punct(c));
+    let k = if p(i + 1, '!') { i + 2 } else { i + 1 };
+    if !(p(k, '[') && toks.get(k + 1).and_then(Token::ident) == Some("expect") && p(k + 2, '(')) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    let mut path = String::new();
+    for t in toks.iter().skip(k + 3) {
+        match &t.kind {
+            TokenKind::Ident(s) if s == "reason" && path.is_empty() => break,
+            TokenKind::Ident(s) => path.push_str(s),
+            TokenKind::Punct(':') => path.push(':'),
+            TokenKind::Punct(',') => out.push(std::mem::take(&mut path)),
+            _ => break,
+        }
+    }
+    if !path.is_empty() {
+        out.push(path);
+    }
+    out
+}
+
 /// Index one past the item starting at `i` (after its `#[cfg(test)]`): its
 /// `;` outside any group, or the `}` matching its first `{`.
 fn skip_item(toks: &[Token], mut i: usize) -> usize {
@@ -167,10 +187,10 @@ fn skip_item(toks: &[Token], mut i: usize) -> usize {
     toks.len()
 }
 
-/// Every identifier token of `lexed`, with its count.
-pub fn ident_counts(lexed: &Lexed) -> BTreeMap<String, usize> {
+/// Every identifier token of `toks`, with its count.
+pub fn ident_counts(toks: &[Token]) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
-    for t in &lexed.tokens {
+    for t in toks {
         if let TokenKind::Ident(name) = &t.kind {
             *out.entry(name.clone()).or_insert(0) += 1;
         }
@@ -182,11 +202,9 @@ pub fn ident_counts(lexed: &Lexed) -> BTreeMap<String, usize> {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::rules::test_spans;
 
     fn parse(src: &str) -> ParsedFile {
-        let lexed = lex(src);
-        scan(&lexed, &LineIndex::new(src), &test_spans(&lexed))
+        scan(&lex(src), &LineIndex::new(src))
     }
 
     fn names(f: &ParsedFile) -> Vec<(&str, &str)> {
@@ -255,5 +273,20 @@ mod tests {
     fn ident_counts_cover_test_modules_too() {
         let f = parse("fn f() {}\n#[cfg(test)]\nmod t { fn g() { f(); } }\n");
         assert_eq!(f.ident_counts.get("f").copied(), Some(2));
+    }
+
+    #[test]
+    fn expect_attributes_name_their_lints() {
+        let f = parse(
+            "#![expect(unsafe_code, reason = \"a\")]\n\
+             #[expect(clippy::print_stdout, clippy::print_stderr, reason = \"b\")]\n\
+             fn main() { #[expect(clippy::disallowed_types)] let t = 0; }\n\
+             #[allow(dead_code)]\n#[derive(Debug)]\nstruct S;\n\
+             #[cfg(test)]\nmod tests { #[expect(clippy::panic, reason = \"c\")] fn t() {} }\n",
+        );
+        assert_eq!(
+            f.expects,
+            ["unsafe_code", "clippy::print_stdout", "clippy::print_stderr", "clippy::disallowed_types"]
+        );
     }
 }

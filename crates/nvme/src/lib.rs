@@ -18,8 +18,6 @@
 //! assert_eq!(ch.plen as usize, wire.len());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod block;
 pub mod host;
 pub mod offload;

@@ -18,6 +18,12 @@ use crate::block::BlockDevice;
 use crate::parser::{PduParser, StreamChunk};
 use crate::pdu::{capsule_resp_header, data_pdu_header, encode_data_pdu, pdu_len, IoOpcode, PduType};
 
+/// The largest transfer one command may ask for, in bytes (the role of
+/// NVMe's MDTS). It sits above the largest request any workload issues —
+/// the 3 MiB extents of the `nvme/*` scenarios — and far below the 4 GiB a
+/// wire-derived `u32` length can claim.
+pub const MAX_TRANSFER: u32 = 4 << 20;
+
 /// Target configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct NvmeTargetConfig {
@@ -83,6 +89,9 @@ pub struct NvmeTargetStats {
     pub crc_skipped: u64,
     /// Digest failures on inline write data.
     pub crc_failures: u64,
+    /// Commands dropped unserved: their byte range runs past the end of
+    /// the device address space, or is longer than [`MAX_TRANSFER`].
+    pub dropped: u64,
 }
 
 /// The controller endpoint for one NVMe-TCP queue.
@@ -160,11 +169,18 @@ impl NvmeTcpTarget {
                 }
                 let Some(sqe) = pdu.psh.sqe else { continue };
                 let (cid, offset, inline) = (sqe.cid, sqe.offset, pdu.data_len() as u32);
+                // `offset` and the length come off the wire: the device is
+                // only asked for ranges it can address.
+                let len = if sqe.op == IoOpcode::Read { sqe.len } else { inline };
+                if len > MAX_TRANSFER || offset.checked_add(u64::from(len)).is_none() {
+                    self.stats.dropped += 1;
+                    continue;
+                }
                 cycles += cost.per_req_nvme / 2; // submission half of the I/O path
                 match sqe.op {
                     IoOpcode::Read => {
                         self.stats.reads += 1;
-                        let (data, ready) = self.device.read(now, offset, sqe.len as usize);
+                        let (data, ready) = self.device.read(now, offset, len as usize);
                         out.push(PendingReply {
                             ready,
                             reply: Reply::ReadData { cid, data },

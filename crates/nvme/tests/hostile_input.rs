@@ -16,6 +16,13 @@
 //!   did not send: mutated data fails its CRC32C digest or breaks the
 //!   framing, and the parser reports a framing error.
 //!
+//! The target ([`NvmeTcpTarget`]) reads command capsules whose SQE offset
+//! and length are the peer's to choose. Its family is streams of read and
+//! write capsules with offsets up to the top of the `u64` address space
+//! and lengths up to `u32::MAX`: a command whose range overflows or
+//! exceeds [`MAX_TRANSFER`] is counted and dropped, every other one is
+//! served, and nothing panics or allocates the claimed length first.
+//!
 //! A data section counts as accepted when the host would take it: the NIC
 //! verified every packet of it (`nvme_crc_ok`), or its wire digest matches.
 //! Header digests are off in this binding, so a mutated CID or offset can
@@ -32,14 +39,18 @@ use std::rc::Rc;
 use ano_core::msg::{DataRef, EngineEvent, FlowMode};
 use ano_core::rx::RxEngine;
 use ano_crypto::crc32c::crc32c;
+use ano_nvme::block::{BlockDevice, BlockDeviceConfig};
 use ano_nvme::offload::{NvmeRxFlow, RrEntry, RrMap};
 use ano_nvme::parser::{ParsedPdu, PduParser, StreamChunk};
+use ano_nvme::target::{NvmeTargetConfig, NvmeTcpTarget, Reply, MAX_TRANSFER};
 use ano_nvme::pdu::{
     capsule_resp_header, data_pdu_header, encode_capsule_cmd, encode_capsule_resp, encode_data_pdu, IoOpcode,
     PduType, CH_LEN,
 };
-use ano_sim::payload::Payload;
+use ano_sim::cost::CostModel;
+use ano_sim::payload::{DataMode, Payload};
 use ano_sim::rng::SimRng;
+use ano_sim::time::SimTime;
 use ano_tcp::segment::SkbFlags;
 use ano_testkit::gen::{any_u8, u64_in, vec_of};
 use ano_testkit::stream::{cut_sizes, packets};
@@ -289,6 +300,87 @@ fn every_psh_word_takes_its_extremes() {
             }
         }
     }
+}
+
+/// A stream of read and write capsules with hostile SQE fields, the
+/// commands in it: `(cid, is_read, offset, len)`.
+fn capsules(seed: u64) -> (Vec<u8>, Vec<(u16, bool, u64, u32)>) {
+    let mut rng = SimRng::seed(seed);
+    let mut wire = Vec::new();
+    let mut cmds = Vec::new();
+    for i in 0..2 + rng.index(12) {
+        let cid = i as u16 + 1;
+        let offset = match rng.index(4) {
+            0 => u64::MAX - rng.index(8192) as u64,
+            1 => rng.next_u64(),
+            _ => rng.index(1 << 20) as u64 * 512,
+        };
+        if rng.chance(0.5) {
+            let len = match rng.index(4) {
+                0 => MAX_TRANSFER + 1 + rng.index(1 << 20) as u32,
+                1 => u32::MAX - rng.index(4096) as u32,
+                _ => 1 + rng.index(8192) as u32,
+            };
+            wire.extend_from_slice(&encode_capsule_cmd(cid, IoOpcode::Read, offset, len, None));
+            cmds.push((cid, true, offset, len));
+        } else {
+            let d = vec![0xA5; 1 + rng.index(2048)];
+            wire.extend_from_slice(&encode_capsule_cmd(cid, IoOpcode::Write, offset, d.len() as u32, Some(&d)));
+            cmds.push((cid, false, offset, d.len() as u32));
+        }
+    }
+    (wire, cmds)
+}
+
+/// Feeds `wire`, cut at `cut`, to a functional target; asserts that it
+/// serves exactly the in-range commands, in order, and drops the rest.
+fn check_target(wire: &[u8], cmds: &[(u16, bool, u64, u32)], cut: u64) {
+    let cost = CostModel::calibrated();
+    let cfg = NvmeTargetConfig { mode: DataMode::Functional, ..Default::default() };
+    let device = BlockDevice::new(BlockDeviceConfig { mode: DataMode::Functional, ..Default::default() });
+    let mut target = NvmeTcpTarget::new(cfg, device, PduParser::new(FlowMode::Functional));
+    let mut served = Vec::new();
+    for (offset, bytes) in packets(wire, &cut_sizes(cut, wire.len(), MSS)) {
+        let chunk = StreamChunk { offset, payload: Payload::real(bytes.to_vec()), flags: SkbFlags::default() };
+        for r in target.on_chunks([chunk], SimTime::ZERO, &cost).0 {
+            served.push(match r.reply {
+                Reply::ReadData { cid, data } => (cid, true, data.len() as u32),
+                Reply::WriteAck { cid, status } => {
+                    assert_eq!(status, 0, "write {cid}: its digest is valid");
+                    (cid, false, 0)
+                }
+            });
+        }
+    }
+    let in_range = |&&(_, _, offset, len): &&(u16, bool, u64, u32)| {
+        len <= MAX_TRANSFER && offset.checked_add(u64::from(len)).is_some()
+    };
+    let want: Vec<_> = cmds
+        .iter()
+        .filter(in_range)
+        .map(|&(cid, read, _, len)| (cid, read, if read { len } else { 0 }))
+        .collect();
+    assert_eq!(served, want, "served commands");
+    assert_eq!(target.stats().dropped, (cmds.len() - want.len()) as u64, "dropped commands");
+}
+
+ano_testkit::prop_test! {
+    cases = 32;
+    fn target_serves_only_in_range_commands(seed in u64_in(0..u64::MAX), cut in u64_in(0..u64::MAX)) {
+        let (wire, cmds) = capsules(seed);
+        check_target(&wire, &cmds, cut);
+    }
+}
+
+/// A read and a write of a few bytes below the top of the address space:
+/// the target must not compute `offset + i` past `u64::MAX`.
+#[test]
+fn commands_near_the_top_of_the_address_space_are_dropped() {
+    let offset = u64::MAX - 100;
+    let mut wire = encode_capsule_cmd(1, IoOpcode::Read, offset, 512, None);
+    wire.extend_from_slice(&encode_capsule_cmd(2, IoOpcode::Write, offset, 512, Some(&[7; 512])));
+    wire.extend_from_slice(&encode_capsule_cmd(3, IoOpcode::Read, offset - 512, 512, None));
+    check_target(&wire, &[(1, true, offset, 512), (2, false, offset, 512), (3, true, offset - 512, 512)], 0);
 }
 
 ano_testkit::prop_test! {

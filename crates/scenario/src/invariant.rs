@@ -328,10 +328,10 @@ fn render_ladder(resync: &[(ResyncPhase, ResyncPhase)]) -> String {
 /// - `Confirmed -> Searching`: the stream desynchronized again before the
 ///   resume boundary was reached.
 ///
-/// This is the *spec-side* declaration of the machine. `ano-lint` (rule
-/// `resync-table`) extracts this array and cross-checks it against the
-/// code-side table in `crates/core/src/rx.rs` (`legal_transition`); drift
-/// on either side fails static analysis.
+/// This is the *spec-side* declaration of the machine. The test
+/// `table_matches_rx_engine_declaration` below compares it with the
+/// code-side table in `crates/core/src/rx.rs` (`legal_transition`) over
+/// the whole phase space; drift on either side fails it.
 pub const LEGAL_EDGES: &[(ResyncPhase, ResyncPhase)] = &[
     (ResyncPhase::Offloading, ResyncPhase::Searching),
     (ResyncPhase::Searching, ResyncPhase::Tracking),
@@ -454,8 +454,7 @@ mod tests {
     }
 
     /// The spec-side table must agree with the code-side declaration in
-    /// the rx engine over the whole phase space (ano-lint re-checks this
-    /// statically from the source text; this pins it at runtime).
+    /// the rx engine over the whole phase space.
     #[test]
     fn table_matches_rx_engine_declaration() {
         let phases = [Offloading, Searching, Tracking, Confirmed];

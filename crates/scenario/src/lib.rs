@@ -36,8 +36,6 @@
 //!   [`gen::ScriptGen`] generates random drop schedules that shrink (via
 //!   `ano-testkit`) to a minimal failing schedule.
 
-#![forbid(unsafe_code)]
-
 pub mod apps;
 pub mod chaos;
 pub mod gen;

@@ -25,8 +25,6 @@
 //! assert_eq!((t, ev), (SimTime::from_micros(1), "wakeup"));
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod bytes;
 pub mod cost;
 pub mod cpu;

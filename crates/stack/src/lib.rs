@@ -19,8 +19,6 @@
 //! assert!(w.is_idle(), "nothing scheduled without an app");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod app;
 pub mod runtime;
 pub mod topology;

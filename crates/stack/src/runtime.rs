@@ -311,7 +311,6 @@ impl World {
     // ------------------------------------------------------------------
     // Packet receive path.
 
-    #[allow(clippy::too_many_arguments)]
     fn handle_packet(
         &mut self,
         h: usize,

@@ -84,7 +84,6 @@ impl TcpEndpoint {
     /// Handles one received packet (already NIC-processed) whose advertised
     /// window is `wnd`: consumes its ACK and SACK blocks for our send side
     /// and its payload for our receive side.
-    #[allow(clippy::too_many_arguments)]
     pub fn on_packet_wnd(
         &mut self,
         seq: u32,

@@ -31,8 +31,6 @@
 //! assert_eq!(chunks[0].payload.to_vec(), b"hello l5p");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod conn;
 pub mod receiver;
 pub mod segment;

@@ -5,6 +5,16 @@
 //! results, matching the paper's requirement that "the network stack takes
 //! care not to coalesce packets with different offload results" (§4.3).
 
+// Per-packet hot path: a panic here aborts the whole simulated schedule.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::BTreeMap;
 
 use ano_sim::payload::Payload;

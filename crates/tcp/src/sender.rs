@@ -6,6 +6,16 @@
 //! [`TcpSender::on_ack_wnd`], and fires [`TcpSender::on_rto`] when the deadline
 //! from [`TcpSender::rto_deadline`] passes.
 
+// Per-packet hot path: a panic here aborts the whole simulated schedule.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::VecDeque;
 
 use ano_sim::payload::Payload;

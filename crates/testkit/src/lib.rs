@@ -41,8 +41,6 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod gen;
 pub mod runner;
 pub mod stream;

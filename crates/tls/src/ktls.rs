@@ -198,6 +198,8 @@ pub struct KtlsRx {
     next_seq: u64,
     /// Plaintext-stream offset delivered so far.
     plain_pos: u64,
+    /// The current record's header as received: filled byte by byte, then
+    /// kept until the record completes — it is the record's AAD.
     hdr_buf: Vec<u8>,
     /// Wire offset where the in-progress header began.
     hdr_start: u64,
@@ -311,7 +313,6 @@ impl KtlsRx {
                                 |h| RecordHeader::parse(h).map(|r| r.total_len() as u32),
                                 |m| Some(m.total_len),
                             );
-                            self.hdr_buf.clear();
                             match msg {
                                 Some(total) => {
                                     self.resync.note_start(start);
@@ -319,6 +320,7 @@ impl KtlsRx {
                                 }
                                 None => {
                                     // Stream garbage: fatal protocol error.
+                                    self.hdr_buf.clear();
                                     self.framing_lost = true;
                                     self.stats.alerts += 1;
                                     self.tracer.record(|| ano_trace::Event::AuthReject {
@@ -359,7 +361,6 @@ impl KtlsRx {
     fn finish_record(&mut self, cost: &CostModel, out: &mut Vec<PlainChunk>) -> u64 {
         let (total, start) = self.cur.take().expect("record in progress");
         let parts = std::mem::take(&mut self.parts);
-        self.hdr_buf.clear();
         let plen = total as usize - HEADER_LEN - TAG_LEN;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -438,6 +439,7 @@ impl KtlsRx {
         let mut parts = parts;
         parts.clear();
         self.parts = parts;
+        self.hdr_buf.clear();
         cycles
     }
 
@@ -483,7 +485,10 @@ impl KtlsRx {
             body_tag.extend_from_slice(p.as_real().expect("functional bytes"));
         }
         debug_assert_eq!(body_tag.len(), total as usize - HEADER_LEN);
-        let hdr = RecordHeader::for_plaintext(plen).encode();
+        // The AAD is the header as received, as in the NIC's `TlsRxFlow`:
+        // a record whose header was altered on the way fails to
+        // authenticate rather than being delivered as application data.
+        let hdr: [u8; HEADER_LEN] = self.hdr_buf.as_slice().try_into().ok()?;
         match class {
             Class::Full => {
                 // NIC already decrypted and authenticated: body is plaintext.

@@ -17,8 +17,6 @@
 //! assert_eq!(s.open_record(0, &wire).unwrap(), b"browser bytes");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod ktls;
 pub mod offload;
 pub mod record;

@@ -29,7 +29,7 @@ use ano_testkit::gen::{any_u8, u64_in, vec_of};
 use ano_testkit::stream::{cut_sizes, packets};
 use ano_tls::ktls::{KtlsRx, PlainChunk};
 use ano_tls::offload::TlsRxFlow;
-use ano_tls::record::{RecordHeader, HEADER_LEN};
+use ano_tls::record::{RecordHeader, HEADER_LEN, TAG_LEN};
 use ano_tls::session::TlsSession;
 
 const MSS: usize = 1448;
@@ -175,13 +175,16 @@ fn check_cut_invariance(seed: u64, cut_a: u64, cut_b: u64) {
     }
 }
 
-/// A mutated stream, through both receive paths.
-fn check_hostile(seed: u64, muts: &[(u64, u8)], cut: u64) {
+/// A mutated stream, through both receive paths; returns both runs.
+fn check_hostile(seed: u64, muts: &[(u64, u8)], cut: u64) -> [(&'static str, Run); 2] {
     let sent = stream(seed);
     let wire = mutate(&sent, muts);
     let sizes = cut_sizes(cut, wire.len(), MSS);
-    assert_sent_only(&sent, &software(&wire, &sizes), "software");
-    assert_sent_only(&sent, &offloaded(&wire, &sizes), "NIC then software");
+    let runs = [("software", software(&wire, &sizes)), ("NIC then software", offloaded(&wire, &sizes))];
+    for (what, run) in &runs {
+        assert_sent_only(&sent, run, what);
+    }
+    runs
 }
 
 ano_testkit::prop_test! {
@@ -203,14 +206,34 @@ ano_testkit::prop_test! {
 }
 
 /// Every byte of every record header of one stream, set to every
-/// [`INTERESTING`] value in turn, through both receive paths.
+/// [`INTERESTING`] value in turn, through both receive paths. A record
+/// whose header differs from the sent one delivers nothing: the header is
+/// the record's AAD, so even a change to another valid content type fails
+/// authentication.
 #[test]
 fn every_record_header_byte_takes_every_interesting_value() {
     let sent = stream(5);
-    for record in 0..sent.starts.len() as u64 {
-        for byte in 0..HEADER_LEN as u64 {
+    for (record, &start) in sent.starts.iter().enumerate() {
+        let end = sent.starts.get(record + 1).copied().unwrap_or(sent.wire.len());
+        let overhead = (HEADER_LEN + TAG_LEN) as u64;
+        let plain_from = start as u64 - record as u64 * overhead;
+        let plain_to = end as u64 - (record as u64 + 1) * overhead;
+        for byte in 0..HEADER_LEN {
             for v in 0..INTERESTING.len() as u8 {
-                check_hostile(5, &[(record << 8 | byte << 1 | 1, v)], 13);
+                let sel = (record as u64) << 8 | (byte as u64) << 1 | 1;
+                let runs = check_hostile(5, &[(sel, v)], 13);
+                if mutate(&sent, &[(sel, v)]) == sent.wire {
+                    continue;
+                }
+                for (what, run) in &runs {
+                    assert!(
+                        run.plain.iter().all(|c| c.offset + c.payload.len() as u64 <= plain_from
+                            || c.offset >= plain_to),
+                        "{what}: record {record} delivered plaintext under a mutated header \
+                         (selector {sel:#x}, value {:#04x})",
+                        INTERESTING[v as usize]
+                    );
+                }
             }
         }
     }

@@ -37,8 +37,6 @@
 //! assert_eq!(text, "t=2000 flow=7 resync.transition Searching->Tracking seq=4096\n");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod event;
 pub mod export;
 pub mod metrics;

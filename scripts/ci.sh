@@ -53,21 +53,21 @@ if [ -n "$bad" ]; then
 fi
 echo "ok: all dependencies are path-only"
 
-echo "== static analysis: ano-lint (determinism / hot-path / resync spec) =="
-# Token-level rules, run before anything else is built: no wall-clock
-# reads, OS threads, hash-ordered collections, or {:p} in sim/trace-affecting
-# crates; no unwrap/expect/panic!/slice indexing in the five per-packet
-# hot-path files; no println!/dbg! in library crates; #![forbid(unsafe_code)]
-# on every crate root; the §4.3 resync table in rx.rs cross-checked against
-# LEGAL_EDGES in invariant.rs; never-referenced pub items (dead-export).
-# Exceptions need an inline `// ano-lint: allow(<rule>): <justification>`;
-# stale ones are errors, and their per-rule count is pinned by
-# crates/lint/tests/expected/allows.txt in the workspace tests. Nothing is
-# inferred across calls: heap allocation per packet, hostile-input panics
-# and cross-process nondeterminism are measured by the allocation gate, the
+echo "== static analysis: cargo clippy (the workspace lint table) =="
+# The lint policy is the root Cargo.toml's [workspace.lints] table, which
+# every member inherits, plus clippy.toml: no wall-clock reads, OS threads
+# or hash-ordered collections; no print!/println!/eprintln!/dbg!; no
+# unsafe code; no #[allow]. The five per-packet hot-path files add their
+# own #![deny] of unwrap/expect/panic!/todo!/unimplemented!/slice
+# indexing. Exceptions are #[expect(<lint>, reason = "...")]; a stale one
+# fails as unfulfilled_lint_expectations under -D warnings, and their
+# per-lint count is pinned by crates/lint/tests/expected/allows.txt in
+# the workspace tests (with the dead-export pass and a copy of this run).
+# It lints src/ without test code and generates no code, so lint errors fail
+# here first. Heap allocation per packet, hostile-input panics and
+# cross-process nondeterminism are measured by the allocation gate, the
 # hostile-input stage and the trace-determinism stage below. See DESIGN.md.
-# The timeout is a backstop: the pass takes well under a second.
-CARGO_NET_OFFLINE=true timeout 120 cargo run -q -p ano-lint
+CARGO_NET_OFFLINE=true cargo clippy -q --workspace
 
 echo "== tier-1: offline release build (warnings are errors) =="
 CARGO_NET_OFFLINE=true cargo build --release

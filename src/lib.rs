@@ -25,8 +25,6 @@
 //! assert!(flags.tls_decrypted);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use ano_accel as accel;
 pub use ano_apps as apps;
 pub use ano_core as core;
