@@ -400,10 +400,10 @@ pub struct FioResult {
     pub completed: u64,
     /// Busy CPU cycles per request.
     pub busy_per_req: f64,
-    /// Copy cycles per request, measured from the `cpu.nvme.copy` counter
-    /// in the trace metrics registry over the window.
+    /// Copy cycles per request, measured from the NVMe host's
+    /// `NvmeHostStats::copy_cycles` over the window.
     pub copy_per_req: f64,
-    /// CRC cycles per request, measured from `cpu.nvme.crc`.
+    /// CRC cycles per request, measured from `NvmeHostStats::crc_cycles`.
     pub crc_per_req: f64,
     /// Remaining busy cycles per request.
     pub other_per_req: f64,
@@ -449,9 +449,6 @@ pub fn run_fio(cfg: &FioCfg) -> FioResult {
     // Working set drives the Fig. 10 copy-cost cliff.
     let ws = cfg.size as u64 * cfg.depth as u64;
     w.set_nvme_working_set(0, conn, ws);
-    // The per-request breakdown comes from the per-layer cycle counters the
-    // NVMe host reports into the trace registry, so tracing stays on here.
-    w.tracer().set_enabled(true);
     let mut fio = Fio::new(conn, cfg.size, cfg.depth, 64 << 30);
     let warmup = SimDuration::from_millis(20);
     fio.measure_from = SimTime::ZERO + warmup;
@@ -463,7 +460,7 @@ pub fn run_fio(cfg: &FioCfg) -> FioResult {
     let t0 = w.now();
     let snap = w.cpu_snapshot(0);
     let c0 = stats.borrow().completed;
-    let layer0 = layer_cycles(&w);
+    let layer0 = w.nvme_host_stats(0, conn).expect("NVMe initiator");
     w.run_until(t0 + cfg.window);
     let elapsed = w.now().since(t0);
     let s = stats.borrow();
@@ -479,9 +476,9 @@ pub fn run_fio(cfg: &FioCfg) -> FioResult {
         .sum();
     let busy_per_req = busy as f64 / completed as f64;
     let cost = w.cost();
-    let layer1 = layer_cycles(&w);
-    let copy_per_req = (layer1.0 - layer0.0) as f64 / completed as f64;
-    let crc_per_req = (layer1.1 - layer0.1) as f64 / completed as f64;
+    let layer1 = w.nvme_host_stats(0, conn).expect("NVMe initiator");
+    let copy_per_req = (layer1.copy_cycles - layer0.copy_cycles) as f64 / completed as f64;
+    let crc_per_req = (layer1.crc_cycles - layer0.crc_cycles) as f64 / completed as f64;
     let wall_cycles = elapsed.as_secs_f64() * cost.freq_hz as f64;
     let idle_per_req = (wall_cycles - busy as f64).max(0.0) / completed as f64;
     FioResult {
@@ -592,14 +589,6 @@ pub fn run_latency(cfg: &LatencyCfg) -> LatencyResult {
 /// Packets handed to the two-host world's links so far, both directions.
 fn offered_pkts(w: &World) -> u64 {
     w.link_stats_between(0, 1).offered + w.link_stats_between(1, 0).offered
-}
-
-/// The `(copy, crc)` cycle totals attributed to the NVMe layer so far,
-/// summed across flows from the world's trace metrics registry.
-fn layer_cycles(w: &World) -> (u64, u64) {
-    w.tracer().with_metrics(|m| {
-        (m.counter_total("cpu.nvme.copy"), m.counter_total("cpu.nvme.crc"))
-    })
 }
 
 /// Datacenter-tuned TCP (back-to-back links; Linux-like fast loss

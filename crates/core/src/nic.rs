@@ -131,6 +131,10 @@ pub struct NicCounters {
     /// resident rx context — the thrash cost of steering-based
     /// rebalancing. Always 0 on a single-queue NIC.
     pub queue_crossings: u64,
+    /// The [`NicConfig`] failed [`NicConfig::validate`] and [`Nic::new`]
+    /// clamped it to its floor. Set at construction, so it holds whether
+    /// or not tracing is on.
+    pub config_clamped: bool,
 }
 
 /// Result of NIC receive processing for one packet.
@@ -208,9 +212,6 @@ pub struct Nic {
     /// carry the epoch they were issued under; answers from an older
     /// epoch are discarded.
     epoch: u64,
-    /// The configuration was out of range and clamped (traced as a
-    /// warning once the tracer is installed).
-    cfg_clamped: bool,
 }
 
 impl std::fmt::Debug for Nic {
@@ -227,11 +228,11 @@ impl Nic {
     /// Creates a NIC with the given configuration. An out-of-range config
     /// ([`NicConfig::validate`]) is clamped to its floor instead of
     /// panicking — a hostile configuration degrades the cache, it must not
-    /// abort the simulation — and the clamp is traced as a warning count
-    /// once a tracer is installed.
+    /// abort the simulation — and the clamp is reported as
+    /// [`NicCounters::config_clamped`].
     pub fn new(mut cfg: NicConfig) -> Nic {
-        let cfg_clamped = cfg.validate().is_err();
-        if cfg_clamped {
+        let config_clamped = cfg.validate().is_err();
+        if config_clamped {
             cfg.ctx_cache_capacity = cfg.ctx_cache_capacity.max(1);
             cfg.rx_queues = cfg.rx_queues.max(1);
             cfg.rss_buckets = cfg.rss_buckets.max(1);
@@ -240,13 +241,12 @@ impl Nic {
             cfg,
             flows: BTreeMap::new(),
             cache: LruSet::new(cfg.ctx_cache_capacity),
-            counters: NicCounters::default(),
+            counters: NicCounters { config_clamped, ..NicCounters::default() },
             tracer: ano_trace::Tracer::default(),
             steering: RssSteering::new(cfg.rx_queues, cfg.rss_buckets, cfg.rss_key_seed),
             queue_rx_pkts: vec![0; cfg.rx_queues as usize],
             queue_tx_pkts: vec![0; cfg.rx_queues as usize],
             epoch: 0,
-            cfg_clamped,
         }
     }
 
@@ -260,9 +260,6 @@ impl Nic {
     /// (each scoped to its flow id). The default handle is disabled.
     pub fn set_tracer(&mut self, tracer: ano_trace::Tracer) {
         self.tracer = tracer;
-        if self.cfg_clamped {
-            self.tracer.count("nic.config_clamped", 1);
-        }
     }
 
     /// The device epoch (see the field docs). Snapshot it when issuing a
@@ -375,7 +372,6 @@ impl Nic {
         self.cache.wipe();
         self.epoch += 1;
         self.tracer.record(|| ano_trace::Event::DeviceReset { wiped });
-        self.tracer.count("nic.resets", 1);
         wiped
     }
 
@@ -555,7 +551,6 @@ impl Nic {
             self.queue_rx_pkts[q as usize] += 1;
             if std::mem::replace(&mut ctx.rx_queue, q) != q {
                 self.counters.queue_crossings += 1;
-                self.tracer.count("nic.queue_crossings", 1);
                 if let Some(e) = ctx.rx.as_mut() {
                     e.set_queue(q);
                 }
@@ -862,11 +857,8 @@ mod tests {
         nic.install_rx(FlowId(0), RxEngine::new(Box::new(DemoFlow::rx_functional(0)), 0, 0));
         feed(&mut nic, FlowId(0), 0);
         assert_eq!(nic.counters().cache_misses, 1, "single-entry cache works");
-        // The clamp surfaces as a traced warning counter.
-        let tracer = ano_trace::Tracer::default();
-        tracer.set_enabled(true);
-        nic.set_tracer(tracer.clone());
-        assert_eq!(tracer.with_metrics(|m| m.counter(0, "nic.config_clamped")), 1);
+        assert!(nic.counters().config_clamped, "the clamp is reported untraced");
+        assert!(!Nic::new(NicConfig::default()).counters().config_clamped);
     }
 
     #[test]
@@ -990,5 +982,6 @@ mod tests {
         let mut nic = Nic::new(NicConfig { rx_queues: 0, rss_buckets: 0, ..NicConfig::default() });
         assert_eq!(nic.rx_queues(), 1);
         assert_eq!(nic.steer_rx(FlowId(0), tuple(0)), 0);
+        assert!(nic.counters().config_clamped);
     }
 }

@@ -357,10 +357,8 @@ impl RxEngine {
         if offloaded {
             self.stats.pkts_offloaded += 1;
             self.tracer.record(|| Event::PktOffloaded { seq, len });
-            self.tracer.count("rx.pkts_offloaded", 1);
         } else {
             self.tracer.record(|| Event::PktFallback { seq, len });
-            self.tracer.count("rx.pkts_fallback", 1);
         }
         self.op.packet_flags(offloaded)
     }
@@ -486,7 +484,6 @@ impl RxEngine {
             self.stats.resync_requests += 1;
             self.events.push(EngineEvent::ResyncRequest { layer: 0, tcpsn: c });
             self.tracer.record(|| Event::ResyncRequest { tcpsn: c });
-            self.tracer.count("rx.resync_requests", 1);
             // The candidate puts the engine in Tracking from here on, even
             // if walking the packet tail invalidates it again below.
             self.force_phase(ResyncPhase::Tracking, c);
@@ -590,7 +587,6 @@ impl RxEngine {
                         tcpsn: candidate,
                     });
                     self.tracer.record(|| Event::ResyncRequest { tcpsn: candidate });
-                    self.tracer.count("rx.resync_rerequests", 1);
                 }
             }
         }

@@ -136,20 +136,20 @@ impl TxEngine {
         let mut replayed = 0u64;
         if seq != self.walker.expected() {
             // Out of sequence: recover the context (§4.2).
-            let expected = self.walker.expected();
-            self.tracer.record(|| Event::PktOoS { seq, expected });
             match src.msg_at(seq) {
                 Some(m) => {
                     self.stats.recoveries += 1;
-                    self.tracer.count("tx.recoveries", 1);
                     self.op.resync_to(m.msg_index);
                     self.walker = Walker::new(m.msg_start, m.msg_index);
-                    if seq > m.msg_start {
-                        let replay = src.stream_bytes(m.msg_start, seq);
-                        replayed = replay.len() as u64;
-                        self.stats.replay_bytes += replayed;
-                        self.tracer.count("tx.replay_bytes", replayed);
-                        self.tracer.observe("tx.replay_len", replayed);
+                    let replay = (seq > m.msg_start).then(|| src.stream_bytes(m.msg_start, seq));
+                    replayed = replay.as_ref().map_or(0, |r| r.len() as u64);
+                    self.stats.replay_bytes += replayed;
+                    self.tracer.record(|| Event::TxRecovery {
+                        seq,
+                        msg_start: m.msg_start,
+                        replayed,
+                    });
+                    if let Some(replay) = replay {
                         let out = match replay.as_real() {
                             Some(bytes) => {
                                 let mut tmp = bytes.to_vec();

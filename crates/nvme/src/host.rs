@@ -68,8 +68,12 @@ pub struct NvmeHostStats {
     pub bytes_placed: u64,
     /// Data bytes copied by software.
     pub bytes_copied: u64,
+    /// CPU cycles spent copying those bytes (Fig. 10's copy share).
+    pub copy_cycles: u64,
     /// Data PDUs whose digest was verified in software.
     pub crc_software: u64,
+    /// CPU cycles spent on those software digests (Fig. 10's CRC share).
+    pub crc_cycles: u64,
     /// Data PDUs whose digest check was skipped (NIC verified).
     pub crc_skipped: u64,
     /// Digest failures.
@@ -303,9 +307,9 @@ impl NvmeTcpHost {
                 } else {
                     let copy = cost.copy_cycles(dlen, self.working_set);
                     cycles += copy;
-                    self.tracer.count("cpu.nvme.copy", copy);
                     req.copied_bytes += dlen as u64;
                     self.stats.bytes_copied += dlen as u64;
+                    self.stats.copy_cycles += copy;
                     if let (Some(buf), Some(bytes)) =
                         (&req.buf, pdu.data_bytes().as_real())
                     {
@@ -322,13 +326,11 @@ impl NvmeTcpHost {
                 if self.cfg.crc_offload && pdu.all_crc_ok {
                     self.stats.crc_skipped += 1;
                     self.tracer.record(|| ano_trace::Event::DigestOk { cid });
-                    self.tracer.count("nvme.crc_skipped", 1);
                 } else {
                     let crc = cost.crc_cycles(dlen);
                     cycles += crc;
-                    self.tracer.count("cpu.nvme.crc", crc);
                     self.stats.crc_software += 1;
-                    self.tracer.count("nvme.crc_software", 1);
+                    self.stats.crc_cycles += crc;
                     let mut digest_ok = true;
                     if let (Some(wire_dg), Some(bytes)) = (pdu.ddgst, pdu.data_bytes().as_real()) {
                         // NOTE: placed bytes were delivered decrypted/placed;
@@ -344,7 +346,6 @@ impl NvmeTcpHost {
                         self.tracer.record(|| ano_trace::Event::DigestOk { cid });
                     } else {
                         self.tracer.record(|| ano_trace::Event::DigestFail { cid });
-                        self.tracer.count("nvme.crc_failures", 1);
                     }
                 }
             }
@@ -434,7 +435,9 @@ mod tests {
         let buf = comps[0].buffer.as_ref().expect("functional buffer");
         assert_eq!(&buf.borrow()[..], &data[..]);
         assert!(cycles >= c.crc_cycles(4096) + c.copy_cycles(4096, 0));
-        assert_eq!(h.stats().crc_software, 1);
+        let s = h.stats();
+        assert_eq!(s.crc_software, 1);
+        assert_eq!((s.copy_cycles, s.crc_cycles), (c.copy_cycles(4096, 0), c.crc_cycles(4096)));
     }
 
     #[test]
@@ -469,6 +472,7 @@ mod tests {
             c.syscall * 0 + c.per_req_nvme,
             "only completion-path cycles remain"
         );
+        assert_eq!((h.stats().copy_cycles, h.stats().crc_cycles), (0, 0));
         assert!(h.rr().is_empty(), "l5o_del_rr_state after response");
     }
 

@@ -136,7 +136,7 @@ fn golden_netchaos_partition_ladder() {
 }
 
 /// The determinism contract the goldens stand on: running the same scenario
-/// twice yields byte-identical canonical traces *and* metrics renderings.
+/// twice yields byte-identical canonical traces and full record streams.
 /// Cross-process nondeterminism (wall clock, ASLR-dependent hashing) is
 /// invisible to an in-process double run; [`registry_trace_hashes`] covers
 /// it.

@@ -12,7 +12,7 @@
 //! * [`cost`] — the calibrated cycle-cost model standing in for the paper's
 //!   Xeon E5-2660 v4 testbed;
 //! * [`payload`] — dual-fidelity packet payloads (real vs synthetic bytes);
-//! * [`stats`] — throughput meters and sample collectors.
+//! * [`stats`] — sample collectors (mean, percentiles).
 //!
 //! # Examples
 //!
@@ -44,6 +44,6 @@ pub mod prelude {
     pub use crate::payload::{DataMode, Payload};
     pub use crate::rng::SimRng;
     pub use crate::sched::Scheduler;
-    pub use crate::stats::{Samples, ThroughputMeter};
+    pub use crate::stats::Samples;
     pub use crate::time::{SimDuration, SimTime};
 }

@@ -1,62 +1,6 @@
-//! Small measurement helpers shared by experiments.
+//! Sample collection shared by experiments.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Counts bytes delivered over a window to report throughput.
-///
-/// # Examples
-///
-/// ```
-/// use ano_sim::stats::ThroughputMeter;
-/// use ano_sim::time::{SimDuration, SimTime};
-///
-/// let mut m = ThroughputMeter::new();
-/// m.start(SimTime::from_millis(1));
-/// m.add(125_000_000); // 125 MB over the window below
-/// let gbps = m.gbps(SimTime::from_millis(1) + SimDuration::from_millis(100));
-/// assert!((gbps - 10.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThroughputMeter {
-    bytes: u64,
-    started: SimTime,
-    counting: bool,
-}
-
-impl ThroughputMeter {
-    /// Creates a meter that ignores bytes until [`ThroughputMeter::start`].
-    pub fn new() -> ThroughputMeter {
-        ThroughputMeter::default()
-    }
-
-    /// Begins counting at `now` (used to skip warm-up).
-    pub fn start(&mut self, now: SimTime) {
-        self.started = now;
-        self.bytes = 0;
-        self.counting = true;
-    }
-
-    /// Records `n` delivered bytes (no-op before `start`).
-    pub fn add(&mut self, n: u64) {
-        if self.counting {
-            self.bytes += n;
-        }
-    }
-
-    /// Bytes recorded since `start`.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average Gbit/s between `start` and `now`; zero for an empty window.
-    pub fn gbps(&self, now: SimTime) -> f64 {
-        let w = now.since(self.started);
-        if !self.counting || w == SimDuration::ZERO {
-            return 0.0;
-        }
-        (self.bytes as f64 * 8.0) / w.as_secs_f64() / 1e9
-    }
-}
+use crate::time::SimDuration;
 
 /// Collects samples and reports mean/percentiles (request latencies, Table 4).
 #[derive(Clone, Debug, Default)]
@@ -139,23 +83,6 @@ impl Samples {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn meter_ignores_bytes_before_start() {
-        let mut m = ThroughputMeter::new();
-        m.add(1_000);
-        assert_eq!(m.bytes(), 0);
-        m.start(SimTime::ZERO);
-        m.add(1_000);
-        assert_eq!(m.bytes(), 1_000);
-    }
-
-    #[test]
-    fn meter_empty_window_is_zero() {
-        let mut m = ThroughputMeter::new();
-        m.start(SimTime::from_millis(5));
-        assert_eq!(m.gbps(SimTime::from_millis(5)), 0.0);
-    }
 
     #[test]
     fn samples_stats() {

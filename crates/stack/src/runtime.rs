@@ -115,15 +115,14 @@ impl World {
     }
 
     /// Surfaces scheduler clamps accumulated since the last call into the
-    /// trace/metrics stream: a past-time event silently pulled to "now"
-    /// should be visible, not invisible. Emitted once per `run_until` so
-    /// batched and single-pop loops produce identical records.
+    /// trace: a past-time event silently pulled to "now" should be
+    /// visible, not invisible. Emitted once per `run_until` so batched and
+    /// single-pop loops produce identical records.
     fn note_clamps(&mut self) {
         let clamped = self.sched.clamped();
         if clamped > self.clamps_traced {
             let count = clamped - self.clamps_traced;
             self.clamps_traced = clamped;
-            self.tracer.count("sched.clamped", count);
             self.tracer.record(|| ano_trace::Event::SchedClamped { count });
         }
     }
@@ -276,7 +275,6 @@ impl World {
                         }
                     }
                     host.migrations += 1;
-                    tracer.count("stack.core_migrations", 1);
                     tracer.scoped(c.in_flow.0).record(|| ano_trace::Event::CoreMigrate {
                         from: hot as u64,
                         to: cold as u64,
@@ -327,14 +325,13 @@ impl World {
         let mut app_calls = std::mem::take(&mut self.app_calls);
         let mut plains_pool = std::mem::take(&mut self.plains_pool);
         // Split-borrow: the hot config (`cost`, `degrade`) is a read-only
-        // borrow alongside the mutable host/scheduler/tracer state — no
+        // borrow alongside the mutable host/scheduler state — no
         // per-event clone (enforced by the hot-config-clone lint rule).
         let World {
             cfg,
             hosts,
             links,
             sched,
-            tracer,
             ..
         } = &mut *self;
         let now = sched.now();
@@ -362,7 +359,6 @@ impl World {
             // connection run entirely in software.
             if c.health.breaker_open.is_some() && !payload.is_empty() {
                 c.health.degraded_pkts += 1;
-                tracer.count("stack.degraded_pkts", 1);
             }
 
             // Rebalancer bookkeeping: payload packets elect the hot flow,

@@ -1184,7 +1184,6 @@ impl World {
                 self.tracer
                     .scoped(flow.0)
                     .record(|| ano_trace::Event::InstallFail { dir, attempt });
-                self.tracer.count("stack.install_fail", 1);
                 let next = attempt + 1;
                 if next >= self.cfg.degrade.install_max_attempts {
                     self.open_breaker(h, conn, "install_failures");
@@ -1272,7 +1271,6 @@ impl World {
         self.tracer
             .scoped(c.in_flow.0)
             .record(|| ano_trace::Event::BreakerOpen { reason });
-        self.tracer.count("stack.breaker_open", 1);
     }
 
     /// Installs a device-fault schedule on a host's NIC. Scheduled one-shot
@@ -1351,7 +1349,6 @@ impl World {
                 dst: dst as u64,
             });
         }
-        self.tracer.count("net.partitions", cut.len() as u64);
         self.quiesce_cut(&cut);
         cut
     }
@@ -1373,7 +1370,6 @@ impl World {
                 self.flush_held(id);
             }
         }
-        self.tracer.count("net.repairs", healed.len() as u64);
         self.reoffload_cut(&healed);
         healed
     }

@@ -482,3 +482,139 @@ fn raw_tcp_baseline() {
     w.run_until(SimTime::from_secs(5));
     assert_eq!(*got.borrow(), data);
 }
+
+/// Every typed counter one host keeps for a connection: the facts a
+/// figure or gate may read.
+#[derive(Debug, PartialEq)]
+struct HostStats {
+    rx: Option<ano_core::rx::RxStats>,
+    tx: Option<ano_core::tx::TxStats>,
+    ktls_rx: Option<ano_tls::ktls::KtlsRxStats>,
+    tcp_tx: Option<ano_tcp::sender::SenderStats>,
+    nvme_host: Option<ano_nvme::host::NvmeHostStats>,
+    nic: ano_core::nic::NicCounters,
+    delivered: u64,
+}
+
+/// [`HostStats`] of both hosts for `conn`, plus both directions' link stats.
+fn typed_stats(w: &World, conn: ConnId) -> (Vec<HostStats>, [ano_sim::link::LinkStats; 2]) {
+    let hosts = (0..2)
+        .map(|h| HostStats {
+            rx: w.rx_engine_stats(h, conn),
+            tx: w.tx_engine_stats(h, conn),
+            ktls_rx: w.ktls_rx_stats(h, conn),
+            tcp_tx: w.tcp_tx_stats(h, conn),
+            nvme_host: w.nvme_host_stats(h, conn),
+            nic: w.nic_counters(h),
+            delivered: w.delivered_bytes(h, conn),
+        })
+        .collect();
+    (hosts, [w.link_stats_between(0, 1), w.link_stats_between(1, 0)])
+}
+
+/// Builds the same seeded world twice, runs the untraced one and the
+/// traced one to `until`, and returns them in that order.
+fn untraced_then_traced(build: impl Fn() -> (World, ConnId), until: SimTime) -> [(World, ConnId); 2] {
+    [false, true].map(|traced| {
+        let (mut w, conn) = build();
+        w.tracer().set_enabled(traced);
+        w.start();
+        w.run_until(until);
+        (w, conn)
+    })
+}
+
+fn lossy_cfg(seed: u64) -> WorldConfig {
+    WorldConfig {
+        impair_0to1: Impairments {
+            loss: 0.02,
+            reorder: 0.01,
+            reorder_extra_ns: (50_000, 300_000),
+            ..Default::default()
+        },
+        impair_1to0: Impairments::loss(0.02),
+        ..functional_cfg(seed)
+    }
+}
+
+/// Tracing only observes: a lossy TLS tx+rx-offloaded transfer (so tx
+/// recovery and rx resync both run) leaves every typed counter on both
+/// hosts equal whether or not the tracer is on.
+#[test]
+fn tracing_leaves_tls_typed_stats_unchanged() {
+    let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 211) as u8).collect();
+    let [(plain, conn), (traced, _)] = untraced_then_traced(
+        || {
+            let mut w = World::new(lossy_cfg(21));
+            let conn = w.connect(
+                ConnSpec::Tls(TlsSpec::offloaded()),
+                ConnSpec::Tls(TlsSpec::offloaded()),
+            );
+            w.set_app(0, Box::new(SendOnce { conn, data: data.clone() }));
+            w.set_app(1, Box::new(Recorder::default()));
+            (w, conn)
+        },
+        SimTime::from_secs(30),
+    );
+    assert_eq!(plain.delivered_bytes(1, conn), data.len() as u64, "transfer completed");
+    let tx = plain.tx_engine_stats(0, conn).expect("tx engine");
+    assert!(tx.recoveries > 0, "tx recovery ran: {tx:?}");
+    let rx = plain.rx_engine_stats(1, conn).expect("rx engine");
+    assert!(rx.resync_requests > 0 && rx.resync_ok > 0, "rx resync ran: {rx:?}");
+    assert_eq!(typed_stats(&plain, conn), typed_stats(&traced, conn));
+
+    assert!(plain.tracer().records().is_empty(), "the untraced run recorded nothing");
+    let records = traced.tracer().records();
+    let recoveries = records
+        .iter()
+        .filter(|r| matches!(r.event, ano_trace::Event::TxRecovery { .. }))
+        .count() as u64;
+    assert_eq!(recoveries, tx.recoveries, "one tx.recovery event per recovery");
+    assert!(
+        records.iter().any(|r| matches!(r.event, ano_trace::Event::PktOoS { .. })),
+        "the rx gaps are traced as pkt.oos"
+    );
+}
+
+/// The NVMe arm of the same property: the initiator's copy and CRC
+/// cycles (Fig. 10's layer split) are typed stats, equal with tracing on
+/// or off.
+#[test]
+fn tracing_leaves_nvme_typed_stats_unchanged() {
+    let [(plain, conn), (traced, _)] = untraced_then_traced(
+        || {
+            let mut w = World::new(lossy_cfg(22));
+            let conn = w.connect(
+                ConnSpec::NvmeHost(NvmeHostSpec::offloaded()),
+                ConnSpec::NvmeTarget(offloaded_target()),
+            );
+            let reads = (0..8).map(|i| (i << 20, 64 * 1024)).collect();
+            w.set_app(0, Box::new(NvmeReader { conn, reads, done: Rc::default() }));
+            (w, conn)
+        },
+        SimTime::from_secs(30),
+    );
+    let hs = plain.nvme_host_stats(0, conn).expect("initiator");
+    assert_eq!(hs.completions, 8, "every read completed: {hs:?}");
+    assert!(hs.copy_cycles > 0 && hs.crc_cycles > 0, "loss forced software copy and CRC: {hs:?}");
+    assert!(hs.bytes_placed > 0, "the NIC placed the rest: {hs:?}");
+    assert_eq!(typed_stats(&plain, conn), typed_stats(&traced, conn));
+    assert!(!traced.tracer().records().is_empty());
+}
+
+/// An out-of-range NIC config is clamped, and the clamp is a typed fact on
+/// the host's counters — no tracer needed to see it.
+#[test]
+fn clamped_nic_config_is_reported_untraced() {
+    let fleet = Fleet::build(FleetSpec {
+        clients: 1,
+        servers: 1,
+        server: HostSpec {
+            nic: ano_core::nic::NicConfig { ctx_cache_capacity: 0, ..Default::default() },
+            ..HostSpec::default()
+        },
+        ..FleetSpec::default()
+    });
+    assert!(!fleet.nic_counters(fleet.client(0)).config_clamped);
+    assert!(fleet.nic_counters(fleet.server(0)).config_clamped);
+}

@@ -326,7 +326,6 @@ impl KtlsRx {
                                     self.tracer.record(|| ano_trace::Event::AuthReject {
                                         seq: start,
                                     });
-                                    self.tracer.count("tls.alerts", 1);
                                 }
                             }
                         }
@@ -394,11 +393,10 @@ impl KtlsRx {
             }
         }
         // Crypto cycles the CPU actually spends (everything beyond the flat
-        // per-record bookkeeping cost) — the per-layer attribution figures
-        // read this off the metrics registry.
+        // per-record bookkeeping cost), traced for per-layer attribution of
+        // a traced run; the record's class is counted in `stats.class`.
         let crypto = cycles - cost.per_record_rx;
         if crypto > 0 {
-            self.tracer.count("cpu.tls.decrypt", crypto);
             self.tracer.record(|| ano_trace::Event::Cpu { layer: "tls", cycles: crypto });
         }
 
@@ -425,12 +423,10 @@ impl KtlsRx {
                     None => {
                         self.stats.alerts += 1;
                         self.tracer.record(|| ano_trace::Event::AuthReject { seq: start });
-                        self.tracer.count("tls.alerts", 1);
                     }
                 }
             }
         }
-        self.tracer.count("tls.records", 1);
         let delivered: u64 = out[mark..].iter().map(|c| c.payload.len() as u64).sum();
         self.plain_pos += plen as u64;
         self.stats.plain_bytes += delivered;

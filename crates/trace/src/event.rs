@@ -135,12 +135,26 @@ pub enum Event {
         /// Payload length.
         len: usize,
     },
-    /// A packet arrived out-of-sequence relative to the tracked context.
+    /// A received packet left a gap ahead of the rx context's expected
+    /// sequence (§4.3); the rx engine records it before re-seating or
+    /// losing framing. Transmit-side recoveries are [`Event::TxRecovery`].
     PktOoS {
         /// TCP sequence that arrived.
         seq: u64,
         /// Sequence the context expected next.
         expected: u64,
+    },
+    /// The tx engine saw an out-of-sequence packet (a retransmission) and
+    /// recovered its context (§4.2): it re-seated at the containing
+    /// message and replayed that message's bytes up to the packet over
+    /// PCIe (the diagonal of Fig. 6).
+    TxRecovery {
+        /// TCP sequence of the out-of-sequence packet.
+        seq: u64,
+        /// Stream offset of the message containing `seq`.
+        msg_start: u64,
+        /// Bytes replayed from host memory (`seq - msg_start`).
+        replayed: u64,
     },
     /// The rx resync state machine moved between phases.
     Resync {
@@ -323,9 +337,10 @@ impl Event {
             | Event::TcpRecoveryEnter { .. }
             | Event::TcpRecoveryExit { .. }
             | Event::TcpCwnd { .. } => Category::Tcp,
-            Event::PktOffloaded { .. } | Event::PktFallback { .. } | Event::PktOoS { .. } => {
-                Category::Offload
-            }
+            Event::PktOffloaded { .. }
+            | Event::PktFallback { .. }
+            | Event::PktOoS { .. }
+            | Event::TxRecovery { .. } => Category::Offload,
             Event::Resync { .. } | Event::ResyncRequest { .. } | Event::ResyncResponse { .. } => {
                 Category::Resync
             }
@@ -351,7 +366,7 @@ impl Event {
         }
     }
 
-    /// Short stable name (Chrome trace event name, canonical line key).
+    /// Short stable name (the canonical line key).
     pub fn name(&self) -> &'static str {
         match self {
             Event::TcpRetransmit { .. } => "tcp.retransmit",
@@ -362,6 +377,7 @@ impl Event {
             Event::PktOffloaded { .. } => "pkt.offloaded",
             Event::PktFallback { .. } => "pkt.fallback",
             Event::PktOoS { .. } => "pkt.oos",
+            Event::TxRecovery { .. } => "tx.recovery",
             Event::Resync { .. } => "resync.transition",
             Event::ResyncRequest { .. } => "resync.request",
             Event::ResyncResponse { .. } => "resync.response",
@@ -399,6 +415,9 @@ impl Event {
             Event::PktOffloaded { seq, len } => format!("seq={seq} len={len}"),
             Event::PktFallback { seq, len } => format!("seq={seq} len={len}"),
             Event::PktOoS { seq, expected } => format!("seq={seq} expected={expected}"),
+            Event::TxRecovery { seq, msg_start, replayed } => {
+                format!("seq={seq} msg_start={msg_start} replayed={replayed}")
+            }
             Event::Resync { from, to, seq } => format!("{from}->{to} seq={seq}"),
             Event::ResyncRequest { tcpsn } => format!("tcpsn={tcpsn}"),
             Event::ResyncResponse { tcpsn, ok } => format!("tcpsn={tcpsn} ok={ok}"),
@@ -459,6 +478,7 @@ mod tests {
         let cases = [
             (Event::TcpRto { snd_una: 1, backoff: 1 }, Category::Tcp),
             (Event::PktOoS { seq: 9, expected: 5 }, Category::Offload),
+            (Event::TxRecovery { seq: 9, msg_start: 4, replayed: 5 }, Category::Offload),
             (
                 Event::Resync { from: ResyncPhase::Searching, to: ResyncPhase::Tracking, seq: 7 },
                 Category::Resync,
@@ -496,6 +516,8 @@ mod tests {
         assert_eq!(ev.to_string(), "resync.transition Tracking->Confirmed seq=4242");
         let ev = Event::TcpRetransmit { seq: 100, len: 1448, kind: RetransmitKind::Sack };
         assert_eq!(ev.to_string(), "tcp.retransmit seq=100 len=1448 kind=sack");
+        let ev = Event::TxRecovery { seq: 9, msg_start: 4, replayed: 5 };
+        assert_eq!(ev.to_string(), "tx.recovery seq=9 msg_start=4 replayed=5");
         let ev = Event::InstallRetry { dir: "rx", attempt: 2, delay_ns: 40_000 };
         assert_eq!(ev.to_string(), "device.install-retry dir=rx attempt=2 delay_ns=40000");
         let ev = Event::DeviceReset { wiped: 3 };

@@ -1,7 +1,6 @@
-//! Exporters: human timeline, Chrome `trace_event` JSON, and the canonical
-//! golden-trace text form.
+//! Exporters: human timeline and the canonical golden-trace text form.
 //!
-//! All three are pure functions of the record list, emit `\n`-separated
+//! Both are pure functions of the record list, emit `\n`-separated
 //! ASCII, and iterate in record order — so equal record streams render to
 //! byte-identical strings on every platform.
 
@@ -18,31 +17,6 @@ pub fn timeline(records: &[Record]) -> String {
         let frac = r.t_ns % 1_000;
         let _ = writeln!(out, "[{us:>9}.{frac:03}us] flow{} {}", r.flow, r.event);
     }
-    out
-}
-
-/// Chrome `trace_event` JSON (load via `chrome://tracing` or Perfetto).
-/// Each record becomes an instant event; flows map to thread lanes.
-/// Hand-rolled writer — the only strings involved are static event names
-/// and `key=value` args with no characters needing JSON escaping.
-pub fn chrome_trace(records: &[Record]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let ts_us = r.t_ns as f64 / 1_000.0;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{:?}\",\"ph\":\"i\",\"s\":\"t\",\
-             \"ts\":{ts_us},\"pid\":0,\"tid\":{},\"args\":{{\"detail\":\"{}\"}}}}",
-            r.event.name(),
-            r.event.category(),
-            r.flow,
-            r.event.args(),
-        );
-    }
-    out.push_str("]}");
     out
 }
 
@@ -119,16 +93,5 @@ mod tests {
             "t=2000 flow=1 resync.transition Offloading->Searching seq=1448\n\
              t=2000 flow=2 tcp.rto snd_una=1448 backoff=1\n"
         );
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_json_shape() {
-        let j = chrome_trace(&records());
-        assert!(j.starts_with("{\"traceEvents\":["));
-        assert!(j.ends_with("]}"));
-        assert_eq!(j.matches("\"ph\":\"i\"").count(), 3);
-        assert!(j.contains("\"tid\":2"));
-        // Balanced braces — cheap structural sanity without a JSON parser.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -1,16 +1,19 @@
 //! # ano-trace — deterministic observability for the offload stack
 //!
-//! A zero-dependency event tracer and metrics registry threaded through
-//! every layer of the simulation. The paper's claims are behavioral — the
+//! A zero-dependency event tracer threaded through every layer of the
+//! simulation. The paper's claims are behavioral — the
 //! NIC context drops to software on out-of-sequence packets and re-acquires
 //! framing through the §4.3 resync state machine — and this crate turns
 //! those behaviors into first-class, diffable artifacts:
 //!
 //! - [`Tracer`]: typed, timestamped [`Event`]s in a bounded ring buffer
 //!   with drop accounting. Off by default; the disabled path is one branch.
-//! - [`MetricsRegistry`]: named per-flow counters/gauges/histograms.
-//! - [`export`]: a human timeline, Chrome `trace_event` JSON, and the
-//!   stable *canonical* form used for golden-trace regression tests.
+//! - [`export`]: a human timeline and the stable *canonical* form used
+//!   for golden-trace regression tests.
+//!
+//! Counts live in each layer's typed stats struct (`RxStats`,
+//! `NvmeHostStats`, `NicCounters`, ...), which are always on; the trace
+//! records *when* and *in what order* those facts happened.
 //!
 //! ## Determinism
 //!
@@ -39,11 +42,9 @@
 
 pub mod event;
 pub mod export;
-pub mod metrics;
 pub mod tracer;
 
 pub use event::{Category, Event, Record, ResyncPhase, RetransmitKind};
-pub use metrics::{Histogram, MetricsRegistry};
 pub use tracer::Tracer;
 
 #[cfg(test)]
@@ -66,16 +67,11 @@ mod tests {
                     len: 1448,
                     kind: RetransmitKind::Fast,
                 });
-                h.count("retransmits", 1);
             }
-            (
-                export::canonical(&t.records(), export::GOLDEN_CATEGORIES),
-                t.with_metrics(|m| m.render()),
-                t.dropped(),
-            )
+            (export::canonical(&t.records(), export::GOLDEN_CATEGORIES), t.dropped())
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b);
-        assert_eq!(a.2, 4, "20 events into a 16-slot ring drop 4");
+        assert_eq!(a.1, 4, "20 events into a 16-slot ring drop 4");
     }
 }

@@ -1,5 +1,5 @@
 //! The [`Tracer`]: a cheaply cloneable handle over a shared ring buffer of
-//! [`Record`]s plus a [`MetricsRegistry`].
+//! [`Record`]s.
 //!
 //! The simulation is single-threaded, so the shared state lives behind
 //! `Rc<Cell/RefCell>`. Handles are handed to every layer at connection
@@ -17,7 +17,6 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use crate::event::{Event, Record};
-use crate::metrics::MetricsRegistry;
 
 /// Default ring capacity: enough for the Tcp+Resync volume of every
 /// scenario in the adversarial matrix without wrapping.
@@ -36,7 +35,6 @@ struct TracerInner {
     next_n: Cell<u64>,
     dropped: Cell<u64>,
     ring: RefCell<Ring>,
-    metrics: RefCell<MetricsRegistry>,
 }
 
 /// Shared tracing handle. Clones share the same buffer; [`Tracer::scoped`]
@@ -64,7 +62,6 @@ impl Tracer {
                 next_n: Cell::new(0),
                 dropped: Cell::new(0),
                 ring: RefCell::new(Ring { buf: Vec::new(), cap: capacity, head: 0 }),
-                metrics: RefCell::new(MetricsRegistry::new()),
             }),
             flow: 0,
         }
@@ -89,19 +86,9 @@ impl Tracer {
         self.inner.now_ns.set(t_ns);
     }
 
-    /// The clock most recently installed with [`Tracer::set_now`].
-    pub fn now_ns(&self) -> u64 {
-        self.inner.now_ns.get()
-    }
-
     /// A handle that records under flow label `flow` into the same ring.
     pub fn scoped(&self, flow: u64) -> Tracer {
         Tracer { inner: Rc::clone(&self.inner), flow }
-    }
-
-    /// The flow label this handle stamps on records.
-    pub fn flow(&self) -> u64 {
-        self.flow
     }
 
     /// Records the event produced by `f` — if tracing is enabled. The
@@ -144,55 +131,6 @@ impl Tracer {
         out.extend_from_slice(&ring.buf[..ring.head]);
         out
     }
-
-    /// The trailing `n` records, oldest first (diagnostic window for
-    /// invariant-failure panics).
-    pub fn tail(&self, n: usize) -> Vec<Record> {
-        let all = self.records();
-        let skip = all.len().saturating_sub(n);
-        all[skip..].to_vec()
-    }
-
-    /// Discards all records and resets drop accounting (metrics are kept).
-    pub fn clear(&self) {
-        let mut ring = self.inner.ring.borrow_mut();
-        ring.buf.clear();
-        ring.head = 0;
-        self.inner.dropped.set(0);
-    }
-
-    /// Bumps the counter `name` under this handle's flow — if enabled.
-    #[inline]
-    pub fn count(&self, name: &'static str, delta: u64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
-        self.inner.metrics.borrow_mut().count(self.flow, name, delta);
-    }
-
-    /// Sets the gauge `name` under this handle's flow — if enabled.
-    #[inline]
-    pub fn gauge(&self, name: &'static str, value: i64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
-        self.inner.metrics.borrow_mut().gauge(self.flow, name, value);
-    }
-
-    /// Records a histogram observation under this handle's flow — if enabled.
-    #[inline]
-    pub fn observe(&self, name: &'static str, value: u64) {
-        if !self.inner.enabled.get() {
-            return;
-        }
-        self.inner.metrics.borrow_mut().observe(self.flow, name, value);
-    }
-
-    /// Runs `f` against the shared metrics registry (read access for
-    /// exporters and bench reporting).
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
-        f(&self.inner.metrics.borrow())
-    }
 }
 
 impl std::fmt::Debug for Tracer {
@@ -209,7 +147,6 @@ impl std::fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ResyncPhase;
 
     fn ev(seq: u64) -> Event {
         Event::PktOffloaded { seq, len: 1448 }
@@ -260,32 +197,5 @@ mod tests {
             })
             .collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest-first after wrap");
-        assert_eq!(t.tail(2).len(), 2);
-    }
-
-    #[test]
-    fn metrics_gated_by_enabled() {
-        let t = Tracer::new(4);
-        t.count("cpu.tls", 5);
-        t.set_enabled(true);
-        t.count("cpu.tls", 7);
-        t.observe("rec.len", 1024);
-        assert_eq!(t.with_metrics(|m| m.counter(0, "cpu.tls")), 7);
-    }
-
-    #[test]
-    fn clear_resets_ring_but_keeps_metrics() {
-        let t = Tracer::new(2);
-        t.set_enabled(true);
-        t.count("x", 3);
-        for i in 0..5u64 {
-            t.record(|| {
-                Event::Resync { from: ResyncPhase::Searching, to: ResyncPhase::Tracking, seq: i }
-            });
-        }
-        t.clear();
-        assert!(t.records().is_empty());
-        assert_eq!(t.dropped(), 0);
-        assert_eq!(t.with_metrics(|m| m.counter(0, "x")), 3);
     }
 }
