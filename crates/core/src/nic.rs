@@ -3,17 +3,19 @@
 //!
 //! This is the "hardware" half of the architecture. Flows are registered by
 //! the driver (`l5o_create`), each carrying an [`RxEngine`] and/or
-//! [`TxEngine`]; every packet of an offloaded flow touches the context
-//! cache ([`LruSet`]) so experiments can observe the paper's §6.5 scaling
-//! behaviour; recovery replays and cache fills are accumulated as PCIe
-//! bytes for Fig. 16b.
+//! [`TxEngine`]. Everything the NIC knows about a flow lives in one record
+//! in one table, keyed by flow id: its engines, its steering entry and its
+//! positions in the context cache ([`LruSet`]). Every packet of an
+//! offloaded flow touches that cache through the record, so experiments can
+//! observe the paper's §6.5 scaling behaviour; recovery replays and cache
+//! fills are accumulated as PCIe bytes for Fig. 16b.
 
 use std::collections::BTreeMap;
 
 use ano_sim::payload::Payload;
 use ano_tcp::segment::{FlowId, SkbFlags};
 
-use crate::cache::{CacheOutcome, LruSet};
+use crate::cache::{CacheOutcome, LruSet, Slot};
 use crate::flow::L5TxSource;
 use crate::msg::{DataRef, EngineEvent};
 use crate::rss::{FourTuple, RssSteering};
@@ -27,6 +29,10 @@ use crate::tx::{TxEngine, TxStats};
 /// `size_of` of the engine: Rust's layout is the compiler's choice, and the
 /// PCIe accounting must not move with it.
 pub const CTX_BYTES: u64 = 208;
+
+/// Seed for the Toeplitz secret key (expanded by the in-repo PRNG, so
+/// steering is identical across runs and processes): "RSS!".
+const RSS_KEY_SEED: u64 = 0x5253_5321;
 
 /// NIC configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,9 +50,6 @@ pub struct NicConfig {
     /// the table maps buckets to queues and can be reprogrammed per
     /// bucket at runtime.
     pub rss_buckets: usize,
-    /// Seed for the Toeplitz secret key (derived via the in-repo PRNG,
-    /// so steering is identical across runs and processes).
-    pub rss_key_seed: u64,
 }
 
 impl Default for NicConfig {
@@ -55,7 +58,6 @@ impl Default for NicConfig {
             ctx_cache_capacity: 20_000,
             rx_queues: 1,
             rss_buckets: 128,
-            rss_key_seed: 0x5253_5321, // "RSS!"
         }
     }
 }
@@ -103,7 +105,7 @@ impl NicConfig {
 }
 
 /// Direction tag for cache keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Dir {
     Rx,
     Tx,
@@ -170,15 +172,28 @@ pub struct TxProcess {
     pub cache_miss: bool,
 }
 
+impl TxProcess {
+    /// What a packet of a flow without a tx offload gets.
+    fn pass_through() -> TxProcess {
+        TxProcess { offloaded: false, replay_bytes: 0, cache_miss: false }
+    }
+}
+
 /// Everything the NIC holds for one flow — the paper's §4 per-flow HW
-/// context plus the flow's filter-table (steering) entries. The engines
-/// come and go with offload install, teardown and device reset; the
-/// steering fields are a property of the *flow*, not of its offload
-/// context, and live until [`Nic::destroy`].
+/// context, its place in the context cache and the flow's filter-table
+/// (steering) entry. The engines and their cache slots come and go with
+/// offload install, teardown and device reset; the steering fields are a
+/// property of the *flow*, not of its offload context, and live until
+/// [`Nic::destroy`].
 #[derive(Default)]
 struct FlowCtx {
     rx: Option<RxEngine>,
     tx: Option<TxEngine>,
+    /// The rx context's position in the context cache; `None` while it is
+    /// not resident. Only an installed engine's context is ever resident.
+    rx_slot: Option<Slot>,
+    /// The tx context's position in the context cache.
+    tx_slot: Option<Slot>,
     /// The flow's hash bucket, computed once at [`Nic::steer_rx`] so the
     /// per-packet path is a table lookup, not a 96-bit hash. `None` for
     /// unsteered flows.
@@ -186,9 +201,15 @@ struct FlowCtx {
     /// The rx queue the flow most recently landed on (crossing detection;
     /// 0 until steered — a single-queue NIC has only queue 0).
     rx_queue: u16,
-    /// Transmit-queue pinning (XPS-style: the driver points a flow's tx
-    /// completions at the queue of the core that runs it).
-    tx_queue: u16,
+}
+
+impl FlowCtx {
+    fn slot(&mut self, dir: Dir) -> &mut Option<Slot> {
+        match dir {
+            Dir::Rx => &mut self.rx_slot,
+            Dir::Tx => &mut self.tx_slot,
+        }
+    }
 }
 
 /// One NIC with autonomous-offload engines.
@@ -196,6 +217,8 @@ pub struct Nic {
     cfg: NicConfig,
     /// The one per-flow table, iterated in flow-id order.
     flows: BTreeMap<FlowId, FlowCtx>,
+    /// Recency order of the resident contexts; each flow's record holds
+    /// its contexts' slots.
     cache: LruSet<(FlowId, Dir)>,
     counters: NicCounters,
     tracer: ano_trace::Tracer,
@@ -205,8 +228,6 @@ pub struct Nic {
     steering: RssSteering,
     /// Per-queue received-packet counters (queue-imbalance accounting).
     queue_rx_pkts: Vec<u64>,
-    /// Per-queue transmitted-packet counters.
-    queue_tx_pkts: Vec<u64>,
     /// Device epoch: bumped whenever contexts are destroyed outside the
     /// driver's control (reset, invalidation). Driver↔device exchanges
     /// carry the epoch they were issued under; answers from an older
@@ -243,9 +264,8 @@ impl Nic {
             cache: LruSet::new(cfg.ctx_cache_capacity),
             counters: NicCounters { config_clamped, ..NicCounters::default() },
             tracer: ano_trace::Tracer::default(),
-            steering: RssSteering::new(cfg.rx_queues, cfg.rss_buckets, cfg.rss_key_seed),
+            steering: RssSteering::new(cfg.rx_queues, cfg.rss_buckets, RSS_KEY_SEED),
             queue_rx_pkts: vec![0; cfg.rx_queues as usize],
-            queue_tx_pkts: vec![0; cfg.rx_queues as usize],
             epoch: 0,
         }
     }
@@ -271,30 +291,30 @@ impl Nic {
     /// Registers a receive offload for `flow` (`l5o_create`, rx half).
     pub fn install_rx(&mut self, flow: FlowId, mut engine: RxEngine) {
         engine.set_tracer(self.tracer.scoped(flow.0));
-        let ctx = self.flows.entry(flow).or_default();
-        engine.set_queue(ctx.rx_queue);
-        ctx.rx = Some(engine);
+        self.flows.entry(flow).or_default().rx = Some(engine);
     }
 
     /// Registers a transmit offload for `flow` (`l5o_create`, tx half).
     pub fn install_tx(&mut self, flow: FlowId, mut engine: TxEngine) {
         engine.set_tracer(self.tracer.scoped(flow.0));
-        let ctx = self.flows.entry(flow).or_default();
-        engine.set_queue(ctx.tx_queue);
-        ctx.tx = Some(engine);
+        self.flows.entry(flow).or_default().tx = Some(engine);
     }
 
     /// Tears down a flow's offloads (`l5o_destroy`). Orderly teardown
     /// writes resident contexts back over PCIe.
     pub fn destroy(&mut self, flow: FlowId) {
-        self.flows.remove(&flow);
         self.writeback_remove(flow, Dir::Rx);
         self.writeback_remove(flow, Dir::Tx);
+        self.flows.remove(&flow);
     }
 
-    /// Removes a cache entry, charging the write-back if it was resident.
+    /// Removes a flow's cache entry, charging the write-back if it was
+    /// resident.
     fn writeback_remove(&mut self, flow: FlowId, dir: Dir) {
-        if self.cache.remove(&(flow, dir)) {
+        let Some(ctx) = self.flows.get_mut(&flow) else {
+            return;
+        };
+        if self.cache.remove(ctx.slot(dir)) {
             self.counters.pcie_ctx_bytes += CTX_BYTES;
         }
     }
@@ -326,11 +346,14 @@ impl Nic {
     /// answers for the dead context are discarded. Returns whether a
     /// context existed.
     pub fn invalidate_rx(&mut self, flow: FlowId) -> bool {
-        let Some(mut e) = self.flows.get_mut(&flow).and_then(|c| c.rx.take()) else {
+        let Some(ctx) = self.flows.get_mut(&flow) else {
+            return false;
+        };
+        let Some(mut e) = ctx.rx.take() else {
             return false;
         };
         e.quiesce();
-        self.cache.remove(&(flow, Dir::Rx));
+        self.cache.remove(&mut ctx.rx_slot);
         self.epoch += 1;
         self.tracer
             .scoped(flow.0)
@@ -368,6 +391,8 @@ impl Nic {
                 wiped += 1;
             }
             wiped += u64::from(ctx.tx.take().is_some());
+            ctx.rx_slot = None;
+            ctx.tx_slot = None;
         }
         self.cache.wipe();
         self.epoch += 1;
@@ -424,28 +449,12 @@ impl Nic {
         let ctx = self.flows.entry(flow).or_default();
         ctx.rx_bucket = Some(bucket);
         ctx.rx_queue = q;
-        if let Some(e) = ctx.rx.as_mut() {
-            e.set_queue(q);
-        }
         if self.multi_queue() {
             self.tracer
                 .scoped(flow.0)
                 .record(|| ano_trace::Event::NicQueue { queue: q });
         }
         q
-    }
-
-    /// Pins a flow's transmit completions to a queue (XPS-style; the
-    /// driver points it at the queue of the core that runs the flow).
-    /// Out-of-range queues are ignored, as in [`RssSteering::set_bucket`].
-    pub fn steer_tx(&mut self, flow: FlowId, queue: u16) {
-        if queue < self.cfg.rx_queues {
-            let ctx = self.flows.entry(flow).or_default();
-            ctx.tx_queue = queue;
-            if let Some(e) = ctx.tx.as_mut() {
-                e.set_queue(queue);
-            }
-        }
     }
 
     /// The rx queue a steered flow most recently landed on (0 for
@@ -482,11 +491,6 @@ impl Nic {
         &self.queue_rx_pkts
     }
 
-    /// Per-queue transmitted-packet counters.
-    pub fn queue_tx_pkts(&self) -> &[u64] {
-        &self.queue_tx_pkts
-    }
-
     /// Queue-imbalance metric: max-over-mean of per-queue rx packets.
     /// 1.0 is perfectly balanced, `n` means one of `n` queues took
     /// everything. Single-queue and idle NICs report 1.0.
@@ -500,29 +504,35 @@ impl Nic {
         max as f64 * n as f64 / total as f64
     }
 
-    fn touch_cache(&mut self, flow: FlowId, dir: Dir) -> bool {
-        let (outcome, evicted) = self.cache.touch_evict(&(flow, dir));
-        let miss = outcome == CacheOutcome::Miss;
-        if miss {
-            self.counters.cache_misses += 1;
-            // Fill of the missing context...
-            self.counters.pcie_ctx_bytes += CTX_BYTES;
-            if let Some((victim, vdir)) = evicted {
-                // ...plus the write-back of the context it displaced. The
-                // trace record is scoped to the victim: cache pressure is
-                // the *victim's* story (its next packet pays the refill).
-                self.counters.pcie_ctx_bytes += CTX_BYTES;
-                self.tracer.scoped(victim.0).record(|| ano_trace::Event::CtxEvict {
-                    dir: match vdir {
-                        Dir::Rx => "rx",
-                        Dir::Tx => "tx",
-                    },
-                });
-            }
-        } else {
+    /// Charges one context-cache touch ([`LruSet::touch`]) and returns
+    /// whether it missed. The victim of an eviction drops its slot.
+    fn charge_touch(
+        &mut self,
+        (outcome, evicted): (CacheOutcome, Option<(FlowId, Dir)>),
+    ) -> bool {
+        if outcome == CacheOutcome::Hit {
             self.counters.cache_hits += 1;
+            return false;
         }
-        miss
+        self.counters.cache_misses += 1;
+        // Fill of the missing context...
+        self.counters.pcie_ctx_bytes += CTX_BYTES;
+        if let Some((victim, vdir)) = evicted {
+            if let Some(ctx) = self.flows.get_mut(&victim) {
+                *ctx.slot(vdir) = None;
+            }
+            // ...plus the write-back of the context it displaced. The
+            // trace record is scoped to the victim: cache pressure is
+            // the *victim's* story (its next packet pays the refill).
+            self.counters.pcie_ctx_bytes += CTX_BYTES;
+            self.tracer.scoped(victim.0).record(|| ano_trace::Event::CtxEvict {
+                dir: match vdir {
+                    Dir::Rx => "rx",
+                    Dir::Tx => "tx",
+                },
+            });
+        }
+        true
     }
 
     /// Processes one received packet. For non-offloaded flows this is a
@@ -551,10 +561,7 @@ impl Nic {
             self.queue_rx_pkts[q as usize] += 1;
             if std::mem::replace(&mut ctx.rx_queue, q) != q {
                 self.counters.queue_crossings += 1;
-                if let Some(e) = ctx.rx.as_mut() {
-                    e.set_queue(q);
-                }
-                if self.cache.remove(&(flow, Dir::Rx)) {
+                if self.cache.remove(&mut ctx.rx_slot) {
                     self.counters.pcie_ctx_bytes += CTX_BYTES;
                     self.tracer
                         .scoped(flow.0)
@@ -570,7 +577,8 @@ impl Nic {
         };
         let flags = with_dataref(payload, |d| engine.on_packet(seq, d));
         let events = engine.take_events();
-        let cache_miss = self.touch_cache(flow, Dir::Rx);
+        let touched = self.cache.touch(&mut ctx.rx_slot, (flow, Dir::Rx));
+        let cache_miss = self.charge_touch(touched);
         RxProcess {
             flags,
             events,
@@ -613,22 +621,16 @@ impl Nic {
         payload: &mut Payload,
         src: &dyn L5TxSource,
     ) -> TxProcess {
-        let multi_queue = self.multi_queue();
-        let ctx = self.flows.get_mut(&flow);
-        if multi_queue && !payload.is_empty() {
-            let q = ctx.as_ref().map_or(0, |c| c.tx_queue);
-            self.queue_tx_pkts[q as usize] += 1;
-        }
-        let Some(engine) = ctx.and_then(|c| c.tx.as_mut()) else {
-            return TxProcess {
-                offloaded: false,
-                replay_bytes: 0,
-                cache_miss: false,
-            };
+        let Some(ctx) = self.flows.get_mut(&flow) else {
+            return TxProcess::pass_through();
+        };
+        let Some(engine) = ctx.tx.as_mut() else {
+            return TxProcess::pass_through();
         };
         let verdict = with_dataref(payload, |d| engine.on_packet(seq, d, src));
         self.counters.pcie_replay_bytes += verdict.replay_bytes;
-        let cache_miss = self.touch_cache(flow, Dir::Tx);
+        let touched = self.cache.touch(&mut ctx.tx_slot, (flow, Dir::Tx));
+        let cache_miss = self.charge_touch(touched);
         TxProcess {
             offloaded: verdict.offloaded,
             replay_bytes: verdict.replay_bytes,
@@ -953,20 +955,6 @@ mod tests {
         feed(&mut nic, FlowId(1), 0);
         // max=3, mean=1 over 4 queues: spread 3.0.
         assert!((nic.queue_imbalance() - 3.0).abs() < 1e-9, "{}", nic.queue_imbalance());
-    }
-
-    #[test]
-    fn tx_packets_count_on_the_pinned_queue() {
-        let mut nic = rss_nic(4);
-        let flow = FlowId(0);
-        nic.steer_tx(flow, 2);
-        let mut p = Payload::real(vec![1, 2, 3]);
-        nic.tx_process(flow, 0, &mut p, &NoSrc);
-        assert_eq!(nic.queue_tx_pkts(), &[0, 0, 1, 0]);
-        nic.steer_tx(flow, 9);
-        let mut p = Payload::real(vec![1, 2, 3]);
-        nic.tx_process(flow, 0, &mut p, &NoSrc);
-        assert_eq!(nic.queue_tx_pkts(), &[0, 0, 2, 0], "out-of-range pin ignored");
     }
 
     #[test]

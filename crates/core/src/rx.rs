@@ -164,10 +164,6 @@ pub struct RxEngine {
     /// The context was damaged in place; the integrity check trips on next
     /// use and the engine re-derives its state via the resync ladder.
     ctx_corrupt: bool,
-    /// The rx queue this context's completions are delivered on (RSS
-    /// steering; 0 on a single-queue device). Diagnostic: kept current by
-    /// the NIC across indirection-table reprograms.
-    queue: u16,
 }
 
 impl std::fmt::Debug for RxEngine {
@@ -193,7 +189,6 @@ impl RxEngine {
             rerequest_pkts: None,
             track_pkts: 0,
             ctx_corrupt: false,
-            queue: 0,
         }
     }
 
@@ -217,19 +212,7 @@ impl RxEngine {
             rerequest_pkts: None,
             track_pkts: 0,
             ctx_corrupt: false,
-            queue: 0,
         }
-    }
-
-    /// Records the rx queue this context's packets arrive on (set by the
-    /// NIC at steer time and after every queue crossing).
-    pub fn set_queue(&mut self, queue: u16) {
-        self.queue = queue;
-    }
-
-    /// The rx queue this context's packets arrive on.
-    pub fn queue(&self) -> u16 {
-        self.queue
     }
 
     /// Enables re-emitting an unanswered resync request every `pkts`

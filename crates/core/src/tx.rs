@@ -63,9 +63,6 @@ pub struct TxEngine {
     broken: bool,
     tracer: Tracer,
     stats: TxStats,
-    /// The tx queue this context's completions are pinned to (XPS-style;
-    /// 0 on a single-queue device).
-    queue: u16,
 }
 
 impl std::fmt::Debug for TxEngine {
@@ -88,19 +85,7 @@ impl TxEngine {
             broken: false,
             tracer: Tracer::default(),
             stats: TxStats::default(),
-            queue: 0,
         }
-    }
-
-    /// Records the tx queue this context is pinned to (set by the NIC at
-    /// steer time and when the stack re-pins after a core migration).
-    pub fn set_queue(&mut self, queue: u16) {
-        self.queue = queue;
-    }
-
-    /// The tx queue this context is pinned to.
-    pub fn queue(&self) -> u16 {
-        self.queue
     }
 
     /// Installs a (typically flow-scoped) tracing handle. The default

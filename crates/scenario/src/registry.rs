@@ -356,7 +356,6 @@ fn fast_rebalance(steer_queues: bool) -> RebalanceConfig {
         interval: SimDuration::from_micros(20),
         trigger: 1.5,
         min_cycles: 5_000,
-        max_moves: 1,
         steer_queues,
     }
 }

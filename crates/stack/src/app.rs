@@ -7,7 +7,7 @@
 
 use ano_sim::payload::Payload;
 use ano_sim::time::SimTime;
-use ano_tls::ktls::PlainChunk;
+use ano_tcp::segment::RxChunk;
 
 use crate::world::ConnId;
 
@@ -22,7 +22,7 @@ pub enum AppEvent<'a> {
         /// The connection.
         conn: ConnId,
         /// Plaintext runs.
-        chunks: &'a [PlainChunk],
+        chunks: &'a [RxChunk],
     },
     /// An NVMe I/O submitted via [`Action::NvmeRead`]/[`Action::NvmeWrite`]
     /// finished.

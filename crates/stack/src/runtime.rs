@@ -14,7 +14,6 @@ use ano_core::msg::EngineEvent;
 use ano_sim::payload::Payload;
 use ano_sim::time::SimTime;
 use ano_tcp::segment::{RxChunk, WIRE_HEADER_BYTES};
-use ano_tls::ktls::PlainChunk;
 use ano_tls::record::OVERHEAD as TLS_OVERHEAD;
 
 use crate::app::{Action, AppEvent, HostApi};
@@ -31,7 +30,7 @@ const MAX_BURST: usize = 64;
 
 /// Deferred application notifications collected while host state is borrowed.
 pub(crate) enum AppCall {
-    Data { conn: ConnId, plains: Vec<PlainChunk> },
+    Data { conn: ConnId, plains: Vec<RxChunk> },
     NvmeDone {
         conn: ConnId,
         completions: Vec<ano_nvme::host::Completion>,
@@ -245,25 +244,21 @@ impl World {
             let mean = total as f64 / n as f64;
             if hot != cold && deltas[hot] as f64 > rb.trigger * mean && deltas[hot] >= rb.min_cycles
             {
-                for _ in 0..rb.max_moves {
-                    // Hottest connection on the hot core by window packets
-                    // (ties → lowest id). Moving the *only* active
-                    // connection would shift the load, not spread it, so
-                    // a one-flow core is left alone.
-                    let mut active = 0usize;
-                    let mut pick: Option<(ConnId, u64)> = None;
-                    for (&cid, c) in host.conns.iter() {
-                        if c.core == hot && c.pkts_in_window > 0 {
-                            active += 1;
-                            if pick.is_none_or(|(_, best)| c.pkts_in_window > best) {
-                                pick = Some((cid, c.pkts_in_window));
-                            }
+                // One move per tick: the hottest connection on the hot
+                // core by window packets (ties → lowest id). Moving the
+                // *only* active connection would shift the load, not
+                // spread it, so a one-flow core is left alone.
+                let mut active = 0usize;
+                let mut pick: Option<(ConnId, u64)> = None;
+                for (&cid, c) in host.conns.iter() {
+                    if c.core == hot && c.pkts_in_window > 0 {
+                        active += 1;
+                        if pick.is_none_or(|(_, best)| c.pkts_in_window > best) {
+                            pick = Some((cid, c.pkts_in_window));
                         }
                     }
-                    let Some((cid, _)) = pick else { break };
-                    if active < 2 {
-                        break;
-                    }
+                }
+                if let Some((cid, _)) = pick.filter(|_| active >= 2) {
                     let c = host.conns.get_mut(&cid).expect("picked above");
                     c.core = cold;
                     c.pkts_in_window = 0;
@@ -288,7 +283,6 @@ impl World {
                         let dest_q = host.queue_core.iter().position(|&qc| qc == cold);
                         if let (Some(bucket), Some(q)) = (bucket, dest_q) {
                             host.nic.set_rss_bucket(bucket, q as u16);
-                            host.nic.steer_tx(c.out_flow, q as u16);
                         }
                     }
                 }
@@ -835,7 +829,7 @@ impl World {
 
     /// Returns an emptied plaintext buffer to the pool (bounded so a burst
     /// of large records cannot pin memory forever).
-    fn recycle_plains(&mut self, mut plains: Vec<PlainChunk>) {
+    fn recycle_plains(&mut self, mut plains: Vec<RxChunk>) {
         if self.plains_pool.len() < 8 {
             plains.clear();
             self.plains_pool.push(plains);
@@ -1019,7 +1013,7 @@ fn proto_rx(
     resync_resps: &mut Vec<(u8, u64, bool, u64)>,
     target_replies: &mut Vec<(u64, SimTime)>,
     calls: &mut Vec<AppCall>,
-    pool: &mut Vec<Vec<PlainChunk>>,
+    pool: &mut Vec<Vec<RxChunk>>,
 ) -> u64 {
     let mut cycles = 0u64;
     let mut plains = pool.pop().unwrap_or_default();

@@ -49,7 +49,7 @@ use ano_sim::rng::SimRng;
 use ano_sim::sched::Scheduler;
 use ano_sim::time::{SimDuration, SimTime};
 use ano_tcp::conn::TcpEndpoint;
-use ano_tcp::segment::FlowId;
+use ano_tcp::segment::{FlowId, RxChunk};
 use ano_tcp::TcpConfig;
 use ano_tls::ktls::{KtlsRx, KtlsTx, KtlsTxConfig};
 use ano_tls::offload::{TlsRxFlow, TlsTxFlow};
@@ -242,8 +242,6 @@ pub struct RebalanceConfig {
     pub trigger: f64,
     /// Noise floor: hot cores below this many window cycles are ignored.
     pub min_cycles: u64,
-    /// Migrations per tick per host.
-    pub max_moves: usize,
     /// Also reprogram the RSS indirection bucket so the flow's queue
     /// follows it to the new core (context-thrashing; see above).
     pub steer_queues: bool,
@@ -255,7 +253,6 @@ impl Default for RebalanceConfig {
             interval: SimDuration::from_micros(1_000),
             trigger: 1.25,
             min_cycles: 20_000,
-            max_moves: 1,
             steer_queues: false,
         }
     }
@@ -382,6 +379,9 @@ impl Default for HostSpec {
     }
 }
 
+/// One-way propagation delay of every link.
+const LINK_DELAY: SimDuration = SimDuration::from_micros(2);
+
 /// World construction parameters.
 ///
 /// `cores`, `nic`, `impair_0to1` and `impair_1to0` describe the two-host
@@ -397,8 +397,6 @@ pub struct WorldConfig {
     pub cost: CostModel,
     /// Link rate, bits/second (both directions).
     pub link_rate_bps: u64,
-    /// One-way propagation delay.
-    pub link_delay: SimDuration,
     /// Impairments on host0 → host1.
     pub impair_0to1: Impairments,
     /// Impairments on host1 → host0.
@@ -425,7 +423,6 @@ impl Default for WorldConfig {
             mode: DataMode::Modeled,
             cost: CostModel::calibrated(),
             link_rate_bps: 100_000_000_000,
-            link_delay: SimDuration::from_micros(2),
             impair_0to1: Impairments::none(),
             impair_1to0: Impairments::none(),
             cores: [8, 8],
@@ -694,9 +691,6 @@ pub(crate) struct ConnState {
     /// Payload packets received in the current rebalance window (hot-flow
     /// selection; reset every tick, untouched when rebalancing is off).
     pub(crate) pkts_in_window: u64,
-    /// The 4-tuple this endpoint's *incoming* flow is RSS-steered by on
-    /// the local NIC (`None` on single-queue hosts).
-    pub(crate) rx_tuple: Option<FourTuple>,
 }
 
 pub(crate) struct HostState {
@@ -826,7 +820,7 @@ pub struct World {
     pub(crate) app_calls: Vec<crate::runtime::AppCall>,
     /// Small pool of plaintext-chunk buffers recycled between the kTLS
     /// receive path and the application-notification path.
-    pub(crate) plains_pool: Vec<Vec<ano_tls::ktls::PlainChunk>>,
+    pub(crate) plains_pool: Vec<Vec<RxChunk>>,
     /// Scheduler clamp count already surfaced to the tracer.
     pub(crate) clamps_traced: u64,
 }
@@ -913,7 +907,7 @@ impl World {
         self.links.add(
             src,
             dst,
-            Link::new(self.cfg.link_rate_bps, self.cfg.link_delay, impair),
+            Link::new(self.cfg.link_rate_bps, LINK_DELAY, impair),
         )
     }
 
@@ -938,12 +932,6 @@ impl World {
     /// The cost model in use.
     pub fn cost(&self) -> CostModel {
         self.cfg.cost.clone()
-    }
-
-    /// Sets the tolerated past-time scheduling lag before debug builds
-    /// assert (forwarded to [`ano_sim::sched::Scheduler::set_clamp_epsilon`]).
-    pub fn set_clamp_epsilon(&mut self, epsilon: ano_sim::time::SimDuration) {
-        self.sched.set_clamp_epsilon(epsilon);
     }
 
     /// Installs the application for a host.
@@ -1023,11 +1011,9 @@ impl World {
             // round-robin core assignment (byte-identical to every pre-RSS
             // trace); multi-queue hosts steer the incoming flow through the
             // NIC's RSS hash and land the connection on the steered queue's
-            // IRQ core. The outgoing flow's tx completions are pinned to a
-            // queue of the same core.
+            // IRQ core.
             let host = &mut self.hosts[h as usize];
-            let (core, rx_tuple) = Self::place_conn(host, id, in_flow, peer, h);
-            Self::pin_tx_queue(host, out_flow, core);
+            let core = Self::place_conn(host, id, in_flow, peer, h);
             let mut tcp = TcpEndpoint::new(out_flow, self.cfg.tcp.clone());
             tcp.set_tracer(self.tracer.scoped(out_flow.0));
             host.conns.insert(
@@ -1050,7 +1036,6 @@ impl World {
                     health: OffloadHealth::default(),
                     rx_installed_once: false,
                     pkts_in_window: 0,
-                    rx_tuple,
                 },
             );
         }
@@ -1110,31 +1095,15 @@ impl World {
     /// Picks the core a new connection runs on at `host` (whose incoming
     /// flow is `in_flow`, flowing `src → dst`). Multi-queue NICs steer the
     /// flow through the RSS hash and return the steered queue's IRQ core
-    /// plus the tuple (kept for later indirection-table reprogramming);
-    /// single-queue NICs keep the historical round-robin placement.
-    fn place_conn(
-        host: &mut HostState,
-        id: ConnId,
-        in_flow: FlowId,
-        src: u16,
-        dst: u16,
-    ) -> (usize, Option<FourTuple>) {
+    /// (the NIC keeps the flow's bucket for later indirection-table
+    /// reprogramming); single-queue NICs keep the historical round-robin
+    /// placement.
+    fn place_conn(host: &mut HostState, id: ConnId, in_flow: FlowId, src: u16, dst: u16) -> usize {
         if host.nic.rx_queues() > 1 {
-            let tuple = Self::flow_tuple(src, dst, id.0);
-            let q = host.nic.steer_rx(in_flow, tuple);
-            (host.queue_core[q as usize], Some(tuple))
+            let q = host.nic.steer_rx(in_flow, Self::flow_tuple(src, dst, id.0));
+            host.queue_core[q as usize]
         } else {
-            (id.0 as usize % host.cpu.num_cores(), None)
-        }
-    }
-
-    /// Pins a multi-queue host's outgoing flow to a tx queue serviced by
-    /// the connection's core, so completions land where the stack runs.
-    fn pin_tx_queue(host: &mut HostState, out_flow: FlowId, core: usize) {
-        if host.nic.rx_queues() > 1 {
-            if let Some(q) = host.queue_core.iter().position(|&c| c == core) {
-                host.nic.steer_tx(out_flow, q as u16);
-            }
+            id.0 as usize % host.cpu.num_cores()
         }
     }
 
@@ -1623,13 +1592,6 @@ impl World {
     pub fn rx_queue_of(&self, host: usize, conn: ConnId) -> Option<u16> {
         let c = self.hosts[host].conns.get(&conn)?;
         Some(self.hosts[host].nic.rx_queue_of(c.in_flow))
-    }
-
-    /// The synthetic 4-tuple `conn`'s incoming flow is RSS-hashed by at
-    /// `host` (`None` on single-queue hosts). Tests recompute the
-    /// Toeplitz bucket from this to cross-check the NIC's steering.
-    pub fn rx_tuple(&self, host: usize, conn: ConnId) -> Option<FourTuple> {
-        self.hosts[host].conns.get(&conn)?.rx_tuple
     }
 
     /// Per-queue received-packet counters of a host's NIC.

@@ -84,8 +84,8 @@ impl SkbFlags {
 
 /// An in-order chunk of a byte stream, carrying the offload flags of the
 /// packet(s) it came from. The one chunk type up the rx stack: TCP hands it
-/// to the L5P, kTLS hands plaintext up as `ktls::PlainChunk` and the NVMe
-/// parser consumes `parser::StreamChunk` — both are this struct.
+/// to the L5P, kTLS hands plaintext up in it and the NVMe parser consumes it
+/// (as `parser::StreamChunk`, an alias).
 #[derive(Clone, Debug)]
 pub struct RxChunk {
     /// Absolute stream offset of the first byte.

@@ -152,11 +152,6 @@ impl KtlsTx {
     }
 }
 
-/// One in-order run of plaintext handed up by kTLS: `offset` counts
-/// plaintext bytes, and the flags are those of the wire packet it came from
-/// (so a layered NVMe-TCP consumer can keep its own per-packet bookkeeping).
-pub use ano_tcp::segment::RxChunk as PlainChunk;
-
 /// Record classification counters (Fig. 17b / Fig. 18b).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecordClass {
@@ -261,8 +256,10 @@ impl KtlsRx {
     }
 
     /// Consumes in-order chunks from TCP; returns plaintext chunks and the
-    /// CPU cycles spent.
-    pub fn on_chunks<I>(&mut self, chunks: I, cost: &CostModel) -> (Vec<PlainChunk>, u64)
+    /// CPU cycles spent. A plaintext chunk's `offset` counts plaintext
+    /// bytes, and its flags are those of the wire packet it came from (so a
+    /// layered NVMe-TCP consumer can keep its own per-packet bookkeeping).
+    pub fn on_chunks<I>(&mut self, chunks: I, cost: &CostModel) -> (Vec<RxChunk>, u64)
     where
         I: IntoIterator<Item = RxChunk>,
     {
@@ -279,7 +276,7 @@ impl KtlsRx {
         &mut self,
         chunks: I,
         cost: &CostModel,
-        out: &mut Vec<PlainChunk>,
+        out: &mut Vec<RxChunk>,
     ) -> u64
     where
         I: IntoIterator<Item = RxChunk>,
@@ -357,7 +354,7 @@ impl KtlsRx {
     /// Completes the in-progress record, appending its plaintext chunks to
     /// `out` and returning the CPU cycles spent. Appends (rather than
     /// returns) so the per-record output needs no fresh allocation.
-    fn finish_record(&mut self, cost: &CostModel, out: &mut Vec<PlainChunk>) -> u64 {
+    fn finish_record(&mut self, cost: &CostModel, out: &mut Vec<RxChunk>) -> u64 {
         let (total, start) = self.cur.take().expect("record in progress");
         let parts = std::mem::take(&mut self.parts);
         let plen = total as usize - HEADER_LEN - TAG_LEN;
@@ -446,7 +443,7 @@ impl KtlsRx {
         parts: &[(Payload, SkbFlags)],
         plen: usize,
         plain: Option<&[u8]>,
-        out: &mut Vec<PlainChunk>,
+        out: &mut Vec<RxChunk>,
     ) {
         let mut off = 0usize;
         for (p, flags) in parts {
@@ -458,7 +455,7 @@ impl KtlsRx {
                 Some(bytes) => Payload::real(bytes[off..off + take].to_vec()),
                 None => Payload::synthetic(take),
             };
-            out.push(PlainChunk {
+            out.push(RxChunk {
                 offset: self.plain_pos + off as u64,
                 payload,
                 flags: *flags,

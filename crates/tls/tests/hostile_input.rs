@@ -27,7 +27,7 @@ use ano_sim::rng::SimRng;
 use ano_tcp::segment::{RxChunk, SkbFlags};
 use ano_testkit::gen::{any_u8, u64_in, vec_of};
 use ano_testkit::stream::{cut_sizes, packets};
-use ano_tls::ktls::{KtlsRx, PlainChunk};
+use ano_tls::ktls::KtlsRx;
 use ano_tls::offload::TlsRxFlow;
 use ano_tls::record::{RecordHeader, HEADER_LEN, TAG_LEN};
 use ano_tls::session::TlsSession;
@@ -100,7 +100,7 @@ fn mutate(sent: &Sent, muts: &[(u64, u8)]) -> Vec<u8> {
 /// The record layer's output: plaintext chunks, alerts, packets the NIC
 /// offloaded and packets in all.
 struct Run {
-    plain: Vec<PlainChunk>,
+    plain: Vec<RxChunk>,
     alerts: u64,
     offloaded: u64,
     pkts: u64,

@@ -93,6 +93,15 @@ echo "== crypto kernels (release) =="
 # (a few seconds).
 CARGO_NET_OFFLINE=true cargo test -q --release -p ano-crypto
 
+echo "== NIC flow table and context cache (release, 20 000 cases per property) =="
+# crates/core/tests/lru_prop.rs drives install/packet/teardown/reset/steering
+# sequences through `Nic` against a naive LRU model and checks the hit, miss
+# and PCIe counters and every traced eviction victim after each step. The
+# per-packet flow table and its cache slots must hold under the fat-LTO
+# codegen the benchmark runs, and across far more cases than the workspace
+# run's few hundred (~4 s).
+CARGO_NET_OFFLINE=true ANO_TESTKIT_CASES=20000 cargo test -q --release -p ano-core --test lru_prop
+
 # The scenario crate's default tests — the registry-wide shape tests, the
 # 16-entry link-adversity differential matrix, every family's smokes and all
 # seven golden traces (BLESS=1 regenerates; see crates/scenario/tests/common)
