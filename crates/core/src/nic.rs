@@ -639,16 +639,12 @@ impl Nic {
     }
 }
 
-/// Runs `f` over a payload as a [`DataRef`], writing transformed bytes back
-/// for real payloads.
+/// Runs `f` over a payload as a [`DataRef`]. Real bytes are transformed in
+/// place when the packet holds the only handle on its buffer, else in one
+/// fresh copy ([`ano_sim::bytes::Bytes::make_mut`]).
 pub fn with_dataref<R>(p: &mut Payload, f: impl FnOnce(&mut DataRef<'_>) -> R) -> R {
     match p {
-        Payload::Real(bytes) => {
-            let mut buf = bytes.to_vec();
-            let r = f(&mut DataRef::Real(&mut buf));
-            *p = Payload::real(buf);
-            r
-        }
+        Payload::Real(bytes) => f(&mut DataRef::Real(bytes.make_mut())),
         Payload::Synthetic { len } => f(&mut DataRef::Modeled(*len)),
     }
 }

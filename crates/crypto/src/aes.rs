@@ -6,8 +6,10 @@
 //! S-box): each table entry is one S-box output already multiplied through
 //! the MixColumns column, so a full round is 16 table reads and XORs on
 //! four big-endian column words. The last round, which has no MixColumns,
-//! reads the plain S-box. Portable safe Rust: the cycle-cost model, not
-//! this code, stands in for AES-NI in experiments.
+//! reads the plain S-box. This is the portable cipher: a [`crate::gcm::GcmKey`]
+//! on a CPU with AES-NI hands the same round keys to `aesenc` instead, and
+//! tests check that path against this one. Either way the cycle-cost
+//! model, not the host's speed, stands in for AES-NI in experiments.
 //!
 //! An [`Aes`] is key-static state only: the expanded round keys
 //! (`[u32; 60]`, no heap) and the round count, so it is `Copy`.
@@ -156,11 +158,17 @@ impl Aes {
         Aes { rk, rounds }
     }
 
+    /// The round keys in use, four big-endian FIPS 197 words each
+    /// (`4 * (rounds + 1)` words).
+    pub(crate) fn round_key_words(&self) -> &[u32] {
+        &self.rk[..4 * (self.rounds + 1)]
+    }
+
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         #[cfg(test)]
         BLOCKS.with(|n| n.set(n.get() + 1));
-        let mut keys = self.rk[..4 * (self.rounds + 1)].chunks_exact(4);
+        let mut keys = self.round_key_words().chunks_exact(4);
         let mut s = [0u32; 4];
         if let Some(k) = keys.next() {
             for (c, w) in s.iter_mut().enumerate() {
@@ -313,10 +321,13 @@ mod tests {
     #[test]
     fn fips197_aes256_vector() {
         // FIPS 197 Appendix C.3
-        let key: [u8; 32] = from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+        let key: [u8; 32] =
+            from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+                .try_into()
+                .unwrap();
+        let mut block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff")
             .try_into()
             .unwrap();
-        let mut block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff").try_into().unwrap();
         Aes::new_256(&key).encrypt_block(&mut block);
         assert_eq!(block.to_vec(), from_hex("8ea2b7ca516745bfeafc49904b496089"));
     }

@@ -6,6 +6,11 @@
 //! is a single `u32` (the §3.2 constant-size-state precondition, trivially),
 //! and independently computed halves can be *combined* ([`combine`]), which
 //! the software fallback uses for partially offloaded capsules.
+//!
+//! [`Crc32c::update`] checks the CPU on every call: with SSE4.2 it runs the
+//! `crc32` instruction over three interleaved streams, joined by a shift
+//! table built with [`combine`]; otherwise slicing-by-8, which is also the
+//! oracle the SSE4.2 kernel is tested against.
 
 /// The CRC-32C polynomial, reflected.
 pub const POLY_REFLECTED: u32 = 0x82F6_3B78;
@@ -74,33 +79,44 @@ impl Crc32c {
         !self.state
     }
 
-    /// Absorbs bytes using slicing-by-8.
-    pub fn update(&mut self, mut data: &[u8]) {
-        let t = tables();
-        let mut crc = self.state;
-        while data.len() >= 8 {
-            let b: [u8; 8] = data[..8].try_into().expect("8 bytes");
-            let low = crc ^ u32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
-            crc = t[7][(low & 0xff) as usize]
-                ^ t[6][((low >> 8) & 0xff) as usize]
-                ^ t[5][((low >> 16) & 0xff) as usize]
-                ^ t[4][(low >> 24) as usize]
-                ^ t[3][b[4] as usize]
-                ^ t[2][b[5] as usize]
-                ^ t[1][b[6] as usize]
-                ^ t[0][b[7] as usize];
-            data = &data[8..];
+    /// Absorbs bytes: on SSE4.2 when this CPU has it (checked per call),
+    /// else slicing-by-8.
+    pub fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(state) = crate::x86_64::crc32c(self.state, data) {
+            self.state = state;
+            return;
         }
-        for &b in data {
-            crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
+        self.state = update_portable(self.state, data);
     }
 
     /// Returns the digest of everything absorbed so far (non-destructive).
     pub fn finalize(&self) -> u32 {
         !self.state
     }
+}
+
+/// Advances the CRC register `crc` over `data` by slicing-by-8: the
+/// fallback on other CPUs and the oracle for the SSE4.2 kernel.
+pub(crate) fn update_portable(mut crc: u32, mut data: &[u8]) -> u32 {
+    let t = tables();
+    while data.len() >= 8 {
+        let b: [u8; 8] = data[..8].try_into().expect("8 bytes");
+        let low = crc ^ u32::from_le_bytes(b[..4].try_into().expect("4 bytes"));
+        crc = t[7][(low & 0xff) as usize]
+            ^ t[6][((low >> 8) & 0xff) as usize]
+            ^ t[5][((low >> 16) & 0xff) as usize]
+            ^ t[4][(low >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+        data = &data[8..];
+    }
+    for &b in data {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 /// One-shot CRC32C of `data`.

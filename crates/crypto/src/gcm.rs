@@ -9,8 +9,9 @@
 //!
 //! The state splits the way §3.2 splits it:
 //!
-//! * **key-static** — a [`GcmKey`]: the AES round keys, the hash key
-//!   `H = E_K(0^128)` and the 4 KiB GHASH table of `H`. It is built once per
+//! * **key-static** — a [`GcmKey`]: the AES round keys and the hash key
+//!   `H = E_K(0^128)`, with `H²`..`H⁴` for the hardware kernels or the
+//!   4 KiB GHASH table of `H` for the portable ones. It is built once per
 //!   session and shared into every record's stream by `Arc`; the table is
 //!   built lazily, by the first stream that sees real bytes, so keys that
 //!   only ever frame modeled payloads never pay for it.
@@ -18,8 +19,13 @@
 //!   block plus the AAD and data lengths (~50 bytes). Starting or resuming a
 //!   stream from it costs no AES block and no heap allocation.
 //!
-//! Whole 16-byte blocks are transformed one keystream block at a time as a
-//! single `u128` XOR; only a range's ragged head and tail go byte by byte.
+//! [`GcmKey::new`] picks the kernels once per key. On x86-64 with AES-NI and
+//! PCLMULQDQ, `process` runs eight counter blocks in flight and hashes the
+//! ciphertext four blocks per reduction in the same pass (the private
+//! `x86_64` module). Otherwise it runs the portable kernels: T-table AES one
+//! keystream block at a time as a single `u128` XOR, then the 8-bit-table
+//! GHASH. The portable path is the oracle for the hardware one; both give
+//! the same bytes, tags and [`GcmSavedState`] at every split point.
 
 use std::sync::{Arc, OnceLock};
 
@@ -58,25 +64,74 @@ pub enum Direction {
 /// assert_eq!(a, b);
 /// ```
 pub struct GcmKey {
-    aes: Aes,
-    h: u128,
-    ghash: OnceLock<Box<GhashKey>>,
+    backend: Backend,
+}
+
+/// Which kernels a [`GcmKey`] runs, chosen once in [`GcmKey::new`].
+enum Backend {
+    /// T-table AES and the 8-bit GHASH table of `h`, built by the first
+    /// stream: the fallback on other CPUs and the oracle in tests.
+    Portable {
+        aes: Aes,
+        h: u128,
+        ghash: OnceLock<Box<GhashKey>>,
+    },
+    /// AES-NI and PCLMULQDQ.
+    #[cfg(target_arch = "x86_64")]
+    Hw(crate::x86_64::GcmHw),
 }
 
 impl GcmKey {
-    /// Derives `H` from the expanded key (one AES block). The GHASH table
-    /// waits for the first stream.
+    /// Picks the hardware kernels when this CPU has AES-NI and PCLMULQDQ,
+    /// the portable ones otherwise, and derives `H` (one AES block). The
+    /// portable GHASH table waits for the first stream.
     pub fn new(aes: Aes) -> GcmKey {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::x86_64::GcmHw::new(&aes) {
+            return GcmKey {
+                backend: Backend::Hw(hw),
+            };
+        }
+        GcmKey::portable(aes)
+    }
+
+    /// A key on the portable kernels, whatever the CPU.
+    pub(crate) fn portable(aes: Aes) -> GcmKey {
         let h = block_to_u128(&aes.encrypt_block_copy(&[0u8; 16]));
         GcmKey {
-            aes,
-            h,
-            ghash: OnceLock::new(),
+            backend: Backend::Portable {
+                aes,
+                h,
+                ghash: OnceLock::new(),
+            },
         }
     }
 
-    fn ghash(&self) -> &GhashKey {
-        self.ghash.get_or_init(|| ghash_table(self.h))
+    /// Absorbs `data` into `g`.
+    fn ghash_update(&self, g: &mut Ghash, data: &[u8]) {
+        match &self.backend {
+            Backend::Portable { h, ghash, .. } => g.update(ghash_table(*h, ghash), data),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(hw) => hw.ghash_update(g, data),
+        }
+    }
+
+    /// Zero-pads and absorbs `g`'s partial block.
+    fn ghash_pad(&self, g: &mut Ghash) {
+        match &self.backend {
+            Backend::Portable { h, ghash, .. } => g.pad_block(ghash_table(*h, ghash)),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(hw) => hw.ghash_pad(g),
+        }
+    }
+
+    /// `E_K(block)`.
+    fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        match &self.backend {
+            Backend::Portable { aes, .. } => aes.encrypt_block_copy(block),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(hw) => hw.encrypt_block(block),
+        }
     }
 
     /// One-shot encryption in place; returns the tag.
@@ -105,18 +160,26 @@ impl GcmKey {
     }
 }
 
-/// Builds the 4 KiB GHASH table of `h` on the heap.
-fn ghash_table(h: u128) -> Box<GhashKey> {
-    Box::new(GhashKey::new(h))
+/// The 4 KiB GHASH table of `h`, built on the heap on first use.
+fn ghash_table(h: u128, table: &OnceLock<Box<GhashKey>>) -> &GhashKey {
+    table.get_or_init(|| Box::new(GhashKey::new(h)))
 }
 
 impl std::fmt::Debug for GcmKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print key material.
-        f.debug_struct("GcmKey")
-            .field("aes", &self.aes)
-            .field("ghash_table", &self.ghash.get().is_some())
-            .finish()
+        match &self.backend {
+            Backend::Portable { aes, ghash, .. } => f
+                .debug_struct("GcmKey")
+                .field("aes", aes)
+                .field("ghash_table", &ghash.get().is_some())
+                .finish(),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(_) => f
+                .debug_struct("GcmKey")
+                .field("backend", &"aes-ni")
+                .finish(),
+        }
     }
 }
 
@@ -174,9 +237,8 @@ impl GcmStream {
     /// Starts a stream over a fresh message with the given nonce and AAD.
     pub fn new(key: Arc<GcmKey>, iv: &[u8; IV_LEN], aad: &[u8], dir: Direction) -> GcmStream {
         let mut ghash = Ghash::default();
-        let table = key.ghash();
-        ghash.update(table, aad);
-        ghash.pad_block(table);
+        key.ghash_update(&mut ghash, aad);
+        key.ghash_pad(&mut ghash);
         GcmStream {
             key,
             j0: j0(iv),
@@ -198,7 +260,7 @@ impl GcmStream {
         let ctr = u32::from_be_bytes(cb[12..16].try_into().expect("4 bytes"));
         let ctr = ctr.wrapping_add(1).wrapping_add(block_index as u32);
         cb[12..16].copy_from_slice(&ctr.to_be_bytes());
-        self.key.aes.encrypt_block_copy(&cb)
+        self.key.encrypt_block(&cb)
     }
 
     /// XORs the keystream into `data`, which starts `pos` bytes into the
@@ -218,9 +280,19 @@ impl GcmStream {
         if data.is_empty() {
             return;
         }
-        let table = self.key.ghash();
+        match &self.key.backend {
+            Backend::Portable { .. } => self.process_portable(data),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hw(hw) => hw.process(&self.j0, self.data_len, self.dir, &mut self.ghash, data),
+        }
+        self.data_len += data.len() as u64;
+    }
+
+    /// [`GcmStream::process`] on the portable kernels: a GHASH pass and a
+    /// keystream pass, whole blocks one keystream block at a time.
+    fn process_portable(&mut self, data: &mut [u8]) {
         if self.dir == Direction::Decrypt {
-            self.ghash.update(table, data);
+            self.key.ghash_update(&mut self.ghash, data);
         }
         let mut pos = self.data_len;
         // Ragged head up to the next keystream-block boundary.
@@ -241,27 +313,25 @@ impl GcmStream {
         let tail = blocks.into_remainder();
         if !tail.is_empty() {
             self.xor_partial(pos, tail);
-            pos += tail.len() as u64;
         }
         if self.dir == Direction::Encrypt {
-            self.ghash.update(table, data);
+            self.key.ghash_update(&mut self.ghash, data);
         }
-        self.data_len = pos;
     }
 
     /// Computes the tag over everything processed so far (non-destructive,
     /// so software fallbacks can authenticate partially offloaded messages
     /// after reprocessing).
     pub fn tag(&self) -> [u8; TAG_LEN] {
-        let table = self.key.ghash();
         let mut g = self.ghash;
-        g.pad_block(table);
+        self.key.ghash_pad(&mut g);
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&(self.aad_len * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&(self.data_len * 8).to_be_bytes());
-        g.update(table, &len_block);
-        let mask = block_to_u128(&self.key.aes.encrypt_block_copy(&self.j0));
-        u128_to_block(g.finalize(table) ^ mask)
+        // A whole block: the accumulator now covers everything.
+        self.key.ghash_update(&mut g, &len_block);
+        let mask = block_to_u128(&self.key.encrypt_block(&self.j0));
+        u128_to_block(g.export().acc ^ mask)
     }
 
     /// Verifies `tag` against the processed data in constant time.
@@ -350,75 +420,113 @@ mod tests {
         Arc::new(GcmKey::new(aes))
     }
 
+    /// `aes` on the kernels `GcmKey::new` picks, then on the portable ones.
+    fn both_paths(aes: Aes) -> [Arc<GcmKey>; 2] {
+        [key(aes), Arc::new(GcmKey::portable(aes))]
+    }
+
+    /// A known-answer vector on both paths: seal gives `ct` and `tag`, and
+    /// open takes them back to `plain`.
+    fn check_vector(aes: Aes, iv: &str, aad: &str, plain: &str, ct: &str, tag: &str) {
+        let iv: [u8; IV_LEN] = from_hex(iv).try_into().unwrap();
+        let aad = from_hex(aad);
+        for k in both_paths(aes) {
+            let mut data = from_hex(plain);
+            let t = k.seal(&iv, &aad, &mut data);
+            assert_eq!(
+                (to_hex(&data), to_hex(&t)),
+                (ct.to_string(), tag.to_string()),
+                "{k:?}"
+            );
+            k.open(&iv, &aad, &mut data, &t).expect("valid tag");
+            assert_eq!(to_hex(&data), plain, "{k:?}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn key_picks_the_hardware_kernels_when_the_cpu_has_them() {
+        // Every CPU with AES-NI and PCLMULQDQ also has SSE4.1.
+        let hw = is_x86_feature_detected!("aes") && is_x86_feature_detected!("pclmulqdq");
+        let k = GcmKey::new(k128("000102030405060708090a0b0c0d0e0f"));
+        assert_eq!(matches!(k.backend, Backend::Hw(_)), hw, "{k:?}");
+    }
+
     #[test]
     fn nist_case_1_empty() {
         // Key 0^128, IV 0^96, empty plaintext, empty AAD.
         let aes = k128("00000000000000000000000000000000");
-        let iv = [0u8; 12];
-        let mut data = [];
-        let tag = seal(&aes, &iv, &[], &mut data);
-        assert_eq!(to_hex(&tag), "58e2fccefa7e3061367f1d57a4e7455a");
+        check_vector(
+            aes,
+            "000000000000000000000000",
+            "",
+            "",
+            "",
+            "58e2fccefa7e3061367f1d57a4e7455a",
+        );
     }
 
     #[test]
     fn nist_case_2_one_block() {
-        let aes = k128("00000000000000000000000000000000");
-        let iv = [0u8; 12];
-        let mut data: Vec<u8> = from_hex("00000000000000000000000000000000");
-        let tag = seal(&aes, &iv, &[], &mut data);
-        assert_eq!(to_hex(&data), "0388dace60b6a392f328c2b971b2fe78");
-        assert_eq!(to_hex(&tag), "ab6e47d42cec13bdf53a67b21257bddf");
+        check_vector(
+            k128("00000000000000000000000000000000"),
+            "000000000000000000000000",
+            "",
+            "00000000000000000000000000000000",
+            "0388dace60b6a392f328c2b971b2fe78",
+            "ab6e47d42cec13bdf53a67b21257bddf",
+        );
     }
 
     #[test]
     fn nist_case_3_four_blocks() {
-        let aes = k128("feffe9928665731c6d6a8f9467308308");
-        let iv: [u8; 12] = from_hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let mut data = from_hex(
+        check_vector(
+            k128("feffe9928665731c6d6a8f9467308308"),
+            "cafebabefacedbaddecaf888",
+            "",
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985",
+            "4d5c2af327cd64a62cf35abd2ba6fab4",
         );
-        let tag = seal(&aes, &iv, &[], &mut data);
-        assert_eq!(
-            to_hex(&data),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
-        );
-        assert_eq!(to_hex(&tag), "4d5c2af327cd64a62cf35abd2ba6fab4");
     }
 
     #[test]
     fn nist_case_4_with_aad_and_partial_block() {
-        let aes = k128("feffe9928665731c6d6a8f9467308308");
-        let iv: [u8; 12] = from_hex("cafebabefacedbaddecaf888").try_into().unwrap();
-        let aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let mut data = from_hex(
+        check_vector(
+            k128("feffe9928665731c6d6a8f9467308308"),
+            "cafebabefacedbaddecaf888",
+            "feedfacedeadbeeffeedfacedeadbeefabaddad2",
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091",
+            "5bc94fbc3221a5db94fae95ae7121a47",
         );
-        let tag = seal(&aes, &iv, &aad, &mut data);
-        assert_eq!(
-            to_hex(&data),
-            "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
-        );
-        assert_eq!(to_hex(&tag), "5bc94fbc3221a5db94fae95ae7121a47");
     }
 
     #[test]
     fn mcgrew_viega_case_13_aes256_empty() {
         // K = 0^256, IV = 0^96, empty plaintext and AAD.
         let aes = Aes::new_256(&[0u8; 32]);
-        let tag = seal(&aes, &[0u8; 12], &[], &mut []);
-        assert_eq!(to_hex(&tag), "530f8afbc74536b9a963b4f1c4cb738b");
+        check_vector(
+            aes,
+            "000000000000000000000000",
+            "",
+            "",
+            "",
+            "530f8afbc74536b9a963b4f1c4cb738b",
+        );
     }
 
     #[test]
     fn mcgrew_viega_case_14_aes256_one_block() {
         // K = 0^256, IV = 0^96, P = 0^128.
-        let aes = Aes::new_256(&[0u8; 32]);
-        let mut data = [0u8; 16];
-        let tag = seal(&aes, &[0u8; 12], &[], &mut data);
-        assert_eq!(to_hex(&data), "cea7403d4d606b6e074ec5d3baf39d18");
-        assert_eq!(to_hex(&tag), "d0d1c8a799996bf0265b98b5d48ab919");
-        open(&aes, &[0u8; 12], &[], &mut data, &tag).expect("valid tag");
-        assert_eq!(data, [0u8; 16]);
+        check_vector(
+            Aes::new_256(&[0u8; 32]),
+            "000000000000000000000000",
+            "",
+            "00000000000000000000000000000000",
+            "cea7403d4d606b6e074ec5d3baf39d18",
+            "d0d1c8a799996bf0265b98b5d48ab919",
+        );
     }
 
     #[test]
@@ -507,18 +615,22 @@ mod tests {
     fn stream_setup_is_key_free_and_small() {
         // Key-static work happens once, in `GcmKey::new` and the first
         // stream's table build; starting or resuming a record's stream then
-        // runs no AES block, and the 4 KiB table stays out of the
-        // per-stream state.
-        let k = key(k128("feffe9928665731c6d6a8f9467308308"));
-        let iv = [4u8; 12];
-        let first = GcmStream::new(Arc::clone(&k), &iv, b"warm", Direction::Encrypt);
-        let blocks = || crate::aes::BLOCKS.with(|n| n.get());
+        // runs no AES block on either path, and the key-static state stays
+        // out of the per-stream state.
+        for k in both_paths(k128("feffe9928665731c6d6a8f9467308308")) {
+            let iv = [4u8; 12];
+            let mut first = GcmStream::new(Arc::clone(&k), &iv, b"warm", Direction::Encrypt);
+            let blocks = || crate::aes::BLOCKS.with(|n| n.get());
+            let before = blocks();
+            first.process(&mut [0u8; 40]);
+            assert!(blocks() > before, "{k:?}: processing counts its blocks");
 
-        let before = blocks();
-        let s = GcmStream::new(Arc::clone(&k), &iv, b"hdr", Direction::Decrypt);
-        let r = GcmStream::resume(Arc::clone(&k), &iv, &first.export());
-        assert_eq!(blocks(), before, "new/resume encrypt no block");
-        drop((s, r));
+            let before = blocks();
+            let s = GcmStream::new(Arc::clone(&k), &iv, b"hdr", Direction::Decrypt);
+            let r = GcmStream::resume(Arc::clone(&k), &iv, &first.export());
+            assert_eq!(blocks(), before, "{k:?}: new/resume encrypt no block");
+            drop((s, r));
+        }
 
         const BOUND: usize = 128;
         assert!(

@@ -7,7 +7,10 @@
 //! steps, `z = (z >> 8) ^ R8[z & 0xff] ^ T[byte]`, highest-degree byte
 //! first, where the `const` table `R8` folds the byte shifted out of `z`
 //! back in through the field polynomial. The bitwise multiply survives only
-//! as the test oracle.
+//! as the test oracle. This is the portable kernel: a [`crate::gcm::GcmKey`]
+//! on a CPU with PCLMULQDQ folds blocks with `pclmulqdq` instead, four per
+//! reduction, through the same [`Ghash`] state, and tests check it against
+//! this table kernel.
 //!
 //! The dynamic half is a [`Ghash`]: the accumulator plus a partial-block
 //! buffer, `Copy` and a few dozen bytes. That is the *entire* mutable
@@ -86,6 +89,14 @@ impl GhashKey {
         GhashKey { table }
     }
 
+    /// Folds whole 16-byte `blocks` into `acc`: `acc = (acc ^ block)·H` each.
+    fn absorb(&self, mut acc: u128, blocks: &[u8]) -> u128 {
+        for b in blocks.chunks_exact(16) {
+            acc = self.mul_h(acc ^ block_to_u128(b.try_into().expect("exact chunk")));
+        }
+        acc
+    }
+
     /// `x·H` by 16 table steps, highest-degree byte first.
     #[inline]
     fn mul_h(&self, x: u128) -> u128 {
@@ -129,44 +140,61 @@ pub struct Ghash {
 
 impl Ghash {
     /// Absorbs bytes; block boundaries may fall anywhere.
-    pub fn update(&mut self, key: &GhashKey, mut data: &[u8]) {
+    pub fn update(&mut self, key: &GhashKey, data: &[u8]) {
+        self.update_with(data, |acc, blocks| key.absorb(acc, blocks));
+    }
+
+    /// Pads any partial block with zeros and absorbs it (GCM does this
+    /// between the AAD and ciphertext sections and before the length block).
+    pub fn pad_block(&mut self, key: &GhashKey) {
+        self.pad_with(|acc, block| key.absorb(acc, block));
+    }
+
+    /// The partial-block bookkeeping of [`Ghash::update`] for any kernel:
+    /// `absorb(acc, blocks)` folds whole 16-byte blocks into `acc`. The
+    /// accumulator always covers every complete block seen, so the exported
+    /// state means the same whichever kernel produced it.
+    pub(crate) fn update_with(
+        &mut self,
+        mut data: &[u8],
+        mut absorb: impl FnMut(u128, &[u8]) -> u128,
+    ) {
         if self.pending_len > 0 {
             let take = (16 - self.pending_len).min(data.len());
             self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&data[..take]);
             self.pending_len += take;
             data = &data[take..];
             if self.pending_len == 16 {
-                let block = self.pending;
-                self.absorb_block(key, &block);
+                self.acc = absorb(self.acc, &self.pending);
                 self.pending_len = 0;
             }
             if data.is_empty() {
                 return;
             }
         }
-        let mut chunks = data.chunks_exact(16);
-        for c in &mut chunks {
-            self.absorb_block(key, c.try_into().expect("exact chunk"));
+        let (blocks, rem) = data.split_at(data.len() / 16 * 16);
+        if !blocks.is_empty() {
+            self.acc = absorb(self.acc, blocks);
         }
-        let rem = chunks.remainder();
         self.pending[..rem.len()].copy_from_slice(rem);
         self.pending_len = rem.len();
     }
 
-    /// Pads any partial block with zeros and absorbs it (GCM does this
-    /// between the AAD and ciphertext sections and before the length block).
-    pub fn pad_block(&mut self, key: &GhashKey) {
-        if self.pending_len > 0 {
-            self.pending[self.pending_len..].fill(0);
-            let block = self.pending;
-            self.absorb_block(key, &block);
-            self.pending_len = 0;
-        }
+    /// Folds whole blocks into the accumulator through `fold(acc)`, for a
+    /// kernel that hashes data as it transforms it. Only on a block
+    /// boundary, with no partial block pending.
+    pub(crate) fn fold_aligned(&mut self, fold: impl FnOnce(u128) -> u128) {
+        debug_assert_eq!(self.pending_len, 0, "a partial block is pending");
+        self.acc = fold(self.acc);
     }
 
-    #[inline]
-    fn absorb_block(&mut self, key: &GhashKey, block: &[u8; 16]) {
-        self.acc = key.mul_h(self.acc ^ block_to_u128(block));
+    /// [`Ghash::pad_block`] for any kernel (see [`Ghash::update_with`]).
+    pub(crate) fn pad_with(&mut self, absorb: impl FnOnce(u128, &[u8]) -> u128) {
+        if self.pending_len > 0 {
+            self.pending[self.pending_len..].fill(0);
+            self.acc = absorb(self.acc, &self.pending);
+            self.pending_len = 0;
+        }
     }
 
     /// Pads, then returns the accumulator.

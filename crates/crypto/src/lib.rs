@@ -8,8 +8,15 @@
 //!
 //! * [`gcm`] — AES-GCM with exportable mid-message state (the TLS offload);
 //! * [`crc32c`] — incremental + combinable CRC32C (the NVMe-TCP offload);
-//! * [`aes`] — the block cipher underneath GCM (T-table rounds);
-//! * [`ghash`] — GCM's universal hash (8-bit-table multiply by `H`).
+//! * [`aes`] — the block cipher underneath GCM (portable T-table rounds);
+//! * [`ghash`] — GCM's universal hash (portable 8-bit-table multiply by `H`).
+//!
+//! On x86-64 the private `x86_64` module adds AES-NI/PCLMULQDQ GCM and
+//! SSE4.2 CRC32C kernels, chosen at run time by `is_x86_feature_detected!`:
+//! once per [`gcm::GcmKey`], and once per [`crc32c::Crc32c::update`] call.
+//! Other CPUs run the portable kernels, which are also the oracle the
+//! hardware ones are tested against. Both produce the same bytes, tags,
+//! CRCs and exported state.
 //!
 //! These run for real in functional-mode simulations and tests; the
 //! experiments' cycle accounting separately models AES-NI-class speeds.
@@ -33,6 +40,8 @@ pub mod crc32c;
 pub mod gcm;
 pub mod ghash;
 pub mod hex;
+#[cfg(target_arch = "x86_64")]
+mod x86_64;
 
 /// Authentication failure: a tag or digest did not verify.
 ///

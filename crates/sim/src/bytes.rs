@@ -75,6 +75,21 @@ impl Bytes {
     pub fn as_slice(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
+
+    /// The visible bytes, writable (copy-on-write). They are written in
+    /// place when this view is the only handle on its buffer and covers
+    /// all of it; otherwise they are first copied, once, into a fresh
+    /// buffer that only this view holds. Other views never see the writes.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if self.is_empty() {
+            return &mut [];
+        }
+        let whole = self.start == 0 && self.end == self.data.len();
+        if !whole || Arc::get_mut(&mut self.data).is_none() {
+            *self = Bytes::from(self.as_slice());
+        }
+        Arc::get_mut(&mut self.data).expect("a fresh or unique buffer has one owner")
+    }
 }
 
 impl Default for Bytes {
@@ -107,7 +122,9 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Bytes {
-        Bytes::from(s.to_vec())
+        let data: Arc<[u8]> = Arc::from(s);
+        let end = data.len();
+        Bytes { data, start: 0, end }
     }
 }
 
@@ -211,6 +228,35 @@ mod tests {
         let b = Bytes::from(vec![2u8, 3]);
         assert_eq!(a, b);
         assert_eq!(a, vec![2u8, 3]);
+    }
+
+    #[test]
+    fn make_mut_writes_in_place_only_when_unique_and_whole() {
+        let mut b = Bytes::from(vec![1u8, 2, 3]);
+        let at = b.as_slice().as_ptr();
+        b.make_mut()[0] = 9;
+        assert_eq!(
+            (b.as_slice().as_ptr(), b.to_vec()),
+            (at, vec![9, 2, 3]),
+            "unique: in place"
+        );
+
+        let shared = b.clone();
+        b.make_mut()[1] = 8;
+        assert_ne!(b.as_slice().as_ptr(), at, "shared: copied");
+        assert_eq!(
+            (b.to_vec(), shared.to_vec()),
+            (vec![9, 8, 3], vec![9, 2, 3])
+        );
+
+        let mut part = Bytes::from(vec![1u8, 2, 3]).slice(1..);
+        part.make_mut()[0] = 7;
+        assert_eq!(
+            part.to_vec(),
+            vec![7, 3],
+            "a partial view is copied out whole"
+        );
+        assert!(Bytes::new().make_mut().is_empty());
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub struct CostModel {
     pub nic_latency: SimDuration,
     /// Latency of one NIC context-cache miss fill over PCIe (Fig. 19).
     pub nic_cache_miss_latency: SimDuration,
-    /// Per-flow HW context size in bytes (paper §6.5: 208 B).
-    pub hw_context_bytes: u64,
 }
 
 impl CostModel {
@@ -111,7 +109,6 @@ impl CostModel {
             pcie_bps: 126_000_000_000, // 15.75 GB/s
             nic_latency: SimDuration::from_nanos(1_500),
             nic_cache_miss_latency: SimDuration::from_nanos(600),
-            hw_context_bytes: 208,
         }
     }
 
