@@ -323,9 +323,14 @@ impl FrameIndex {
             .map(|f| (f.off, MsgHeader { total_len: f.len }, f.idx))
     }
 
-    /// Drops index entries fully below `offset` (acked long ago).
+    /// Drops index entries fully below `offset` (acked long ago). Returns
+    /// at once when the front frame still ends above `offset`, which is
+    /// the common case of an ACK landing inside the oldest message.
     pub fn prune_below(&self, offset: u64) {
         let mut inner = self.0.borrow_mut();
+        if inner.frames.front().is_none_or(|f| f.off + f.len as u64 > offset) {
+            return;
+        }
         let keep_from = inner
             .frames
             .partition_point(|f| f.off + f.len as u64 <= offset);

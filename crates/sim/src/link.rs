@@ -301,6 +301,10 @@ pub struct LinkStats {
 pub struct Delivery {
     /// Arrival time at the receiver.
     pub at: SimTime,
+    /// The link held this copy back on purpose (reordering, a scripted
+    /// delay, or the second copy of a duplicate): it may arrive after
+    /// frames offered later. Undelayed arrivals never decrease.
+    pub delayed: bool,
     /// The payload was corrupted in flight: the caller must flip payload
     /// bytes before handing the packet up (the link itself never sees
     /// payload contents).
@@ -493,12 +497,17 @@ impl Link {
         }
         let arrival = done + self.propagation + extra;
         let mut count = 1u64;
-        out.push(Delivery { at: arrival, corrupt });
+        out.push(Delivery {
+            at: arrival,
+            corrupt,
+            delayed: extra > SimDuration::ZERO,
+        });
         if dup {
             // Both copies of a duplicated corrupt frame carry the corruption.
             out.push(Delivery {
                 at: arrival + SimDuration::from_micros(5),
                 corrupt,
+                delayed: true,
             });
             self.stats.duplicated += 1;
             count = 2;

@@ -6,25 +6,34 @@
 //!
 //! # Storage
 //!
-//! Events live in a slab (`slots` + free list); the binary heap orders small
-//! `(at, seq, slot)` records. Heap sift operations therefore move 24-byte
+//! Events live in a slab (`slots` + free list); the 4-ary heap orders small
+//! `(at, seq, slot)` records. Heap sift operations therefore move 16-byte
 //! entries instead of the full event payload — for a stack-sized `Event`
 //! (SACK vector, payload handle, resync frames) that is the difference
 //! between a memmove-bound hot loop and a cache-resident one. Slots are
 //! recycled LIFO so a steady-state run reaches a fixed slab size and stops
 //! allocating entirely.
 //!
+//! # FIFO lanes
+//!
+//! Most events arrive in order: a link's arrivals, one core's completions.
+//! [`Scheduler::schedule_on`] appends such an event to a [`Lane`], a list
+//! threaded through the slab by each slot's `next` index; only the lane's
+//! head sits in the heap, and popping it puts the lane's next event in its
+//! place with one sift-down. An event earlier than its lane's tail goes to
+//! the heap as a plain [`Scheduler::schedule`], so every lane stays sorted
+//! by `(at, seq)`, the heap's minimum is the global minimum, and dispatch
+//! order is exactly the lane-free order for any input.
+//!
 //! # Batching
 //!
 //! [`Scheduler::pop_batch`] drains every event sharing the earliest pending
 //! timestamp (up to a caller-provided cap) in one call. Because the batch
-//! contains only events that were already in the heap — anything scheduled
+//! contains only events that were already queued — anything scheduled
 //! *while the caller processes the batch* gets a higher insertion sequence
 //! and a timestamp clamped to ≥ now — the dispatch order is bit-identical to
 //! calling [`Scheduler::pop`] in a loop. Batching changes wall-clock cost,
 //! never simulated behavior.
-
-use std::cmp::Ordering;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -33,8 +42,8 @@ use crate::time::{SimDuration, SimTime};
 /// packs the insertion sequence into the high bits and the slab slot into
 /// the low [`SLOT_BITS`], so comparing `(at, key)` orders exactly like
 /// `(at, seq)` — sequences are unique, the slot bits never tip a
-/// comparison.
-#[derive(Clone, Copy)]
+/// comparison. The derived order compares `at`, then `key`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: SimTime,
     key: u64,
@@ -50,23 +59,6 @@ impl Entry {
     }
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
-    }
-}
-
 /// A 4-ary min-heap of [`Entry`] records. Quaternary rather than binary
 /// because the queue sits under every simulated event: half the depth of a
 /// binary heap, and a node's four 16-byte children span one cache line, so
@@ -76,13 +68,11 @@ impl Ord for Entry {
 #[derive(Default)]
 struct Heap4 {
     v: Vec<Entry>,
+    /// High-water mark of `v.len()` ([`Scheduler::heap_peak`]).
+    peak: usize,
 }
 
 impl Heap4 {
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
     fn is_empty(&self) -> bool {
         self.v.is_empty()
     }
@@ -93,6 +83,7 @@ impl Heap4 {
 
     fn push(&mut self, e: Entry) {
         self.v.push(e);
+        self.peak = self.peak.max(self.v.len());
         let mut i = self.v.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 4;
@@ -109,6 +100,17 @@ impl Heap4 {
         let last = self.v.len().checked_sub(1)?;
         self.v.swap(0, last);
         let top = self.v.pop();
+        self.sift_down();
+        top
+    }
+
+    /// Replaces the minimum with `e`: one sift-down instead of pop + push.
+    fn replace_top(&mut self, e: Entry) {
+        self.v[0] = e;
+        self.sift_down();
+    }
+
+    fn sift_down(&mut self) {
         let len = self.v.len();
         let mut i = 0;
         loop {
@@ -130,9 +132,28 @@ impl Heap4 {
                 break;
             }
         }
-        top
     }
 }
+
+/// Sentinel index: no slot (end of a lane) or no lane (a plain heap event).
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a pending event and its place in the queue.
+struct Slot<E> {
+    ev: Option<E>,
+    /// The event's heap entry; a lane event not yet at its lane's head
+    /// waits here until its predecessor pops.
+    entry: Entry,
+    /// The lane the event is queued on, or [`NIL`].
+    lane: u32,
+    /// The next event on the same lane, or [`NIL`] at the tail.
+    next: u32,
+}
+
+/// A FIFO lane of a [`Scheduler`] (see the module docs), from
+/// [`Scheduler::add_lane`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Lane(u32);
 
 /// A deterministic event queue parameterized over the event type `E`.
 ///
@@ -150,10 +171,12 @@ impl Heap4 {
 /// ```
 pub struct Scheduler<E> {
     heap: Heap4,
-    /// Slab of pending event payloads, indexed by `Entry::slot`.
-    slots: Vec<Option<E>>,
+    /// Slab of pending events, indexed by `Entry::slot`.
+    slots: Vec<Slot<E>>,
     /// Recycled slot indices, reused LIFO (hot slots stay cache-warm).
     free: Vec<u32>,
+    /// Tail slot of each lane, [`NIL`] while the lane is empty.
+    lanes: Vec<u32>,
     now: SimTime,
     seq: u64,
     dispatched: u64,
@@ -179,6 +202,7 @@ impl<E> Scheduler<E> {
             heap: Heap4::default(),
             slots: Vec::new(),
             free: Vec::new(),
+            lanes: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
             dispatched: 0,
@@ -212,31 +236,88 @@ impl<E> Scheduler<E> {
         self.clamp_epsilon = epsilon;
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, in the heap or behind a lane head.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.slots.len() - self.free.len()
     }
 
-    fn store(&mut self, event: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("slab overflow");
-                self.slots.push(Some(event));
-                slot
-            }
+    /// The most entries the heap has held at once: lane events wait outside
+    /// it, so this counts only lane heads and plain events.
+    pub fn heap_peak(&self) -> usize {
+        self.heap.peak
+    }
+
+    /// Opens a new, empty FIFO lane.
+    pub fn add_lane(&mut self) -> Lane {
+        self.lanes.push(NIL);
+        Lane(u32::try_from(self.lanes.len() - 1).expect("lane overflow"))
+    }
+
+    /// Clamps `at` to now (counting the clamp, see
+    /// [`Scheduler::schedule_lagged`]), numbers the event and stores it in
+    /// the slab; returns its heap entry and the clamp lag.
+    fn store(&mut self, at: SimTime, event: E, lane: u32) -> (Entry, SimDuration) {
+        let lag = if at < self.now {
+            self.clamped += 1;
+            let lag = self.now.since(at);
+            debug_assert!(
+                lag <= self.clamp_epsilon,
+                "event scheduled {}ns in the past (epsilon {}ns): negative latency bug?",
+                lag.as_nanos(),
+                self.clamp_epsilon.as_nanos(),
+            );
+            lag
+        } else {
+            SimDuration::ZERO
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        assert!(seq < 1 << (64 - SLOT_BITS), "insertion sequence overflow");
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => u32::try_from(self.slots.len()).expect("slab overflow"),
+        };
+        assert!(slot < 1 << SLOT_BITS, "slab slot overflow");
+        let entry = Entry {
+            at: at.max(self.now),
+            key: (seq << SLOT_BITS) | slot as u64,
+        };
+        let rec = Slot {
+            ev: Some(event),
+            entry,
+            lane,
+            next: NIL,
+        };
+        match self.slots.get_mut(slot as usize) {
+            Some(s) => *s = rec,
+            None => self.slots.push(rec),
         }
+        (entry, lag)
     }
 
     fn take(&mut self, slot: u32) -> E {
         let ev = self.slots[slot as usize]
+            .ev
             .take()
             .expect("heap entry points at an empty slot");
         self.free.push(slot);
         ev
+    }
+
+    /// Removes the heap's minimum. A lane head hands its heap place to the
+    /// lane's next event; the lane's last event empties the lane.
+    fn pop_entry(&mut self) -> Option<Entry> {
+        let top = *self.heap.peek()?;
+        let s = &self.slots[top.slot() as usize];
+        if s.lane != NIL {
+            if s.next != NIL {
+                let next = self.slots[s.next as usize].entry;
+                self.heap.replace_top(next);
+                return Some(top);
+            }
+            self.lanes[s.lane as usize] = NIL;
+        }
+        self.heap.pop()
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -255,30 +336,27 @@ impl<E> Scheduler<E> {
     /// requested time was ([`SimDuration::ZERO`] when no clamp happened), so
     /// callers can surface the clamp in their own telemetry.
     pub fn schedule_lagged(&mut self, at: SimTime, event: E) -> SimDuration {
-        let lag = if at < self.now {
-            self.clamped += 1;
-            let lag = self.now.since(at);
-            debug_assert!(
-                lag <= self.clamp_epsilon,
-                "event scheduled {}ns in the past (epsilon {}ns): negative latency bug?",
-                lag.as_nanos(),
-                self.clamp_epsilon.as_nanos(),
-            );
-            lag
-        } else {
-            SimDuration::ZERO
-        };
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        assert!(seq < 1 << (64 - SLOT_BITS), "insertion sequence overflow");
-        let slot = self.store(event);
-        assert!(slot < 1 << SLOT_BITS, "slab slot overflow");
-        self.heap.push(Entry {
-            at,
-            key: (seq << SLOT_BITS) | slot as u64,
-        });
+        let (entry, lag) = self.store(at, event, NIL);
+        self.heap.push(entry);
         lag
+    }
+
+    /// Schedules `event` at `at` on `lane`. Dispatch order is exactly that
+    /// of [`Scheduler::schedule`]; the lane only saves heap work while its
+    /// events arrive in time order. An event earlier than the lane's tail
+    /// goes to the heap as a plain schedule.
+    pub fn schedule_on(&mut self, lane: Lane, at: SimTime, event: E) {
+        let tail = self.lanes[lane.0 as usize];
+        if tail != NIL && at.max(self.now) < self.slots[tail as usize].entry.at {
+            return self.schedule(at, event);
+        }
+        let (entry, _) = self.store(at, event, lane.0);
+        if tail == NIL {
+            self.heap.push(entry);
+        } else {
+            self.slots[tail as usize].next = entry.slot();
+        }
+        self.lanes[lane.0 as usize] = entry.slot();
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -288,7 +366,7 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.heap.pop()?;
+        let e = self.pop_entry()?;
         debug_assert!(e.at >= self.now, "scheduler time went backwards");
         self.now = e.at;
         self.dispatched += 1;
@@ -308,23 +386,10 @@ impl<E> Scheduler<E> {
     /// same-instant group larger than `max` is delivered across successive
     /// calls, still in FIFO order.
     pub fn pop_batch(&mut self, max: usize, out: &mut Vec<E>) -> Option<SimTime> {
-        let first = self.heap.pop()?;
-        debug_assert!(first.at >= self.now, "scheduler time went backwards");
-        let at = first.at;
-        self.now = at;
-        self.dispatched += 1;
-        let ev = self.take(first.slot());
+        let (at, ev) = self.pop()?;
         out.push(ev);
-        while out.len() < max {
-            match self.heap.peek() {
-                Some(e) if e.at == at => {
-                    let e = self.heap.pop().expect("peeked entry");
-                    self.dispatched += 1;
-                    let ev = self.take(e.slot());
-                    out.push(ev);
-                }
-                _ => break,
-            }
+        while out.len() < max && self.peek_time() == Some(at) {
+            out.push(self.pop().expect("peeked entry").1);
         }
         Some(at)
     }
@@ -360,7 +425,7 @@ impl<E> std::fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending())
             .field("dispatched", &self.dispatched)
             .field("clamped", &self.clamped)
             .finish()

@@ -136,6 +136,12 @@ impl World {
         self.sched.dispatched()
     }
 
+    /// The most entries the scheduler's heap has held at once
+    /// ([`ano_sim::sched::Scheduler::heap_peak`]).
+    pub fn sched_heap_peak(&self) -> usize {
+        self.sched.heap_peak()
+    }
+
     fn dispatch(&mut self, ev: Event) {
         match ev {
             Event::Packet {
@@ -250,7 +256,7 @@ impl World {
                 // spread it, so a one-flow core is left alone.
                 let mut active = 0usize;
                 let mut pick: Option<(ConnId, u64)> = None;
-                for (&cid, c) in host.conns.iter() {
+                for (cid, c) in host.conns.iter() {
                     if c.core == hot && c.pkts_in_window > 0 {
                         active += 1;
                         if pick.is_none_or(|(_, best)| c.pkts_in_window > best) {
@@ -428,7 +434,8 @@ impl World {
                 let done = host.cpu.run(c.core, now, proto_cycles);
                 // The window reopens when the CPU actually finishes the
                 // protocol work for these bytes.
-                sched.schedule(
+                sched.schedule_on(
+                    host.core_lanes[c.core],
                     done,
                     Event::Consume {
                         host: h as u16,
@@ -595,7 +602,7 @@ impl World {
                 // and reconverge via the §4.3 resync path. Breaker-open
                 // connections stay in software.
                 self.hosts[h].nic.reset();
-                let conns: Vec<ConnId> = self.hosts[h].conns.keys().copied().collect();
+                let conns: Vec<ConnId> = self.hosts[h].conns.iter().map(|(id, _)| id).collect();
                 for conn in conns {
                     self.try_install(h, conn, true, 0);
                     self.try_install(h, conn, false, 0);
@@ -607,7 +614,7 @@ impl World {
                         .conns
                         .iter()
                         .find(|(_, c)| c.in_flow == flow)
-                        .map(|(id, _)| *id);
+                        .map(|(id, _)| id);
                     if let Some(conn) = owner {
                         self.try_install(h, conn, true, 0);
                     }
@@ -643,6 +650,7 @@ impl World {
             cfg,
             hosts,
             links,
+            link_lanes,
             rng,
             sched,
             burst,
@@ -664,6 +672,7 @@ impl World {
         let peer = c.peer;
         let link_out = c.link_out;
         let link = links.by_id_mut(link_out);
+        let lane = link_lanes[link_out as usize];
         // Hold-mode is sampled once per pump: a chaos plan flips modes from
         // its own dispatch slot, never mid-pump.
         let link_held = link.is_held();
@@ -743,8 +752,12 @@ impl World {
                     // parked (in computed-arrival order) until the chaos
                     // plan releases the direction.
                     held.entry(link_out).or_default().push((at, ev));
-                } else {
+                } else if delivery.delayed {
+                    // A frame the link held back goes to the heap, so the
+                    // on-time frames behind it keep their lane.
                     sched.schedule(at, ev);
+                } else {
+                    sched.schedule_on(lane, at, ev);
                 }
             }
         }

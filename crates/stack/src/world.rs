@@ -46,7 +46,7 @@ use ano_sim::cpu::CpuSet;
 use ano_sim::link::{Impairments, Link, LinkMode, LinkRegistry, Script};
 use ano_sim::payload::{DataMode, Payload};
 use ano_sim::rng::SimRng;
-use ano_sim::sched::Scheduler;
+use ano_sim::sched::{Lane, Scheduler};
 use ano_sim::time::{SimDuration, SimTime};
 use ano_tcp::conn::TcpEndpoint;
 use ano_tcp::segment::{FlowId, RxChunk};
@@ -693,10 +693,55 @@ pub(crate) struct ConnState {
     pub(crate) pkts_in_window: u64,
 }
 
+/// A host's connections, indexed by `ConnId.0` (the world hands ids out
+/// densely): one boxed record per connection of this host plus 8 bytes per
+/// id issued so far, iterated in `ConnId` order like the map it replaces.
+#[derive(Default)]
+pub(crate) struct ConnTable(Vec<Option<Box<ConnState>>>);
+
+impl ConnTable {
+    pub(crate) fn get(&self, id: &ConnId) -> Option<&ConnState> {
+        self.0.get(id.0 as usize)?.as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: &ConnId) -> Option<&mut ConnState> {
+        self.0.get_mut(id.0 as usize)?.as_deref_mut()
+    }
+
+    fn insert(&mut self, id: ConnId, c: ConnState) {
+        let i = id.0 as usize;
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        self.0[i] = Some(Box::new(c));
+    }
+
+    fn remove(&mut self, id: &ConnId) -> Option<ConnState> {
+        self.0.get_mut(id.0 as usize)?.take().map(|c| *c)
+    }
+
+    /// Live connections in `ConnId` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ConnId, &ConnState)> {
+        let live = self.0.iter().enumerate();
+        live.filter_map(|(i, c)| Some((ConnId(i as u32), c.as_deref()?)))
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &ConnState> {
+        self.iter().map(|(_, c)| c)
+    }
+
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut ConnState> {
+        self.0.iter_mut().filter_map(|c| c.as_deref_mut())
+    }
+}
+
 pub(crate) struct HostState {
     pub(crate) cpu: CpuSet,
     pub(crate) nic: Nic,
-    pub(crate) conns: BTreeMap<ConnId, ConnState>,
+    pub(crate) conns: ConnTable,
+    /// The scheduler lane of each core's `Event::Consume` completions (a
+    /// core's completion times never decrease).
+    pub(crate) core_lanes: Vec<Lane>,
     /// Last connection whose packets each core processed (batching model).
     pub(crate) last_conn: Vec<Option<ConnId>>,
     /// The host NIC's scripted fault schedule (empty by default: every
@@ -799,6 +844,8 @@ pub struct World {
     /// Directed-pair link registry. The two-host façade registers ids 0
     /// (`0→1`) and 1 (`1→0`) so dir-based accessors keep their meaning.
     pub(crate) links: LinkRegistry,
+    /// The scheduler lane of each link's on-time deliveries, by link id.
+    pub(crate) link_lanes: Vec<Lane>,
     pub(crate) apps: Vec<Option<Box<dyn HostApp>>>,
     pub(crate) tracer: ano_trace::Tracer,
     /// Endpoint hosts per live connection (`disconnect` teardown).
@@ -853,6 +900,7 @@ impl World {
         );
         let rng = SimRng::seed(cfg.seed);
         let tracer = ano_trace::Tracer::default();
+        let mut sched = Scheduler::new();
         let hosts: Vec<HostState> = specs
             .iter()
             .map(|spec| {
@@ -862,7 +910,8 @@ impl World {
                 HostState {
                     cpu: CpuSet::new(spec.cores, cfg.cost.freq_hz),
                     nic,
-                    conns: BTreeMap::new(),
+                    conns: ConnTable::default(),
+                    core_lanes: (0..spec.cores).map(|_| sched.add_lane()).collect(),
                     last_conn: vec![None; spec.cores],
                     faults: DeviceFaults::none(),
                     queue_core: (0..queues).map(|q| q % spec.cores).collect(),
@@ -875,10 +924,11 @@ impl World {
         let apps = specs.iter().map(|_| None).collect();
         World {
             cfg,
-            sched: Scheduler::new(),
+            sched,
             rng,
             hosts,
             links: LinkRegistry::new(),
+            link_lanes: Vec::new(),
             apps,
             tracer,
             conn_hosts: BTreeMap::new(),
@@ -904,6 +954,7 @@ impl World {
             (src as usize) < self.hosts.len() && (dst as usize) < self.hosts.len() && src != dst,
             "link endpoints must be distinct registered hosts"
         );
+        self.link_lanes.push(self.sched.add_lane());
         self.links.add(
             src,
             dst,
@@ -1433,7 +1484,7 @@ impl World {
                 .conns
                 .iter()
                 .filter(|(_, c)| c.peer == dst)
-                .map(|(&id, _)| id)
+                .map(|(id, _)| id)
                 .collect();
             for conn in conns {
                 self.try_install(src as usize, conn, true, 0);

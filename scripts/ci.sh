@@ -106,6 +106,15 @@ echo "== NIC flow table and context cache (release, 20 000 cases per property) =
 # run's few hundred (~4 s).
 CARGO_NET_OFFLINE=true ANO_TESTKIT_CASES=20000 cargo test -q --release -p ano-core --test lru_prop
 
+echo "== scheduler lanes (release, 20 000 cases per property) =="
+# crates/sim/tests/sched_prop.rs feeds random interleavings of schedule and
+# schedule_on over 1-4 FIFO lanes — backward times inside a lane, ties,
+# past-time clamps, follow-ups scheduled mid-batch — through pop, pop_batch
+# and pop_batch_until, and checks dispatch order and counters against a
+# lane-free scheduler, plus the burst-drain property, under the fat-LTO
+# codegen the benchmark runs (~1 s after the build).
+CARGO_NET_OFFLINE=true ANO_TESTKIT_CASES=20000 cargo test -q --release -p ano-sim --test sched_prop
+
 # The scenario crate's default tests — the registry-wide shape tests, the
 # 16-entry link-adversity differential matrix, every family's smokes and all
 # seven golden traces (BLESS=1 regenerates; see crates/scenario/tests/common)
